@@ -33,11 +33,19 @@ pub fn input_seed(seed: u64) -> u64 {
     seed >> 32
 }
 
-/// Set-up repetitions per run; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+/// Set-up is timed in this many batches; `setup_s` is the median of the
+/// batches' mean repetition times...
+const SETUP_BATCHES: usize = 9;
+/// ...and each batch repeats set-up until it has taken this long. On the
+/// reference host one repetition of a millisecond set-up takes one of two
+/// times about 60 % apart, switching with the host's state within a run,
+/// so the median repetition jumped between them from run to run; a batch
+/// mean moves only with the share of time spent in each.
+const SETUP_BATCH_S: f64 = 0.2;
 
-/// Where runs at one seed leave their exact counts for the next run at
-/// that seed to compare against (relative to the working directory).
+/// Where runs at one seed leave their exact counts for the next run of
+/// the same build at that seed to compare against (relative to the
+/// working directory).
 pub const RECORD_DIR: &str = ".perfbench";
 
 /// One run's settings.
@@ -45,30 +53,26 @@ pub struct Run {
     pub seed: u64,
     pub seconds: f64,
     pub trace: bool,
-    /// The program's first instruction: the first set-up is timed from here.
-    pub started: Instant,
 }
 
-impl Run {
-    /// Runs `make` [`SETUP_REPS`] times and returns its last result with
-    /// the median set-up time in seconds. The first repetition is timed
-    /// from the program's first instruction, so argument parsing counts
-    /// but process start and loading do not.
-    pub fn setup<T>(&self, mut make: impl FnMut() -> T) -> (T, f64) {
-        let mut times = Vec::with_capacity(SETUP_REPS);
-        let mut last = None;
-        for rep in 0..SETUP_REPS {
+/// Runs `make` in [`SETUP_BATCHES`] timed batches, dropping each result
+/// before the next, and returns the last result with the set-up time in
+/// seconds: the median batch's mean repetition time.
+pub fn setup<T>(mut make: impl FnMut() -> T) -> (T, f64) {
+    let mut means = Vec::with_capacity(SETUP_BATCHES);
+    let mut last = None;
+    for _ in 0..SETUP_BATCHES {
+        let (mut busy_s, mut reps) = (0.0, 0);
+        while busy_s < SETUP_BATCH_S {
             drop(last.take());
-            let start = if rep == 0 {
-                self.started
-            } else {
-                Instant::now()
-            };
+            let t = Instant::now();
             last = Some(make());
-            times.push(start.elapsed().as_secs_f64());
+            busy_s += t.elapsed().as_secs_f64();
+            reps += 1;
         }
-        (last.expect("at least one set-up"), median(&times))
+        means.push(busy_s / f64::from(reps));
     }
+    (last.expect("at least one set-up"), median(&means))
 }
 
 /// What a workload hands back to `main`.
@@ -169,14 +173,37 @@ fn calibrate() -> (f64, f64) {
     (cpu_ms, ms_since(t))
 }
 
-/// Compares `counts` with the record the first run at this seed left,
-/// or leaves that record. A difference means the workload is not
-/// deterministic.
+/// FNV-1a of the running benchmark binary, which links the code under
+/// test: a code change gives a new id and so a fresh count record.
+fn build_id() -> Result<u64, String> {
+    use std::io::Read;
+    let exe = std::env::current_exe().map_err(|e| format!("own binary: {e}"))?;
+    let mut file = std::fs::File::open(&exe).map_err(|e| format!("{}: {e}", exe.display()))?;
+    let mut buf = [0u8; 1 << 16];
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    loop {
+        let n = file
+            .read(&mut buf)
+            .map_err(|e| format!("{}: {e}", exe.display()))?;
+        if n == 0 {
+            return Ok(hash);
+        }
+        for &b in &buf[..n] {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Compares `counts` with the record the first run of this build at this
+/// seed left, or leaves that record. A difference means the workload is
+/// not deterministic.
 fn check_repeat(workload: &str, run: &Run, counts: &[(&'static str, u64)]) -> Result<(), String> {
     let text: String = counts.iter().map(|(k, v)| format!("{k} {v}\n")).collect();
     let path = std::path::Path::new(RECORD_DIR).join(format!(
-        "counts-{workload}-seed{}-{}s.txt",
-        run.seed, run.seconds
+        "counts-{workload}-seed{}-{}s-{:016x}.txt",
+        run.seed,
+        run.seconds,
+        build_id()?
     ));
     match std::fs::read_to_string(&path) {
         Ok(previous) if previous == text => Ok(()),
@@ -302,7 +329,6 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    let started = Instant::now();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
@@ -314,10 +340,9 @@ fn main() {
         seed: args.seed,
         seconds: args.seconds as f64,
         trace: args.trace,
-        started,
     };
-    // One-shot workloads plan at par width 1; serve_mix runs two
-    // single-threaded workers. At most two threads are ever busy.
+    // Every workload plans at par width 1, and serve_mix runs one worker
+    // behind one client connection: one thread plans at a time.
     lacr_par::set_threads(1);
     lacr_obs::set_diag_level(lacr_obs::DiagLevel::Silent);
 

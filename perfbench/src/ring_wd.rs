@@ -4,7 +4,7 @@
 //! `weighted_min_area_retiming`.
 
 use crate::stats::{mean, median};
-use crate::{allocs, input_seed, ms_since, traced_phase, Outcome, Run};
+use crate::{allocs, input_seed, ms_since, setup, traced_phase, Outcome, Run};
 use lacr_prng::synth::ring_of_rings;
 use lacr_retime::{
     generate_period_constraints, try_min_period_retiming, verify_retiming,
@@ -145,7 +145,7 @@ fn measure(graphs: &[RetimeGraph], problems: &mut Vec<String>) -> (Vec<Op>, u64,
 
 pub fn run(run: &Run) -> Outcome {
     let n_ops = ((run.seconds / OP_S).round() as usize).max(3);
-    let (graphs, setup_s) = run.setup(|| {
+    let (graphs, setup_s) = setup(|| {
         (0..n_ops)
             .map(|k| lower(net_seed(input_seed(run.seed), k)))
             .collect::<Vec<_>>()

@@ -5,7 +5,7 @@
 //! requests are answered from the cache.
 
 use crate::stats::{beyond, mean, median, percentile};
-use crate::{input_seed, ms_since, traced_phase, Outcome, Run, PLAN_SPANS, RECORD_DIR};
+use crate::{input_seed, ms_since, setup, traced_phase, Outcome, Run, PLAN_SPANS, RECORD_DIR};
 use lacr_bench::json::{parse_json, Json};
 use lacr_netlist::bench89::{generate_spec, GenSpec};
 use lacr_netlist::bench_format;
@@ -78,14 +78,11 @@ impl Client {
                 Err(e) if Instant::now() > deadline => {
                     return Err(format!("cannot connect to {}: {e}", path.display()))
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                Err(_) => std::thread::sleep(Duration::from_micros(200)),
             }
         };
         let reader = BufReader::new(writer.try_clone().map_err(|e| e.to_string())?);
-        let mut client = Self { writer, reader };
-        // The first answer proves the connection thread is serving.
-        client.request("{\"cmd\":\"stats\"}\n")?;
-        Ok(client)
+        Ok(Self { writer, reader })
     }
 
     /// Sends one request line and returns the response line.
@@ -128,6 +125,15 @@ impl Daemon {
         };
         daemon.client = Some(Client::connect(&daemon.path)?);
         Ok(daemon)
+    }
+
+    /// Waits for the first answer, which proves a connection thread
+    /// serves the client. The daemon polls for new connections every
+    /// 50 ms, so this wait lasts 0–50 ms at random; it is kept out of
+    /// both set-up and measurement.
+    fn ready(mut self) -> Result<Self, String> {
+        self.client().request("{\"cmd\":\"stats\"}\n")?;
+        Ok(self)
     }
 
     fn client(&mut self) -> &mut Client {
@@ -221,6 +227,22 @@ fn check_response(
     Ok((sample, degraded))
 }
 
+/// The checks must reject a hit whose plan text differs from its miss's
+/// in one digit.
+fn tamper_probe(hit: &str, miss_plan: &str) -> Result<(), String> {
+    let start = hit.find("\"plan\":").ok_or("a hit without a plan")?;
+    let at = start
+        + hit[start..]
+            .find(|c: char| c.is_ascii_digit())
+            .ok_or("a plan without digits")?;
+    let mut bad = hit.to_string();
+    bad.replace_range(at..at + 1, if &hit[at..=at] == "9" { "8" } else { "9" });
+    match check_response(&bad, true, Some(miss_plan)) {
+        Ok(_) => Err("a tampered cached plan passed the checks".into()),
+        Err(_) => Ok(()),
+    }
+}
+
 /// What one phase of traffic did.
 #[derive(Default)]
 struct Tally {
@@ -253,6 +275,11 @@ fn measure(client: &mut Client, nets: &[Netlist]) -> (Tally, f64) {
                 let answer = check_response(&r, rep > 0, miss_plan.as_deref())?;
                 if rep == 0 {
                     miss_plan = plan_bytes(&r).map(str::to_string);
+                } else if i == 0 && rep == 1 {
+                    let expected = miss_plan.as_deref().unwrap_or_default();
+                    if let Err(e) = tamper_probe(&r, expected) {
+                        tally.problems.push(e);
+                    }
                 }
                 Ok(answer)
             });
@@ -298,7 +325,7 @@ fn canon_ms(nets: &[Netlist]) -> f64 {
 pub fn run(run: &Run) -> Outcome {
     let n = ((run.seconds * NETLISTS_PER_S).round() as usize).max(MIN_NETLISTS);
     let mut started = 0;
-    let ((nets, daemon), setup_s) = run.setup(|| {
+    let ((nets, daemon), setup_s) = setup(|| {
         started += 1;
         let nets = netlists(input_seed(run.seed), n);
         (nets, Daemon::start(&format!("serve{started}")))
@@ -308,7 +335,7 @@ pub fn run(run: &Run) -> Outcome {
         attempted: n as u64,
         ..Outcome::default()
     };
-    let mut daemon = match daemon {
+    let mut daemon = match daemon.and_then(Daemon::ready) {
         Ok(d) => d,
         Err(e) => {
             out.failed = out.attempted;
@@ -378,7 +405,7 @@ pub fn run(run: &Run) -> Outcome {
 
     if run.trace {
         // A fresh daemon (empty cache) replays the same traffic.
-        match Daemon::start("traced") {
+        match Daemon::start("traced").and_then(Daemon::ready) {
             Ok(mut traced) => out.metrics.extend(traced_phase(ops_per_s, PLAN_SPANS, || {
                 let (tally, secs) = measure(traced.client(), &nets);
                 (tally.samples.len() as f64 / secs, n)
