@@ -160,6 +160,14 @@ impl Budget {
 mod tests {
     use super::*;
 
+    /// Held by every test that trips a budget: an expiry dumps the flight
+    /// recorder to the process-wide armed path, which one test arms and
+    /// checks, and tests run on parallel threads.
+    fn flight_path_lock() -> std::sync::MutexGuard<'static, ()> {
+        static FLIGHT_PATH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        FLIGHT_PATH.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn unlimited_never_expires() {
         let b = Budget::unlimited();
@@ -171,6 +179,7 @@ mod tests {
 
     #[test]
     fn zero_timeout_expires_immediately() {
+        let _flight = flight_path_lock();
         assert!(Budget::with_timeout(Duration::ZERO).expired());
     }
 
@@ -181,6 +190,7 @@ mod tests {
 
     #[test]
     fn expiry_is_sticky_and_shared_between_clones() {
+        let _flight = flight_path_lock();
         // A deadline in the past: the first poll latches.
         let b = Budget::new(Some(Instant::now() - Duration::from_secs(1)), None);
         let clone = b.clone();
@@ -202,6 +212,7 @@ mod tests {
 
     #[test]
     fn equality_ignores_latch_state() {
+        let _flight = flight_path_lock();
         let past = Instant::now() - Duration::from_secs(1);
         let a = Budget::new(Some(past), Some(3));
         let b = Budget::new(Some(past), Some(3));
@@ -211,6 +222,7 @@ mod tests {
 
     #[test]
     fn sequential_budgets_do_not_inherit_expiry() {
+        let _flight = flight_path_lock();
         // The latch lives in per-instance Arc state: two requests built
         // back to back (as the serve loop does) must each start fresh,
         // even after the first one has tripped.
@@ -237,6 +249,7 @@ mod tests {
 
     #[test]
     fn labeled_budget_expiry_dumps_to_the_tagged_path() {
+        let _flight = flight_path_lock();
         let dir = std::env::temp_dir().join(format!(
             "lacr_budget_tagged_{}_{:?}",
             std::process::id(),

@@ -223,20 +223,120 @@ impl ConstraintIndex {
     }
 }
 
-/// One applied slide step, for rollback: `(vertex, delta)`.
-type SlideStep = (usize, i64);
-
-/// Working state of the flip-flop placement legaliser.
-struct Legalizer<'g> {
-    graph: &'g RetimeGraph,
+/// What the legaliser reads but never changes, built once per
+/// [`lac_retiming`] call and shared by all of its rounds.
+struct LegalizeIndex {
+    /// The full constraint system (edge legality + clock period).
+    cons: ConstraintIndex,
     /// Integer per-tile capacities `⌊caps_ff⌋`.
     cap: Vec<i64>,
     /// Single in/out edge of chain-interior interconnect vertices.
     only_in: Vec<Option<EdgeId>>,
     only_out: Vec<Option<EdgeId>>,
+    /// The tile each edge's flip-flops are charged to (its tail's tile).
+    charged: Vec<Option<usize>>,
+    /// The edges charged to each tile, in ascending edge order.
+    tile_edges: Vec<Vec<EdgeId>>,
+}
+
+impl LegalizeIndex {
+    fn new(graph: &RetimeGraph, constraints: &[Constraint], caps_ff: &[f64]) -> Self {
+        let n = graph.num_vertices();
+        let mut only_in = vec![None; n];
+        let mut only_out = vec![None; n];
+        for v in graph.vertex_ids() {
+            if graph.kind(v) == VertexKind::Interconnect
+                && graph.in_edges(v).count() == 1
+                && graph.out_edges(v).count() == 1
+            {
+                only_in[v.index()] = graph.in_edges(v).next();
+                only_out[v.index()] = graph.out_edges(v).next();
+            }
+        }
+        let charged: Vec<Option<usize>> =
+            graph.edges().iter().map(|e| graph.tile(e.from)).collect();
+        let mut tile_edges = vec![Vec::new(); caps_ff.len()];
+        for (ei, t) in charged.iter().enumerate() {
+            if let Some(t) = *t {
+                tile_edges[t].push(EdgeId(ei as u32));
+            }
+        }
+        Self {
+            cons: ConstraintIndex::new(n, constraints),
+            cap: caps_ff.iter().map(|c| c.floor().max(0.0) as i64).collect(),
+            only_in,
+            only_out,
+            charged,
+            tile_edges,
+        }
+    }
+}
+
+/// One journalled change to the legaliser's state.
+#[derive(Clone, Copy)]
+enum Change {
+    /// `r[vertex] += delta`.
+    Lag(usize, i64),
+    /// `weights[edge] += delta`, with the charged tile's count and the
+    /// flip-flop total.
+    Weight(usize, i64),
+}
+
+/// A beam-search state: a copy of the legaliser's vectors.
+#[derive(Clone)]
+struct State {
+    excess: i64,
     r: Vec<i64>,
     weights: Vec<i64>,
     counts: Vec<i64>,
+    flops: i64,
+}
+
+/// Legaliser statistics, accumulated locally (the search is hot) and
+/// flushed as counters once per call.
+#[derive(Default)]
+struct LegalizeStats {
+    beam_states: u64,
+    cluster_tries: u64,
+    cluster_moves: u64,
+    tabu_hits: u64,
+    slide_tries: u64,
+    slides: u64,
+}
+
+impl LegalizeStats {
+    fn flush(&self) {
+        lacr_obs::counter!("lac.beam_states", self.beam_states);
+        lacr_obs::counter!("lac.cluster_tries", self.cluster_tries);
+        lacr_obs::counter!("lac.cluster_moves", self.cluster_moves);
+        lacr_obs::counter!("lac.tabu_hits", self.tabu_hits);
+        lacr_obs::counter!("lac.slide_tries", self.slide_tries);
+        lacr_obs::counter!("lac.slides", self.slides);
+    }
+}
+
+/// Working state of the flip-flop placement legaliser. Every change to
+/// `r` and `weights` goes through [`Self::shift_lag`] or
+/// [`Self::add_weight`], which log it in `journal`, so [`Self::undo_to`]
+/// reverts any suffix of moves in time proportional to its size.
+struct Legalizer<'a> {
+    graph: &'a RetimeGraph,
+    ix: &'a LegalizeIndex,
+    r: Vec<i64>,
+    weights: Vec<i64>,
+    /// Flip-flops charged to each tile.
+    counts: Vec<i64>,
+    /// Total flip-flops (the sum of `weights`).
+    flops: i64,
+    /// Changes since the last loaded state, oldest first.
+    journal: Vec<Change>,
+    /// Cluster buffers: `x` is in the cluster being grown iff
+    /// `stamp[x] == epoch`; `members` lists it in joining order.
+    stamp: Vec<u32>,
+    epoch: u32,
+    members: Vec<usize>,
+    stack: Vec<usize>,
+    stats: LegalizeStats,
 }
 
 /// Flip-flop placement legalisation: clears residual local-area violations
@@ -258,43 +358,33 @@ struct Legalizer<'g> {
 ///   flip-flop must carry one, and every constraint that tightens must
 ///   have slack. Growing S from a seed gate by closure — absorb the far
 ///   endpoint of any flop-less losing edge and of any tight constraint —
-///   always yields a legal composite move (or hits the host / a size cap
+///   always yields a legal composite move (or swallows the whole graph
 ///   and is abandoned). Single-gate retimings, chain re-staging and
 ///   multi-fanin pull-throughs all arise as special cases.
 fn legalize_flop_placement(
     graph: &RetimeGraph,
-    cons: &ConstraintIndex,
+    ix: &LegalizeIndex,
     caps_ff: &[f64],
     outcome: &mut RetimingOutcome,
 ) {
-    // Single in/out edge of every interconnect vertex (chains are linear).
-    let n = graph.num_vertices();
-    let mut only_in = vec![None; n];
-    let mut only_out = vec![None; n];
-    for v in graph.vertex_ids() {
-        if graph.kind(v) == VertexKind::Interconnect {
-            let ins: Vec<_> = graph.in_edges(v).collect();
-            let outs: Vec<_> = graph.out_edges(v).collect();
-            if ins.len() == 1 && outs.len() == 1 {
-                only_in[v.index()] = Some(ins[0]);
-                only_out[v.index()] = Some(outs[0]);
-            }
-        }
-    }
-
     let weights = std::mem::take(&mut outcome.weights);
     let counts = TileOccupancy::compute(graph, &weights, caps_ff).counts;
     let mut lg = Legalizer {
         graph,
-        cap: caps_ff.iter().map(|c| c.floor().max(0.0) as i64).collect(),
-        only_in,
-        only_out,
+        ix,
         r: std::mem::take(&mut outcome.retiming),
+        flops: weights.iter().sum(),
         weights,
         counts,
+        journal: Vec::new(),
+        stamp: vec![0; graph.num_vertices()],
+        epoch: 0,
+        members: Vec::new(),
+        stack: Vec::new(),
+        stats: LegalizeStats::default(),
     };
 
-    lg.slide_pass(cons);
+    lg.slide_pass();
 
     // Cluster moves, explored with a small beam search; a flip-flop
     // budget keeps N_F within a few percent of the optimum.
@@ -303,97 +393,65 @@ fn legalize_flop_placement(
     // flip-flops land on chains that are also tight), so greedy descent
     // dead-ends: reaching zero can require passing through states whose
     // violation count is temporarily worse. The beam keeps the BEAM_WIDTH
-    // best unexplored states per depth, never revisits a state
-    // (fingerprint tabu), and returns the best state seen anywhere.
-    let budget = {
-        let flops: i64 = lg.weights.iter().sum();
-        flops + (flops / 20).max(2)
-    };
+    // best new states per depth, never revisits a state (fingerprint
+    // tabu), and returns the best state seen anywhere. Each candidate is
+    // applied to the loaded beam state and undone through the journal.
+    let budget = lg.flops + (lg.flops / 20).max(2);
     const BEAM_WIDTH: usize = 4;
     const MAX_DEPTH: usize = 24;
-    const MAX_CANDIDATES: usize = 64;
     // FNV-style fingerprint of the retiming vector, for the tabu set.
     fn fingerprint(r: &[i64]) -> u64 {
         r.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
             (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3)
         })
     }
-    type State = (i64, Vec<i64>, Vec<i64>, Vec<i64>);
     // Membership-only tabu set — never iterated, so hash ordering cannot
     // leak into which states the beam explores. (The frontier itself is
-    // built in deterministic seed order and sorted stably by excess, so
-    // equal-excess states keep their insertion order.)
+    // kept in order of excess, equal-excess states in the deterministic
+    // order they were found.)
     let mut seen = std::collections::HashSet::new();
     seen.insert(fingerprint(&lg.r));
-    let mut best: State = (
-        lg.total_excess(),
-        lg.r.clone(),
-        lg.weights.clone(),
-        lg.counts.clone(),
-    );
-    let mut beam: Vec<State> = vec![best.clone()];
+    let mut best = lg.snapshot();
+    let mut beam = vec![best.clone()];
+    let mut candidates = Vec::new();
     for _depth in 0..MAX_DEPTH {
-        if best.0 == 0 {
+        if best.excess == 0 {
             break;
         }
-        let mut frontier: Vec<State> = Vec::new();
-        for (_, r0, w0, c0) in &beam {
-            lg.r = r0.clone();
-            lg.weights = w0.clone();
-            lg.counts = c0.clone();
-
-            // Seeds: the two endpoints of every connection holding a
-            // flip-flop charged to an overfull tile. Retiming the source
-            // side up (a cluster grown from it) frees the flip-flop
-            // backwards onto the source's fanins; retiming the sink side
-            // down pulls it forwards onto the sink's fanouts.
-            let mut candidates: Vec<(usize, bool)> = Vec::new();
-            for ei in 0..graph.num_edges() {
-                let e = EdgeId(ei as u32);
-                if lg.weights[ei] == 0 || !lg.overfull(graph.tile(graph.edge(e).from)) {
-                    continue;
-                }
-                candidates.push((lg.connection_source(e).index(), true));
-                candidates.push((lg.connection_sink(e).index(), false));
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            candidates.truncate(MAX_CANDIDATES);
-
-            for (seed, up) in candidates {
-                if lg.try_cluster_move(cons, seed, up, budget) {
-                    lg.slide_pass(cons);
-                    let fp = fingerprint(&lg.r);
-                    if seen.insert(fp) {
-                        frontier.push((
-                            lg.total_excess(),
-                            lg.r.clone(),
-                            lg.weights.clone(),
-                            lg.counts.clone(),
-                        ));
+        let mut frontier: Vec<State> = Vec::with_capacity(BEAM_WIDTH + 1);
+        for state in &beam {
+            lg.load(state);
+            lg.stats.beam_states += 1;
+            lg.collect_candidates(&mut candidates);
+            for &(seed, up) in &candidates {
+                if lg.try_cluster_move(seed, up, budget) {
+                    lg.slide_pass();
+                    if seen.insert(fingerprint(&lg.r)) {
+                        let excess = lg.total_excess();
+                        let at = frontier.partition_point(|s| s.excess <= excess);
+                        if at < BEAM_WIDTH {
+                            frontier.insert(at, lg.snapshot());
+                            frontier.truncate(BEAM_WIDTH);
+                        }
+                    } else {
+                        lg.stats.tabu_hits += 1;
                     }
                 }
-                lg.r = r0.clone();
-                lg.weights = w0.clone();
-                lg.counts = c0.clone();
+                lg.undo_to(0);
             }
         }
         if frontier.is_empty() {
             break;
         }
-        frontier.sort_by_key(|(excess, ..)| *excess);
-        frontier.truncate(BEAM_WIDTH);
-        if frontier[0].0 < best.0 {
+        if frontier[0].excess < best.excess {
             best = frontier[0].clone();
         }
         beam = frontier;
     }
-    let (_, r, weights, counts) = best;
-    lg.r = r;
-    lg.weights = weights;
-    lg.counts = counts;
+    lg.load(&best);
+    lg.stats.flush();
 
-    outcome.total_flops = lg.weights.iter().sum();
+    outcome.total_flops = lg.flops;
     outcome.period = graph
         .clock_period(&lg.weights)
         .expect("legalised weights stay acyclic on zero-weight subgraph");
@@ -402,23 +460,74 @@ fn legalize_flop_placement(
 }
 
 impl Legalizer<'_> {
+    /// `r[x] += d`, journalled.
+    fn shift_lag(&mut self, x: usize, d: i64) {
+        self.apply(Change::Lag(x, d), 1);
+        self.journal.push(Change::Lag(x, d));
+    }
+
+    /// `weights[e] += d`, journalled.
+    fn add_weight(&mut self, e: usize, d: i64) {
+        self.apply(Change::Weight(e, d), 1);
+        debug_assert!(self.weights[e] >= 0, "moves keep every edge weight legal");
+        self.journal.push(Change::Weight(e, d));
+    }
+
+    /// Applies `change` (`sign = 1`) or reverts it (`sign = -1`).
+    fn apply(&mut self, change: Change, sign: i64) {
+        match change {
+            Change::Lag(x, d) => self.r[x] += sign * d,
+            Change::Weight(e, d) => {
+                self.weights[e] += sign * d;
+                self.flops += sign * d;
+                if let Some(t) = self.ix.charged[e] {
+                    self.counts[t] += sign * d;
+                }
+            }
+        }
+    }
+
+    /// Reverts the journal, newest change first, until `mark` changes
+    /// remain.
+    fn undo_to(&mut self, mark: usize) {
+        while self.journal.len() > mark {
+            let change = self.journal.pop().expect("journal is longer than mark");
+            self.apply(change, -1);
+        }
+    }
+
+    fn snapshot(&self) -> State {
+        State {
+            excess: self.total_excess(),
+            r: self.r.clone(),
+            weights: self.weights.clone(),
+            counts: self.counts.clone(),
+            flops: self.flops,
+        }
+    }
+
+    /// Makes `state` the current state, with an empty journal.
+    fn load(&mut self, state: &State) {
+        self.r.copy_from_slice(&state.r);
+        self.weights.copy_from_slice(&state.weights);
+        self.counts.copy_from_slice(&state.counts);
+        self.flops = state.flops;
+        self.journal.clear();
+    }
+
     fn total_excess(&self) -> i64 {
         self.counts
             .iter()
-            .zip(&self.cap)
+            .zip(&self.ix.cap)
             .map(|(&c, &k)| (c - k).max(0))
             .sum()
-    }
-
-    fn overfull(&self, t: Option<usize>) -> bool {
-        t.is_some_and(|t| self.counts[t] > self.cap[t])
     }
 
     /// The functional (or host) vertex driving the connection `e` lies on,
     /// found by walking upstream through the chain's interconnect units.
     fn connection_source(&self, e: EdgeId) -> VertexId {
         let mut tail = self.graph.edge(e).from;
-        while let Some(prev) = self.only_in[tail.index()] {
+        while let Some(prev) = self.ix.only_in[tail.index()] {
             tail = self.graph.edge(prev).from;
         }
         tail
@@ -428,138 +537,163 @@ impl Legalizer<'_> {
     /// found by walking downstream through the chain's interconnect units.
     fn connection_sink(&self, e: EdgeId) -> VertexId {
         let mut head = self.graph.edge(e).to;
-        while let Some(next) = self.only_out[head.index()] {
+        while let Some(next) = self.ix.only_out[head.index()] {
             head = self.graph.edge(next).to;
         }
         head
     }
 
+    /// Cluster-move seeds, sorted and deduplicated, at most 64: the two
+    /// endpoints of every connection holding a flip-flop charged to an
+    /// overfull tile. Retiming the source side up (a cluster grown from
+    /// it) frees the flip-flop backwards onto the source's fanins;
+    /// retiming the sink side down pulls it forwards onto the sink's
+    /// fanouts.
+    fn collect_candidates(&self, out: &mut Vec<(usize, bool)>) {
+        const MAX_CANDIDATES: usize = 64;
+        out.clear();
+        for (t, edges) in self.ix.tile_edges.iter().enumerate() {
+            if self.counts[t] <= self.ix.cap[t] {
+                continue;
+            }
+            for &e in edges {
+                if self.weights[e.index()] > 0 {
+                    out.push((self.connection_source(e).index(), true));
+                    out.push((self.connection_sink(e).index(), false));
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out.truncate(MAX_CANDIDATES);
+    }
+
     /// Grows the closure of `{seed}` for a legal unit retiming of a whole
-    /// vertex set (`r[S] += 1` when `increment`, else `r[S] -= 1`):
+    /// vertex set (`r[S] += 1` when `increment`, else `r[S] -= 1`) into
+    /// `members`:
     ///
     /// * a boundary edge that would lose a flip-flop but carries none
     ///   forces its far endpoint into S (edges inside S never change);
     /// * a constraint that would tighten and is already tight forces its
     ///   far endpoint into S (constraints inside S never change).
     ///
-    /// Returns the membership mask, or `None` when the closure exceeds
-    /// `max_size` or swallows the whole graph (a no-op shift). The host may
-    /// join S: weights and constraints only depend on retiming differences,
-    /// and moves through the host are how flip-flops reach the pad ring.
-    fn grow_cluster(
-        &self,
-        cons: &ConstraintIndex,
-        seed: usize,
-        increment: bool,
-        max_size: usize,
-    ) -> Option<Vec<bool>> {
-        let mut in_s = vec![false; self.graph.num_vertices()];
-        let mut queue = vec![seed];
-        in_s[seed] = true;
-        let mut size = 1usize;
-        while let Some(x) = queue.pop() {
-            if size > max_size.min(self.graph.num_vertices() - 1) {
-                return None;
+    /// Returns `false` when the closure swallows the whole graph (a no-op
+    /// shift). The host may join S: weights and constraints only depend on
+    /// retiming differences, and moves through the host are how flip-flops
+    /// reach the pad ring.
+    fn grow_cluster(&mut self, seed: usize, increment: bool) -> bool {
+        let (graph, cons) = (self.graph, &self.ix.cons);
+        self.epoch += 1;
+        self.members.clear();
+        self.stack.clear();
+        self.absorb(seed);
+        while let Some(x) = self.stack.pop() {
+            if self.members.len() >= graph.num_vertices() {
+                return false;
             }
             let v = VertexId(x as u32);
-            let mut absorb = Vec::new();
             if increment {
-                for e in self.graph.out_edges(v) {
+                for e in graph.out_edges(v) {
                     if self.weights[e.index()] == 0 {
-                        absorb.push(self.graph.edge(e).to.index());
+                        self.absorb(graph.edge(e).to.index());
                     }
                 }
                 for &(y, b) in &cons.by_u[x] {
                     if self.r[x] - self.r[y] >= b {
-                        absorb.push(y);
+                        self.absorb(y);
                     }
                 }
             } else {
-                for e in self.graph.in_edges(v) {
+                for e in graph.in_edges(v) {
                     if self.weights[e.index()] == 0 {
-                        absorb.push(self.graph.edge(e).from.index());
+                        self.absorb(graph.edge(e).from.index());
                     }
                 }
                 for &(y, b) in &cons.by_v[x] {
                     if self.r[y] - self.r[x] >= b {
-                        absorb.push(y);
+                        self.absorb(y);
                     }
                 }
             }
-            for y in absorb {
-                if !in_s[y] {
-                    in_s[y] = true;
-                    queue.push(y);
-                    size += 1;
-                }
-            }
         }
-        Some(in_s)
+        true
+    }
+
+    fn in_cluster(&self, v: VertexId) -> bool {
+        self.stamp[v.index()] == self.epoch
+    }
+
+    /// Adds `y` to the cluster being grown, unless it is already in.
+    fn absorb(&mut self, y: usize) {
+        if self.stamp[y] != self.epoch {
+            self.stamp[y] = self.epoch;
+            self.members.push(y);
+            self.stack.push(y);
+        }
     }
 
     /// Grows a cluster from `seed` and applies its unit retiming unless it
     /// would exceed the flip-flop `budget`. `true` iff applied.
-    fn try_cluster_move(
-        &mut self,
-        cons: &ConstraintIndex,
-        seed: usize,
-        increment: bool,
-        budget: i64,
-    ) -> bool {
-        let max_cluster = self.graph.num_vertices();
-        let Some(in_s) = self.grow_cluster(cons, seed, increment, max_cluster) else {
+    fn try_cluster_move(&mut self, seed: usize, increment: bool, budget: i64) -> bool {
+        self.stats.cluster_tries += 1;
+        if !self.grow_cluster(seed, increment) {
             return false;
-        };
+        }
+        let graph = self.graph;
         let d: i64 = if increment { 1 } else { -1 };
+        // Only the boundary edges change: an out-edge leaving S loses d
+        // flip-flops, an in-edge entering S gains d.
         let mut flop_delta = 0i64;
-        for e in self.graph.edges() {
-            match (in_s[e.from.index()], in_s[e.to.index()]) {
-                (true, false) => flop_delta -= d,
-                (false, true) => flop_delta += d,
-                _ => {}
+        for &x in &self.members {
+            let v = VertexId(x as u32);
+            for e in graph.out_edges(v) {
+                if !self.in_cluster(graph.edge(e).to) {
+                    flop_delta -= d;
+                }
+            }
+            for e in graph.in_edges(v) {
+                if !self.in_cluster(graph.edge(e).from) {
+                    flop_delta += d;
+                }
             }
         }
-        if self.weights.iter().sum::<i64>() + flop_delta > budget {
+        if self.flops + flop_delta > budget {
             return false;
         }
-        for (x, &m) in in_s.iter().enumerate() {
-            if m {
-                self.r[x] += d;
+        for i in 0..self.members.len() {
+            let x = self.members[i];
+            let v = VertexId(x as u32);
+            self.shift_lag(x, d);
+            for e in graph.out_edges(v) {
+                if !self.in_cluster(graph.edge(e).to) {
+                    self.add_weight(e.index(), -d);
+                }
+            }
+            for e in graph.in_edges(v) {
+                if !self.in_cluster(graph.edge(e).from) {
+                    self.add_weight(e.index(), d);
+                }
             }
         }
-        for (ei, e) in self.graph.edges().iter().enumerate() {
-            let delta = match (in_s[e.from.index()], in_s[e.to.index()]) {
-                (true, false) => -d,
-                (false, true) => d,
-                _ => continue,
-            };
-            self.weights[ei] += delta;
-            debug_assert!(self.weights[ei] >= 0, "cluster closure guarantees legality");
-            if let Some(t) = self.graph.tile(e.from) {
-                self.counts[t] += delta;
-            }
-        }
+        self.stats.cluster_moves += 1;
         true
     }
 
     /// Runs chain slides to exhaustion: every flip-flop charged to an
     /// overfull tile is offered a slide towards spare capacity, until a
     /// full sweep makes no progress.
-    fn slide_pass(&mut self, cons: &ConstraintIndex) {
+    fn slide_pass(&mut self) {
+        let ix = self.ix;
         loop {
             let mut progress = false;
-            for t in 0..self.cap.len() {
-                while self.counts[t] > self.cap[t] {
+            for (t, edges) in ix.tile_edges.iter().enumerate() {
+                while self.counts[t] > ix.cap[t] {
                     let mut moved = false;
-                    for ei in 0..self.graph.num_edges() {
-                        if self.counts[t] <= self.cap[t] {
+                    for &e in edges {
+                        if self.counts[t] <= ix.cap[t] {
                             break;
                         }
-                        let tail = self.graph.edges()[ei].from;
-                        if self.weights[ei] > 0
-                            && self.graph.tile(tail) == Some(t)
-                            && self.slide_flop(cons, EdgeId(ei as u32), t)
-                        {
+                        if self.weights[e.index()] > 0 && self.slide_flop(e, t) {
                             moved = true;
                         }
                     }
@@ -574,92 +708,66 @@ impl Legalizer<'_> {
             }
         }
     }
-}
 
-impl Legalizer<'_> {
     /// Tries to move one flip-flop off edge `e` (charged to overfull tile
     /// `from_tile`) by sliding it downstream, then upstream, along its
-    /// connection chain until it lands in a tile with spare capacity.
-    /// Applies the move and returns `true` on success; leaves all state
-    /// untouched and returns `false` otherwise.
-    fn slide_flop(&mut self, cons: &ConstraintIndex, e: EdgeId, from_tile: usize) -> bool {
+    /// connection chain until it lands in a tile with spare capacity; an
+    /// untiled chain unit charges no tile and is no landing spot. Applies
+    /// the move and returns `true` on success; leaves all state untouched
+    /// and returns `false` otherwise.
+    fn slide_flop(&mut self, e: EdgeId, from_tile: usize) -> bool {
+        self.stats.slide_tries += 1;
+        let (graph, ix) = (self.graph, self.ix);
+        let mark = self.journal.len();
         // Downstream: repeatedly decrement the head of the flop's edge.
-        let mut log: Vec<SlideStep> = Vec::new();
         let mut cur = e;
         loop {
-            let head = self.graph.edge(cur).to;
-            let x = head.index();
-            let (Some(_), Some(eout)) = (self.only_in[x], self.only_out[x]) else {
+            let x = graph.edge(cur).to.index();
+            let Some(eout) = ix.only_out[x] else {
                 break;
             };
-            if self.weights[cur.index()] < 1 || !cons.can_decrement(&self.r, x) {
+            if self.weights[cur.index()] < 1 || !ix.cons.can_decrement(&self.r, x) {
                 break;
             }
-            self.r[x] -= 1;
-            self.weights[cur.index()] -= 1;
-            self.weights[eout.index()] += 1;
-            let dst = self.graph.tile(head).expect("interconnect units are tiled");
-            if let Some(t) = self.graph.tile(self.graph.edge(cur).from) {
-                self.counts[t] -= 1;
-            }
-            self.counts[dst] += 1;
-            log.push((x, -1));
-            if dst != from_tile && self.counts[dst] <= self.cap[dst] {
+            self.shift_lag(x, -1);
+            self.add_weight(cur.index(), -1);
+            self.add_weight(eout.index(), 1);
+            if self.lands(eout, from_tile) {
+                self.stats.slides += 1;
                 return true;
             }
             cur = eout;
         }
-        self.rollback(&log);
+        self.undo_to(mark);
 
         // Upstream: repeatedly increment the tail of the flop's edge.
-        let mut log: Vec<SlideStep> = Vec::new();
         let mut cur = e;
         loop {
-            let tail = self.graph.edge(cur).from;
-            let x = tail.index();
-            let (Some(ein), Some(_)) = (self.only_in[x], self.only_out[x]) else {
+            let x = graph.edge(cur).from.index();
+            let Some(ein) = ix.only_in[x] else {
                 break;
             };
-            if self.weights[cur.index()] < 1 || !cons.can_increment(&self.r, x) {
+            if self.weights[cur.index()] < 1 || !ix.cons.can_increment(&self.r, x) {
                 break;
             }
-            self.r[x] += 1;
-            self.weights[cur.index()] -= 1;
-            self.weights[ein.index()] += 1;
-            let own = self.graph.tile(tail).expect("interconnect units are tiled");
-            self.counts[own] -= 1;
-            let pred = self.graph.edge(ein).from;
-            let dst = self.graph.tile(pred);
-            if let Some(t) = dst {
-                self.counts[t] += 1;
-            }
-            log.push((x, 1));
-            if let Some(t) = dst {
-                if t != from_tile && self.counts[t] <= self.cap[t] {
-                    return true;
-                }
+            self.shift_lag(x, 1);
+            self.add_weight(cur.index(), -1);
+            self.add_weight(ein.index(), 1);
+            if self.lands(ein, from_tile) {
+                self.stats.slides += 1;
+                return true;
             }
             cur = ein;
         }
-        self.rollback(&log);
+        self.undo_to(mark);
         false
     }
 
-    /// Reverts a partial slide (most recent step first).
-    fn rollback(&mut self, log: &[SlideStep]) {
-        for &(x, d) in log.iter().rev() {
-            let (ein, eout) = (self.only_in[x].unwrap(), self.only_out[x].unwrap());
-            self.r[x] -= d;
-            // d = +1 slid a flop out→in; undo restores it.
-            self.weights[eout.index()] += d;
-            self.weights[ein.index()] -= d;
-            if let Some(t) = self.graph.tile(self.graph.edge(eout).from) {
-                self.counts[t] += d;
-            }
-            if let Some(t) = self.graph.tile(self.graph.edge(ein).from) {
-                self.counts[t] -= d;
-            }
-        }
+    /// Whether the flip-flop just moved onto edge `e` sits in a tile other
+    /// than `from_tile` that has room for it.
+    fn lands(&self, e: EdgeId, from_tile: usize) -> bool {
+        self.ix.charged[e.index()]
+            .is_some_and(|t| t != from_tile && self.counts[t] <= self.ix.cap[t])
     }
 }
 
@@ -695,11 +803,11 @@ pub fn lac_retiming(
     }
     let mut solver = MinAreaSolver::new(graph, period_constraints)?;
     // The full constraint system (edge legality + clock period), indexed
-    // per vertex so the chain-slide legaliser can validate single-vertex
-    // moves in O(deg).
+    // per vertex so the legaliser can validate single-vertex moves in
+    // O(deg).
     let mut all_cons = edge_constraints(graph);
     all_cons.extend(period_constraints.constraints.iter().copied());
-    let cons_index = ConstraintIndex::new(graph.num_vertices(), &all_cons);
+    let legalize_index = LegalizeIndex::new(graph, &all_cons, caps_ff);
     let mut tile_weight = vec![1.0f64; num_tiles];
     let mut best: Option<LacResult> = None;
     let mut history = Vec::new();
@@ -765,7 +873,7 @@ pub fn lac_retiming(
         // Flip-flop placement repair: the weighted solve lands on an
         // extreme point; slide residual excess flops along their
         // connection chains into tiles with spare capacity.
-        legalize_flop_placement(graph, &cons_index, caps_ff, &mut outcome);
+        legalize_flop_placement(graph, &legalize_index, caps_ff, &mut outcome);
         let occupancy = TileOccupancy::compute(graph, &outcome.weights, caps_ff);
         let n_foa = occupancy.total_violations();
         history.push(n_foa);

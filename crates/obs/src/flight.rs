@@ -157,8 +157,10 @@ pub fn push(record: &Record) {
     if !is_enabled() {
         return;
     }
-    let ts = ts_us();
     let mut r = lock();
+    // Stamped under the lock, so concurrent writers keep the ring in
+    // timestamp order.
+    let ts = ts_us();
     if r.cap == 0 {
         return;
     }

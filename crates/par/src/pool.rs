@@ -335,8 +335,17 @@ mod tests {
     use lacr_obs::Histogram;
     use std::sync::mpsc;
 
+    /// Held by every test that runs a pool: workers write the process-wide
+    /// `pool.*` gauges, which one test captures and checks, and tests run
+    /// on parallel threads.
+    fn pool_gauge_lock() -> std::sync::MutexGuard<'static, ()> {
+        static POOL_GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        POOL_GAUGES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn jobs_run_and_drain_completes() {
+        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-basic", 3, 64);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
@@ -352,6 +361,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_overloaded() {
+        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-full", 1, 2);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
@@ -380,6 +390,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_its_worker() {
+        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-panic", 1, 16);
         let done = Arc::new(AtomicUsize::new(0));
         pool.submit(|| panic!("injected"))
@@ -396,6 +407,7 @@ mod tests {
 
     #[test]
     fn closed_pool_rejects_and_drain_is_idempotent() {
+        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-closed", 2, 8);
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
@@ -411,6 +423,7 @@ mod tests {
 
     #[test]
     fn stats_track_the_submit_start_finish_shed_edges() {
+        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-stats", 2, 4);
         let s = pool.stats();
         assert_eq!((s.workers, s.capacity), (2, 4));
@@ -462,6 +475,7 @@ mod tests {
 
     #[test]
     fn panicking_jobs_count_as_completed_and_panicked() {
+        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-stats-panic", 1, 8);
         pool.submit(|| panic!("injected")).expect("submit");
         pool.submit(|| {}).expect("submit");
@@ -474,6 +488,7 @@ mod tests {
 
     #[test]
     fn pool_edges_emit_obs_metrics_when_collecting() {
+        let _gauges = pool_gauge_lock();
         let ((), _records, report) = lacr_obs::run_captured(|| {
             let pool = Pool::new("t-stats-obs", 1, 2);
             let (block_tx, block_rx) = mpsc::channel::<()>();
@@ -512,6 +527,7 @@ mod tests {
 
     #[test]
     fn one_shared_pool_accepts_submitters_from_many_threads() {
+        let _gauges = pool_gauge_lock();
         // The serve socket mode's shape: N connection threads submit
         // into one Arc<Pool>. Admission stays globally bounded (either
         // run or shed with a structured depth, never lost), and the
@@ -562,6 +578,7 @@ mod tests {
 
     #[test]
     fn drain_runs_every_queued_job() {
+        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-drain", 2, 256);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..200 {

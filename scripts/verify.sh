@@ -91,9 +91,11 @@ if [[ "$REGRESS" == 1 ]]; then
     echo "==> cargo build --release (warnings are errors)"
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
 
-    echo "==> regenerate run artifacts for the fast subset (s344 s382 s526)"
+    # s838 is the multi-round member: its LAC loop re-weights 12 times, so
+    # the gates see a legaliser run on re-weighted solves.
+    echo "==> regenerate run artifacts for the fast subset (s344 s382 s526 s838)"
     mkdir -p target/regress
-    LACR_RECORD_DIR=target/regress target/release/table1 --quiet s344 s382 s526 \
+    LACR_RECORD_DIR=target/regress target/release/table1 --quiet s344 s382 s526 s838 \
         >target/regress/table1.txt
 
     echo "==> check_metrics: artifact contracts (provenance + quality blocks)"
