@@ -4,7 +4,6 @@
 
 use lacr_floorplan::anneal::{floorplan, FloorplanConfig};
 use lacr_floorplan::seqpair::SequencePair;
-use lacr_floorplan::slicing::floorplan_slicing;
 use lacr_floorplan::tiles::{CapacityLedger, TileGrid, TileGridConfig};
 use lacr_floorplan::{BlockSpec, Floorplan};
 use lacr_mcmf::{solve_dual_program, Constraint};
@@ -67,18 +66,6 @@ fn bench_floorplan(c: &mut Harness) {
     g.bench_function("anneal_12_blocks_2k_moves", |b| {
         b.iter(|| {
             floorplan(
-                &blocks,
-                &[],
-                &FloorplanConfig {
-                    moves: 2_000,
-                    ..Default::default()
-                },
-            )
-        })
-    });
-    g.bench_function("slicing_12_blocks_2k_moves", |b| {
-        b.iter(|| {
-            floorplan_slicing(
                 &blocks,
                 &[],
                 &FloorplanConfig {

@@ -25,7 +25,7 @@ pub enum Stage {
     Validate,
     /// Partitioning units into soft blocks.
     Partition,
-    /// Sequence-pair / slicing floorplanning.
+    /// Sequence-pair floorplanning.
     Floorplan,
     /// Tile-grid construction over the floorplan.
     TileGrid,

@@ -230,8 +230,8 @@ pub fn try_expand(
                 if options.tile_crossing_units {
                     let mut run_start = seg.start_index;
                     let mut run_tile = grid.tile_of_cell(path[run_start]);
-                    for i in seg.start_index + 1..=end {
-                        let t = grid.tile_of_cell(path[i]);
+                    for (i, &cell) in path[..=end].iter().enumerate().skip(seg.start_index + 1) {
+                        let t = grid.tile_of_cell(cell);
                         if t != run_tile {
                             runs.push((run_start, i - run_start));
                             run_start = i;
@@ -259,8 +259,9 @@ pub fn try_expand(
                         } else {
                             quantize_ps(run_delay / subs as f64)
                         };
-                        // The ε area premium (1/1024, below one quantisation
-                        // unit per flip-flop) makes min-area retiming break
+                        // The ε area premium (1/1024: fewer than 1024
+                        // flip-flops in wires cost less than one more
+                        // flip-flop) makes min-area retiming break
                         // its ties lexicographically: first minimise the
                         // flip-flop count, then prefer flip-flops at
                         // functional-unit outputs over flip-flops parked in

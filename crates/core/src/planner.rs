@@ -12,7 +12,7 @@ use crate::expand::{try_expand, ExpandOptions, ExpandedDesign};
 use crate::lac::{lac_retiming, score_outcome, LacConfig, LacResult};
 use lacr_floorplan::anneal::FloorplanConfig;
 use lacr_floorplan::tiles::{CapacityLedger, TileGrid, TileGridConfig, TileKind};
-use lacr_floorplan::{try_floorplan, try_floorplan_slicing, BlockSpec, Floorplan};
+use lacr_floorplan::{try_floorplan, BlockSpec, Floorplan};
 use lacr_netlist::{Circuit, UnitKind};
 use lacr_partition::{partition, PartitionConfig, Partitioning};
 use lacr_retime::{
@@ -22,17 +22,6 @@ use lacr_retime::{
 use lacr_route::{try_route, NetPins, RouteConfig, Routing};
 use lacr_timing::Technology;
 use std::time::{Duration, Instant};
-
-/// Which floorplan engine the planner uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FloorplanEngine {
-    /// Sequence pairs + simulated annealing (the paper's §5 setup).
-    #[default]
-    SequencePair,
-    /// Normalized Polish expressions (Wong–Liu slicing trees) — a
-    /// packing-quality baseline.
-    Slicing,
-}
 
 /// Configuration of the whole planner.
 #[derive(Debug, Clone)]
@@ -48,8 +37,6 @@ pub struct PlannerConfig {
     pub block_slack: f64,
     /// Floorplanner settings (seed is overridden by [`Self::seed`]).
     pub floorplan: FloorplanConfig,
-    /// Which floorplan engine to use.
-    pub floorplan_engine: FloorplanEngine,
     /// Global-routing settings.
     pub route: RouteConfig,
     /// Two-pass timing-driven routing: after a first route and timing
@@ -168,7 +155,6 @@ impl Default for PlannerConfig {
                 moves: 6_000,
                 ..Default::default()
             },
-            floorplan_engine: FloorplanEngine::default(),
             route: RouteConfig::default(),
             timing_driven_route: false,
             channel_utilization: 0.8,
@@ -459,12 +445,9 @@ pub fn try_build_physical_plan(
         deadline: budget.min_deadline(config.floorplan.deadline),
         ..config.floorplan.clone()
     };
-    let fp = match config.floorplan_engine {
-        FloorplanEngine::SequencePair => try_floorplan(&specs, &block_nets, &fp_config),
-        FloorplanEngine::Slicing => try_floorplan_slicing(&specs, &block_nets, &fp_config),
-    }
-    .map_err(|e| PlanError::new(Stage::Floorplan, PlanErrorKind::Floorplan(e)))?
-    .spread(config.channel_spread);
+    let fp = try_floorplan(&specs, &block_nets, &fp_config)
+        .map_err(|e| PlanError::new(Stage::Floorplan, PlanErrorKind::Floorplan(e)))?
+        .spread(config.channel_spread);
     debug_assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
     check_deadline(Stage::Floorplan, &mut deadline_hit);
     drop(span_floorplan);
@@ -1150,61 +1133,6 @@ mod hard_block_tests {
             }
         }
         assert!(hard_tiles > 0, "expected hard-block tiles in the grid");
-    }
-}
-
-#[cfg(test)]
-mod engine_tests {
-    use super::*;
-    use lacr_floorplan::anneal::FloorplanConfig;
-    use lacr_netlist::bench89;
-
-    #[test]
-    fn slicing_engine_plans_end_to_end() {
-        let c = bench89::generate("s344").unwrap();
-        let cfg = PlannerConfig {
-            floorplan_engine: FloorplanEngine::Slicing,
-            floorplan: FloorplanConfig {
-                moves: 1_000,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let plan = build_physical_plan(&c, &cfg, &[]);
-        assert!(plan.floorplan.validate(1e-6).is_empty());
-        let report = plan_retimings(&plan, &cfg).expect("feasible");
-        assert!(report.lac.result.outcome.period <= plan.t_clk);
-    }
-
-    #[test]
-    fn engines_produce_comparable_chips() {
-        let c = bench89::generate("s526").unwrap();
-        let quick = FloorplanConfig {
-            moves: 3_000,
-            ..Default::default()
-        };
-        let sp = build_physical_plan(
-            &c,
-            &PlannerConfig {
-                floorplan: quick.clone(),
-                ..Default::default()
-            },
-            &[],
-        );
-        let sl = build_physical_plan(
-            &c,
-            &PlannerConfig {
-                floorplan: quick,
-                floorplan_engine: FloorplanEngine::Slicing,
-                ..Default::default()
-            },
-            &[],
-        );
-        let a_sp = sp.floorplan.chip_w * sp.floorplan.chip_h;
-        let a_sl = sl.floorplan.chip_w * sl.floorplan.chip_h;
-        // Slicing is a subset of sequence-pair packings; allow generous
-        // slop in both directions because SA is a heuristic.
-        assert!(a_sl < 2.0 * a_sp && a_sp < 2.0 * a_sl, "{a_sp} vs {a_sl}");
     }
 }
 

@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use crate::planner::{build_physical_plan, plan_retimings, PlannerConfig};
     use lacr_floorplan::anneal::FloorplanConfig;
-    use lacr_netlist::bench89;
+    use lacr_netlist::{bench89, bench_format, UnitKind};
 
     fn quick() -> PlannerConfig {
         PlannerConfig {
@@ -111,6 +111,16 @@ mod tests {
         assert_eq!(retimed.num_units(), circuit.num_units());
         assert_eq!(retimed.num_nets(), circuit.num_nets());
         assert!(retimed.validate().is_empty(), "{:?}", retimed.validate());
+        // `.bench` is the interchange format: the retimed netlist must
+        // re-parse with the same flip-flops and outputs.
+        let text = bench_format::write(&retimed);
+        let back = bench_format::parse("s344-retimed", &text)
+            .unwrap_or_else(|e| panic!("retimed .bench does not re-parse: {e}"));
+        assert_eq!(back.num_flops(), retimed.num_flops());
+        assert_eq!(
+            back.units_of_kind(UnitKind::Output).count(),
+            retimed.units_of_kind(UnitKind::Output).count()
+        );
     }
 
     #[test]

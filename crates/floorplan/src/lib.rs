@@ -10,8 +10,6 @@
 //!   horizontal/vertical constraint longest paths);
 //! * [`anneal`] — a simulated-annealing floorplanner over sequence pairs
 //!   (area + wirelength cost, soft-block aspect moves);
-//! * [`slicing`] — an alternative engine over normalized Polish
-//!   expressions (Wong–Liu), a packing-quality baseline;
 //! * [`tiles`] — the tile graph with capacities and a consumption ledger.
 //!
 //! # Examples
@@ -31,13 +29,11 @@
 
 pub mod anneal;
 pub mod seqpair;
-pub mod shapes;
-pub mod slicing;
 pub mod tiles;
 
 /// Typed failure of floorplan construction: the input block list is
-/// unusable. The annealing engines themselves always produce *some*
-/// layout for valid specs, so malformed specs are the only failure mode.
+/// unusable. The annealer itself always produces *some* layout for
+/// valid specs, so malformed specs are the only failure mode.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FloorplanError {
     /// A block spec has a non-positive/non-finite area or dimension.
@@ -91,16 +87,6 @@ pub fn try_floorplan(
 ) -> Result<Floorplan, FloorplanError> {
     validate_specs(blocks)?;
     Ok(anneal::floorplan(blocks, nets, config))
-}
-
-/// Fallible front door for [`slicing::floorplan_slicing`].
-pub fn try_floorplan_slicing(
-    blocks: &[BlockSpec],
-    nets: &[Vec<usize>],
-    config: &slicing::SlicingConfig,
-) -> Result<Floorplan, FloorplanError> {
-    validate_specs(blocks)?;
-    Ok(slicing::floorplan_slicing(blocks, nets, config))
 }
 
 /// Input description of one circuit block.
@@ -431,16 +417,8 @@ mod tests {
             ..Default::default()
         };
         assert!(try_floorplan(&[bad], &[], &cfg).is_err());
-        assert!(try_floorplan_slicing(&[bad], &[], &cfg).is_err());
         let good = [BlockSpec::soft(100.0), BlockSpec::soft(60.0)];
         assert_eq!(try_floorplan(&good, &[], &cfg).unwrap().blocks.len(), 2);
-        assert_eq!(
-            try_floorplan_slicing(&good, &[], &cfg)
-                .unwrap()
-                .blocks
-                .len(),
-            2
-        );
     }
 
     #[test]
@@ -451,10 +429,8 @@ mod tests {
             deadline: Some(std::time::Instant::now()),
             ..Default::default()
         };
-        // Both engines must bail out early yet produce a legal floorplan.
+        // The annealer must bail out early yet produce a legal floorplan.
         let fp = anneal::floorplan(&specs, &[], &cfg);
-        assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
-        let fp = slicing::floorplan_slicing(&specs, &[], &cfg);
         assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
     }
 }

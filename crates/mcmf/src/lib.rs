@@ -9,12 +9,18 @@
 //! subject to r_u − r_v ≤ b_uv          for every constraint (u, v, b)
 //! ```
 //!
-//! is the LP dual of a transshipment (min-cost flow) problem, which
-//! [`MinCostFlow`] solves with successive shortest paths and Johnson
-//! potentials. [`solve_dual_program`] wraps the whole reduction and returns
-//! optimal integer `r` values. [`DifferenceConstraints`] solves pure
+//! is the LP dual of a transshipment (min-cost flow) problem.
+//! [`DualSolver`] is the solver the planner runs: primal–dual phases of one
+//! Dijkstra over reduced costs followed by a blocking-flow DFS, with the
+//! residual network and Johnson potentials kept between solves so LAC's
+//! re-weighted rounds warm-start. [`DifferenceConstraints`] solves pure
 //! feasibility (no objective) with Bellman–Ford, as used by min-period
 //! retiming.
+//!
+//! [`MinCostFlow`] (successive shortest paths, SSP) and
+//! [`solve_dual_program`], which wraps the whole reduction around it, are
+//! the stateless SSP reference that `DualSolver`'s property test checks
+//! every warm-started solve against; the planner itself never calls them.
 //!
 //! All quantities are integers (`i64`); callers quantise real-valued data.
 

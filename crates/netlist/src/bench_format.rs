@@ -15,7 +15,7 @@
 //! the edge-weighted representation retiming operates on.
 
 use crate::{Circuit, Sink, Unit, UnitId, UnitKind};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Error from [`parse`].
@@ -255,8 +255,11 @@ pub fn parse(name: &str, text: &str) -> Result<Circuit, ParseBenchError> {
 ///
 /// Flip-flops on edges are expanded back into named `DFF` elements; logic
 /// units are emitted as generic `UNIT` gates (gate identities are not
-/// preserved by the edge-weighted model). The result parses back into an
-/// isomorphic circuit (same unit/flop counts), which the tests rely on.
+/// preserved by the edge-weighted model). The result parses back into a
+/// circuit with the same input, output and flop counts, which the tests
+/// rely on. It is isomorphic unless two outputs share a signal: `OUTPUT`
+/// may name a signal only once, so each later output on a marked signal
+/// is fed through a fresh `BUFF`, one extra logic unit per such output.
 pub fn write(circuit: &Circuit) -> String {
     let mut out = String::new();
     out.push_str(&format!("# {}\n", circuit.name()));
@@ -267,6 +270,8 @@ pub fn write(circuit: &Circuit) -> String {
     let mut dff_count = 0usize;
     let mut lines = Vec::new();
     let mut output_lines = Vec::new();
+    let mut marked: HashSet<String> = HashSet::new();
+    let mut buff_count = 0usize;
     for net in circuit.nets() {
         let driver_name = &circuit.unit(net.driver).name;
         for s in &net.sinks {
@@ -282,6 +287,17 @@ pub fn write(circuit: &Circuit) -> String {
             if sink_unit.kind == UnitKind::Output {
                 // OUTPUT lines are markers, not definitions, so referring to
                 // the (possibly DFF-chained) driving signal is enough.
+                if !marked.insert(src.clone()) {
+                    let buff = loop {
+                        let name = format!("obuf{buff_count}");
+                        buff_count += 1;
+                        if circuit.unit_by_name(&name).is_none() {
+                            break name;
+                        }
+                    };
+                    lines.push(format!("{buff} = BUFF({src})"));
+                    src = buff;
+                }
                 output_lines.push(format!("OUTPUT({src})"));
             }
         }
@@ -446,6 +462,30 @@ a = BUF(a)
             c2.units_of_kind(UnitKind::Output).count()
         );
         assert!(c2.validate().is_empty(), "{:?}", c2.validate());
+    }
+
+    #[test]
+    fn outputs_sharing_a_signal_reparse_through_a_buff() {
+        // One gate drives two outputs with no flip-flop on either, so both
+        // markers would name the gate. The gate is called `obuf0` to force
+        // the buffer onto a name no unit uses.
+        let mut c = Circuit::new("shared");
+        let a = c.add_unit(Unit::input("a"));
+        let g = c.add_unit(Unit::logic("obuf0", 1.0, 1.0));
+        let o1 = c.add_unit(Unit::output("o1"));
+        let o2 = c.add_unit(Unit::output("o2"));
+        c.add_net(a, vec![Sink::new(g, 1)]);
+        c.add_net(g, vec![Sink::new(o1, 0), Sink::new(o2, 0)]);
+        assert!(c.validate().is_empty(), "{:?}", c.validate());
+
+        let text = write(&c);
+        let back = parse("shared", &text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert!(text.contains("OUTPUT(obuf0)\nOUTPUT(obuf1)\n"), "{text}");
+        assert!(text.contains("obuf1 = BUFF(obuf0)\n"), "{text}");
+        assert_eq!(back.units_of_kind(UnitKind::Output).count(), 2);
+        assert_eq!(back.num_flops(), c.num_flops());
+        assert_eq!(back.num_units(), c.num_units() + 1);
+        assert!(back.validate().is_empty(), "{:?}", back.validate());
     }
 
     #[test]

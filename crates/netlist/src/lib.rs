@@ -8,9 +8,8 @@
 //! functional units ([`Unit`]) and multi-pin nets ([`Net`]) whose sinks
 //! each carry a flip-flop count.
 //!
-//! * [`bench_format`] parses and writes ISCAS89 `.bench` files, and
-//!   [`verilog`] a structural Verilog subset, both collapsing
-//!   explicit `DFF` elements into edge weights.
+//! * [`bench_format`] parses and writes ISCAS89 `.bench` files,
+//!   collapsing explicit `DFF` elements into edge weights.
 //! * [`bench89`] generates deterministic synthetic circuits with the same
 //!   names and size classes as the ISCAS89 benchmarks used in the paper's
 //!   Table 1 (see `DESIGN.md`, substitution 1).
@@ -31,7 +30,6 @@ pub mod bench89;
 pub mod bench_format;
 pub mod builder;
 pub mod stats;
-pub mod verilog;
 
 mod circuit;
 

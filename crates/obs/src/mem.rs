@@ -354,20 +354,8 @@ mod tests {
         assert!(d.alloc_bytes < 1 << 20, "{d:?}");
     }
 
-    #[test]
-    fn tracking_toggle_freezes_the_event_counters() {
-        // Serialized against nothing: other test threads may allocate
-        // while tracking is off, so only this thread's counters are
-        // asserted frozen.
-        let _v0: Vec<u8> = Vec::with_capacity(64); // warm TLS
-        set_tracking(false);
-        let tl_before = thread_mark();
-        let _v: Vec<u8> = Vec::with_capacity(1 << 12);
-        let d = tl_before.delta();
-        set_tracking(true);
-        assert_eq!(d.allocs, 0, "thread counter ticked while off: {d:?}");
-        assert_eq!(d.alloc_bytes, 0);
-    }
+    // No test here may call `set_tracking`: the toggle is process-wide
+    // and these tests run in parallel. Its test is `tests/tracking_toggle.rs`.
 
     #[test]
     fn mem_delta_arithmetic() {

@@ -7,15 +7,18 @@
 //! flip-flops will be charged to — so the objective becomes
 //! `N'(G_r) = Σ_e A(tail(e)) · w_r(e)`, with vertex coefficients
 //! `fi(v) − fo(v)` exactly as the paper derives. Both reduce to the same
-//! LP dual, solved by [`lacr_mcmf::solve_dual_program`].
+//! LP dual, solved by [`lacr_mcmf::DualSolver`], which LAC's re-weighted
+//! rounds warm-start from the previous optimum.
 
 use crate::constraints::{edge_constraints, generate_period_constraints, PeriodConstraints};
 use crate::graph::RetimeGraph;
 use lacr_mcmf::{Constraint, DualError, DualSolver};
 use std::fmt;
 
-/// Fixed-point scale used to quantise real-valued area weights to integer
-/// milli-units so the flow problem stays integral.
+/// Fixed-point scale (2^22) used to quantise real-valued area weights to
+/// integer units of 2^-22 so the flow problem stays integral. A unit-area
+/// flip-flop costs 2^22 units and the interconnect ε premium (1/1024)
+/// exactly 2^12.
 const AREA_SCALE: f64 = 4194304.0;
 
 /// Error from the min-area retiming entry points.

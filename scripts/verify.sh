@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: exactly what CI runs, runnable offline.
 #
-#   scripts/verify.sh                # build + tests + format check
+#   scripts/verify.sh                # format check + clippy + build + tests
 #   scripts/verify.sh --quick        # skip the slow integration suites
 #   scripts/verify.sh --faults       # fault-injection suite + no-panic CLI smoke
 #   scripts/verify.sh --metrics      # observability smoke: JSONL stream validated
@@ -410,6 +410,10 @@ fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+# --all-targets also compiles the bench targets, which build and test skip.
+echo "==> cargo clippy (all targets, warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
