@@ -6,7 +6,7 @@ use lacr_floorplan::anneal::{floorplan, FloorplanConfig};
 use lacr_floorplan::seqpair::SequencePair;
 use lacr_floorplan::tiles::{CapacityLedger, TileGrid, TileGridConfig};
 use lacr_floorplan::{BlockSpec, Floorplan};
-use lacr_mcmf::{solve_dual_program, Constraint};
+use lacr_mcmf::{Constraint, DualSolver};
 use lacr_netlist::bench89;
 use lacr_partition::{partition, PartitionConfig};
 use lacr_prng::bench::Harness;
@@ -33,8 +33,12 @@ fn bench_flow(c: &mut Harness) {
     let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-8..=8)).collect();
     let s: i64 = cost.iter().sum();
     cost[0] -= s;
-    c.bench_function("mcmf_dual_program_400v", |b| {
-        b.iter(|| solve_dual_program(n, &cost, &cons).expect("bounded"))
+    c.bench_function("mcmf_dual_solver_cold_400v", |b| {
+        b.iter(|| {
+            DualSolver::new(n, &cons)
+                .and_then(|mut solver| solver.solve(&cost))
+                .expect("bounded")
+        })
     });
 }
 

@@ -34,13 +34,14 @@ struct Arc {
 ///
 /// let cons = [Constraint::new(0, 1, 3), Constraint::new(1, 0, 0)];
 /// let mut solver = DualSolver::new(2, &cons)?;
-/// let (r1, obj1) = solver.solve(&[1, -1])?;
-/// assert_eq!(obj1, 0);
-/// assert!(r1[0] - r1[1] <= 3 && r1[1] - r1[0] <= 0);
+/// // minimise r0 − r1: the optimum sits on r1 − r0 ≤ 0.
+/// let r1 = solver.solve(&[1, -1])?;
+/// assert_eq!(r1[0] - r1[1], 0);
 /// // Re-solve with flipped costs: warm-started, same constraints.
-/// let (r2, obj2) = solver.solve(&[-1, 1])?;
-/// assert_eq!(obj2, -3);
+/// let r2 = solver.solve(&[-1, 1])?;
 /// assert_eq!(r2[0] - r2[1], 3);
+/// // The solver's flow certifies the optimum by LP duality.
+/// lacr_mcmf::check_optimal(2, &cons, &[-1, 1], &r2, &solver.flows()).unwrap();
 /// # Ok::<(), lacr_mcmf::DualError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -57,8 +58,14 @@ pub struct DualSolver {
     /// routing leaves the flow inconsistent with `cur`).
     arcs0: Vec<Arc>,
     pi0: Vec<i64>,
+    /// The caller's constraints, which every successful solve in a debug
+    /// build certifies itself against.
+    #[cfg(debug_assertions)]
+    constraints: Vec<Constraint>,
 }
 
+/// Capacity of a constraint arc: a finite stand-in for infinity. A solve
+/// whose flow fills one fails with [`DualError::Overflow`].
 const INF_CAP: i64 = i64::MAX / 4;
 
 impl DualSolver {
@@ -131,6 +138,8 @@ impl DualSolver {
             adj,
             pi,
             cur: vec![0; num_vars],
+            #[cfg(debug_assertions)]
+            constraints: constraints.to_vec(),
         })
     }
 
@@ -142,21 +151,22 @@ impl DualSolver {
     /// Solves for the given cost vector, warm-starting from the previous
     /// solution.
     ///
-    /// Returns the optimal assignment (anchored at `min r = 0`) and its
-    /// objective value.
+    /// Returns the optimal assignment, anchored at `min r = 0`.
     ///
     /// # Errors
     ///
     /// [`DualError::Unbounded`] when the objective has no finite minimum
     /// (costs not summing to zero, or an imbalance the constraint arcs
-    /// cannot route).
+    /// cannot route); [`DualError::Overflow`] when the supplies are too
+    /// large for the `i64` network. A failed routing resets the warm
+    /// start to the freshly built network.
     ///
     /// # Panics
     ///
     /// Panics if `cost.len() != num_vars()`.
-    pub fn solve(&mut self, cost: &[i64]) -> Result<(Vec<i64>, i64), DualError> {
+    pub fn solve(&mut self, cost: &[i64]) -> Result<Vec<i64>, DualError> {
         assert_eq!(cost.len(), self.n);
-        if cost.iter().sum::<i64>() != 0 {
+        if cost.iter().map(|&c| i128::from(c)).sum::<i128>() != 0 {
             return Err(DualError::Unbounded);
         }
         let s = self.n;
@@ -165,13 +175,16 @@ impl DualSolver {
         // Deltas to route on top of the existing interior flow.
         let interior_arcs = self.arcs.len();
         let mut touched: Vec<(usize, usize)> = Vec::new(); // (node, old adj len)
-        let mut remaining = 0i64;
+        let mut supply = 0i128;
         let mut pi_s = i64::MIN;
         let mut pi_t = i64::MAX;
         touched.push((s, self.adj[s].len()));
         touched.push((t, self.adj[t].len()));
         for (v, (&c, &cur)) in cost.iter().zip(&self.cur).enumerate() {
-            let d = c - cur;
+            // `cost` and `cur` both sum to zero, so the negative deltas
+            // total the positive ones: once that total fits an i64, so
+            // does every delta, and the capacity casts below are exact.
+            let d = i128::from(c) - i128::from(cur);
             if d == 0 {
                 continue;
             }
@@ -181,7 +194,7 @@ impl DualSolver {
                 // v must shed inflow: s → v supplies the delta.
                 self.arcs.push(Arc {
                     to: v,
-                    cap: -d,
+                    cap: -d as i64,
                     cost: 0,
                     rev: fwd + 1,
                 });
@@ -197,7 +210,7 @@ impl DualSolver {
             } else {
                 self.arcs.push(Arc {
                     to: t,
-                    cap: d,
+                    cap: d as i64,
                     cost: 0,
                     rev: fwd + 1,
                 });
@@ -210,7 +223,7 @@ impl DualSolver {
                 self.adj[v].push(fwd);
                 self.adj[t].push(fwd + 1);
                 pi_t = pi_t.min(self.pi[v]);
-                remaining += d;
+                supply += d;
             }
         }
         // Dual-feasible potentials for the fresh s/t arcs: the zero-cost
@@ -222,12 +235,21 @@ impl DualSolver {
             self.pi[t] = pi_t;
         }
 
-        let result = self.route(s, t, remaining);
+        let mut result = match i64::try_from(supply) {
+            Ok(remaining) => self.route(s, t, remaining),
+            Err(_) => Err(DualError::Overflow),
+        };
         // Truncate the temporary s/t arcs whatever happened.
         for &(v, len) in &touched {
             self.adj[v].truncate(len);
         }
         self.arcs.truncate(interior_arcs);
+        // A full constraint arc leaves the residual network, so the
+        // potentials no longer bound `r_u − r_v` by its `b`, and a failed
+        // routing may be this artefact rather than unboundedness.
+        if self.arcs.iter().step_by(2).any(|a| a.cap == 0) {
+            result = Err(DualError::Overflow);
+        }
         if result.is_err() {
             // A partial routing left flow inconsistent with `cur`; restore
             // the pristine network so later solves stay correct.
@@ -244,8 +266,24 @@ impl DualSolver {
                 *x -= m;
             }
         }
-        let obj = cost.iter().zip(&r).map(|(&c, &x)| c * x).sum();
-        Ok((r, obj))
+        #[cfg(debug_assertions)]
+        if let Err(e) = crate::check_optimal(self.n, &self.constraints, cost, &r, &self.flows()) {
+            panic!("DualSolver solution fails its optimality certificate: {e}");
+        }
+        Ok(r)
+    }
+
+    /// The flow held after the last solve: one entry per merged constraint
+    /// `(u, v)` at its tightest bound. After a successful solve,
+    /// [`crate::check_optimal`] accepts it with that solve's costs and
+    /// lags as the certificate of their optimality.
+    pub fn flows(&self) -> Vec<(Constraint, i64)> {
+        // Interior arcs come in (forward u → v, reverse v → u) pairs, and
+        // the reverse arc's residual capacity is the forward arc's flow.
+        self.arcs
+            .chunks_exact(2)
+            .map(|p| (Constraint::new(p[1].to, p[0].to, p[0].cost), p[1].cap))
+            .collect()
     }
 
     /// Primal–dual min-cost routing of `remaining` units from `s` to `t`.
@@ -379,14 +417,53 @@ impl DualSolver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::check_optimal;
     use lacr_prng::Rng;
 
+    /// A constraint `r[u] − r[v] ≤ bound` as `(u, v, bound)`.
+    pub(crate) type Triple = (usize, usize, i64);
+
+    /// A diamond 0 → {1, 2} → 3 with zero-bound back arcs. Maximising
+    /// `r0 − r3` (costs `[-1, 0, 0, 1]`) routes one unit along the cheaper
+    /// side 0 → 1 → 3, for an optimum of −3.
+    pub(crate) const DIAMOND: [Triple; 8] = [
+        (0, 1, 1),
+        (1, 0, 0),
+        (0, 2, 4),
+        (2, 0, 0),
+        (1, 3, 2),
+        (3, 1, 0),
+        (2, 3, 2),
+        (3, 2, 0),
+    ];
+
+    pub(crate) fn system(triples: &[Triple]) -> Vec<Constraint> {
+        triples
+            .iter()
+            .map(|&(u, v, b)| Constraint::new(u, v, b))
+            .collect()
+    }
+
+    /// Solves, then certifies the result from `cons` and the solver's flow
+    /// (release builds skip the solver's own debug-only check).
+    fn certified(
+        solver: &mut DualSolver,
+        cons: &[Constraint],
+        cost: &[i64],
+    ) -> Result<Vec<i64>, DualError> {
+        let r = solver.solve(cost)?;
+        if let Err(e) = check_optimal(solver.num_vars(), cons, cost, &r, &solver.flows()) {
+            panic!("r = {r:?} for costs {cost:?} is not certified: {e}");
+        }
+        Ok(r)
+    }
+
     #[test]
-    fn matches_one_shot_solver_on_random_instances() {
+    fn warm_starts_are_certified_on_random_instances() {
         let mut rng = Rng::seed_from_u64(5);
-        for case in 0..50 {
+        for _ in 0..50 {
             let n = rng.gen_range(2..6usize);
             // A ring of constraints keeps everything bounded.
             let mut cons = Vec::new();
@@ -400,77 +477,147 @@ mod tests {
                     rng.gen_range(0..5),
                 ));
             }
-            let mut solver = match DualSolver::new(n, &cons) {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            // Several cost vectors in sequence, comparing against the
-            // stateless reference each time.
-            for round in 0..4 {
+            let mut solver = DualSolver::new(n, &cons).expect("non-negative bounds are feasible");
+            // Several cost vectors in sequence, each solve warm-started
+            // from the last and certified on its own.
+            for _ in 0..4 {
                 let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-5..=5)).collect();
                 let sum: i64 = cost.iter().sum();
                 cost[0] -= sum;
-                let warm = solver.solve(&cost);
-                let reference = crate::solve_dual_program(n, &cost, &cons);
-                match (warm, reference) {
-                    (Ok((r, obj)), Ok((_, obj_ref))) => {
-                        assert_eq!(obj, obj_ref, "case {case} round {round}");
-                        for c in &cons {
-                            assert!(r[c.u] - r[c.v] <= c.bound);
-                        }
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b),
-                    (a, b) => panic!("case {case} round {round}: {a:?} vs {b:?}"),
-                }
+                certified(&mut solver, &cons, &cost).expect("a ring is bounded");
             }
         }
     }
 
     #[test]
-    fn repeated_same_cost_is_stable() {
-        let cons = [Constraint::new(0, 1, 2), Constraint::new(1, 0, 1)];
-        let mut solver = DualSolver::new(2, &cons).unwrap();
-        let (r1, o1) = solver.solve(&[3, -3]).unwrap();
-        let (r2, o2) = solver.solve(&[3, -3]).unwrap();
-        assert_eq!(o1, o2);
-        assert_eq!(r1, r2);
+    fn cold_solves_reach_known_optima() {
+        use DualError::{Infeasible, Unbounded, VariableOutOfRange};
+        // (name, constraints, costs, optimal Σ cost·r or the error)
+        type Case = (
+            &'static str,
+            &'static [Triple],
+            &'static [i64],
+            Result<i64, DualError>,
+        );
+        let cases: [Case; 11] = [
+            // minimise r0 − r2 subject to r2 − r0 ≤ 0
+            (
+                "chain",
+                &[(0, 1, 2), (1, 2, 2), (2, 0, 0)],
+                &[1, 0, -1],
+                Ok(0),
+            ),
+            // minimise r0 − r1 with r0 − r1 ≥ 1 written as r1 − r0 ≤ −1
+            ("forced positive", &[(1, 0, -1), (0, 1, 5)], &[1, -1], Ok(1)),
+            (
+                "infeasible",
+                &[(0, 1, -1), (1, 0, -1)],
+                &[1, -1],
+                Err(Infeasible),
+            ),
+            ("nonzero cost sum", &[(0, 1, 1)], &[1, 0], Err(Unbounded)),
+            // minimise r0 − r1 with only r0 − r1 ≤ 3: no floor
+            (
+                "unbounded direction",
+                &[(0, 1, 3)],
+                &[1, -1],
+                Err(Unbounded),
+            ),
+            (
+                "bad index",
+                &[(0, 7, 3)],
+                &[1, -1],
+                Err(VariableOutOfRange(7)),
+            ),
+            // maximise r0 − r1: the tighter parallel bound governs
+            (
+                "parallel merge",
+                &[(0, 1, 5), (0, 1, 1), (1, 0, 0)],
+                &[-1, 1],
+                Ok(-1),
+            ),
+            (
+                "self-loop >= 0",
+                &[(0, 0, 0), (0, 1, 1), (1, 0, 0)],
+                &[1, -1],
+                Ok(0),
+            ),
+            ("self-loop < 0", &[(0, 0, -1)], &[0], Err(Infeasible)),
+            // maximise r0 − r3: min(1 + 2, 4 + 2) = 3
+            ("diamond", &DIAMOND, &[-1, 0, 0, 1], Ok(-3)),
+            ("zero cost", &[(0, 1, 1), (1, 0, 2)], &[0, 0], Ok(0)),
+        ];
+        for (name, triples, cost, expected) in cases {
+            let cons = system(triples);
+            let got = DualSolver::new(cost.len(), &cons)
+                .and_then(|mut solver| certified(&mut solver, &cons, cost))
+                .map(|r| cost.iter().zip(&r).map(|(&c, &x)| c * x).sum());
+            assert_eq!(got, expected, "{name}");
+        }
     }
 
     #[test]
-    fn infeasible_constraints_rejected_up_front() {
-        let cons = [Constraint::new(0, 1, -2), Constraint::new(1, 0, 1)];
-        assert_eq!(
-            DualSolver::new(2, &cons).unwrap_err(),
-            DualError::Infeasible
-        );
+    fn repeated_same_cost_is_stable() {
+        let cons = system(&[(0, 1, 2), (1, 0, 1)]);
+        let mut solver = DualSolver::new(2, &cons).unwrap();
+        let r1 = certified(&mut solver, &cons, &[3, -3]).unwrap();
+        let r2 = certified(&mut solver, &cons, &[3, -3]).unwrap();
+        assert_eq!(r1, r2);
     }
 
     #[test]
     fn unbounded_detected_per_solve() {
         // Only one direction constrained: pushing cost along the free
         // direction is unbounded.
-        let cons = [Constraint::new(0, 1, 2)];
+        let cons = system(&[(0, 1, 2)]);
         let mut solver = DualSolver::new(2, &cons).unwrap();
         assert_eq!(solver.solve(&[1, -1]), Err(DualError::Unbounded));
         // The solver survives the failure and can solve a bounded cost.
-        let (r, obj) = solver.solve(&[-1, 1]).unwrap();
-        assert_eq!(obj, -2);
+        let r = certified(&mut solver, &cons, &[-1, 1]).unwrap();
         assert_eq!(r[0] - r[1], 2);
     }
 
+    /// Supplies just past `INF_CAP` fill the cheap direct arc 0 → 1
+    /// before the last unit is routed via 2. Returning the potentials
+    /// anyway gave `r = [1, 0, 1]`, which breaks `r0 − r1 ≤ 0`.
     #[test]
-    fn nonzero_cost_sum_rejected() {
-        let cons = [Constraint::new(0, 1, 1), Constraint::new(1, 0, 0)];
-        let mut solver = DualSolver::new(2, &cons).unwrap();
-        assert_eq!(solver.solve(&[1, 1]), Err(DualError::Unbounded));
+    fn a_full_constraint_arc_is_an_overflow_not_an_illegal_r() {
+        let x = INF_CAP + 1;
+        let cons = system(&[
+            (0, 1, 0),
+            (0, 2, 0),
+            (2, 1, 1),
+            (1, 0, 5),
+            (2, 0, 5),
+            (1, 2, 5),
+        ]);
+        let mut solver = DualSolver::new(3, &cons).unwrap();
+        assert_eq!(solver.solve(&[-x, x, 0]), Err(DualError::Overflow));
+        // The failure restores the pristine network.
+        assert!(solver.flows().iter().all(|&(_, f)| f == 0));
+        let r = certified(&mut solver, &cons, &[-1, 1, 0]).unwrap();
+        assert_eq!(r[0] - r[1], 0);
+    }
+
+    /// The same saturation on a 2-cycle used to strand the last unit and
+    /// report the bounded program `r0 = r1` as unbounded.
+    #[test]
+    fn a_full_constraint_arc_is_an_overflow_not_unbounded() {
+        let x = INF_CAP + 1;
+        let mut solver = DualSolver::new(2, &system(&[(0, 1, 0), (1, 0, 0)])).unwrap();
+        assert_eq!(solver.solve(&[-x, x]), Err(DualError::Overflow));
     }
 
     #[test]
-    fn bad_index_rejected() {
-        let cons = [Constraint::new(0, 5, 1)];
+    fn a_supply_sum_past_i64_is_an_overflow() {
+        let big = 1_i64 << 62;
+        let cons = system(&[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]);
+        let mut solver = DualSolver::new(4, &cons).unwrap();
+        // The costs sum to zero, but the positive supplies total 2^63.
         assert_eq!(
-            DualSolver::new(2, &cons).unwrap_err(),
-            DualError::VariableOutOfRange(5)
+            solver.solve(&[-big, -big, big, big]),
+            Err(DualError::Overflow)
         );
+        certified(&mut solver, &cons, &[-1, -1, 1, 1]).unwrap();
     }
 }

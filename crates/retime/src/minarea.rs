@@ -18,8 +18,8 @@ use std::fmt;
 /// Fixed-point scale (2^22) used to quantise real-valued area weights to
 /// integer units of 2^-22 so the flow problem stays integral. A unit-area
 /// flip-flop costs 2^22 units and the interconnect ε premium (1/1024)
-/// exactly 2^12.
-const AREA_SCALE: f64 = 4194304.0;
+/// exactly 2^12. Register-sharing retiming quantises with it too.
+pub(crate) const AREA_SCALE: f64 = 4194304.0;
 
 /// Error from the min-area retiming entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,7 +231,7 @@ impl<'g> MinAreaSolver<'g> {
             cost[e.to.index()] += qa[e.from.index()];
             cost[e.from.index()] -= qa[e.from.index()];
         }
-        let (r, _obj) = self
+        let r = self
             .dual
             .solve(&cost)
             .map_err(|e| RetimeError::Internal(e.to_string()))?;

@@ -22,11 +22,8 @@
 
 use crate::constraints::{edge_constraints, PeriodConstraints};
 use crate::graph::RetimeGraph;
-use crate::minarea::{RetimeError, RetimingOutcome};
+use crate::minarea::{RetimeError, RetimingOutcome, AREA_SCALE};
 use lacr_mcmf::{Constraint, DualError, DualSolver};
-
-/// Fixed-point scale matching [`crate::minarea`]'s quantisation.
-const AREA_SCALE: f64 = 1024.0;
 
 /// Outcome of a sharing-aware min-area retiming.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,7 +185,7 @@ pub fn shared_min_area_retiming(
         }
         Err(e) => return Err(RetimeError::Internal(e.to_string())),
     };
-    let (r_all, _obj) = solver
+    let r_all = solver
         .solve(&cost)
         .map_err(|e| RetimeError::Internal(e.to_string()))?;
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: exactly what CI runs, runnable offline.
 #
-#   scripts/verify.sh                # format check + clippy + build + tests
+#   scripts/verify.sh                # format check + clippy + build + tests + debug certificate run
 #   scripts/verify.sh --quick        # skip the slow integration suites
 #   scripts/verify.sh --faults       # fault-injection suite + no-panic CLI smoke
 #   scripts/verify.sh --metrics      # observability smoke: JSONL stream validated
@@ -424,6 +424,13 @@ if [[ "$QUICK" == 1 ]]; then
 else
     echo "==> cargo test (full workspace)"
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release --offline --workspace
+
+    # A debug build certifies every successful DualSolver solve by LP
+    # duality (lacr_mcmf::check_optimal); release builds skip the check.
+    echo "==> cargo test, debug profile (every min-cost-flow solve certified)"
+    RUSTFLAGS="${RUSTFLAGS:-} -D warnings" \
+        cargo test --offline -p lacr-mcmf -p lacr-retime -p lacr-core --lib
+    RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --offline --test lac_scenarios
 fi
 
 echo "==> verify OK"

@@ -4,7 +4,7 @@
 //! Driven by the in-repo seeded property harness ([`lacr_prng::properties!`]):
 //! every case is deterministic and a failure reports its replay seed.
 
-use lacr::mcmf::{solve_dual_program, Constraint, DifferenceConstraints};
+use lacr::mcmf::{Constraint, DifferenceConstraints, DualSolver};
 use lacr::retime::{
     feasible_retiming, generate_period_constraints, min_area_retiming, min_period_retiming,
     RetimeGraph, VertexKind,
@@ -131,10 +131,13 @@ lacr_prng::properties! {
         let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-4i64..=4)).collect();
         let s: i64 = cost.iter().sum();
         cost[0] -= s;
-        let (r, obj) = solve_dual_program(n, &cost, &cons).expect("ring is bounded");
+        let r = DualSolver::new(n, &cons)
+            .and_then(|mut solver| solver.solve(&cost))
+            .expect("ring is bounded");
         for c in &cons {
             prop_assert!(r[c.u] - r[c.v] <= c.bound);
         }
+        let obj: i64 = cost.iter().zip(&r).map(|(&c, &y)| c * y).sum();
         // brute force over a box that surely contains an optimum
         let mut best = i64::MAX;
         let bound: i64 = ring_bounds.iter().sum::<i64>() + 1;
