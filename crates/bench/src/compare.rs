@@ -9,6 +9,10 @@
 //!   is a real quality regression, not noise. A gated metric present in
 //!   the baseline but missing from the current artifact also fails (the
 //!   telemetry contract regressed).
+//! - **plan identity**: a circuit whose `plan_digest` (a hash of the
+//!   first iteration's min-area and LAC retimed edge weights) differs
+//!   from the baseline's is `CHANGED` and fails, even when every count
+//!   matches. Baselines without a digest are not gated.
 //! - **soft wall-clock gate**: `wall_s` may drift up to the configured
 //!   tolerance (±15 % by default) before it counts as a regression,
 //!   because wall-clock is machine-noisy. CI disables it entirely
@@ -33,6 +37,7 @@
 //! rejected outright.
 
 use crate::json::{parse_json, Json};
+use lacr_obs::Value;
 
 /// Lower-is-better quality metrics that must not increase at all.
 /// `min_area_flops` only appears in `BENCH_scale.json` artifacts;
@@ -58,6 +63,8 @@ pub struct CircuitMetrics {
     pub name: String,
     /// Metric name → value, in artifact order.
     pub metrics: Vec<(String, f64)>,
+    /// The `quality.plan_digest` hex string, when the artifact has one.
+    pub plan_digest: Option<String>,
 }
 
 impl CircuitMetrics {
@@ -157,7 +164,16 @@ pub fn parse_artifact(text: &str) -> Result<RunArtifact, String> {
             if let Some(m) = c.get("mem") {
                 absorb(m); // flattens per-circuit peak_bytes for gating
             }
-            Ok(CircuitMetrics { name, metrics })
+            let plan_digest = c
+                .get("quality")
+                .and_then(|q| q.get("plan_digest"))
+                .and_then(Json::as_str)
+                .map(str::to_string);
+            Ok(CircuitMetrics {
+                name,
+                metrics,
+                plan_digest,
+            })
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(RunArtifact {
@@ -211,6 +227,9 @@ pub enum Status {
     /// Present in the baseline, missing from the current artifact —
     /// fails the gate (the telemetry contract regressed).
     Missing,
+    /// A plan digest that differs from the baseline's — fails the gate
+    /// (the retimings changed, whatever the counts say).
+    Changed,
     /// Circuit not in the current artifact of a *declared* subset run
     /// ([`CompareConfig::allow_subset`]) — informational.
     Skipped,
@@ -226,13 +245,17 @@ impl Status {
             Status::Improved => "improved",
             Status::Regressed => "REGRESSED",
             Status::Missing => "MISSING",
+            Status::Changed => "CHANGED",
             Status::Skipped => "skipped",
             Status::Dropped => "DROPPED",
         }
     }
 
     fn fails(self) -> bool {
-        matches!(self, Status::Regressed | Status::Missing | Status::Dropped)
+        matches!(
+            self,
+            Status::Regressed | Status::Missing | Status::Changed | Status::Dropped
+        )
     }
 }
 
@@ -243,10 +266,10 @@ pub struct Finding {
     pub circuit: String,
     /// Metric name (`"-"` for circuit-level notes).
     pub metric: String,
-    /// Baseline value.
-    pub base: Option<f64>,
-    /// Current value.
-    pub current: Option<f64>,
+    /// Baseline value: a number, or a plan digest's hex string.
+    pub base: Option<Value>,
+    /// Current value, likewise.
+    pub current: Option<Value>,
     /// Verdict.
     pub status: Status,
 }
@@ -276,8 +299,9 @@ impl Comparison {
             "{:<10} {:<16} {:>12} {:>12}  {}\n",
             "circuit", "metric", "base", "current", "status"
         ));
-        let fmt = |v: Option<f64>| match v {
-            Some(n) => format!("{n:.3}"),
+        let fmt = |v: &Option<Value>| match v {
+            Some(Value::Float(n)) => format!("{n:.3}"),
+            Some(v) => v.to_string(),
             None => "-".to_string(),
         };
         let mut shown = 0;
@@ -290,8 +314,8 @@ impl Comparison {
                 "{:<10} {:<16} {:>12} {:>12}  {}\n",
                 f.circuit,
                 f.metric,
-                fmt(f.base),
-                fmt(f.current),
+                fmt(&f.base),
+                fmt(&f.current),
                 f.status.label()
             ));
         }
@@ -316,17 +340,15 @@ impl Comparison {
             .findings
             .iter()
             .map(|f| {
-                let num = |v: Option<f64>| match v {
-                    Some(n) => lacr_obs::Value::Float(n).to_json(),
-                    None => "null".to_string(),
-                };
+                let json =
+                    |v: &Option<Value>| v.as_ref().map_or("null".to_string(), Value::to_json);
                 format!(
                     "{{\"circuit\":\"{}\",\"metric\":\"{}\",\"base\":{},\
                      \"current\":{},\"status\":\"{}\"}}",
                     lacr_obs::json_escape(&f.circuit),
                     lacr_obs::json_escape(&f.metric),
-                    num(f.base),
-                    num(f.current),
+                    json(&f.base),
+                    json(&f.current),
                     f.status.label()
                 )
             })
@@ -394,8 +416,22 @@ pub fn compare(base: &RunArtifact, current: &RunArtifact, config: &CompareConfig
             findings.push(Finding {
                 circuit: bc.name.clone(),
                 metric: metric.into(),
-                base: Some(b),
-                current: cc.get(metric),
+                base: Some(Value::Float(b)),
+                current: cc.get(metric).map(Value::Float),
+                status,
+            });
+        }
+        if let Some(b) = &bc.plan_digest {
+            let status = match &cc.plan_digest {
+                None => Status::Missing,
+                Some(c) if c != b => Status::Changed,
+                Some(_) => Status::Ok,
+            };
+            findings.push(Finding {
+                circuit: bc.name.clone(),
+                metric: "plan_digest".into(),
+                base: Some(Value::Str(b.clone())),
+                current: cc.plan_digest.clone().map(Value::Str),
                 status,
             });
         }
@@ -404,8 +440,8 @@ pub fn compare(base: &RunArtifact, current: &RunArtifact, config: &CompareConfig
                 findings.push(Finding {
                     circuit: bc.name.clone(),
                     metric: "wall_s".into(),
-                    base: Some(b),
-                    current: Some(c),
+                    base: Some(Value::Float(b)),
+                    current: Some(Value::Float(c)),
                     status: soft_status(b, c, config.wall_tolerance_pct),
                 });
             }
@@ -418,8 +454,8 @@ pub fn compare(base: &RunArtifact, current: &RunArtifact, config: &CompareConfig
                 findings.push(Finding {
                     circuit: bc.name.clone(),
                     metric: "peak_bytes".into(),
-                    base: Some(b),
-                    current: Some(c),
+                    base: Some(Value::Float(b)),
+                    current: Some(Value::Float(c)),
                     status: soft_status(b, c, config.mem_tolerance_pct),
                 });
             }
@@ -432,8 +468,8 @@ pub fn compare(base: &RunArtifact, current: &RunArtifact, config: &CompareConfig
             findings.push(Finding {
                 circuit: "(process)".into(),
                 metric: "mem.peak_bytes".into(),
-                base: Some(b),
-                current: Some(c),
+                base: Some(Value::Float(b)),
+                current: Some(Value::Float(c)),
                 status: soft_status(b, c, config.mem_tolerance_pct),
             });
         }
@@ -743,6 +779,53 @@ mod tests {
             assert_eq!(cmp.compared, 1);
             assert_eq!(cmp.skipped, 0);
         }
+    }
+
+    #[test]
+    fn a_changed_plan_digest_fails_the_gate() {
+        let with_digest = |digest: &str| {
+            parse_artifact(&format!(
+                r#"{{"schema_version":2,"bench":"table1","circuits":[{{"circuit":"s344",
+                    "quality":{{"lac_n_foa":2,"plan_digest":"{digest}"}}}}]}}"#
+            ))
+            .expect("artifact parses")
+        };
+        let base = with_digest("5dc456d13623515c");
+        assert_eq!(
+            base.circuit("s344").unwrap().plan_digest.as_deref(),
+            Some("5dc456d13623515c")
+        );
+        assert!(compare(&base, &base, &CompareConfig::default()).pass());
+        // One hex digit differs while every count matches: a new plan.
+        let cmp = compare(
+            &base,
+            &with_digest("5dc456d13623515d"),
+            &CompareConfig::default(),
+        );
+        assert!(!cmp.pass(), "{}", cmp.table());
+        assert!(cmp
+            .findings
+            .iter()
+            .any(|f| f.metric == "plan_digest" && f.status == Status::Changed));
+        assert!(cmp.table().contains("5dc456d13623515d  CHANGED"));
+        assert!(parse_json(&cmp.to_json()).is_ok());
+        // A current artifact that lost the digest fails as missing.
+        let mut lost = base.clone();
+        lost.circuits[0].plan_digest = None;
+        assert!(!compare(&base, &lost, &CompareConfig::default()).pass());
+    }
+
+    #[test]
+    fn baselines_without_a_plan_digest_are_not_gated_on_it() {
+        let base = parse_artifact(BASE).unwrap();
+        assert!(base.circuits.iter().all(|c| c.plan_digest.is_none()));
+        let mut current = base.clone();
+        for c in &mut current.circuits {
+            c.plan_digest = Some("0123456789abcdef".into());
+        }
+        let cmp = compare(&base, &current, &CompareConfig::default());
+        assert!(cmp.pass(), "{}", cmp.table());
+        assert!(!cmp.findings.iter().any(|f| f.metric == "plan_digest"));
     }
 
     #[test]

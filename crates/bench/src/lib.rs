@@ -238,10 +238,10 @@ pub fn write_run_record(bench: &str, fields: &[(&str, String)]) -> std::io::Resu
 }
 
 /// Renders one circuit's solution-quality block as a JSON object: the
-/// paper's Table-1 quantities from the [`TableRow`] plus — when the
-/// per-circuit observability snapshot is supplied — the quality gauges
-/// and histograms emitted by the planner (`quality.*` names, stripped
-/// of their prefix here).
+/// paper's Table-1 quantities and the plan digest (16 hex digits) from
+/// the [`TableRow`] plus — when the per-circuit observability snapshot
+/// is supplied — the quality gauges and histograms emitted by the
+/// planner (`quality.*` names, stripped of their prefix here).
 pub fn quality_json(row: &TableRow, report: Option<&lacr_obs::Report>) -> String {
     let mut q = String::from("{");
     q.push_str(&format!(
@@ -266,6 +266,7 @@ pub fn quality_json(row: &TableRow, report: Option<&lacr_obs::Report>) -> String
         .collect::<Vec<_>>()
         .join(",");
     q.push_str(&format!(",\"n_foa_trajectory\":[{trajectory}]"));
+    q.push_str(&format!(",\"plan_digest\":\"{:016x}\"", row.plan_digest));
     if let Some(r) = report {
         for (gauge, field) in [
             ("quality.route_overflow", "route_overflow"),
@@ -378,6 +379,7 @@ mod tests {
             decrease_pct: Some(80.0),
             second_iteration: None,
             n_foa_trajectory: vec![5, 3, 2],
+            plan_digest: 0xab,
         };
         let q = quality_json(&row, None);
         let v = json::parse_json(&q).expect("quality block parses");
@@ -388,6 +390,10 @@ mod tests {
                 .and_then(json::Json::as_arr)
                 .map(<[json::Json]>::len),
             Some(3)
+        );
+        assert_eq!(
+            v.get("plan_digest").and_then(json::Json::as_str),
+            Some("00000000000000ab")
         );
     }
 }

@@ -7,7 +7,7 @@
 //! execution times, plus the second planning iteration's `N_FOA` for
 //! circuits whose violations could not be removed in one pass.
 
-use crate::planner::{plan_with_iterations, PlannerConfig};
+use crate::planner::{plan_with_iterations, PlanReport, PlannerConfig};
 use lacr_netlist::bench89;
 use lacr_retime::RetimeError;
 use std::fmt::Write as _;
@@ -74,6 +74,9 @@ pub struct TableRow {
     /// `N_FOA` after each weighted re-retiming round of the LAC loop
     /// (the convergence trajectory; its length tracks `n_wr`).
     pub n_foa_trajectory: Vec<i64>,
+    /// FNV-1a 64 of the first iteration's min-area and LAC retimed edge
+    /// weights: two rows with equal digests planned the same retimings.
+    pub plan_digest: u64,
 }
 
 /// Runs the experiment for one circuit.
@@ -111,7 +114,22 @@ pub fn run_circuit(
         decrease_pct: report.n_foa_decrease_pct(),
         second_iteration: iterated.second_n_foa,
         n_foa_trajectory: report.lac.result.history.clone(),
+        plan_digest: plan_digest(report),
     })
+}
+
+/// FNV-1a 64 over the little-endian bytes of the min-area, then the LAC,
+/// retimed edge weights.
+fn plan_digest(report: &PlanReport) -> u64 {
+    let min_area = &report.min_area.result.outcome.weights;
+    let lac = &report.lac.result.outcome.weights;
+    min_area
+        .iter()
+        .chain(lac)
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 /// Runs the whole sweep, skipping circuits that fail with a message on

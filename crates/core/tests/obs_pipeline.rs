@@ -84,6 +84,7 @@ fn s344_pipeline_emits_stage_spans_in_order() {
         "floorplan.moves_tried",
         "floorplan.moves_accepted",
         "mcmf.ssp_iterations",
+        "mcmf.sweeps",
         "lac.rounds",
         "repeater.connections",
     ] {
@@ -92,6 +93,14 @@ fn s344_pipeline_emits_stage_spans_in_order() {
             "counter {counter} missing or zero"
         );
     }
+    // The solver reprices only after a sweep that augmented nothing, so
+    // every Dijkstra run is followed by at least one sweep.
+    let repricings = report.counter("mcmf.dijkstra_phases").unwrap_or(0);
+    let sweeps = report.counter("mcmf.sweeps").unwrap_or(0);
+    assert!(
+        sweeps >= repricings,
+        "{sweeps} sweeps for {repricings} repricings"
+    );
     // Always present even when the first routing pass is overflow-free.
     assert!(
         report.counter("route.ripup_passes").is_some(),
