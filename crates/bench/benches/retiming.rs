@@ -1,6 +1,8 @@
 //! Wall-clock benchmarks of the retiming kernels that produce Table 1:
 //! constraint generation, min-period retiming, one weighted min-area
-//! solve, and the full LAC loop, on a planned mid-size circuit.
+//! solve, and the full LAC loop, on a planned mid-size circuit; and the
+//! LAC loop on a circuit whose round reaches the flip-flop legaliser's
+//! beam search.
 
 use lacr_core::lac::{lac_retiming, LacConfig};
 use lacr_core::planner::{build_physical_plan, plan_constraints};
@@ -42,5 +44,23 @@ fn bench_retiming(c: &mut Harness) {
     g.finish();
 }
 
-lacr_prng::bench_group!(benches, bench_retiming);
+/// s344 plans in one LAC round without a single slide attempt. s526 at
+/// the experiment settings also plans in one round, but its legaliser
+/// expands 21 beam states and offers 8,315 chain slides.
+fn bench_legaliser(c: &mut Harness) {
+    let config = lacr_bench::experiment_planner();
+    let circuit = bench89::generate("s526").expect("known circuit");
+    let plan = build_physical_plan(&circuit, &config, &[]);
+    let pc = plan_constraints(&plan);
+    let graph = &plan.expanded.graph;
+
+    let mut g = c.benchmark_group("retiming_s526");
+    g.sample_size(10);
+    g.bench_function("lac_full_loop", |b| {
+        b.iter(|| lac_retiming(graph, &pc, &plan.expanded.caps_ff, &config.lac).expect("feasible"))
+    });
+    g.finish();
+}
+
+lacr_prng::bench_group!(benches, bench_retiming, bench_legaliser);
 lacr_prng::bench_main!(benches);

@@ -192,6 +192,35 @@ pub fn score_outcome(graph: &RetimeGraph, outcome: RetimingOutcome, caps_ff: &[f
     }
 }
 
+/// A compressed sparse row list: row `i` is `items[start[i]..start[i + 1]]`.
+struct Csr<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Builds `rows` rows from `(row, item)` pairs sorted by row.
+    fn from_sorted(rows: usize, pairs: &[(usize, T)]) -> Self {
+        let mut start = vec![0u32; rows + 1];
+        for &(row, _) in pairs {
+            start[row + 1] += 1;
+        }
+        for i in 0..rows {
+            start[i + 1] += start[i];
+        }
+        let items = pairs.iter().map(|&(_, item)| item).collect();
+        Self { start, items }
+    }
+
+    fn rows(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
 /// Per-vertex view of the difference-constraint system `r(u) − r(v) ≤ b`,
 /// for O(deg) legality checks of single-vertex retiming moves.
 struct ConstraintIndex {
@@ -237,11 +266,25 @@ struct LegalizeIndex {
     charged: Vec<Option<usize>>,
     /// The edges charged to each tile, in ascending edge order.
     tile_edges: Vec<Vec<EdgeId>>,
+    /// The connection chain each edge lies on: edges joined through
+    /// chain-interior units form one chain.
+    chain_of: Vec<u32>,
+    /// Row `c`: the tiles chain `c`'s edges are charged to.
+    chain_tiles: Csr<usize>,
+    /// Row `x`: the chains whose slides read `r[x]`, because `x` is one of
+    /// their interior units or a constraint partner of one.
+    readers: Csr<u32>,
+    /// `indeg(x) − outdeg(x)`. A unit retiming `r[S] += d` changes the
+    /// flip-flop total by `d` times its sum over S (edges inside S cancel).
+    in_minus_out: Vec<i64>,
+    /// Fixed odd per-vertex keys of the tabu fingerprint `Σ r[x]·keys[x]`.
+    keys: Vec<u64>,
 }
 
 impl LegalizeIndex {
     fn new(graph: &RetimeGraph, constraints: &[Constraint], caps_ff: &[f64]) -> Self {
         let n = graph.num_vertices();
+        let edges = graph.edges();
         let mut only_in = vec![None; n];
         let mut only_out = vec![None; n];
         for v in graph.vertex_ids() {
@@ -253,21 +296,80 @@ impl LegalizeIndex {
                 only_out[v.index()] = graph.out_edges(v).next();
             }
         }
-        let charged: Vec<Option<usize>> =
-            graph.edges().iter().map(|e| graph.tile(e.from)).collect();
+        let charged: Vec<Option<usize>> = edges.iter().map(|e| graph.tile(e.from)).collect();
         let mut tile_edges = vec![Vec::new(); caps_ff.len()];
         for (ei, t) in charged.iter().enumerate() {
             if let Some(t) = *t {
                 tile_edges[t].push(EdgeId(ei as u32));
             }
         }
+
+        // Chains are paths (or, in degenerate graphs, cycles) of edges
+        // through interior units: walk up to a chain's first edge, then
+        // number the chain walking down.
+        let mut chain_of = vec![u32::MAX; edges.len()];
+        let mut chains = 0u32;
+        for e0 in 0..edges.len() {
+            if chain_of[e0] != u32::MAX {
+                continue;
+            }
+            let mut e = e0;
+            while let Some(prev) = only_in[edges[e].from.index()] {
+                if prev.index() == e0 {
+                    break;
+                }
+                e = prev.index();
+            }
+            loop {
+                chain_of[e] = chains;
+                match only_out[edges[e].to.index()] {
+                    Some(next) if chain_of[next.index()] == u32::MAX => e = next.index(),
+                    _ => break,
+                }
+            }
+            chains += 1;
+        }
+        let chains = chains as usize;
+        let mut chain_tiles: Vec<(usize, usize)> = (0..edges.len())
+            .filter_map(|e| charged[e].map(|t| (chain_of[e] as usize, t)))
+            .collect();
+        chain_tiles.sort_unstable();
+        chain_tiles.dedup();
+
+        let cons = ConstraintIndex::new(n, constraints);
+        // Each interior unit is the head of exactly one edge, its chain's.
+        let mut readers: Vec<(usize, u32)> = Vec::new();
+        for (e, edge) in edges.iter().enumerate() {
+            let x = edge.to.index();
+            if only_out[x].is_some() {
+                let c = chain_of[e];
+                readers.push((x, c));
+                let partners = cons.by_u[x].iter().chain(&cons.by_v[x]);
+                readers.extend(partners.map(|&(y, _)| (y, c)));
+            }
+        }
+        readers.sort_unstable();
+        readers.dedup();
+
+        let mut in_minus_out = vec![0i64; n];
+        for edge in edges {
+            in_minus_out[edge.to.index()] += 1;
+            in_minus_out[edge.from.index()] -= 1;
+        }
+        let mut rng = Rng::seed_from_u64(0x7ab0_f1a9_c0de_5eed);
+        let keys = (0..n).map(|_| rng.next_u64() | 1).collect();
         Self {
-            cons: ConstraintIndex::new(n, constraints),
+            cons,
             cap: caps_ff.iter().map(|c| c.floor().max(0.0) as i64).collect(),
             only_in,
             only_out,
             charged,
             tile_edges,
+            chain_of,
+            chain_tiles: Csr::from_sorted(chains, &chain_tiles),
+            readers: Csr::from_sorted(n, &readers),
+            in_minus_out,
+            keys,
         }
     }
 }
@@ -290,6 +392,7 @@ struct State {
     weights: Vec<i64>,
     counts: Vec<i64>,
     flops: i64,
+    hash: u64,
 }
 
 /// Legaliser statistics, accumulated locally (the search is hot) and
@@ -301,6 +404,7 @@ struct LegalizeStats {
     cluster_moves: u64,
     tabu_hits: u64,
     slide_tries: u64,
+    slide_skips: u64,
     slides: u64,
 }
 
@@ -311,14 +415,220 @@ impl LegalizeStats {
         lacr_obs::counter!("lac.cluster_moves", self.cluster_moves);
         lacr_obs::counter!("lac.tabu_hits", self.tabu_hits);
         lacr_obs::counter!("lac.slide_tries", self.slide_tries);
+        lacr_obs::counter!("lac.slide_skips", self.slide_skips);
         lacr_obs::counter!("lac.slides", self.slides);
     }
 }
 
-/// Working state of the flip-flop placement legaliser. Every change to
-/// `r` and `weights` goes through [`Self::shift_lag`] or
-/// [`Self::add_weight`], which log it in `journal`, so [`Self::undo_to`]
-/// reverts any suffix of moves in time proportional to its size.
+/// The most cluster-move candidates a beam state offers; each is one bit
+/// of a [`ClosureSweep`] mask.
+const MAX_CANDIDATES: usize = 64;
+const _: () = assert!(MAX_CANDIDATES <= u64::BITS as usize);
+
+/// Marks a vertex the sweep has not reached, or one still on Tarjan's
+/// stack.
+const UNSEEN: u32 = u32::MAX;
+
+/// The closure digraph at one state: an arc `x → y` for each zero-weight
+/// edge `x → y` and each constraint `r(x) − r(y) ≤ b` tight at `r`. An
+/// increment grows a cluster forward along it, a decrement backward.
+#[derive(Clone, Copy)]
+struct ClosureArcs<'a> {
+    graph: &'a RetimeGraph,
+    ix: &'a LegalizeIndex,
+    r: &'a [i64],
+    weights: &'a [i64],
+    increment: bool,
+}
+
+impl ClosureArcs<'_> {
+    /// Appends the vertices a cluster holding `x` must also hold.
+    fn successors(&self, x: usize, out: &mut Vec<u32>) {
+        let (graph, cons, r, w) = (self.graph, &self.ix.cons, self.r, self.weights);
+        let v = VertexId(x as u32);
+        if self.increment {
+            let edges = graph.out_edges(v).filter(|e| w[e.index()] == 0);
+            out.extend(edges.map(|e| graph.edge(e).to.0));
+            let tight = cons.by_u[x].iter().filter(|&&(y, b)| r[x] - r[y] >= b);
+            out.extend(tight.map(|&(y, _)| y as u32));
+        } else {
+            let edges = graph.in_edges(v).filter(|e| w[e.index()] == 0);
+            out.extend(edges.map(|e| graph.edge(e).from.0));
+            let tight = cons.by_v[x].iter().filter(|&&(y, b)| r[y] - r[x] >= b);
+            out.extend(tight.map(|&(y, _)| y as u32));
+        }
+    }
+}
+
+/// Decides every cluster-move candidate of a beam state in one sweep per
+/// direction. The candidates all start from the same state (each move is
+/// undone before the next), so each closure is the set its seed reaches in
+/// the [`ClosureArcs`] digraph. Tarjan's algorithm condenses the part the
+/// seeds reach into strongly connected components; one pass in
+/// topological order then spreads a 64-bit candidate mask per component,
+/// from which each closure's size and flip-flop change are read off.
+/// Buffers are reused across beam states and rounds.
+struct ClosureSweep {
+    /// Per vertex: its discovery index, or `UNSEEN`.
+    index: Vec<u32>,
+    /// Per vertex: Tarjan's low-link.
+    low: Vec<u32>,
+    /// Per vertex: its component, or `UNSEEN` until it has one.
+    comp: Vec<u32>,
+    /// Per vertex: its successors' range in `arcs`.
+    arc_range: Vec<(u32, u32)>,
+    arcs: Vec<u32>,
+    /// The vertices reached, in discovery order.
+    reached: Vec<u32>,
+    /// Depth-first frames: a vertex and the position of its next arc.
+    frames: Vec<(u32, u32)>,
+    stack: Vec<u32>,
+    /// Component `c` is `members[comp_start[c]..comp_start[c + 1]]`.
+    /// Components are numbered as Tarjan finishes them, so every arc runs
+    /// from a component to itself or to a lower-numbered one.
+    members: Vec<u32>,
+    comp_start: Vec<u32>,
+    /// Per component: a bit for each candidate whose closure contains it.
+    mask: Vec<u64>,
+    /// Per candidate: its closure's size and `Σ (indeg − outdeg)` over it.
+    verdicts: Vec<(usize, i64)>,
+}
+
+impl ClosureSweep {
+    fn new(n: usize) -> Self {
+        Self {
+            index: vec![UNSEEN; n],
+            low: vec![0; n],
+            comp: vec![UNSEEN; n],
+            arc_range: vec![(0, 0); n],
+            arcs: Vec::new(),
+            reached: Vec::new(),
+            frames: Vec::new(),
+            stack: Vec::new(),
+            members: Vec::new(),
+            comp_start: Vec::new(),
+            mask: Vec::new(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// Fills `verdicts`, parallel to `candidates`: `(seed, increment)`
+    /// pairs, at most [`MAX_CANDIDATES`], at the state `arcs` reads.
+    fn run(&mut self, arcs: ClosureArcs<'_>, candidates: &[(usize, bool)]) {
+        debug_assert!(candidates.len() <= MAX_CANDIDATES);
+        self.verdicts.clear();
+        self.verdicts.resize(candidates.len(), (0, 0));
+        for increment in [true, false] {
+            let arcs = ClosureArcs { increment, ..arcs };
+            let seeds = || {
+                candidates
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.1 == increment)
+            };
+            self.comp_start.clear();
+            self.comp_start.push(0);
+            for (_, &(seed, _)) in seeds() {
+                if self.index[seed] == UNSEEN {
+                    self.condense(seed, arcs);
+                }
+            }
+            let comps = self.comp_start.len() - 1;
+            self.mask.clear();
+            self.mask.resize(comps, 0);
+            for (i, &(seed, _)) in seeds() {
+                self.mask[self.comp[seed] as usize] |= 1u64 << i;
+            }
+            // Highest component first: every mask is complete before it
+            // spreads to the components its arcs reach.
+            for c in (0..comps).rev() {
+                let m = self.mask[c];
+                let vs =
+                    &self.members[self.comp_start[c] as usize..self.comp_start[c + 1] as usize];
+                let mut flow = 0;
+                for &v in vs {
+                    flow += arcs.ix.in_minus_out[v as usize];
+                    let (a, b) = self.arc_range[v as usize];
+                    for &w in &self.arcs[a as usize..b as usize] {
+                        let cw = self.comp[w as usize] as usize;
+                        if cw != c {
+                            self.mask[cw] |= m;
+                        }
+                    }
+                }
+                let mut bits = m;
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.verdicts[i].0 += vs.len();
+                    self.verdicts[i].1 += flow;
+                }
+            }
+            for &v in &self.reached {
+                self.index[v as usize] = UNSEEN;
+                self.comp[v as usize] = UNSEEN;
+            }
+            self.reached.clear();
+            self.arcs.clear();
+            self.members.clear();
+        }
+    }
+
+    /// Tarjan's algorithm from `root`, without recursion: numbers the
+    /// components of everything `root` reaches that no earlier call did.
+    fn condense(&mut self, root: usize, arcs: ClosureArcs<'_>) {
+        self.discover(root, arcs);
+        while let Some(&(v, next)) = self.frames.last() {
+            let v = v as usize;
+            if next < self.arc_range[v].1 {
+                self.frames.last_mut().expect("a frame is open").1 += 1;
+                let w = self.arcs[next as usize] as usize;
+                if self.index[w] == UNSEEN {
+                    self.discover(w, arcs);
+                } else if self.comp[w] == UNSEEN {
+                    self.low[v] = self.low[v].min(self.index[w]);
+                }
+                continue;
+            }
+            self.frames.pop();
+            if let Some(&(parent, _)) = self.frames.last() {
+                let parent = parent as usize;
+                self.low[parent] = self.low[parent].min(self.low[v]);
+            }
+            if self.low[v] == self.index[v] {
+                let c = (self.comp_start.len() - 1) as u32;
+                loop {
+                    let w = self.stack.pop().expect("v is on the stack");
+                    self.comp[w as usize] = c;
+                    self.members.push(w);
+                    if w as usize == v {
+                        break;
+                    }
+                }
+                self.comp_start.push(self.members.len() as u32);
+            }
+        }
+    }
+
+    /// Numbers `v`, pushes it and lists its successors.
+    fn discover(&mut self, v: usize, arcs: ClosureArcs<'_>) {
+        let i = self.reached.len() as u32;
+        self.index[v] = i;
+        self.low[v] = i;
+        self.reached.push(v as u32);
+        self.stack.push(v as u32);
+        let start = self.arcs.len() as u32;
+        arcs.successors(v, &mut self.arcs);
+        self.arc_range[v] = (start, self.arcs.len() as u32);
+        self.frames.push((v as u32, start));
+    }
+}
+
+/// Working state of the flip-flop placement legaliser, built once per
+/// [`lac_retiming`] call and reused by every round. Every change to `r`
+/// and `weights` goes through [`Self::record`], which logs it in
+/// `journal`, so [`Self::undo_to`] reverts any suffix of moves in time
+/// proportional to its size.
 struct Legalizer<'a> {
     graph: &'a RetimeGraph,
     ix: &'a LegalizeIndex,
@@ -328,6 +638,8 @@ struct Legalizer<'a> {
     counts: Vec<i64>,
     /// Total flip-flops (the sum of `weights`).
     flops: i64,
+    /// Tabu fingerprint of `r`: `Σ r[x]·ix.keys[x]`, wrapping.
+    hash: u64,
     /// Changes since the last loaded state, oldest first.
     journal: Vec<Change>,
     /// Cluster buffers: `x` is in the cluster being grown iff
@@ -336,6 +648,16 @@ struct Legalizer<'a> {
     epoch: u32,
     members: Vec<usize>,
     stack: Vec<usize>,
+    /// Slide skipping, in `clock` ticks (one per failed slide).
+    /// `failed_at[e]`: when a slide of `e` last failed (0: not this
+    /// round). `chain_stamp[c]`: when `r` last changed at one of chain
+    /// `c`'s readers. `room_stamp[t]`: when tile `t` last went from full to
+    /// having room.
+    clock: u64,
+    failed_at: Vec<u64>,
+    chain_stamp: Vec<u64>,
+    room_stamp: Vec<u64>,
+    sweep: ClosureSweep,
     stats: LegalizeStats,
 }
 
@@ -350,7 +672,8 @@ struct Legalizer<'a> {
 /// * **chain slides** — a flip-flop on a connection chain slides along the
 ///   chain (the route the wire actually takes) into any tile with spare
 ///   capacity; interconnect units have exactly one fanin and fanout, so
-///   the total flip-flop count never changes;
+///   the total flip-flop count never changes. A slide that failed is
+///   skipped until something it reads changes ([`Legalizer::try_slide`]);
 /// * **cluster moves** — when a chain never leaves the overfull tile, the
 ///   flip-flop can only escape by retiming a functional endpoint of its
 ///   connection. A unit retiming of a vertex *set* S (`r(S) ± 1`) moves
@@ -360,30 +683,11 @@ struct Legalizer<'a> {
 ///   endpoint of any flop-less losing edge and of any tight constraint —
 ///   always yields a legal composite move (or swallows the whole graph
 ///   and is abandoned). Single-gate retimings, chain re-staging and
-///   multi-fanin pull-throughs all arise as special cases.
-fn legalize_flop_placement(
-    graph: &RetimeGraph,
-    ix: &LegalizeIndex,
-    caps_ff: &[f64],
-    outcome: &mut RetimingOutcome,
-) {
-    let weights = std::mem::take(&mut outcome.weights);
-    let counts = TileOccupancy::compute(graph, &weights, caps_ff).counts;
-    let mut lg = Legalizer {
-        graph,
-        ix,
-        r: std::mem::take(&mut outcome.retiming),
-        flops: weights.iter().sum(),
-        weights,
-        counts,
-        journal: Vec::new(),
-        stamp: vec![0; graph.num_vertices()],
-        epoch: 0,
-        members: Vec::new(),
-        stack: Vec::new(),
-        stats: LegalizeStats::default(),
-    };
-
+///   multi-fanin pull-throughs all arise as special cases. One
+///   [`ClosureSweep`] per beam state sizes every candidate's closure, so
+///   only moves within the flip-flop budget are grown.
+fn legalize_flop_placement(lg: &mut Legalizer<'_>, outcome: &mut RetimingOutcome) {
+    lg.start(&outcome.retiming, &outcome.weights);
     lg.slide_pass();
 
     // Cluster moves, explored with a small beam search; a flip-flop
@@ -399,18 +703,12 @@ fn legalize_flop_placement(
     let budget = lg.flops + (lg.flops / 20).max(2);
     const BEAM_WIDTH: usize = 4;
     const MAX_DEPTH: usize = 24;
-    // FNV-style fingerprint of the retiming vector, for the tabu set.
-    fn fingerprint(r: &[i64]) -> u64 {
-        r.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
-            (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
     // Membership-only tabu set — never iterated, so hash ordering cannot
     // leak into which states the beam explores. (The frontier itself is
     // kept in order of excess, equal-excess states in the deterministic
     // order they were found.)
     let mut seen = std::collections::HashSet::new();
-    seen.insert(fingerprint(&lg.r));
+    seen.insert(lg.hash);
     let mut best = lg.snapshot();
     let mut beam = vec![best.clone()];
     let mut candidates = Vec::new();
@@ -423,10 +721,11 @@ fn legalize_flop_placement(
             lg.load(state);
             lg.stats.beam_states += 1;
             lg.collect_candidates(&mut candidates);
-            for &(seed, up) in &candidates {
-                if lg.try_cluster_move(seed, up, budget) {
+            lg.sweep_closures(&candidates);
+            for (i, &(seed, up)) in candidates.iter().enumerate() {
+                if lg.try_cluster_move(i, seed, up, budget) {
                     lg.slide_pass();
-                    if seen.insert(fingerprint(&lg.r)) {
+                    if seen.insert(lg.hash) {
                         let excess = lg.total_excess();
                         let at = frontier.partition_point(|s| s.excess <= excess);
                         if at < BEAM_WIDTH {
@@ -449,47 +748,130 @@ fn legalize_flop_placement(
         beam = frontier;
     }
     lg.load(&best);
-    lg.stats.flush();
+    std::mem::take(&mut lg.stats).flush();
 
     outcome.total_flops = lg.flops;
-    outcome.period = graph
+    outcome.period = lg
+        .graph
         .clock_period(&lg.weights)
         .expect("legalised weights stay acyclic on zero-weight subgraph");
-    outcome.retiming = lg.r;
-    outcome.weights = lg.weights;
+    outcome.retiming.copy_from_slice(&lg.r);
+    outcome.weights.copy_from_slice(&lg.weights);
+}
+
+impl<'a> Legalizer<'a> {
+    fn new(graph: &'a RetimeGraph, ix: &'a LegalizeIndex) -> Self {
+        let (n, m) = (graph.num_vertices(), graph.num_edges());
+        Self {
+            graph,
+            ix,
+            r: vec![0; n],
+            weights: vec![0; m],
+            counts: vec![0; ix.cap.len()],
+            flops: 0,
+            hash: 0,
+            journal: Vec::new(),
+            stamp: vec![0; n],
+            epoch: 0,
+            members: Vec::new(),
+            stack: Vec::new(),
+            clock: 0,
+            failed_at: vec![0; m],
+            chain_stamp: vec![0; ix.chain_tiles.rows()],
+            room_stamp: vec![0; ix.cap.len()],
+            sweep: ClosureSweep::new(n),
+            stats: LegalizeStats::default(),
+        }
+    }
+
+    /// Makes `(r, weights)` the current state, with an empty journal, and
+    /// forgets every slide failure seen so far.
+    fn start(&mut self, r: &[i64], weights: &[i64]) {
+        self.r.copy_from_slice(r);
+        self.weights.copy_from_slice(weights);
+        self.counts.fill(0);
+        for (&w, t) in weights.iter().zip(&self.ix.charged) {
+            if let Some(t) = *t {
+                self.counts[t] += w;
+            }
+        }
+        self.flops = weights.iter().sum();
+        self.hash = r.iter().zip(&self.ix.keys).fold(0u64, |h, (&x, &k)| {
+            h.wrapping_add((x as u64).wrapping_mul(k))
+        });
+        self.journal.clear();
+        self.failed_at.fill(0);
+    }
 }
 
 impl Legalizer<'_> {
-    /// `r[x] += d`, journalled.
+    /// Applies `change` and journals it.
+    fn record(&mut self, change: Change) {
+        self.apply(change, 1);
+        self.journal.push(change);
+    }
+
+    /// `r[x] += d`, journalled, marking the chains that read `r[x]`.
     fn shift_lag(&mut self, x: usize, d: i64) {
-        self.apply(Change::Lag(x, d), 1);
-        self.journal.push(Change::Lag(x, d));
+        self.record(Change::Lag(x, d));
+        self.touch(x);
     }
 
-    /// `weights[e] += d`, journalled.
+    /// `weights[e] += d`, journalled. An edge's weight moves only with the
+    /// lags at its ends, so the lag shifts mark the chains it matters to.
     fn add_weight(&mut self, e: usize, d: i64) {
-        self.apply(Change::Weight(e, d), 1);
+        self.record(Change::Weight(e, d));
         debug_assert!(self.weights[e] >= 0, "moves keep every edge weight legal");
-        self.journal.push(Change::Weight(e, d));
     }
 
-    /// Applies `change` (`sign = 1`) or reverts it (`sign = -1`).
+    /// Applies `change` (`sign = 1`) or reverts it (`sign = -1`), keeping
+    /// the fingerprint in step and stamping a tile that gains room.
     fn apply(&mut self, change: Change, sign: i64) {
         match change {
-            Change::Lag(x, d) => self.r[x] += sign * d,
+            Change::Lag(x, d) => {
+                self.r[x] += sign * d;
+                let key = self.ix.keys[x];
+                self.hash = self
+                    .hash
+                    .wrapping_add(((sign * d) as u64).wrapping_mul(key));
+            }
             Change::Weight(e, d) => {
                 self.weights[e] += sign * d;
                 self.flops += sign * d;
                 if let Some(t) = self.ix.charged[e] {
+                    let (cap, was) = (self.ix.cap[t], self.counts[t]);
                     self.counts[t] += sign * d;
+                    if was >= cap && self.counts[t] < cap {
+                        self.room_stamp[t] = self.clock;
+                    }
                 }
             }
         }
     }
 
+    /// Marks every chain whose slides read `r[x]` as changed.
+    fn touch(&mut self, x: usize) {
+        let ix = self.ix;
+        for &c in ix.readers.row(x) {
+            self.chain_stamp[c as usize] = self.clock;
+        }
+    }
+
     /// Reverts the journal, newest change first, until `mark` changes
-    /// remain.
+    /// remain, marking the chains that read each reverted lag.
     fn undo_to(&mut self, mark: usize) {
+        while self.journal.len() > mark {
+            let change = self.journal.pop().expect("journal is longer than mark");
+            self.apply(change, -1);
+            if let Change::Lag(x, _) = change {
+                self.touch(x);
+            }
+        }
+    }
+
+    /// [`Self::undo_to`] for a failed slide walk, which marks nothing: the
+    /// walk leaves no net change, and no tile gains room on the way.
+    fn unwind_to(&mut self, mark: usize) {
         while self.journal.len() > mark {
             let change = self.journal.pop().expect("journal is longer than mark");
             self.apply(change, -1);
@@ -503,15 +885,29 @@ impl Legalizer<'_> {
             weights: self.weights.clone(),
             counts: self.counts.clone(),
             flops: self.flops,
+            hash: self.hash,
         }
     }
 
-    /// Makes `state` the current state, with an empty journal.
+    /// Makes `state` the current state, with an empty journal, marking only
+    /// the lags and tiles that differ from the state it replaces.
     fn load(&mut self, state: &State) {
-        self.r.copy_from_slice(&state.r);
+        let ix = self.ix;
+        for x in 0..self.r.len() {
+            if self.r[x] != state.r[x] {
+                self.r[x] = state.r[x];
+                self.touch(x);
+            }
+        }
         self.weights.copy_from_slice(&state.weights);
-        self.counts.copy_from_slice(&state.counts);
+        for (t, (cur, &new)) in self.counts.iter_mut().zip(&state.counts).enumerate() {
+            if *cur >= ix.cap[t] && new < ix.cap[t] {
+                self.room_stamp[t] = self.clock;
+            }
+            *cur = new;
+        }
         self.flops = state.flops;
+        self.hash = state.hash;
         self.journal.clear();
     }
 
@@ -543,14 +939,13 @@ impl Legalizer<'_> {
         head
     }
 
-    /// Cluster-move seeds, sorted and deduplicated, at most 64: the two
-    /// endpoints of every connection holding a flip-flop charged to an
-    /// overfull tile. Retiming the source side up (a cluster grown from
-    /// it) frees the flip-flop backwards onto the source's fanins;
-    /// retiming the sink side down pulls it forwards onto the sink's
-    /// fanouts.
+    /// Cluster-move seeds, sorted and deduplicated, at most
+    /// [`MAX_CANDIDATES`]: the two endpoints of every connection holding a
+    /// flip-flop charged to an overfull tile. Retiming the source side up
+    /// (a cluster grown from it) frees the flip-flop backwards onto the
+    /// source's fanins; retiming the sink side down pulls it forwards onto
+    /// the sink's fanouts.
     fn collect_candidates(&self, out: &mut Vec<(usize, bool)>) {
-        const MAX_CANDIDATES: usize = 64;
         out.clear();
         for (t, edges) in self.ix.tile_edges.iter().enumerate() {
             if self.counts[t] <= self.ix.cap[t] {
@@ -566,6 +961,18 @@ impl Legalizer<'_> {
         out.sort_unstable();
         out.dedup();
         out.truncate(MAX_CANDIDATES);
+    }
+
+    /// Sizes every candidate's closure at the current state.
+    fn sweep_closures(&mut self, candidates: &[(usize, bool)]) {
+        let arcs = ClosureArcs {
+            graph: self.graph,
+            ix: self.ix,
+            r: &self.r,
+            weights: &self.weights,
+            increment: true,
+        };
+        self.sweep.run(arcs, candidates);
     }
 
     /// Grows the closure of `{seed}` for a legal unit retiming of a whole
@@ -632,17 +1039,19 @@ impl Legalizer<'_> {
         }
     }
 
-    /// Grows a cluster from `seed` and applies its unit retiming unless it
-    /// would exceed the flip-flop `budget`. `true` iff applied.
-    fn try_cluster_move(&mut self, seed: usize, increment: bool, budget: i64) -> bool {
-        self.stats.cluster_tries += 1;
+    /// The reference for a [`ClosureSweep`] verdict: grows the closure of
+    /// `seed` alone and counts the flip-flops crossing its boundary.
+    /// `None` if it swallows the graph, else its size and the change in
+    /// total flip-flops its unit retiming would make.
+    #[cfg(any(test, debug_assertions))]
+    fn grown_verdict(&mut self, seed: usize, increment: bool) -> Option<(usize, i64)> {
         if !self.grow_cluster(seed, increment) {
-            return false;
+            return None;
         }
         let graph = self.graph;
         let d: i64 = if increment { 1 } else { -1 };
-        // Only the boundary edges change: an out-edge leaving S loses d
-        // flip-flops, an in-edge entering S gains d.
+        // An out-edge leaving S loses d flip-flops, an in-edge entering S
+        // gains d.
         let mut flop_delta = 0i64;
         for &x in &self.members {
             let v = VertexId(x as u32);
@@ -657,9 +1066,36 @@ impl Legalizer<'_> {
                 }
             }
         }
-        if self.flops + flop_delta > budget {
+        Some((self.members.len(), flop_delta))
+    }
+
+    /// Applies the unit retiming of `candidate`'s closure (grown from
+    /// `seed`) unless the sweep found that it swallows the graph or would
+    /// exceed the flip-flop `budget`. `true` iff applied.
+    fn try_cluster_move(
+        &mut self,
+        candidate: usize,
+        seed: usize,
+        increment: bool,
+        budget: i64,
+    ) -> bool {
+        self.stats.cluster_tries += 1;
+        let d: i64 = if increment { 1 } else { -1 };
+        let (size, flow) = self.sweep.verdicts[candidate];
+        let swallowed = size == self.graph.num_vertices();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.grown_verdict(seed, increment),
+            (!swallowed).then_some((size, d * flow)),
+            "closure sweep verdict for seed {seed} (increment: {increment})"
+        );
+        if swallowed || self.flops + d * flow > budget {
             return false;
         }
+        self.grow_cluster(seed, increment);
+        let graph = self.graph;
+        // Only the boundary edges change: an out-edge leaving S loses d
+        // flip-flops, an in-edge entering S gains d.
         for i in 0..self.members.len() {
             let x = self.members[i];
             let v = VertexId(x as u32);
@@ -693,7 +1129,7 @@ impl Legalizer<'_> {
                         if self.counts[t] <= ix.cap[t] {
                             break;
                         }
-                        if self.weights[e.index()] > 0 && self.slide_flop(e, t) {
+                        if self.weights[e.index()] > 0 && self.try_slide(e, t) {
                             moved = true;
                         }
                     }
@@ -709,14 +1145,68 @@ impl Legalizer<'_> {
         }
     }
 
+    /// Offers the flip-flops on `e` (charged to overfull tile `from_tile`)
+    /// a slide; `true` iff one moved. Besides `weights[e] > 0`, a slide
+    /// reads only `r` at its chain's [`LegalizeIndex::readers`] (the
+    /// chain's ends among them, so they also fix its weights) and whether
+    /// each of the chain's other tiles has room: the walk carries one
+    /// flip-flop, so it lands in a tile exactly when that tile had room
+    /// before. A slide that failed therefore fails again until one of
+    /// those changes, and is skipped until then.
+    fn try_slide(&mut self, e: EdgeId, from_tile: usize) -> bool {
+        if self.slide_must_fail(e) {
+            self.stats.slide_skips += 1;
+            // Debug builds replay the skipped slide: it must fail, which
+            // leaves the state as it was.
+            #[cfg(debug_assertions)]
+            assert!(
+                !self.slide_flop(e, from_tile),
+                "skipped slide of edge {} succeeds",
+                e.index()
+            );
+            return false;
+        }
+        self.stats.slide_tries += 1;
+        let mark = self.journal.len();
+        if !self.slide_flop(e, from_tile) {
+            self.clock += 1;
+            self.failed_at[e.index()] = self.clock;
+            return false;
+        }
+        self.stats.slides += 1;
+        for i in mark..self.journal.len() {
+            if let Change::Lag(x, _) = self.journal[i] {
+                self.touch(x);
+            }
+        }
+        true
+    }
+
+    /// Whether a slide of `e` failed and nothing it reads has changed
+    /// since. Its own tile is never a landing spot, so only the chain's
+    /// other tiles count.
+    fn slide_must_fail(&self, e: EdgeId) -> bool {
+        let (failed, c) = (
+            self.failed_at[e.index()],
+            self.ix.chain_of[e.index()] as usize,
+        );
+        let own = self.ix.charged[e.index()];
+        failed > self.chain_stamp[c]
+            && self
+                .ix
+                .chain_tiles
+                .row(c)
+                .iter()
+                .all(|&t| Some(t) == own || failed > self.room_stamp[t])
+    }
+
     /// Tries to move one flip-flop off edge `e` (charged to overfull tile
     /// `from_tile`) by sliding it downstream, then upstream, along its
     /// connection chain until it lands in a tile with spare capacity; an
     /// untiled chain unit charges no tile and is no landing spot. Applies
-    /// the move and returns `true` on success; leaves all state untouched
-    /// and returns `false` otherwise.
+    /// and journals the move, unmarked, and returns `true` on success;
+    /// leaves all state untouched and returns `false` otherwise.
     fn slide_flop(&mut self, e: EdgeId, from_tile: usize) -> bool {
-        self.stats.slide_tries += 1;
         let (graph, ix) = (self.graph, self.ix);
         let mark = self.journal.len();
         // Downstream: repeatedly decrement the head of the flop's edge.
@@ -729,16 +1219,15 @@ impl Legalizer<'_> {
             if self.weights[cur.index()] < 1 || !ix.cons.can_decrement(&self.r, x) {
                 break;
             }
-            self.shift_lag(x, -1);
-            self.add_weight(cur.index(), -1);
-            self.add_weight(eout.index(), 1);
+            self.record(Change::Lag(x, -1));
+            self.record(Change::Weight(cur.index(), -1));
+            self.record(Change::Weight(eout.index(), 1));
             if self.lands(eout, from_tile) {
-                self.stats.slides += 1;
                 return true;
             }
             cur = eout;
         }
-        self.undo_to(mark);
+        self.unwind_to(mark);
 
         // Upstream: repeatedly increment the tail of the flop's edge.
         let mut cur = e;
@@ -750,16 +1239,15 @@ impl Legalizer<'_> {
             if self.weights[cur.index()] < 1 || !ix.cons.can_increment(&self.r, x) {
                 break;
             }
-            self.shift_lag(x, 1);
-            self.add_weight(cur.index(), -1);
-            self.add_weight(ein.index(), 1);
+            self.record(Change::Lag(x, 1));
+            self.record(Change::Weight(cur.index(), -1));
+            self.record(Change::Weight(ein.index(), 1));
             if self.lands(ein, from_tile) {
-                self.stats.slides += 1;
                 return true;
             }
             cur = ein;
         }
-        self.undo_to(mark);
+        self.unwind_to(mark);
         false
     }
 
@@ -808,6 +1296,7 @@ pub fn lac_retiming(
     let mut all_cons = edge_constraints(graph);
     all_cons.extend(period_constraints.constraints.iter().copied());
     let legalize_index = LegalizeIndex::new(graph, &all_cons, caps_ff);
+    let mut legalizer = Legalizer::new(graph, &legalize_index);
     let mut tile_weight = vec![1.0f64; num_tiles];
     let mut best: Option<LacResult> = None;
     let mut history = Vec::new();
@@ -873,7 +1362,7 @@ pub fn lac_retiming(
         // Flip-flop placement repair: the weighted solve lands on an
         // extreme point; slide residual excess flops along their
         // connection chains into tiles with spare capacity.
-        legalize_flop_placement(graph, &legalize_index, caps_ff, &mut outcome);
+        legalize_flop_placement(&mut legalizer, &mut outcome);
         let occupancy = TileOccupancy::compute(graph, &outcome.weights, caps_ff);
         let n_foa = occupancy.total_violations();
         history.push(n_foa);
@@ -1135,5 +1624,139 @@ mod tests {
         let legal = lac_retiming(&g, &pc, &caps, &LacConfig::default()).unwrap();
         let squeezed = lac_retiming(&g, &pc, &[0.0, 0.0], &LacConfig::default()).unwrap();
         assert!(legal.score_key() < squeezed.score_key());
+    }
+
+    /// Chain `a → i1 → b` and chain `c → i2 → d`, through interconnect
+    /// units `i1` (tile 1) and `i2` (tile 2), plus a lone vertex `p`.
+    /// Tile 0 holds `a`'s flip-flop, whose only slide lands in tile 1, and
+    /// tile 1 holds `c`'s. Returns the graph and the edges `a → i1`,
+    /// `c → i2`, `i2 → d`.
+    fn two_chains() -> (RetimeGraph, [usize; 3]) {
+        let mut g = RetimeGraph::new();
+        let mut unit = |kind, tile| g.add_vertex(kind, 1, 1.0, Some(tile));
+        let a = unit(VertexKind::Functional, 0);
+        let i1 = unit(VertexKind::Interconnect, 1);
+        let b = unit(VertexKind::Functional, 1);
+        let c = unit(VertexKind::Functional, 1);
+        let i2 = unit(VertexKind::Interconnect, 2);
+        let d = unit(VertexKind::Functional, 2);
+        unit(VertexKind::Functional, 2); // p
+        let a_i1 = g.add_edge(a, i1, 1);
+        g.add_edge(i1, b, 0);
+        let c_i2 = g.add_edge(c, i2, 1);
+        let i2_d = g.add_edge(i2, d, 0);
+        (g, [a_i1.index(), c_i2.index(), i2_d.index()])
+    }
+
+    const I1: usize = 1;
+    const I2: usize = 4;
+    const P: usize = 6;
+
+    fn slide_stats(lg: &Legalizer<'_>) -> (u64, u64, u64) {
+        (lg.stats.slide_tries, lg.stats.slide_skips, lg.stats.slides)
+    }
+
+    #[test]
+    fn a_slide_blocked_by_a_full_tile_is_retried_once_that_tile_has_room() {
+        let (g, [_, c_i2, i2_d]) = two_chains();
+        let ix = LegalizeIndex::new(&g, &edge_constraints(&g), &[0.0, 1.0, 5.0]);
+        let mut lg = Legalizer::new(&g, &ix);
+        lg.start(&[0; 7], &g.weights());
+        lg.slide_pass();
+        assert_eq!(slide_stats(&lg), (1, 0, 0), "tile 1 is full");
+        lg.slide_pass();
+        assert_eq!(slide_stats(&lg), (1, 1, 0), "nothing changed: skipped");
+        // A move on the other chain: c's flip-flop steps past i2 into
+        // tile 2. Nothing chain a → i1 → b reads changes except tile 1's
+        // room.
+        lg.shift_lag(I2, -1);
+        lg.add_weight(c_i2, -1);
+        lg.add_weight(i2_d, 1);
+        assert_eq!(lg.counts, [1, 0, 1]);
+        lg.slide_pass();
+        assert_eq!(slide_stats(&lg), (2, 1, 1), "retried once tile 1 has room");
+        assert_eq!(lg.counts, [0, 1, 1]);
+    }
+
+    #[test]
+    fn a_slide_blocked_by_a_constraint_is_retried_once_its_partner_moves() {
+        let (g, _) = two_chains();
+        // r(p) − r(i1) ≤ 0 forbids sliding a's flip-flop past i1 until p
+        // moves down.
+        let mut cons = edge_constraints(&g);
+        cons.push(Constraint::new(P, I1, 0));
+        let ix = LegalizeIndex::new(&g, &cons, &[0.0, 5.0, 5.0]);
+        let mut lg = Legalizer::new(&g, &ix);
+        lg.start(&[0; 7], &g.weights());
+        lg.slide_pass();
+        lg.slide_pass();
+        assert_eq!(slide_stats(&lg), (1, 1, 0));
+        lg.shift_lag(P, -1);
+        lg.slide_pass();
+        assert_eq!(slide_stats(&lg), (2, 1, 1), "retried once p moved");
+        assert_eq!(lg.counts, [0, 2, 0]);
+    }
+
+    #[test]
+    fn closure_sweep_verdicts_match_individual_grows() {
+        let (mut swallowed, mut over, mut within, mut full_lists) = (0, 0, 0, 0);
+        for case in 0..300u64 {
+            let mut rng = Rng::seed_from_u64(0x5eed_c105 ^ case);
+            let n = rng.gen_range(2..=48usize);
+            let mut g = RetimeGraph::new();
+            for _ in 0..n {
+                let kind = if rng.gen_bool(0.3) {
+                    VertexKind::Interconnect
+                } else {
+                    VertexKind::Functional
+                };
+                g.add_vertex(kind, 1, 1.0, Some(rng.gen_range(0..2)));
+            }
+            let vertex = |rng: &mut Rng| VertexId(rng.gen_range(0..n) as u32);
+            for _ in 0..rng.gen_range(n..=3 * n) {
+                let (u, v) = (vertex(&mut rng), vertex(&mut rng));
+                g.add_edge(u, v, rng.gen_range(0..3));
+            }
+            let r: Vec<i64> = (0..n).map(|_| rng.gen_range(-2..=2)).collect();
+            let weights: Vec<i64> = (0..g.num_edges()).map(|_| rng.gen_range(0..3)).collect();
+            // Edge constraints plus extra ones, about half tight at `r`.
+            let mut cons = edge_constraints(&g);
+            for _ in 0..rng.gen_range(0..=n) {
+                let (u, v) = (vertex(&mut rng).index(), vertex(&mut rng).index());
+                cons.push(Constraint::new(u, v, r[u] - r[v] + rng.gen_range(0..2i64)));
+            }
+            let ix = LegalizeIndex::new(&g, &cons, &[1.0, 1.0]);
+            let mut lg = Legalizer::new(&g, &ix);
+            lg.start(&r, &weights);
+            let mut candidates: Vec<(usize, bool)> = (0..rng.gen_range(1..=150))
+                .map(|_| (vertex(&mut rng).index(), rng.gen_bool(0.5)))
+                .collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            candidates.truncate(MAX_CANDIDATES);
+            full_lists += usize::from(candidates.len() == MAX_CANDIDATES);
+            lg.sweep_closures(&candidates);
+            for (i, &(seed, up)) in candidates.iter().enumerate() {
+                let (size, flow) = lg.sweep.verdicts[i];
+                let d = if up { 1 } else { -1 };
+                let verdict = (size < n).then_some((size, d * flow));
+                assert_eq!(
+                    lg.grown_verdict(seed, up),
+                    verdict,
+                    "case {case}: candidate {i} ({seed}, {up})"
+                );
+                // Against a budget at the current total: a move that adds
+                // flip-flops is over it.
+                match verdict {
+                    None => swallowed += 1,
+                    Some((_, delta)) if delta > 0 => over += 1,
+                    Some(_) => within += 1,
+                }
+            }
+        }
+        assert!(
+            swallowed > 0 && over > 0 && within > 0 && full_lists > 0,
+            "{swallowed} swallowed, {over} over budget, {within} within, {full_lists} full lists"
+        );
     }
 }

@@ -225,7 +225,13 @@ fn s526_lac_result_is_pinned() {
 
 #[test]
 fn legaliser_counters_are_recorded_and_consistent() {
-    let (_, _, report) = lacr::obs::run_captured(plan_s526_lac);
+    // The global collector also sees the plans of tests running beside
+    // this one, so exact counts come from a scope on this thread.
+    let scope = lacr::obs::scope::Scope::new("s526");
+    let (_, _, report) = lacr::obs::run_captured(|| {
+        let _attached = scope.attach();
+        plan_s526_lac()
+    });
     let count = |name: &str| report.counters.get(name).copied().unwrap_or(0);
     for name in [
         "lac.beam_states",
@@ -233,10 +239,19 @@ fn legaliser_counters_are_recorded_and_consistent() {
         "lac.cluster_moves",
         "lac.tabu_hits",
         "lac.slide_tries",
+        "lac.slide_skips",
         "lac.slides",
     ] {
         assert!(count(name) > 0, "{name} = {}", count(name));
     }
     assert!(count("lac.cluster_moves") <= count("lac.cluster_tries"));
     assert!(count("lac.slides") <= count("lac.slide_tries"));
+
+    let report = scope.report();
+    let exact = |name: &str| report.counter(name).unwrap_or(0);
+    // A skipped slide is one that must fail, so skipping changes no
+    // decision: tries plus skips equal the slides attempted when every
+    // slide was tried, and the closure sweep decides the same candidates.
+    assert_eq!(exact("lac.slide_tries") + exact("lac.slide_skips"), 8_315);
+    assert_eq!(exact("lac.cluster_tries"), 660);
 }
