@@ -2,7 +2,7 @@
 //! (one full Table-1 cell: physical plan plus both retimers) on the
 //! smallest benchmark circuit.
 
-use lacr_core::planner::{build_physical_plan, plan_retimings};
+use lacr_core::planner::{try_build_physical_plan, try_plan_retimings};
 use lacr_netlist::bench89;
 use lacr_prng::bench::Harness;
 
@@ -13,11 +13,11 @@ fn bench_planning(c: &mut Harness) {
     let mut g = c.benchmark_group("planning_s344");
     g.sample_size(10);
     g.bench_function("physical_plan", |b| {
-        b.iter(|| build_physical_plan(&circuit, &config, &[]))
+        b.iter(|| try_build_physical_plan(&circuit, &config, &[]).expect("plan builds"))
     });
-    let plan = build_physical_plan(&circuit, &config, &[]);
+    let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
     g.bench_function("both_retimers", |b| {
-        b.iter(|| plan_retimings(&plan, &config).expect("feasible"))
+        b.iter(|| try_plan_retimings(&plan, &config).expect("feasible"))
     });
     g.finish();
 }

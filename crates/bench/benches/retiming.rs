@@ -5,18 +5,18 @@
 //! beam search.
 
 use lacr_core::lac::{lac_retiming, LacConfig};
-use lacr_core::planner::{build_physical_plan, plan_constraints};
+use lacr_core::planner::{plan_constraints, try_build_physical_plan};
 use lacr_netlist::bench89;
 use lacr_prng::bench::Harness;
 use lacr_retime::{
-    generate_period_constraints, min_period_retiming, weighted_min_area_retiming, WdSubstrate,
+    generate_period_constraints, try_min_period_retiming, weighted_min_area_retiming, WdSubstrate,
 };
 
 fn bench_retiming(c: &mut Harness) {
     let config = lacr_bench::quick_planner();
     let circuit = bench89::generate("s344").expect("known circuit");
-    let plan = build_physical_plan(&circuit, &config, &[]);
-    let pc = plan_constraints(&plan);
+    let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
+    let pc = plan_constraints(&plan, plan.t_clk).expect("path delay accumulation overflowed u64");
     let graph = &plan.expanded.graph;
     let areas: Vec<f64> = graph.vertex_ids().map(|v| graph.area(v)).collect();
 
@@ -31,7 +31,9 @@ fn bench_retiming(c: &mut Harness) {
     g.bench_function("constraint_reemission_from_substrate", |b| {
         b.iter(|| substrate.constraints_for(plan.t_clk))
     });
-    g.bench_function("min_period", |b| b.iter(|| min_period_retiming(graph)));
+    g.bench_function("min_period", |b| {
+        b.iter(|| try_min_period_retiming(graph, 0).unwrap())
+    });
     g.bench_function("min_area_single_solve", |b| {
         b.iter(|| weighted_min_area_retiming(graph, &pc, &areas).expect("feasible"))
     });
@@ -50,8 +52,8 @@ fn bench_retiming(c: &mut Harness) {
 fn bench_legaliser(c: &mut Harness) {
     let config = lacr_bench::experiment_planner();
     let circuit = bench89::generate("s526").expect("known circuit");
-    let plan = build_physical_plan(&circuit, &config, &[]);
-    let pc = plan_constraints(&plan);
+    let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
+    let pc = plan_constraints(&plan, plan.t_clk).expect("path delay accumulation overflowed u64");
     let graph = &plan.expanded.graph;
 
     let mut g = c.benchmark_group("retiming_s526");

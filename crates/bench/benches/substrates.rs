@@ -11,8 +11,8 @@ use lacr_netlist::bench89;
 use lacr_partition::{partition, PartitionConfig};
 use lacr_prng::bench::Harness;
 use lacr_prng::Rng;
-use lacr_repeater::insert_repeaters;
-use lacr_route::{route, NetPins, RouteConfig};
+use lacr_repeater::try_insert_repeaters;
+use lacr_route::{try_route, NetPins, RouteConfig};
 use lacr_timing::Technology;
 
 fn bench_flow(c: &mut Harness) {
@@ -94,7 +94,7 @@ fn bench_route(c: &mut Harness) {
         })
         .collect();
     c.bench_function("route_200nets_16x16", |b| {
-        b.iter(|| route(nx, ny, &nets, &RouteConfig::default()))
+        b.iter(|| try_route(nx, ny, &nets, &RouteConfig::default()).unwrap())
     });
 }
 
@@ -110,7 +110,7 @@ fn bench_repeater(c: &mut Harness) {
     c.bench_function("repeater_dp_32cell_path", |b| {
         b.iter(|| {
             let mut ledger = CapacityLedger::new(&grid);
-            insert_repeaters(&path, &grid, &mut ledger, &tech)
+            try_insert_repeaters(&path, &grid, &mut ledger, &tech).unwrap()
         })
     });
 }

@@ -10,7 +10,7 @@
 //! Each spec generates a deterministic abstract netlist
 //! ([`lacr_prng::synth`]), lowers it to a host-free [`RetimeGraph`], and
 //! runs the full retiming stack under the default (unlimited)
-//! [`Budget`]: unretimed period, `min_period_retiming`, pruned
+//! [`Budget`]: unretimed period, `try_min_period_retiming`, pruned
 //! constraint generation at the optimum, and one
 //! `weighted_min_area_retiming` solve. Per-circuit wall times for every
 //! stage land in `BENCH_scale.json` alongside a `quality` block
@@ -64,8 +64,7 @@ fn lower(net: &SynthNetlist) -> RetimeGraph {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut args);
-    obs.install();
+    lacr_bench::ObsOptions::install_from_args(&mut args);
     if !lacr_obs::is_enabled() {
         lacr_obs::init(Box::new(lacr_obs::NullSink));
     }
@@ -117,7 +116,7 @@ fn main() {
         let gen_s = t_gen.elapsed().as_secs_f64();
         let started = Instant::now();
         let t_init = graph
-            .clock_period(&graph.weights())
+            .try_clock_period(&graph.weights())
             .expect("synthetic netlists never have combinational cycles");
         let t_mp = Instant::now();
         let mp = try_min_period_retiming(&graph, 0).expect("synthetic netlists retime cleanly");

@@ -13,14 +13,13 @@
 //! cargo run --release -p lacr-bench --bin constraint_pruning [circuit ...]
 //! ```
 
-use lacr_core::planner::build_physical_plan;
+use lacr_core::planner::try_build_physical_plan;
 use lacr_retime::{generate_period_constraints, weighted_min_area_retiming, WdSubstrate};
 use std::time::Instant;
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    lacr_bench::ObsOptions::install_from_args(&mut circuits);
     if circuits.is_empty() {
         circuits = vec!["s641".into(), "s953".into(), "s1196".into()];
     }
@@ -37,7 +36,7 @@ fn main() {
                 continue;
             }
         };
-        let plan = build_physical_plan(&circuit, &config, &[]);
+        let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
         let graph = &plan.expanded.graph;
         let areas: Vec<f64> = graph.vertex_ids().map(|v| graph.area(v)).collect();
         let t0 = Instant::now();

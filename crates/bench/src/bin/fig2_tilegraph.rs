@@ -9,14 +9,13 @@
 //! cargo run --release -p lacr-bench --bin fig2_tilegraph [circuit]
 //! ```
 
-use lacr_core::planner::{build_physical_plan, plan_retimings};
+use lacr_core::planner::{try_build_physical_plan, try_plan_retimings};
 use lacr_core::render::{congestion_ascii, tile_ascii, tile_ascii_legend, tile_svg};
 use std::fs;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut args);
-    obs.install();
+    lacr_bench::ObsOptions::install_from_args(&mut args);
     let circuit_name = args.first().cloned().unwrap_or_else(|| "s953".to_string());
     let config = lacr_bench::experiment_planner();
     let circuit = match lacr_netlist::bench89::generate(&circuit_name) {
@@ -26,7 +25,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let plan = build_physical_plan(&circuit, &config, &[]);
+    let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
     println!(
         "{}: chip {:.1} x {:.1} mm, {} x {} cells, {} tiles ({} merged soft)",
         circuit_name,
@@ -42,7 +41,7 @@ fn main() {
     println!("\nrouting congestion (worst adjacent edge / capacity):");
     println!("{}", congestion_ascii(&plan, config.route.edge_capacity));
 
-    let report = match plan_retimings(&plan, &config) {
+    let report = match try_plan_retimings(&plan, &config) {
         Ok(r) => r,
         Err(e) => {
             lacr_obs::diag!("retiming failed: {e}");

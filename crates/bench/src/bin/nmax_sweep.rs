@@ -10,13 +10,12 @@
 //! ```
 
 use lacr_core::lac::{lac_retiming, LacConfig};
-use lacr_core::planner::{build_physical_plan, plan_constraints};
+use lacr_core::planner::{plan_constraints, try_build_physical_plan};
 use std::time::Instant;
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    lacr_bench::ObsOptions::install_from_args(&mut circuits);
     if circuits.is_empty() {
         circuits = vec!["s1196".into(), "s1269".into()];
     }
@@ -34,8 +33,9 @@ fn main() {
                 continue;
             }
         };
-        let plan = build_physical_plan(&circuit, &config, &[]);
-        let pc = plan_constraints(&plan);
+        let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
+        let pc =
+            plan_constraints(&plan, plan.t_clk).expect("path delay accumulation overflowed u64");
         for &n_max in &patience {
             let lac_cfg = LacConfig {
                 n_max,

@@ -11,13 +11,12 @@
 //! cargo run --release -p lacr-bench --bin sharing [circuit ...]
 //! ```
 
-use lacr_core::planner::{build_physical_plan, plan_constraints};
+use lacr_core::planner::{plan_constraints, try_build_physical_plan};
 use lacr_retime::{shared_min_area_retiming, shared_register_count, weighted_min_area_retiming};
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    lacr_bench::ObsOptions::install_from_args(&mut circuits);
     if circuits.is_empty() {
         circuits = vec!["s344".into(), "s641".into(), "s953".into()];
     }
@@ -34,8 +33,9 @@ fn main() {
                 continue;
             }
         };
-        let plan = build_physical_plan(&circuit, &config, &[]);
-        let pc = plan_constraints(&plan);
+        let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
+        let pc =
+            plan_constraints(&plan, plan.t_clk).expect("path delay accumulation overflowed u64");
         let graph = &plan.expanded.graph;
         let areas: Vec<f64> = graph.vertex_ids().map(|v| graph.area(v)).collect();
         let sum_opt = match weighted_min_area_retiming(graph, &pc, &areas) {

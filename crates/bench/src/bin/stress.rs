@@ -12,13 +12,12 @@
 
 use lacr_bench::{write_bench_record, ObsOptions};
 use lacr_core::lac::LacConfig;
-use lacr_core::planner::{build_physical_plan, plan_retimings, PlannerConfig};
+use lacr_core::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
 use std::time::Instant;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = ObsOptions::from_args(&mut args);
-    obs.install();
+    ObsOptions::install_from_args(&mut args);
     let name = args.first().cloned().unwrap_or_else(|| "s5378".into());
     let config = PlannerConfig {
         t_min_tolerance_frac: 0.02,
@@ -42,7 +41,7 @@ fn main() {
         circuit.num_flops()
     );
     let t0 = Instant::now();
-    let plan = build_physical_plan(&circuit, &config, &[]);
+    let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
     let plan_s = t0.elapsed().as_secs_f64();
     println!(
         "physical plan in {:?}: V={} E={} wires={} repeaters={}",
@@ -60,7 +59,7 @@ fn main() {
     );
     let t1 = Instant::now();
     let mut retime_fields = String::new();
-    match plan_retimings(&plan, &config) {
+    match try_plan_retimings(&plan, &config) {
         Ok(report) => {
             println!(
                 "retimings in {:?}: baseline N_FOA {} | LAC N_FOA {} (N_wr {}, N_F {}, N_FN {})",

@@ -16,12 +16,11 @@
 //! ```
 
 use lacr_core::expand::ExpandOptions;
-use lacr_core::planner::{build_physical_plan, plan_retimings, PlannerConfig};
+use lacr_core::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
 
 fn main() {
     let mut circuits: Vec<String> = std::env::args().skip(1).collect();
-    let obs = lacr_bench::ObsOptions::from_args(&mut circuits);
-    obs.install();
+    lacr_bench::ObsOptions::install_from_args(&mut circuits);
     if circuits.is_empty() {
         circuits = vec!["s953".into(), "s1196".into()];
     }
@@ -47,8 +46,8 @@ fn main() {
                 },
                 ..base.clone()
             };
-            let plan = build_physical_plan(&circuit, &config, &[]);
-            match plan_retimings(&plan, &config) {
+            let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
+            match try_plan_retimings(&plan, &config) {
                 Ok(report) => println!(
                     "{name:<8} {subs:>5} {:>12} | {:>8} {:>9.2} {:>9.2} | {:>6} {:>6}",
                     if conservative {

@@ -22,8 +22,7 @@ use std::time::Instant;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = ObsOptions::from_args(&mut args);
-    obs.install();
+    ObsOptions::install_from_args(&mut args);
     if !lacr_obs::is_enabled() {
         // No sink requested: aggregate quietly so the RUN record still
         // gets its quality blocks.

@@ -37,13 +37,14 @@ use lacr_core::experiment::TableRow;
 use lacr_core::planner::PlannerConfig;
 use std::io::Write as _;
 
-/// Observability flags shared by every artifact binary: `--quiet`
-/// silences the `[lacr]` stderr diagnostics, `--trace` streams spans to
-/// stderr, `--metrics-out <path>` writes the full JSONL record stream,
-/// `--trace-chrome <path>` writes a Chrome trace-event JSON file,
-/// `--threads <n>` caps the parallel-region worker pool (results are
-/// bit-identical at any thread count), `--flight-recorder-out <path>`
-/// arms the always-on flight recorder to dump its postmortem there.
+/// Observability flags shared by the `lacr` CLI and every artifact
+/// binary: `--quiet` silences the `[lacr]` stderr diagnostics, `--trace`
+/// streams spans to stderr, `--metrics-out <path>` writes the full JSONL
+/// record stream, `--trace-chrome <path>` writes a Chrome trace-event
+/// JSON file, `--threads <n>` caps the parallel-region worker pool
+/// (results are bit-identical at any thread count),
+/// `--flight-recorder-out <path>` arms the always-on flight recorder to
+/// dump its postmortem there.
 #[derive(Debug, Default)]
 pub struct ObsOptions {
     /// Suppress `[lacr]` diagnostics on stderr.
@@ -63,26 +64,38 @@ pub struct ObsOptions {
 
 impl ObsOptions {
     /// Extracts the observability flags from `args`, removing them so
-    /// only the binary's own positional arguments remain.
-    pub fn from_args(args: &mut Vec<String>) -> Self {
+    /// only the caller's own arguments remain.
+    ///
+    /// # Errors
+    ///
+    /// A usage message when a path flag has no value or `--threads` is
+    /// not a positive integer.
+    pub fn from_args(args: &mut Vec<String>) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut rest = Vec::with_capacity(args.len());
         let mut it = std::mem::take(args).into_iter();
         while let Some(a) = it.next() {
+            let mut value = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
             match a.as_str() {
                 "--quiet" => opts.quiet = true,
                 "--trace" => opts.trace = true,
-                "--metrics-out" => opts.metrics_out = it.next(),
-                "--trace-chrome" => opts.trace_chrome = it.next(),
-                "--flight-recorder-out" => opts.flight_out = it.next(),
+                "--metrics-out" => opts.metrics_out = Some(value("a path")?),
+                "--trace-chrome" => opts.trace_chrome = Some(value("a path")?),
+                "--flight-recorder-out" => opts.flight_out = Some(value("a path")?),
                 "--threads" => {
-                    opts.threads = it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+                    let n: usize = value("a worker count")?
+                        .parse()
+                        .map_err(|e| format!("--threads: {e}"))?;
+                    if n == 0 {
+                        return Err("--threads must be at least 1".into());
+                    }
+                    opts.threads = Some(n);
                 }
                 _ => rest.push(a),
             }
         }
         *args = rest;
-        opts
+        Ok(opts)
     }
 
     /// Installs the requested diagnostics level and sinks. Several
@@ -90,7 +103,18 @@ impl ObsOptions {
     /// Always installs the flight recorder's panic hook;
     /// `--flight-recorder-out` additionally arms an automatic dump
     /// path.
-    pub fn install(&self) {
+    ///
+    /// # Errors
+    ///
+    /// The `--metrics-out` file cannot be created; nothing is installed
+    /// then.
+    pub fn install(&self) -> Result<(), String> {
+        let mut sinks: Vec<Box<dyn lacr_obs::sink::Sink + Send>> = Vec::new();
+        if let Some(path) = &self.metrics_out {
+            let sink =
+                lacr_obs::sink::JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
+            sinks.push(Box::new(sink));
+        }
         // Allocation counting honors `LACR_MEM=0|off`; applied here (not
         // inside the allocator, which must never read the environment).
         lacr_obs::mem::init_tracking_from_env();
@@ -99,13 +123,6 @@ impl ObsOptions {
         }
         if self.quiet {
             lacr_obs::set_diag_level(lacr_obs::DiagLevel::Silent);
-        }
-        let mut sinks: Vec<Box<dyn lacr_obs::sink::Sink + Send>> = Vec::new();
-        if let Some(path) = &self.metrics_out {
-            match lacr_obs::sink::JsonlSink::create(path) {
-                Ok(sink) => sinks.push(Box::new(sink)),
-                Err(e) => lacr_obs::diag!("cannot open {path}: {e}"),
-            }
         }
         if self.trace {
             sinks.push(Box::new(lacr_obs::sink::StderrSink));
@@ -122,6 +139,21 @@ impl ObsOptions {
             lacr_obs::flight::arm(path);
         }
         lacr_obs::flight::install_panic_hook();
+        Ok(())
+    }
+
+    /// [`Self::from_args`] then [`Self::install`] for an artifact
+    /// binary: a usage error exits 2 and a sink that cannot be created
+    /// exits 1, each with a one-line diagnostic.
+    pub fn install_from_args(args: &mut Vec<String>) {
+        let opts = Self::from_args(args).unwrap_or_else(|e| {
+            lacr_obs::diag!("error: {e}");
+            std::process::exit(2)
+        });
+        if let Err(e) = opts.install() {
+            lacr_obs::diag!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -330,11 +362,44 @@ mod tests {
         ]
         .map(String::from)
         .to_vec();
-        let o = ObsOptions::from_args(&mut args);
+        let o = ObsOptions::from_args(&mut args).expect("well-formed flags");
         assert!(o.quiet && !o.trace);
         assert_eq!(o.metrics_out.as_deref(), Some("m.jsonl"));
         assert_eq!(o.flight_out.as_deref(), Some("f.jsonl"));
         assert_eq!(args, ["s344", "s1423"]);
+    }
+
+    #[test]
+    fn malformed_obs_flags_are_usage_errors() {
+        for (argv, msg) in [
+            (
+                &["--quiet", "s344", "--metrics-out"][..],
+                "--metrics-out needs a path",
+            ),
+            (
+                &["--threads", "0", "s344"][..],
+                "--threads must be at least 1",
+            ),
+            (
+                &["--threads", "abc", "s344"][..],
+                "--threads: invalid digit",
+            ),
+        ] {
+            let mut args: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+            let err = ObsOptions::from_args(&mut args).expect_err(&argv.join(" "));
+            assert!(err.starts_with(msg), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn an_uncreatable_metrics_path_fails_install() {
+        // A path under a regular file can never be created.
+        let opts = ObsOptions {
+            metrics_out: Some(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/m.jsonl").into()),
+            ..ObsOptions::default()
+        };
+        let err = opts.install().expect_err("install must fail");
+        assert!(err.contains("Cargo.toml/m.jsonl"), "{err}");
     }
 
     #[test]

@@ -166,18 +166,6 @@ impl std::error::Error for PlanError {
     }
 }
 
-impl From<PlanError> for RetimeError {
-    /// Legacy bridge: the panicking wrappers and old `Result<_,
-    /// RetimeError>` signatures fold a [`PlanError`] back into the
-    /// retiming error space.
-    fn from(e: PlanError) -> Self {
-        match e.kind {
-            PlanErrorKind::Retime(r) => r,
-            kind => RetimeError::Internal(format!("[{}] {kind}", e.stage)),
-        }
-    }
-}
-
 /// A recoverable quality loss the pipeline absorbed instead of failing:
 /// an expired budget, a fallback solver, residual overflow. Plans carry
 /// these so callers (and the CLI, which maps them to exit code 3) can
@@ -228,18 +216,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("validate"), "{s}");
         assert!(s.contains("NaN"), "{s}");
-    }
-
-    #[test]
-    fn retime_error_roundtrips_through_plan_error() {
-        let original = RetimeError::PeriodInfeasible { target: 42 };
-        let plan = PlanError::new(Stage::MinArea, PlanErrorKind::Retime(original.clone()));
-        assert_eq!(RetimeError::from(plan), original);
-        let other = PlanError::new(Stage::Route, PlanErrorKind::CombinationalCycle);
-        match RetimeError::from(other) {
-            RetimeError::Internal(msg) => assert!(msg.contains("route"), "{msg}"),
-            e => panic!("expected Internal, got {e:?}"),
-        }
     }
 
     #[test]

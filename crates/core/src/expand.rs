@@ -6,7 +6,7 @@
 //! units, with the delay of each unit being the sum of the repeater delay
 //! and the delay of the interconnect segment driven by the repeater."
 //!
-//! [`expand`] turns a circuit plus its routing into the expanded
+//! [`try_expand`] turns a circuit plus its routing into the expanded
 //! [`RetimeGraph`]: every routed driver→sink connection becomes a chain
 //! `u → s₁ → … → s_k → v` of interconnect-unit vertices, with the
 //! connection's original flip-flops on the first chain edge (they start in
@@ -90,7 +90,7 @@ pub struct ExpandedDesign {
     /// chain of graph edges it expanded into (one edge for same-cell
     /// connections). Summing retimed weights over a chain gives the
     /// connection's new flip-flop count, which
-    /// [`crate::writeback::retimed_circuit`] uses.
+    /// [`crate::writeback::try_retimed_circuit`] uses.
     pub connection_chains: Vec<Vec<lacr_retime::EdgeId>>,
 }
 
@@ -102,45 +102,13 @@ pub struct ExpandedDesign {
 /// earlier; repeater insertion debits it further, and the remaining
 /// capacity becomes the flip-flop budget `C(t)`.
 ///
-/// # Panics
-///
-/// Panics if `routing` does not match the circuit's nets or
-/// `options.units_per_span == 0`. [`try_expand`] reports the same
-/// conditions as typed errors instead.
-#[allow(clippy::too_many_arguments)] // the planner's one assembly point
-pub fn expand(
-    circuit: &Circuit,
-    technology: &Technology,
-    grid: &TileGrid,
-    ledger: &mut CapacityLedger,
-    unit_cell: &[usize],
-    routing: &Routing,
-    pad_ff_capacity: f64,
-    options: &ExpandOptions,
-) -> ExpandedDesign {
-    try_expand(
-        circuit,
-        technology,
-        grid,
-        ledger,
-        unit_cell,
-        routing,
-        pad_ff_capacity,
-        options,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`expand`]: routing/circuit mismatches come back
-/// as a [`PlanError`] at [`Stage::Expand`], and an unsatisfiable repeater
-/// interval as one at [`Stage::Repeater`].
-///
 /// # Errors
 ///
-/// Returns a [`PlanError`] when `routing` or `unit_cell` is not parallel
-/// to the circuit, `options.units_per_span == 0`, or repeater insertion
-/// fails for some routed path.
-#[allow(clippy::too_many_arguments)]
+/// A [`PlanError`] at [`Stage::Expand`] when `routing` or `unit_cell` is
+/// not parallel to the circuit or `options.units_per_span == 0`, and one
+/// at [`Stage::Repeater`] when repeater insertion fails for some routed
+/// path.
+#[allow(clippy::too_many_arguments)] // the planner's one assembly point
 pub fn try_expand(
     circuit: &Circuit,
     technology: &Technology,
@@ -313,7 +281,7 @@ mod tests {
     use lacr_floorplan::tiles::TileGridConfig;
     use lacr_floorplan::Floorplan;
     use lacr_netlist::{Sink, Unit};
-    use lacr_route::{route, NetPins, RouteConfig};
+    use lacr_route::{try_route, NetPins, RouteConfig};
 
     /// A 10×1 open grid; two logic units at opposite ends plus host I/O.
     fn setup() -> (Circuit, TileGrid, Vec<usize>, Routing) {
@@ -347,7 +315,7 @@ mod tests {
                 sinks: vec![9],
             },
         ];
-        let routing = route(grid.nx(), grid.ny(), &nets, &RouteConfig::default());
+        let routing = try_route(grid.nx(), grid.ny(), &nets, &RouteConfig::default()).unwrap();
         (c, grid, unit_cell, routing)
     }
 
@@ -356,7 +324,7 @@ mod tests {
         let (c, grid, unit_cell, routing) = setup();
         let tech = Technology::default();
         let mut ledger = CapacityLedger::new(&grid);
-        let ed = expand(
+        let ed = try_expand(
             &c,
             &tech,
             &grid,
@@ -365,7 +333,8 @@ mod tests {
             &routing,
             10.0,
             &ExpandOptions::default(),
-        );
+        )
+        .unwrap();
         // 4500 µm connection with l_max 2000 → ≥ 2 repeaters → ≥ 3 units.
         assert!(ed.num_repeaters >= 2, "repeaters {}", ed.num_repeaters);
         assert_eq!(ed.num_interconnect_units, ed.num_repeaters + 1);
@@ -391,7 +360,7 @@ mod tests {
         let (c, grid, unit_cell, routing) = setup();
         let tech = Technology::default();
         let mut ledger = CapacityLedger::new(&grid);
-        let ed = expand(
+        let ed = try_expand(
             &c,
             &tech,
             &grid,
@@ -400,7 +369,8 @@ mod tests {
             &routing,
             10.0,
             &ExpandOptions::default(),
-        );
+        )
+        .unwrap();
         // a→g1 and g2→z are same-cell: direct edges to/from host.
         let host = ed.graph.host().unwrap();
         let direct: Vec<_> = ed.graph.out_edges(host).map(|e| ed.graph.edge(e)).collect();
@@ -413,7 +383,7 @@ mod tests {
         let (c, grid, unit_cell, routing) = setup();
         let tech = Technology::default();
         let mut ledger1 = CapacityLedger::new(&grid);
-        let base = expand(
+        let base = try_expand(
             &c,
             &tech,
             &grid,
@@ -422,9 +392,10 @@ mod tests {
             &routing,
             10.0,
             &ExpandOptions::default(),
-        );
+        )
+        .unwrap();
         let mut ledger2 = CapacityLedger::new(&grid);
-        let fine = expand(
+        let fine = try_expand(
             &c,
             &tech,
             &grid,
@@ -437,7 +408,8 @@ mod tests {
                 conservative_delays: true,
                 ..ExpandOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(fine.num_interconnect_units, 2 * base.num_interconnect_units);
         // Conservative delays: total chain delay at least the exact one.
         let sum = |g: &RetimeGraph| -> u64 {
@@ -454,7 +426,7 @@ mod tests {
         let (c, grid, unit_cell, routing) = setup();
         let tech = Technology::default();
         let mut ledger = CapacityLedger::new(&grid);
-        let ed = expand(
+        let ed = try_expand(
             &c,
             &tech,
             &grid,
@@ -466,7 +438,8 @@ mod tests {
                 tile_crossing_units: true,
                 ..ExpandOptions::default()
             },
-        );
+        )
+        .unwrap();
         // On the open 10×1 grid every cell is its own channel tile, so the
         // g1→g2 route (cells 0..=9) must yield a unit in every tile of
         // cells 0..9 — each one a flip-flop site for LAC retiming.
@@ -484,7 +457,7 @@ mod tests {
         // total interconnect delay matches the unsplit expansion's up to
         // one quantisation unit per extra vertex.
         let mut ledger2 = CapacityLedger::new(&grid);
-        let base = expand(
+        let base = try_expand(
             &c,
             &tech,
             &grid,
@@ -493,7 +466,8 @@ mod tests {
             &routing,
             10.0,
             &ExpandOptions::default(),
-        );
+        )
+        .unwrap();
         let sum = |g: &RetimeGraph| -> u64 {
             g.vertex_ids()
                 .filter(|&v| g.kind(v) == VertexKind::Interconnect)
@@ -569,7 +543,7 @@ mod tests {
         let (c, grid, unit_cell, routing) = setup();
         let tech = Technology::default();
         let mut ledger = CapacityLedger::new(&grid);
-        let ed = expand(
+        let ed = try_expand(
             &c,
             &tech,
             &grid,
@@ -578,7 +552,8 @@ mod tests {
             &routing,
             7.5,
             &ExpandOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(ed.caps_ff.len(), grid.num_tiles() + 1);
         assert_eq!(ed.caps_ff[ed.pad_tile], 7.5);
         assert_eq!(ed.graph.tile(ed.graph.host().unwrap()), Some(ed.pad_tile));
@@ -589,7 +564,7 @@ mod tests {
         let (c, grid, unit_cell, routing) = setup();
         let tech = Technology::default();
         let mut with_ledger = CapacityLedger::new(&grid);
-        let ed = expand(
+        let ed = try_expand(
             &c,
             &tech,
             &grid,
@@ -598,7 +573,8 @@ mod tests {
             &routing,
             0.0,
             &ExpandOptions::default(),
-        );
+        )
+        .unwrap();
         let fresh = CapacityLedger::new(&grid);
         let before: f64 = grid.tile_ids().map(|t| fresh.remaining(t)).sum();
         let after: f64 = grid.tile_ids().map(|t| with_ledger.remaining(t)).sum();

@@ -7,9 +7,9 @@
 //! execution times, plus the second planning iteration's `N_FOA` for
 //! circuits whose violations could not be removed in one pass.
 
-use crate::planner::{plan_with_iterations, PlanReport, PlannerConfig};
+use crate::error::PlanError;
+use crate::planner::{try_plan_with_iterations, PlanReport, PlannerConfig};
 use lacr_netlist::bench89;
-use lacr_retime::RetimeError;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -68,9 +68,10 @@ pub struct TableRow {
     /// baseline had no violations).
     pub decrease_pct: Option<f64>,
     /// Second-iteration `N_FOA` when the first left violations:
-    /// `Some(Ok(n))`, or `Some(Err(_))` when the frozen target period
-    /// became infeasible after floorplan expansion (the paper's s1269).
-    pub second_iteration: Option<Result<i64, RetimeError>>,
+    /// `Some(Ok(n))`, or `Some(Err(_))` with the stage that failed, as
+    /// when the frozen target period became infeasible after floorplan
+    /// expansion (the paper's s1269).
+    pub second_iteration: Option<Result<i64, PlanError>>,
     /// `N_FOA` after each weighted re-retiming round of the LAC loop
     /// (the convergence trajectory; its length tracks `n_wr`).
     pub n_foa_trajectory: Vec<i64>,
@@ -83,15 +84,15 @@ pub struct TableRow {
 ///
 /// # Errors
 ///
-/// Returns the retiming error if the first planning iteration fails
-/// (should not happen: `T_clk ≥ T_min` by construction), or a boxed error
-/// for unknown benchmark names.
+/// Returns the first planning iteration's [`PlanError`] (should not
+/// happen: `T_clk ≥ T_min` by construction), or a boxed error for
+/// unknown benchmark names.
 pub fn run_circuit(
     name: &str,
     config: &PlannerConfig,
 ) -> Result<TableRow, Box<dyn std::error::Error>> {
     let circuit = bench89::generate(name)?;
-    let iterated = plan_with_iterations(&circuit, config)?;
+    let iterated = try_plan_with_iterations(&circuit, config)?;
     let (plan, report) = &iterated.first;
     Ok(TableRow {
         circuit: name.to_string(),
@@ -123,13 +124,7 @@ pub fn run_circuit(
 fn plan_digest(report: &PlanReport) -> u64 {
     let min_area = &report.min_area.result.outcome.weights;
     let lac = &report.lac.result.outcome.weights;
-    min_area
-        .iter()
-        .chain(lac)
-        .flat_map(|w| w.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    lacr_obs::fnv1a64(min_area.iter().chain(lac).flat_map(|w| w.to_le_bytes()))
 }
 
 /// Runs the whole sweep, skipping circuits that fail with a message on

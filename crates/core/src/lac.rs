@@ -753,7 +753,7 @@ fn legalize_flop_placement(lg: &mut Legalizer<'_>, outcome: &mut RetimingOutcome
     outcome.total_flops = lg.flops;
     outcome.period = lg
         .graph
-        .clock_period(&lg.weights)
+        .try_clock_period(&lg.weights)
         .expect("legalised weights stay acyclic on zero-weight subgraph");
     outcome.retiming.copy_from_slice(&lg.r);
     outcome.weights.copy_from_slice(&lg.weights);

@@ -39,12 +39,11 @@ pub mod writeback;
 
 pub use budget::Budget;
 pub use error::{Degradation, PlanError, PlanErrorKind, Stage};
-pub use expand::{expand, try_expand, ExpandOptions, ExpandedDesign};
+pub use expand::{try_expand, ExpandOptions, ExpandedDesign};
 pub use lac::{lac_retiming, score_outcome, LacConfig, LacResult, TileOccupancy};
 pub use planner::{
-    build_physical_plan, growth_from_violations, plan_retimings, plan_retimings_at,
-    plan_with_iterations, try_build_physical_plan, try_plan_retimings, try_plan_retimings_at,
+    growth_from_violations, try_build_physical_plan, try_plan_retimings, try_plan_retimings_at,
     try_plan_with_iterations, IteratedPlan, PhysicalPlan, PlanReport, PlannerConfig, TimedRun,
 };
 pub use summary::{summarize, PlanSummary};
-pub use writeback::{retimed_circuit, try_retimed_circuit};
+pub use writeback::try_retimed_circuit;

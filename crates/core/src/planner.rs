@@ -268,24 +268,14 @@ impl PlanReport {
 /// Builds the physical plan: partition, floorplan (with optional per-block
 /// area `growth` from a previous iteration), tile grid, routing, repeater
 /// insertion and graph expansion, plus the `T_init`/`T_min`/`T_clk`
-/// analysis.
+/// analysis. Budget expiry degrades the plan
+/// ([`PhysicalPlan::degradations`]) instead of running unbounded.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on any input [`try_build_physical_plan`] rejects — malformed
-/// circuit/technology/config, or a `growth` vector that does not have one
-/// entry per block.
-pub fn build_physical_plan(
-    circuit: &Circuit,
-    config: &PlannerConfig,
-    growth: &[f64],
-) -> PhysicalPlan {
-    try_build_physical_plan(circuit, config, growth).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`build_physical_plan`]: every input defect comes
-/// back as a stage-tagged [`PlanError`], and budget expiry degrades the
-/// plan ([`PhysicalPlan::degradations`]) instead of running unbounded.
+/// Every input defect — malformed circuit/technology/config, or a
+/// `growth` vector that does not have one entry per block — comes back
+/// as a stage-tagged [`PlanError`].
 pub fn try_build_physical_plan(
     circuit: &Circuit,
     config: &PlannerConfig,
@@ -541,7 +531,7 @@ pub fn try_build_physical_plan(
         // period, score each net by the worst criticality across its
         // connections' chains, and re-route most-critical-first.
         let weights = expanded.graph.weights();
-        if let Some(period) = expanded.graph.clock_period(&weights) {
+        if let Ok(period) = expanded.graph.try_clock_period(&weights) {
             if let Some(crit) = lacr_retime::edge_criticality(&expanded.graph, &weights, period) {
                 let mut conn_idx = 0usize;
                 let mut net_priority = vec![0.0f64; circuit.num_nets()];
@@ -652,7 +642,16 @@ pub fn try_build_physical_plan(
 /// substrate when the target lies in its bracket (a linear scan — no
 /// Dijkstras), freshly generated otherwise. Both paths produce
 /// bit-identical constraints.
-fn constraints_at(plan: &PhysicalPlan, target: u64) -> Result<PeriodConstraints, RetimeError> {
+///
+/// # Errors
+///
+/// [`RetimeError::DelayOverflow`] when path-delay accumulation overflows
+/// `u64` (the plan's own timing pass fails first for any graph built by
+/// [`try_build_physical_plan`]).
+pub fn plan_constraints(
+    plan: &PhysicalPlan,
+    target: u64,
+) -> Result<PeriodConstraints, RetimeError> {
     match &plan.wd_substrate {
         Some(sub) if sub.covers(target) => {
             lacr_obs::counter!("retime.wd_cache_hits", 1);
@@ -662,43 +661,12 @@ fn constraints_at(plan: &PhysicalPlan, target: u64) -> Result<PeriodConstraints,
     }
 }
 
-/// Generates the period constraints for a plan's target period, reusing
-/// the `T_min` search's W/D substrate when possible.
-///
-/// # Panics
-///
-/// Panics when path-delay accumulation overflows `u64` (the plan's own
-/// timing pass would have failed first for any graph built by
-/// [`try_build_physical_plan`]).
-pub fn plan_constraints(plan: &PhysicalPlan) -> PeriodConstraints {
-    constraints_at(plan, plan.t_clk).expect("path delay accumulation overflowed u64")
-}
-
-/// Runs both retimers (min-area baseline and LAC) on a physical plan.
+/// Runs both retimers (min-area baseline and LAC) on a physical plan at
+/// its own `T_clk`; see [`try_plan_retimings_at`].
 ///
 /// # Errors
 ///
-/// Propagates [`RetimeError::PeriodInfeasible`] if `plan.t_clk` cannot be
-/// met (only possible when the plan was built for a different target, as
-/// in iteration 2 of planning).
-pub fn plan_retimings(
-    plan: &PhysicalPlan,
-    config: &PlannerConfig,
-) -> Result<PlanReport, RetimeError> {
-    plan_retimings_at(plan, config, plan.t_clk)
-}
-
-/// Like [`plan_retimings`] but for an explicit target period (iteration 2
-/// keeps the first iteration's `T_clk`).
-pub fn plan_retimings_at(
-    plan: &PhysicalPlan,
-    config: &PlannerConfig,
-    t_clk: u64,
-) -> Result<PlanReport, RetimeError> {
-    try_plan_retimings_at(plan, config, t_clk).map_err(RetimeError::from)
-}
-
-/// Fallible, fail-soft variant of [`plan_retimings`].
+/// As [`try_plan_retimings_at`].
 pub fn try_plan_retimings(
     plan: &PhysicalPlan,
     config: &PlannerConfig,
@@ -706,7 +674,8 @@ pub fn try_plan_retimings(
     try_plan_retimings_at(plan, config, plan.t_clk)
 }
 
-/// Runs both retimers with the full degradation ladder:
+/// Runs both retimers at an explicit target period (iteration 2 keeps
+/// the first iteration's `T_clk`) with the full degradation ladder:
 ///
 /// 1. the min-area baseline falls back to a Bellman-Ford feasible
 ///    retiming if the min-cost-flow dual solve fails unexpectedly;
@@ -714,7 +683,13 @@ pub fn try_plan_retimings(
 /// 3. residual capacity violations and LAC budget expiry are reported as
 ///    [`PlanReport::degradations`] with per-tile overflow diagnostics.
 ///
-/// Only a genuinely infeasible target period remains a hard error.
+/// # Errors
+///
+/// A [`PlanError`] at [`Stage::MinArea`] when the target period is
+/// infeasible ([`RetimeError::PeriodInfeasible`], possible when the plan
+/// was built for a different target, as in iteration 2 of planning) or
+/// path-delay arithmetic overflows; every other failure degrades the
+/// plan instead.
 pub fn try_plan_retimings_at(
     plan: &PhysicalPlan,
     config: &PlannerConfig,
@@ -778,7 +753,7 @@ pub fn try_plan_retimings_at(
         vertices = graph.num_vertices(),
         t_clk = t_clk
     );
-    let pc = constraints_at(plan, t_clk)
+    let pc = plan_constraints(plan, t_clk)
         .map_err(|e| PlanError::new(Stage::MinArea, PlanErrorKind::Retime(e)))?;
     drop(span_constraints);
     let constraint_time = t0.elapsed();
@@ -965,10 +940,12 @@ pub struct IteratedPlan {
     /// The physical plan and report of the first iteration.
     pub first: (PhysicalPlan, PlanReport),
     /// `N_FOA` of the second planning iteration (after floorplan
-    /// expansion), when one was needed. `Err` mirrors the paper's s1269
-    /// case: the frozen target period became infeasible after the
-    /// floorplan changed drastically.
-    pub second_n_foa: Option<Result<i64, RetimeError>>,
+    /// expansion), when one was needed. `Err` keeps the stage that failed;
+    /// a [`Stage::MinArea`] error carrying
+    /// [`RetimeError::PeriodInfeasible`] mirrors the paper's s1269 case:
+    /// the frozen target period became infeasible after the floorplan
+    /// changed drastically.
+    pub second_n_foa: Option<Result<i64, PlanError>>,
 }
 
 /// Runs interconnect planning; when LAC-retiming still has violations,
@@ -977,17 +954,9 @@ pub struct IteratedPlan {
 ///
 /// # Errors
 ///
-/// Propagates retiming errors from the first iteration only; a failed
-/// second iteration is reported inside [`IteratedPlan::second_n_foa`].
-pub fn plan_with_iterations(
-    circuit: &Circuit,
-    config: &PlannerConfig,
-) -> Result<IteratedPlan, RetimeError> {
-    try_plan_with_iterations(circuit, config).map_err(RetimeError::from)
-}
-
-/// Fallible variant of [`plan_with_iterations`] returning the typed
-/// [`PlanError`] for first-iteration failures.
+/// Returns the first iteration's [`PlanError`]; a failed second
+/// iteration, whether it fails to build or to retime, is reported inside
+/// [`IteratedPlan::second_n_foa`].
 pub fn try_plan_with_iterations(
     circuit: &Circuit,
     config: &PlannerConfig,
@@ -996,8 +965,11 @@ pub fn try_plan_with_iterations(
     let report1 = try_plan_retimings(&plan1, config)?;
     let second_n_foa = if report1.lac.result.n_foa > 0 && !config.budget.expired() {
         let growth = growth_from_violations(&plan1, &report1.lac.result, &config.technology, 1.5);
-        let plan2 = try_build_physical_plan(circuit, config, &growth)?;
-        Some(plan_retimings_at(&plan2, config, plan1.t_clk).map(|r| r.lac.result.n_foa))
+        Some(
+            try_build_physical_plan(circuit, config, &growth)
+                .and_then(|plan2| try_plan_retimings_at(&plan2, config, plan1.t_clk))
+                .map(|r| r.lac.result.n_foa),
+        )
     } else {
         None
     };
@@ -1026,7 +998,7 @@ mod tests {
     fn physical_plan_is_consistent() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let plan = build_physical_plan(&c, &cfg, &[]);
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
         assert!(plan.t_min <= plan.t_clk && plan.t_clk <= plan.t_init);
         assert_eq!(plan.unit_cell.len(), c.num_units());
         assert_eq!(plan.routing.nets.len(), c.num_nets());
@@ -1040,8 +1012,8 @@ mod tests {
     fn retimings_meet_target_period() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let plan = build_physical_plan(&c, &cfg, &[]);
-        let report = plan_retimings(&plan, &cfg).expect("t_clk >= t_min is feasible");
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+        let report = try_plan_retimings(&plan, &cfg).expect("t_clk >= t_min is feasible");
         assert!(report.min_area.result.outcome.period <= plan.t_clk);
         assert!(report.lac.result.outcome.period <= plan.t_clk);
         // LAC never does worse on violations than the baseline.
@@ -1052,8 +1024,8 @@ mod tests {
     fn growth_targets_violating_blocks() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let plan = build_physical_plan(&c, &cfg, &[]);
-        let report = plan_retimings(&plan, &cfg).unwrap();
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+        let report = try_plan_retimings(&plan, &cfg).unwrap();
         let growth = growth_from_violations(&plan, &report.lac.result, &cfg.technology, 1.5);
         assert_eq!(growth.len(), plan.partitioning.blocks.len());
         let has_violations = report.lac.result.n_foa > 0;
@@ -1065,8 +1037,8 @@ mod tests {
     fn deterministic_planning() {
         let c = bench89::generate("s344").unwrap();
         let cfg = quick_config();
-        let p1 = build_physical_plan(&c, &cfg, &[]);
-        let p2 = build_physical_plan(&c, &cfg, &[]);
+        let p1 = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+        let p2 = try_build_physical_plan(&c, &cfg, &[]).unwrap();
         assert_eq!(p1.t_init, p2.t_init);
         assert_eq!(p1.t_min, p2.t_min);
         assert_eq!(p1.unit_cell, p2.unit_cell);
@@ -1093,7 +1065,7 @@ mod hard_block_tests {
             },
             ..Default::default()
         };
-        let plan = build_physical_plan(&c, &cfg, &[]);
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
         let hard_blocks = plan.floorplan.blocks.iter().filter(|b| b.hard).count();
         assert_eq!(hard_blocks, 2);
         // Hard cells are individual tiles with exactly the site capacity.
@@ -1106,7 +1078,7 @@ mod hard_block_tests {
         }
         assert!(saw_hard_tile, "expected per-cell hard tiles");
         // Planning still succeeds end to end.
-        let report = plan_retimings(&plan, &cfg).expect("feasible");
+        let report = try_plan_retimings(&plan, &cfg).expect("feasible");
         assert!(report.lac.result.n_foa <= report.min_area.result.n_foa);
     }
 
@@ -1122,7 +1094,7 @@ mod hard_block_tests {
             },
             ..Default::default()
         };
-        let plan = build_physical_plan(&c, &hard_cfg, &[]);
+        let plan = try_build_physical_plan(&c, &hard_cfg, &[]).unwrap();
         let mut hard_tiles = 0usize;
         for t in plan.grid.tile_ids() {
             if let TileKind::Hard(_) = plan.grid.kind(t) {
@@ -1156,8 +1128,8 @@ mod timing_driven_tests {
             timing_driven_route: true,
             ..base.clone()
         };
-        let p1 = build_physical_plan(&c, &base, &[]);
-        let p2 = build_physical_plan(&c, &td, &[]);
+        let p1 = try_build_physical_plan(&c, &base, &[]).unwrap();
+        let p2 = try_build_physical_plan(&c, &td, &[]).unwrap();
         // Same circuit, same invariants.
         assert_eq!(p2.routing.nets.len(), c.num_nets());
         assert_eq!(
@@ -1172,7 +1144,7 @@ mod timing_driven_tests {
             }
         }
         // And it still plans.
-        let report = plan_retimings(&p2, &td).expect("feasible");
+        let report = try_plan_retimings(&p2, &td).expect("feasible");
         assert!(report.lac.result.outcome.period <= p2.t_clk);
     }
 }

@@ -145,7 +145,7 @@ pub fn congestion_ascii(plan: &PhysicalPlan, capacity: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{build_physical_plan, plan_retimings, PlannerConfig};
+    use crate::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
     use lacr_floorplan::anneal::FloorplanConfig;
     use lacr_netlist::bench89;
 
@@ -158,7 +158,7 @@ mod tests {
             },
             ..Default::default()
         };
-        build_physical_plan(&c, &cfg, &[])
+        try_build_physical_plan(&c, &cfg, &[]).unwrap()
     }
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
     fn svg_is_wellformed_enough() {
         let p = plan();
         let cfg = PlannerConfig::default();
-        let report = plan_retimings(&p, &cfg).unwrap();
+        let report = try_plan_retimings(&p, &cfg).unwrap();
         let svg = tile_svg(&p, Some(&report.lac.result.occupancy));
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));

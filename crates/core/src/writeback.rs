@@ -4,7 +4,7 @@
 //! behaviors are guaranteed; thus the iterations between high level
 //! designs and physical designs can be avoided" — the high-level design
 //! receives an updated netlist whose per-connection flip-flop counts
-//! reflect the relocations. [`retimed_circuit`] produces exactly that: a
+//! reflect the relocations. [`try_retimed_circuit`] produces exactly that: a
 //! copy of the input circuit with every connection's flip-flop count
 //! replaced by the sum of the retimed weights along its interconnect
 //! chain.
@@ -19,18 +19,6 @@ use lacr_netlist::Circuit;
 ///
 /// The total flip-flop count of the result equals the sum of `weights`
 /// (every expanded edge belongs to exactly one connection chain).
-///
-/// # Panics
-///
-/// Panics if `expanded` was not built from `circuit` (chain/connection
-/// count mismatch) or `weights` does not match the expanded graph, or if
-/// any chain weight is negative or exceeds `u32::MAX`.
-/// [`try_retimed_circuit`] reports the same conditions as typed errors.
-pub fn retimed_circuit(circuit: &Circuit, expanded: &ExpandedDesign, weights: &[i64]) -> Circuit {
-    try_retimed_circuit(circuit, expanded, weights).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`retimed_circuit`].
 ///
 /// # Errors
 ///
@@ -85,7 +73,7 @@ pub fn try_retimed_circuit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{build_physical_plan, plan_retimings, PlannerConfig};
+    use crate::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
     use lacr_floorplan::anneal::FloorplanConfig;
     use lacr_netlist::{bench89, bench_format, UnitKind};
 
@@ -103,10 +91,10 @@ mod tests {
     fn writeback_conserves_and_validates() {
         let cfg = quick();
         let circuit = bench89::generate("s344").unwrap();
-        let plan = build_physical_plan(&circuit, &cfg, &[]);
-        let report = plan_retimings(&plan, &cfg).unwrap();
+        let plan = try_build_physical_plan(&circuit, &cfg, &[]).unwrap();
+        let report = try_plan_retimings(&plan, &cfg).unwrap();
         let out = &report.lac.result.outcome;
-        let retimed = retimed_circuit(&circuit, &plan.expanded, &out.weights);
+        let retimed = try_retimed_circuit(&circuit, &plan.expanded, &out.weights).unwrap();
         assert_eq!(retimed.num_flops() as i64, out.total_flops);
         assert_eq!(retimed.num_units(), circuit.num_units());
         assert_eq!(retimed.num_nets(), circuit.num_nets());
@@ -127,9 +115,9 @@ mod tests {
     fn identity_weights_reproduce_the_input() {
         let cfg = quick();
         let circuit = bench89::generate("s382").unwrap();
-        let plan = build_physical_plan(&circuit, &cfg, &[]);
+        let plan = try_build_physical_plan(&circuit, &cfg, &[]).unwrap();
         let identity = plan.expanded.graph.weights();
-        let same = retimed_circuit(&circuit, &plan.expanded, &identity);
+        let same = try_retimed_circuit(&circuit, &plan.expanded, &identity).unwrap();
         // Flop counts per connection are unchanged.
         let orig: Vec<u32> = circuit.edges().map(|e| e.flops).collect();
         let back: Vec<u32> = same.edges().map(|e| e.flops).collect();
@@ -143,10 +131,12 @@ mod tests {
         // T_clk rather than the old T_init.
         let cfg = quick();
         let circuit = bench89::generate("s526").unwrap();
-        let plan = build_physical_plan(&circuit, &cfg, &[]);
-        let report = plan_retimings(&plan, &cfg).unwrap();
-        let retimed = retimed_circuit(&circuit, &plan.expanded, &report.lac.result.outcome.weights);
-        let plan2 = build_physical_plan(&retimed, &cfg, &[]);
+        let plan = try_build_physical_plan(&circuit, &cfg, &[]).unwrap();
+        let report = try_plan_retimings(&plan, &cfg).unwrap();
+        let retimed =
+            try_retimed_circuit(&circuit, &plan.expanded, &report.lac.result.outcome.weights)
+                .unwrap();
+        let plan2 = try_build_physical_plan(&retimed, &cfg, &[]).unwrap();
         assert!(
             plan2.t_init < plan.t_init,
             "rebalanced circuit should start faster: {} !< {}",
@@ -156,19 +146,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn mismatched_weights_panic() {
-        let cfg = quick();
-        let circuit = bench89::generate("s344").unwrap();
-        let plan = build_physical_plan(&circuit, &cfg, &[]);
-        let _ = retimed_circuit(&circuit, &plan.expanded, &[0, 1, 2]);
-    }
-
-    #[test]
     fn try_writeback_reports_typed_errors() {
         let cfg = quick();
         let circuit = bench89::generate("s344").unwrap();
-        let plan = build_physical_plan(&circuit, &cfg, &[]);
+        let plan = try_build_physical_plan(&circuit, &cfg, &[]).unwrap();
 
         let err = try_retimed_circuit(&circuit, &plan.expanded, &[0, 1, 2]).unwrap_err();
         assert_eq!(err.stage, crate::error::Stage::Writeback);

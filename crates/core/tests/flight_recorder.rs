@@ -6,7 +6,7 @@
 //! budget whose sticky expiry latch trips mid-plan. Both must leave a
 //! postmortem JSONL behind whose header names the trigger.
 
-use lacr_core::planner::{build_physical_plan, try_build_physical_plan, PlannerConfig};
+use lacr_core::planner::{try_build_physical_plan, PlannerConfig};
 use lacr_core::Budget;
 use lacr_netlist::bench89;
 use lacr_prng::FaultPlan;
@@ -59,10 +59,10 @@ fn injected_panic_dumps_a_postmortem() {
         technology: broken_technology(0xF11),
         ..PlannerConfig::default()
     };
-    // The panicking wrapper turns the validation error into an unwind;
-    // the hook must dump before the unwind reaches us.
+    // Unwrapping the validation error turns it into an unwind; the hook
+    // must dump before the unwind reaches us.
     let unwound = catch_unwind(AssertUnwindSafe(|| {
-        let _ = build_physical_plan(&circuit, &config, &[]);
+        let _ = try_build_physical_plan(&circuit, &config, &[]).unwrap();
     }));
     lacr_obs::flight::disarm();
     assert!(unwound.is_err(), "broken technology must panic");

@@ -4,7 +4,7 @@
 //! routing passes, min-cost-flow augmentations, LAC re-weight rounds —
 //! and tuning any of them needs to see where wall-clock goes and how
 //! many iterations each stage burns. This crate provides that without
-//! pulling in `tracing`/`metrics`/`serde`: like [`lacr-prng`], it is
+//! pulling in `tracing`/`metrics`/`serde`: like `lacr-prng`, it is
 //! dependency-free by design so the workspace stays hermetic.
 //!
 //! Four pieces live here:
@@ -671,6 +671,15 @@ macro_rules! diag {
     };
 }
 
+/// FNV-1a, 64-bit: the workspace's zero-dependency content hash (serve
+/// cache keys, plan digests, pinned test digests). It is not collision
+/// resistant: a caller that needs equality compares the full bytes.
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 // ---------------------------------------------------------------------
 // Test support
 // ---------------------------------------------------------------------
@@ -693,6 +702,13 @@ pub fn run_captured<T>(f: impl FnOnce() -> T) -> (T, Vec<(u64, Record)>, Report)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64("foobar".bytes()), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn empty_capture_records_nothing() {

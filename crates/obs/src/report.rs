@@ -255,7 +255,7 @@ impl Report {
         format!("{{{}}}", self.json_fields())
     }
 
-    /// The machine-readable twin of [`self_time_table`]
+    /// The machine-readable twin of [`Self::self_time_table`]
     /// (the CLI's `--report-json <path>`): a schema-versioned document
     /// with spans ranked by exclusive time — same order, same share
     /// arithmetic as the human table — plus per-histogram quantile

@@ -91,7 +91,7 @@ pub fn run_property(name: &str, cases: u64, mut property: impl FnMut(&mut Rng) -
 
 /// Declares `#[test]` functions that each run a seeded property via
 /// [`run_property`]. The body receives a `&mut Rng` binding named by the
-/// parameter and uses [`prop_assert!`]-style macros (which return the
+/// parameter and uses [`prop_assert!`](crate::prop_assert)-style macros (which return the
 /// failure instead of panicking, so the driver can attach the seed).
 #[macro_export]
 macro_rules! properties {

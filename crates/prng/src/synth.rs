@@ -147,7 +147,7 @@ const MESH_STAGE_COLS: usize = 8;
 /// largest `w x h` grid with `h = floor(sqrt(cells))` that fits).
 ///
 /// Cells connect east and south; east edges leaving every
-/// [`MESH_STAGE_COLS`]-th column carry two registers each, everything
+/// `MESH_STAGE_COLS`-th column carry two registers each, everything
 /// else is combinational. The grid is a DAG — retiming is pure pipeline
 /// re-staging: min-period drops to the slowest single cell and min-area
 /// then minimises the registers needed to hold it.

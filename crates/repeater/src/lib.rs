@@ -8,7 +8,7 @@
 //! * [`plan_positions`] — the DP: choose repeater cells along a path such
 //!   that no interval between consecutive drivers exceeds `L_max`,
 //!   minimising a per-site cost (tile congestion / remaining capacity);
-//! * [`insert_repeaters`] — applies the DP to a routed driver→sink path,
+//! * [`try_insert_repeaters`] — applies the DP to a routed driver→sink path,
 //!   reserves repeater area in the [`CapacityLedger`], and returns the
 //!   *interconnect units* (§3.2): one wire span per driver, each with its
 //!   starting cell and length.
@@ -66,7 +66,7 @@ pub struct Segment {
     pub driven_by_repeater: bool,
 }
 
-/// Result of [`insert_repeaters`] for one driver→sink connection.
+/// Result of [`try_insert_repeaters`] for one driver→sink connection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertionResult {
     /// Cells where repeaters were committed (in path order).
@@ -160,22 +160,11 @@ pub fn plan_positions(
 /// placed to honour `L_max`; any resulting overdraw is visible through
 /// [`CapacityLedger::total_overflow`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `path` is empty or `technology.l_max < grid.tile_size()`
-/// (such a technology fails [`Technology::validate`]). Use
-/// [`try_insert_repeaters`] for a fallible variant.
-pub fn insert_repeaters(
-    path: &[usize],
-    grid: &TileGrid,
-    ledger: &mut CapacityLedger,
-    technology: &Technology,
-) -> InsertionResult {
-    try_insert_repeaters(path, grid, ledger, technology).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`insert_repeaters`]: returns [`RepeaterError`]
-/// instead of panicking on an empty path or an unsatisfiable `L_max`.
+/// [`RepeaterError::EmptyPath`] when `path` is empty, and
+/// [`RepeaterError::IntervalUnsatisfiable`] when `technology.l_max` is
+/// below one tile (such a technology fails [`Technology::validate`]).
 pub fn try_insert_repeaters(
     path: &[usize],
     grid: &TileGrid,
@@ -278,7 +267,7 @@ mod tests {
         let grid = open_grid(8, 1);
         let mut ledger = CapacityLedger::new(&grid);
         let tech = Technology::default(); // l_max 2000 → 4 cells
-        let res = insert_repeaters(&[0, 1, 2, 3], &grid, &mut ledger, &tech);
+        let res = try_insert_repeaters(&[0, 1, 2, 3], &grid, &mut ledger, &tech).unwrap();
         assert!(res.repeater_cells.is_empty());
         assert_eq!(res.segments.len(), 1);
         assert_eq!(res.segments[0].length_um, 1500.0);
@@ -291,7 +280,7 @@ mod tests {
         let mut ledger = CapacityLedger::new(&grid);
         let tech = Technology::default();
         let path: Vec<usize> = (0..12).collect();
-        let res = insert_repeaters(&path, &grid, &mut ledger, &tech);
+        let res = try_insert_repeaters(&path, &grid, &mut ledger, &tech).unwrap();
         assert!(!res.repeater_cells.is_empty());
         // All spans ≤ l_max.
         for s in &res.segments {
@@ -313,7 +302,7 @@ mod tests {
         let tech = Technology::default();
         let before: f64 = grid.tile_ids().map(|t| ledger.remaining(t)).sum();
         let path: Vec<usize> = (0..12).collect();
-        let res = insert_repeaters(&path, &grid, &mut ledger, &tech);
+        let res = try_insert_repeaters(&path, &grid, &mut ledger, &tech).unwrap();
         let after: f64 = grid.tile_ids().map(|t| ledger.remaining(t)).sum();
         let spent = before - after;
         let expected = res.repeater_cells.len() as f64 * tech.repeater_area;
@@ -324,7 +313,7 @@ mod tests {
     fn single_cell_path_is_empty() {
         let grid = open_grid(4, 1);
         let mut ledger = CapacityLedger::new(&grid);
-        let res = insert_repeaters(&[2], &grid, &mut ledger, &Technology::default());
+        let res = try_insert_repeaters(&[2], &grid, &mut ledger, &Technology::default()).unwrap();
         assert!(res.segments.is_empty());
     }
 
@@ -389,7 +378,7 @@ mod tests {
         }
         let tech = Technology::default();
         let path: Vec<usize> = (0..12).collect();
-        let res = insert_repeaters(&path, &grid, &mut ledger, &tech);
+        let res = try_insert_repeaters(&path, &grid, &mut ledger, &tech).unwrap();
         assert!(!res.repeater_cells.is_empty());
         assert!(ledger.total_overflow() > 0.0);
     }

@@ -13,7 +13,7 @@
 //!
 //! The constraint oracle is **incremental across probes**: the W/D
 //! substrate ([`WdSubstrate`]) is built once for the whole search bracket
-//! (one `retime.wd_build` span per [`min_period_retiming`] call, counted
+//! (one `retime.wd_build` span per [`try_min_period_retiming`] call, counted
 //! by `retime.probe` / `retime.wd_cache_hits`), each probe re-emits its
 //! constraint set with a linear scan, and Bellman–Ford warm-starts from
 //! the previous feasible probe's potentials
@@ -26,7 +26,7 @@ use crate::graph::RetimeGraph;
 use crate::minarea::RetimeError;
 use lacr_mcmf::{Constraint, DifferenceConstraints};
 
-/// Result of [`min_period_retiming`].
+/// The minimum period found by [`try_min_period_retiming`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinPeriodResult {
     /// The minimum feasible clock period (integer picoseconds).
@@ -51,18 +51,18 @@ pub struct MinPeriodOutcome {
     pub substrate: Option<WdSubstrate>,
 }
 
-/// Returns a retiming achieving clock period `≤ target`, or `None` when no
-/// retiming can.
+/// Returns a retiming achieving clock period `≤ target`: `Ok(None)` means
+/// no retiming can.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if path-delay accumulation overflows `u64` (see
-/// [`try_feasible_retiming`] for the checked variant).
+/// [`RetimeError::DelayOverflow`] when accumulating path delays overflows
+/// `u64`.
 ///
 /// # Examples
 ///
 /// ```
-/// use lacr_retime::{feasible_retiming, RetimeGraph, VertexKind};
+/// use lacr_retime::{try_feasible_retiming, RetimeGraph, VertexKind};
 ///
 /// let mut g = RetimeGraph::new();
 /// let a = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
@@ -70,22 +70,12 @@ pub struct MinPeriodOutcome {
 /// g.add_edge(a, b, 0);
 /// g.add_edge(b, a, 2);
 /// // Unretimed period is 10; one flop can move to cut the a→b path.
-/// let r = feasible_retiming(&g, 5).expect("5 is achievable");
+/// let r = try_feasible_retiming(&g, 5)?.expect("5 is achievable");
 /// let w = g.retimed_weights(&r);
-/// assert_eq!(g.clock_period(&w), Some(5));
-/// assert!(feasible_retiming(&g, 4).is_none());
+/// assert_eq!(g.try_clock_period(&w), Ok(5));
+/// assert!(try_feasible_retiming(&g, 4)?.is_none());
+/// # Ok::<(), lacr_retime::RetimeError>(())
 /// ```
-pub fn feasible_retiming(graph: &RetimeGraph, target: u64) -> Option<Vec<i64>> {
-    try_feasible_retiming(graph, target).expect("path delay accumulation overflowed u64")
-}
-
-/// Checked variant of [`feasible_retiming`]: `Ok(None)` means infeasible,
-/// `Err` a typed arithmetic failure.
-///
-/// # Errors
-///
-/// [`RetimeError::DelayOverflow`] when accumulating path delays overflows
-/// `u64`.
 pub fn try_feasible_retiming(
     graph: &RetimeGraph,
     target: u64,
@@ -107,7 +97,7 @@ pub fn try_feasible_retiming(
     if let Some(r) = &r {
         debug_assert!({
             let w = graph.retimed_weights(r);
-            graph.weights_legal(&w) && graph.clock_period(&w).is_some_and(|p| p <= target)
+            graph.weights_legal(&w) && graph.try_clock_period(&w).is_ok_and(|p| p <= target)
         });
     }
     Ok(r)
@@ -207,7 +197,7 @@ impl<'g> SubstrateOracle<'g> {
             debug_assert!({
                 let w = self.graph.retimed_weights(r);
                 self.graph.weights_legal(&w)
-                    && self.graph.clock_period(&w).is_some_and(|p| p <= target)
+                    && self.graph.try_clock_period(&w).is_ok_and(|p| p <= target)
             });
             self.prev = Some(r.clone());
         }
@@ -215,47 +205,16 @@ impl<'g> SubstrateOracle<'g> {
     }
 }
 
-/// Computes the minimum feasible clock period and a retiming achieving it.
+/// Computes the minimum feasible clock period and a retiming achieving
+/// it, returning the search's W/D substrate for reuse.
 ///
 /// Binary-searches integer periods between the largest single-vertex delay
-/// (no retiming can beat it) and the unretimed period.
-///
-/// # Panics
-///
-/// Panics if the graph's zero-weight subgraph is cyclic (the circuit was
-/// invalid: some directed cycle carries no flip-flop) or path delays
-/// overflow `u64`; see [`try_min_period_retiming`] for the checked
-/// variant.
-pub fn min_period_retiming(graph: &RetimeGraph) -> MinPeriodResult {
-    min_period_retiming_with_tolerance(graph, 0)
-}
-
-/// Like [`min_period_retiming`], but stops the binary search once the
-/// bracket `[infeasible, feasible]` is narrower than `tolerance_ps`,
-/// returning the feasible end after one final downward probe at the
-/// bracket floor. The result is at most `tolerance_ps` above the true
-/// optimum — and *exact* whenever the floor itself is feasible, whatever
-/// the tolerance.
-///
-/// # Panics
-///
-/// Panics if the graph's zero-weight subgraph is cyclic or path delays
-/// overflow `u64`.
-pub fn min_period_retiming_with_tolerance(
-    graph: &RetimeGraph,
-    tolerance_ps: u64,
-) -> MinPeriodResult {
-    match try_min_period_retiming(graph, tolerance_ps) {
-        Ok(outcome) => outcome.result,
-        Err(RetimeError::CombinationalCycle) => {
-            panic!("valid circuit: every cycle must carry a flip-flop")
-        }
-        Err(e) => panic!("min-period retiming failed: {e}"),
-    }
-}
-
-/// Checked min-period retiming returning the search's W/D substrate for
-/// reuse.
+/// (no retiming can beat it) and the unretimed period. A positive
+/// `tolerance_ps` stops the search once the bracket `[infeasible,
+/// feasible]` is narrower than it, returning the feasible end after one
+/// final downward probe at the bracket floor. The result is at most
+/// `tolerance_ps` above the true optimum — and *exact* whenever the floor
+/// itself is feasible, whatever the tolerance.
 ///
 /// # Errors
 ///
@@ -349,16 +308,16 @@ mod tests {
     #[test]
     fn feas_balances_two_vertex_loop() {
         let g = two_vertex_loop();
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 5);
         let w = g.retimed_weights(&res.retiming);
-        assert_eq!(g.clock_period(&w), Some(5));
+        assert_eq!(g.try_clock_period(&w), Ok(5));
     }
 
     #[test]
     fn feas_rejects_sub_delay_target() {
         let g = two_vertex_loop();
-        assert!(feasible_retiming(&g, 4).is_none());
+        assert!(try_feasible_retiming(&g, 4).unwrap().is_none());
     }
 
     #[test]
@@ -368,7 +327,7 @@ mod tests {
         let b = g.add_vertex(VertexKind::Functional, 3, 1.0, None);
         g.add_edge(a, b, 1);
         g.add_edge(b, a, 1);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 3);
     }
 
@@ -384,7 +343,7 @@ mod tests {
         g.add_edge(vs[1], vs[2], 0);
         g.add_edge(vs[2], vs[3], 0);
         g.add_edge(vs[3], vs[0], 0);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 4);
     }
 
@@ -399,7 +358,7 @@ mod tests {
         g.add_edge(h, a, 2);
         g.add_edge(a, b, 0);
         g.add_edge(b, h, 0);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 5);
         let w = g.retimed_weights(&res.retiming);
         // Retiming preserves the h→a→b→h path-weight sum because both
@@ -418,9 +377,9 @@ mod tests {
         let a = g.add_vertex(VertexKind::Functional, 9, 1.0, None);
         g.add_edge(h, a, 0);
         g.add_edge(a, h, 0);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 9);
-        assert!(feasible_retiming(&g, 8).is_none());
+        assert!(try_feasible_retiming(&g, 8).unwrap().is_none());
     }
 
     #[test]
@@ -435,14 +394,14 @@ mod tests {
         g.add_edge(h, a, 1);
         g.add_edge(a, b, 0);
         g.add_edge(b, h, 1);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 4);
     }
 
     #[test]
     fn empty_graph() {
         let g = RetimeGraph::new();
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 0);
     }
 
@@ -451,7 +410,7 @@ mod tests {
         let mut g = RetimeGraph::new();
         let a = g.add_vertex(VertexKind::Functional, 7, 1.0, None);
         g.add_edge(a, a, 1);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 7);
     }
 
@@ -466,10 +425,10 @@ mod tests {
         // wide as the initial bracket means the loop body never runs.
         let g = two_vertex_loop();
         for tol in [1, 3, 5, 10, 100] {
-            let res = min_period_retiming_with_tolerance(&g, tol);
+            let res = try_min_period_retiming(&g, tol).unwrap().result;
             assert_eq!(res.period, 5, "tolerance {tol}");
             let w = g.retimed_weights(&res.retiming);
-            assert_eq!(g.clock_period(&w), Some(5), "tolerance {tol}");
+            assert_eq!(g.try_clock_period(&w), Ok(5), "tolerance {tol}");
         }
     }
 
@@ -526,9 +485,9 @@ mod tests {
                 let b = rng.gen_range(0..n);
                 g.add_edge(vs[a], vs[b], rng.gen_range(1..3));
             }
-            let unretimed = g.clock_period(&g.weights()).expect("valid");
+            let unretimed = g.try_clock_period(&g.weights()).expect("valid");
             for t in 1..=unretimed {
-                let feas = feasible_retiming(&g, t).is_some();
+                let feas = try_feasible_retiming(&g, t).unwrap().is_some();
                 let brute = brute_force_feasible(&g, t);
                 assert_eq!(feas, brute, "case {case}: target {t}");
             }
@@ -553,9 +512,9 @@ mod tests {
                 g.add_edge(vs[i], vs[i + 1], rng.gen_range(0..2));
             }
             g.add_edge(vs[n - 1], h, rng.gen_range(0..2));
-            let unretimed = g.clock_period(&g.weights()).expect("valid");
+            let unretimed = g.try_clock_period(&g.weights()).expect("valid");
             for t in 1..=unretimed {
-                let feas = feasible_retiming(&g, t).is_some();
+                let feas = try_feasible_retiming(&g, t).unwrap().is_some();
                 let brute = brute_force_feasible(&g, t);
                 assert_eq!(feas, brute, "case {case}: target {t}, graph {g:?}");
             }
@@ -592,10 +551,10 @@ mod tests {
                     g.add_edge(vs[a], vs[b], w);
                 }
             }
-            let fast = min_period_retiming(&g).period;
+            let fast = try_min_period_retiming(&g, 0).unwrap().result.period;
             // Slow oracle: smallest T whose cold constraint system is
             // feasible (scanning up from the max single-vertex delay).
-            let unretimed = g.clock_period(&g.weights()).expect("valid circuit");
+            let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
             let floor = (0..=n).map(|i| g.delay(crate::graph::VertexId(i as u32))).max().unwrap();
             let slow = (floor..=unretimed)
                 .find(|&t| {
@@ -616,7 +575,7 @@ mod tests {
         fn rec(g: &RetimeGraph, t: u64, r: &mut Vec<i64>, i: usize) -> bool {
             if i == r.len() {
                 let w = g.retimed_weights(r);
-                return g.weights_legal(&w) && matches!(g.clock_period(&w), Some(p) if p <= t);
+                return g.weights_legal(&w) && matches!(g.try_clock_period(&w), Ok(p) if p <= t);
             }
             for v in -4..=4 {
                 r[i] = v;

@@ -66,7 +66,7 @@ pub enum VertexKind {
 /// g.add_edge(a, b, 1);
 /// g.add_edge(b, a, 0);
 /// assert_eq!(g.total_flops(), 1);
-/// assert_eq!(g.clock_period(&g.weights()), Some(10));
+/// assert_eq!(g.try_clock_period(&g.weights()), Ok(10));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RetimeGraph {
@@ -232,23 +232,7 @@ impl RetimeGraph {
     }
 
     /// Clock period achieved by the given edge weights: the longest
-    /// vertex-delay path through zero-weight edges. Returns `None` when the
-    /// zero-weight subgraph is cyclic (illegal for a valid circuit).
-    ///
-    /// # Panics
-    ///
-    /// Panics when path-delay accumulation overflows `u64` (see
-    /// [`Self::try_clock_period`] for the checked variant).
-    pub fn clock_period(&self, weights: &[i64]) -> Option<u64> {
-        match self.try_clock_period(weights) {
-            Ok(p) => Some(p),
-            Err(RetimeError::CombinationalCycle) => None,
-            Err(e) => panic!("clock period computation failed: {e}"),
-        }
-    }
-
-    /// Checked variant of [`Self::clock_period`] with a typed error for
-    /// both failure modes.
+    /// vertex-delay path through zero-weight edges.
     ///
     /// # Errors
     ///
@@ -264,28 +248,12 @@ impl RetimeGraph {
 
     /// Combinational arrival time `Δ(v)` of every vertex under the given
     /// edge weights: `Δ(v) = d(v) + max(0, max {Δ(u) : e_{u,v}, w(e)=0})`.
-    /// Returns `None` when the zero-weight subgraph is cyclic.
     ///
     /// The host vertex does not propagate combinational signals — the
     /// environment registers primary outputs before they can influence
     /// primary inputs — so zero-weight edges *into* the host terminate
     /// there (their arrival is still checked at the driving vertex), and
     /// apparent combinational cycles through the host are not cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics when path-delay accumulation overflows `u64` (see
-    /// [`Self::try_arrival_times`] for the checked variant).
-    pub fn arrival_times(&self, weights: &[i64]) -> Option<Vec<u64>> {
-        match self.try_arrival_times(weights) {
-            Ok(arr) => Some(arr),
-            Err(RetimeError::CombinationalCycle) => None,
-            Err(e) => panic!("arrival time computation failed: {e}"),
-        }
-    }
-
-    /// Checked variant of [`Self::arrival_times`] with a typed error for
-    /// both failure modes (see [`Self::try_clock_period`]).
     ///
     /// # Errors
     ///
@@ -395,7 +363,7 @@ mod tests {
     fn period_of_ring() {
         let g = ring3();
         // zero-weight chain b→c→a: delay 1+1+1 = 3.
-        assert_eq!(g.clock_period(&g.weights()), Some(3));
+        assert_eq!(g.try_clock_period(&g.weights()), Ok(3));
     }
 
     #[test]
@@ -405,7 +373,7 @@ mod tests {
         let w = g.retimed_weights(&[0, -1, -1]);
         assert_eq!(w, vec![0, 0, 1]);
         assert!(g.weights_legal(&w));
-        assert_eq!(g.clock_period(&w), Some(3)); // a→b→c chain
+        assert_eq!(g.try_clock_period(&w), Ok(3)); // a→b→c chain
     }
 
     #[test]
@@ -431,7 +399,10 @@ mod tests {
         let b = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
         g.add_edge(a, b, 0);
         g.add_edge(b, a, 0);
-        assert_eq!(g.clock_period(&g.weights()), None);
+        assert_eq!(
+            g.try_arrival_times(&g.weights()),
+            Err(RetimeError::CombinationalCycle)
+        );
     }
 
     #[test]
@@ -475,7 +446,7 @@ mod tests {
         let c = g.add_vertex(VertexKind::Functional, 4, 1.0, None);
         g.add_edge(a, b, 0);
         g.add_edge(b, c, 0);
-        let arr = g.arrival_times(&g.weights()).unwrap();
+        let arr = g.try_arrival_times(&g.weights()).unwrap();
         assert_eq!(arr, vec![2, 5, 9]);
     }
 

@@ -7,8 +7,8 @@
 //!   per-vertex flip-flop area weights and tile assignments, including
 //!   *interconnect units* (repeater-driven wire segments modelled as
 //!   zero-logic vertices, §3.2);
-//! * [`min_period_retiming`] / [`feasible_retiming`] — Leiserson–Saxe FEAS
-//!   with binary search, producing the paper's `T_min`;
+//! * [`try_min_period_retiming`] / [`try_feasible_retiming`] —
+//!   Leiserson–Saxe FEAS with binary search, producing the paper's `T_min`;
 //! * [`generate_period_constraints`] / [`WdSubstrate`] — the W/D
 //!   computation with Maheshwari–Sapatnekar-style constraint pruning,
 //!   generated **once** per search bracket and re-emitted per target with
@@ -21,7 +21,7 @@
 //! Retiming a two-stage pipeline to its optimum:
 //!
 //! ```
-//! use lacr_retime::{min_area_retiming, min_period_retiming, RetimeGraph, VertexKind};
+//! use lacr_retime::{min_area_retiming, try_min_period_retiming, RetimeGraph, VertexKind};
 //!
 //! let mut g = RetimeGraph::new();
 //! let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
@@ -32,7 +32,7 @@
 //! g.add_edge(a, b, 0);
 //! g.add_edge(b, h, 0);
 //!
-//! let mp = min_period_retiming(&g);
+//! let mp = try_min_period_retiming(&g, 0)?.result;
 //! assert_eq!(mp.period, 5);
 //! let out = min_area_retiming(&g, mp.period)?;
 //! assert_eq!(out.total_flops, 2);
@@ -50,10 +50,7 @@ mod verify;
 pub use constraints::{
     edge_constraints, generate_period_constraints, PeriodConstraints, WdSubstrate,
 };
-pub use feas::{
-    feasible_retiming, min_period_retiming, min_period_retiming_with_tolerance,
-    try_feasible_retiming, try_min_period_retiming, MinPeriodOutcome, MinPeriodResult,
-};
+pub use feas::{try_feasible_retiming, try_min_period_retiming, MinPeriodOutcome, MinPeriodResult};
 pub use graph::{EdgeId, GraphEdge, RetimeGraph, VertexId, VertexKind};
 pub use minarea::{
     feasible_min_area_fallback, min_area_retiming, weighted_flop_cost, weighted_min_area_retiming,

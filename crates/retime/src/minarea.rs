@@ -238,9 +238,7 @@ impl<'g> MinAreaSolver<'g> {
 
         let weights = graph.retimed_weights(&r);
         debug_assert!(graph.weights_legal(&weights));
-        let period = graph
-            .clock_period(&weights)
-            .ok_or_else(|| RetimeError::Internal("retimed zero-weight subgraph cyclic".into()))?;
+        let period = solved_period(graph, &weights)?;
         debug_assert!(
             period <= self.target,
             "period {period} exceeds target {}",
@@ -255,6 +253,18 @@ impl<'g> MinAreaSolver<'g> {
     }
 }
 
+/// The period of the weights a min-cost-flow solve returned. A
+/// zero-weight cycle there is a solver fault: it maps to
+/// [`RetimeError::Internal`], so the planner's fallback takes over.
+pub(crate) fn solved_period(graph: &RetimeGraph, weights: &[i64]) -> Result<u64, RetimeError> {
+    match graph.try_clock_period(weights) {
+        Err(RetimeError::CombinationalCycle) => Err(RetimeError::Internal(
+            "retimed zero-weight subgraph cyclic".into(),
+        )),
+        r => Ok(r.expect("path delay accumulation overflowed u64")),
+    }
+}
+
 /// Degradation-ladder fallback: a *feasible* (not area-minimal) retiming
 /// at `target`, computed by the Bellman-Ford-based FEAS solver instead of
 /// min-cost flow. Used when the dual solve fails unexpectedly — the plan
@@ -263,9 +273,13 @@ impl<'g> MinAreaSolver<'g> {
 /// Returns `None` when no retiming meets `target` (the caller should then
 /// surface [`RetimeError::PeriodInfeasible`]).
 pub fn feasible_min_area_fallback(graph: &RetimeGraph, target: u64) -> Option<RetimingOutcome> {
-    let retiming = crate::feas::feasible_retiming(graph, target)?;
+    let retiming = crate::feas::try_feasible_retiming(graph, target)
+        .expect("path delay accumulation overflowed u64")?;
     let weights = graph.retimed_weights(&retiming);
-    let period = graph.clock_period(&weights)?;
+    let period = match graph.try_clock_period(&weights) {
+        Err(RetimeError::CombinationalCycle) => return None,
+        r => r.expect("path delay accumulation overflowed u64"),
+    };
     Some(RetimingOutcome {
         total_flops: weights.iter().sum(),
         retiming,
@@ -392,7 +406,7 @@ mod tests {
                 let y = rng.gen_range(0..n);
                 g.add_edge(vs[x], vs[y], rng.gen_range(1..3));
             }
-            let t0 = g.clock_period(&g.weights()).expect("valid");
+            let t0 = g.try_clock_period(&g.weights()).expect("valid");
             let target = t0; // always feasible
             let out = min_area_retiming(&g, target).expect("feasible at t0");
             let best = brute_force_min_flops(&g, target);
@@ -412,7 +426,7 @@ mod tests {
             if i == r.len() {
                 let w = g.retimed_weights(r);
                 if g.weights_legal(&w) {
-                    if let Some(p) = g.clock_period(&w) {
+                    if let Ok(p) = g.try_clock_period(&w) {
                         if p <= t {
                             *best = (*best).min(w.iter().sum());
                         }
@@ -444,7 +458,7 @@ mod tests {
                 g.add_edge(vs[i], vs[(i + 1) % n], rng.gen_range(1..3));
             }
             let areas: Vec<f64> = (0..n).map(|_| rng.gen_range(1..8) as f64).collect();
-            let t0 = g.clock_period(&g.weights()).expect("valid");
+            let t0 = g.try_clock_period(&g.weights()).expect("valid");
             let pc = generate_period_constraints(&g, t0).unwrap();
             let out = weighted_min_area_retiming(&g, &pc, &areas).expect("feasible");
             let got = weighted_flop_cost(&g, &out.weights, &areas);
@@ -464,7 +478,7 @@ mod tests {
             if i == r.len() {
                 let w = g.retimed_weights(r);
                 if g.weights_legal(&w) {
-                    if let Some(p) = g.clock_period(&w) {
+                    if let Ok(p) = g.try_clock_period(&w) {
                         if p <= t {
                             let c = weighted_flop_cost(g, &w, areas);
                             if c < *best {

@@ -22,7 +22,7 @@
 
 use crate::constraints::{edge_constraints, PeriodConstraints};
 use crate::graph::RetimeGraph;
-use crate::minarea::{RetimeError, RetimingOutcome, AREA_SCALE};
+use crate::minarea::{solved_period, RetimeError, RetimingOutcome, AREA_SCALE};
 use lacr_mcmf::{Constraint, DualError, DualSolver};
 
 /// Outcome of a sharing-aware min-area retiming.
@@ -192,9 +192,7 @@ pub fn shared_min_area_retiming(
     let r = r_all[..n].to_vec();
     let weights = graph.retimed_weights(&r);
     debug_assert!(graph.weights_legal(&weights));
-    let period = graph
-        .clock_period(&weights)
-        .ok_or_else(|| RetimeError::Internal("retimed zero-weight subgraph cyclic".into()))?;
+    let period = solved_period(graph, &weights)?;
     debug_assert!(period <= period_constraints.target);
     let shared = shared_register_count(graph, &weights);
     Ok(SharedRetimingOutcome {
@@ -271,7 +269,7 @@ mod tests {
                 let b = rng.gen_range(0..n);
                 g.add_edge(vs[a], vs[b], rng.gen_range(1..3));
             }
-            let t = g.clock_period(&g.weights()).expect("valid");
+            let t = g.try_clock_period(&g.weights()).expect("valid");
             let pc = generate_period_constraints(&g, t).unwrap();
             let unshared = weighted_min_area_retiming(&g, &pc, &vec![1.0; n]).unwrap();
             let shared = shared_min_area_retiming(&g, &pc, &vec![1.0; n]).unwrap();
@@ -300,10 +298,10 @@ mod tests {
                 let b = rng.gen_range(0..n);
                 g.add_edge(vs[a], vs[b], rng.gen_range(0..2));
             }
-            if g.clock_period(&g.weights()).is_none() {
+            if g.try_clock_period(&g.weights()).is_err() {
                 continue; // chord created a zero-weight cycle
             }
-            let t = g.clock_period(&g.weights()).expect("valid");
+            let t = g.try_clock_period(&g.weights()).expect("valid");
             let pc = generate_period_constraints(&g, t).unwrap();
             let shared = match shared_min_area_retiming(&g, &pc, &vec![1.0; n]) {
                 Ok(s) => s,
@@ -322,7 +320,7 @@ mod tests {
             if i == r.len() {
                 let w = g.retimed_weights(r);
                 if g.weights_legal(&w) {
-                    if let Some(p) = g.clock_period(&w) {
+                    if let Ok(p) = g.try_clock_period(&w) {
                         if p <= t {
                             *best = (*best).min(shared_register_count(g, &w));
                         }

@@ -8,6 +8,7 @@
 //! the combinational graph exactly where their weights are non-zero).
 
 use crate::graph::{RetimeGraph, VertexId};
+use crate::minarea::RetimeError;
 
 /// A full timing report for one edge-weight assignment and target period.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +60,8 @@ impl TimingReport {
 ///
 /// # Panics
 ///
-/// Panics if `weights` is not parallel to the graph's edges.
+/// Panics if `weights` is not parallel to the graph's edges or path
+/// delays overflow `u64`.
 ///
 /// # Examples
 ///
@@ -78,7 +80,10 @@ impl TimingReport {
 /// ```
 pub fn analyze_timing(graph: &RetimeGraph, weights: &[i64], target: u64) -> Option<TimingReport> {
     assert_eq!(weights.len(), graph.num_edges());
-    let arrival = graph.arrival_times(weights)?;
+    let arrival = match graph.try_arrival_times(weights) {
+        Err(RetimeError::CombinationalCycle) => return None,
+        r => r.expect("path delay accumulation overflowed u64"),
+    };
     let period = arrival.iter().copied().max().unwrap_or(0);
     let n = graph.num_vertices();
     let host = graph.host();
@@ -156,7 +161,7 @@ pub fn analyze_timing(graph: &RetimeGraph, weights: &[i64], target: u64) -> Opti
 /// zero-weight subgraph is cyclic.
 pub fn critical_path(graph: &RetimeGraph, weights: &[i64]) -> Vec<VertexId> {
     let arrival = graph
-        .arrival_times(weights)
+        .try_arrival_times(weights)
         .expect("zero-weight subgraph must be acyclic");
     let n = graph.num_vertices();
     if n == 0 {

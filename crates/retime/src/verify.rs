@@ -156,7 +156,7 @@ pub fn verify_retiming(
 }
 
 /// Longest zero-weight-path delay by explicit-stack DFS with colour
-/// marking, structurally independent of `RetimeGraph::arrival_times`.
+/// marking, structurally independent of `RetimeGraph::try_arrival_times`.
 fn independent_period(graph: &RetimeGraph, weights: &[i64]) -> Result<u64, VerifyError> {
     const WHITE: u8 = 0;
     const GREY: u8 = 1;

@@ -19,15 +19,16 @@
 //! # Examples
 //!
 //! ```
-//! use lacr_route::{route, NetPins, RouteConfig};
+//! use lacr_route::{try_route, NetPins, RouteConfig};
 //!
 //! // A 4×4 grid; one net from cell 0 to the far corner.
 //! let nets = vec![NetPins { driver: 0, sinks: vec![15] }];
-//! let routing = route(4, 4, &nets, &RouteConfig::default());
+//! let routing = try_route(4, 4, &nets, &RouteConfig::default())?;
 //! let path = &routing.nets[0].sink_paths[0];
 //! assert_eq!(path.first(), Some(&0));
 //! assert_eq!(path.last(), Some(&15));
 //! assert_eq!(path.len(), 7); // Manhattan distance 6 → 7 cells
+//! # Ok::<(), lacr_route::RouteError>(())
 //! ```
 
 use std::cmp::Reverse;
@@ -120,7 +121,7 @@ pub struct RoutedNet {
     pub sink_paths: Vec<Vec<usize>>,
 }
 
-/// The result of [`route`].
+/// The result of [`try_route`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Routing {
     /// Routed nets in input order.
@@ -161,16 +162,9 @@ fn edge_key(a: usize, b: usize) -> (usize, usize) {
 
 /// Routes all `nets` on an `nx × ny` cell grid.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any pin index is out of range. Use [`try_route`] for a
-/// fallible variant.
-pub fn route(nx: usize, ny: usize, nets: &[NetPins], config: &RouteConfig) -> Routing {
-    try_route(nx, ny, nets, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`route`]: returns [`RouteError`] instead of
-/// panicking when a pin index does not fit the grid.
+/// [`RouteError::PinOutOfRange`] when a pin index does not fit the grid.
 pub fn try_route(
     nx: usize,
     ny: usize,
@@ -465,7 +459,7 @@ mod tests {
             driver: 0,
             sinks: vec![3],
         }];
-        let r = route(4, 1, &nets, &RouteConfig::default());
+        let r = try_route(4, 1, &nets, &RouteConfig::default()).unwrap();
         assert_eq!(r.nets[0].sink_paths[0], vec![0, 1, 2, 3]);
         assert_eq!(r.wirelength, 3);
         assert_eq!(r.overflow, 0);
@@ -484,7 +478,7 @@ mod tests {
             driver,
             sinks: vec![s1, s2],
         }];
-        let r = route(nx, ny, &nets, &RouteConfig::default());
+        let r = try_route(nx, ny, &nets, &RouteConfig::default()).unwrap();
         // Shared tree: ≤ 5 edges (4 horizontal + 1 vertical), vs 9 if the
         // two paths were disjoint.
         assert!(r.wirelength <= 5, "wirelength {}", r.wirelength);
@@ -501,7 +495,7 @@ mod tests {
             driver: 5,
             sinks: vec![5],
         }];
-        let r = route(3, 3, &nets, &RouteConfig::default());
+        let r = try_route(3, 3, &nets, &RouteConfig::default()).unwrap();
         assert_eq!(r.nets[0].sink_paths[0], vec![5]);
         assert_eq!(r.wirelength, 0);
     }
@@ -512,7 +506,7 @@ mod tests {
             driver: 0,
             sinks: vec![2, 2],
         }];
-        let r = route(3, 1, &nets, &RouteConfig::default());
+        let r = try_route(3, 1, &nets, &RouteConfig::default()).unwrap();
         assert_eq!(r.nets[0].sink_paths.len(), 2);
         assert_eq!(r.nets[0].sink_paths[0], r.nets[0].sink_paths[1]);
     }
@@ -523,7 +517,7 @@ mod tests {
             driver: 0,
             sinks: vec![24, 20, 4],
         }];
-        let r = route(5, 5, &nets, &RouteConfig::default());
+        let r = try_route(5, 5, &nets, &RouteConfig::default()).unwrap();
         for p in &r.nets[0].sink_paths {
             for w in p.windows(2) {
                 let (ax, ay) = (w[0] % 5, w[0] / 5);
@@ -558,7 +552,7 @@ mod tests {
             passes: 6,
             ..Default::default()
         };
-        let r = route(nx, ny, &nets, &cfg);
+        let r = try_route(nx, ny, &nets, &cfg).unwrap();
         assert_eq!(r.overflow, 0, "overflow remains: {}", r.overflow);
     }
 
@@ -572,19 +566,9 @@ mod tests {
             edge_capacity: 0,
             ..Default::default()
         };
-        let r = route(2, 1, &nets, &cfg);
+        let r = try_route(2, 1, &nets, &cfg).unwrap();
         assert_eq!(r.nets[0].sink_paths[0], vec![0, 1]);
         assert!(r.overflow >= 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_pin_panics() {
-        let nets = vec![NetPins {
-            driver: 0,
-            sinks: vec![99],
-        }];
-        let _ = route(3, 3, &nets, &RouteConfig::default());
     }
 
     #[test]
@@ -623,7 +607,7 @@ mod tests {
             deadline: Some(std::time::Instant::now()),
             ..Default::default()
         };
-        let r = route(2, 1, &nets, &cfg);
+        let r = try_route(2, 1, &nets, &cfg).unwrap();
         assert_eq!(r.nets[0].sink_paths[0], vec![0, 1]);
         assert!(r.overflow >= 1);
     }
@@ -640,7 +624,7 @@ mod tests {
                 sinks: vec![2],
             },
         ];
-        let r = route(3, 1, &nets, &RouteConfig::default());
+        let r = try_route(3, 1, &nets, &RouteConfig::default()).unwrap();
         // Both nets use edges (0,1) and (1,2) — unless congestion split
         // them, which a 1×3 grid cannot.
         assert_eq!(r.edge_usage, vec![((0, 1), 2), ((1, 2), 2)]);
@@ -688,13 +672,13 @@ mod tests {
             passes: 4,
             ..Default::default()
         };
-        let baseline = route(nx, ny, &nets, &cfg);
+        let baseline = try_route(nx, ny, &nets, &cfg).unwrap();
         assert!(baseline.overflow > 0, "grid not over-subscribed");
-        let rerun = route(nx, ny, &nets, &cfg);
+        let rerun = try_route(nx, ny, &nets, &cfg).unwrap();
         assert_eq!(baseline, rerun, "two identical sequential runs diverged");
         for threads in [2, 8] {
             lacr_par::set_threads(threads);
-            let parallel = route(nx, ny, &nets, &cfg);
+            let parallel = try_route(nx, ny, &nets, &cfg).unwrap();
             lacr_par::set_threads(0);
             assert_eq!(baseline, parallel, "threads = {threads}");
         }
@@ -708,7 +692,7 @@ mod tests {
             driver: 0,
             sinks: vec![2, 2],
         }];
-        let r = route(3, 1, &nets, &RouteConfig::default());
+        let r = try_route(3, 1, &nets, &RouteConfig::default()).unwrap();
         assert_eq!(r.wirelength, 2);
     }
 }

@@ -132,7 +132,7 @@ impl PlanCache {
         };
         format!(
             "{:016x}\x00seed={seed}\x00budget={budget}\x00{canonical_bench}",
-            fnv1a64(canonical_bench.as_bytes())
+            lacr_obs::fnv1a64(canonical_bench.bytes())
         )
     }
 
@@ -277,17 +277,6 @@ fn entry_bytes(key: &str, plan: &CachedPlan) -> usize {
         + summary.circuit.capacity()
         + degradations
         + quality
-}
-
-/// FNV-1a, 64-bit: the workspace's zero-dependency content hash. Only
-/// used to bucket keys — equality is always decided on the full bytes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

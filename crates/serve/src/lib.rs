@@ -23,7 +23,7 @@
 //!    and exit 0.
 //!
 //! **One pool, many connections.** In `--socket` mode every accepted
-//! connection shares the *same* [`Pool`] and [`Session`]: connection
+//! connection shares the *same* [`Pool`] and `Session`: connection
 //! threads are thin readers that parse lines and submit jobs tagged
 //! with their connection's output handle, so responses route back to
 //! the stream that issued the request. `--workers` and `--queue-cap`
@@ -857,7 +857,7 @@ fn bind_unix_socket(path: &std::path::Path) -> std::io::Result<std::os::unix::ne
 ///
 /// Binding or accepting on the socket (an existing non-socket file or a
 /// live daemon at `path` refuses the bind — see the stale-socket rules
-/// on [`bind_unix_socket`]). Per-connection I/O errors only end that
+/// on `bind_unix_socket`). Per-connection I/O errors only end that
 /// connection.
 #[cfg(unix)]
 pub fn serve_unix_socket(config: &ServeConfig, path: &std::path::Path) -> std::io::Result<()> {

@@ -9,7 +9,8 @@
 //! ```
 
 use lacr::core::planner::{
-    build_physical_plan, growth_from_violations, plan_retimings, plan_retimings_at, PlannerConfig,
+    growth_from_violations, try_build_physical_plan, try_plan_retimings, try_plan_retimings_at,
+    PlannerConfig,
 };
 use lacr::core::render::{tile_ascii, tile_ascii_legend};
 use lacr::netlist::bench89;
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n== physical planning ===========================================");
-    let plan = build_physical_plan(&circuit, &config, &[]);
+    let plan = try_build_physical_plan(&circuit, &config, &[])?;
     println!(
         "partitioned into {} soft blocks (cut = {} nets)",
         plan.partitioning.blocks.len(),
@@ -87,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== retiming and flip-flop placement ============================");
-    let report = plan_retimings(&plan, &config)?;
+    let report = try_plan_retimings(&plan, &config)?;
     println!(
         "{} period constraints ({} violating pairs before pruning)",
         report.num_period_constraints, report.pairs_before_pruning
@@ -113,8 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "expanding congested blocks by {:.2} mm² in total",
             grown / 1e6
         );
-        let plan2 = build_physical_plan(&circuit, &config, &growth);
-        match plan_retimings_at(&plan2, &config, plan.t_clk) {
+        let plan2 = try_build_physical_plan(&circuit, &config, &growth)?;
+        match try_plan_retimings_at(&plan2, &config, plan.t_clk) {
             Ok(second) => println!(
                 "second iteration at the frozen T_clk: N_FOA = {}",
                 second.lac.result.n_foa

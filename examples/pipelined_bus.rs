@@ -13,7 +13,7 @@
 //! cargo run --release --example pipelined_bus
 //! ```
 
-use lacr::core::planner::{build_physical_plan, plan_retimings, PlannerConfig};
+use lacr::core::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
 use lacr::netlist::{Circuit, Sink, Unit};
 
 /// A producer pipeline (MAC-like chain), a long bus, and a consumer
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clock_slack_frac: 0.0,
         ..Default::default()
     };
-    let plan = build_physical_plan(&circuit, &config, &[]);
+    let plan = try_build_physical_plan(&circuit, &config, &[])?;
     println!(
         "chip {:.1} x {:.1} mm, {} interconnect units, {} repeaters on the bus and feedback nets",
         plan.floorplan.chip_w / 1000.0,
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.t_min as f64 / 1000.0
     );
 
-    let report = plan_retimings(&plan, &config)?;
+    let report = try_plan_retimings(&plan, &config)?;
     let lac = &report.lac.result;
     println!(
         "after LAC-retiming at T_clk = {:.2} ns: {} flip-flops total, {} now inside wires, {} violations",

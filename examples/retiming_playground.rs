@@ -7,7 +7,7 @@
 //! ```
 
 use lacr::retime::{
-    generate_period_constraints, min_area_retiming, min_period_retiming, MinAreaSolver,
+    generate_period_constraints, min_area_retiming, try_min_period_retiming, MinAreaSolver,
     RetimeGraph, VertexKind,
 };
 
@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     g.add_edge(c, host, 0);
     g.add_edge(c, a, 2);
 
-    let unretimed = g.clock_period(&g.weights()).expect("valid circuit");
-    let mp = min_period_retiming(&g);
+    let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
+    let mp = try_min_period_retiming(&g, 0)?.result;
     println!("unretimed period: {unretimed} ps");
     println!(
         "min-period retiming reaches {} ps with r = {:?}",

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: exactly what CI runs, runnable offline.
 #
-#   scripts/verify.sh                # format check + clippy + build + tests + debug certificate run
+#   scripts/verify.sh                # format check + clippy + rustdoc + build + tests + debug certificate run
 #   scripts/verify.sh --quick        # skip the slow integration suites
 #   scripts/verify.sh --faults       # fault-injection suite + no-panic CLI smoke
 #   scripts/verify.sh --metrics      # observability smoke: JSONL stream validated
@@ -414,6 +414,10 @@ cargo fmt --all --check
 # --all-targets also compiles the bench targets, which build and test skip.
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# Broken intra-doc links (a renamed or deleted item) fail here.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace

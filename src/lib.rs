@@ -30,7 +30,7 @@
 //! | [`core`] | LAC-retiming, the planning pipeline, the experiment driver |
 //! | [`obs`] | zero-dependency tracing, metrics and perf reports |
 //! | [`par`] | deterministic scoped thread pool and ordered parallel map |
-//! | [`bench`] | run artifacts, validators and the regression gate |
+//! | [`bench`](mod@bench) | run artifacts, validators and the regression gate |
 //! | [`serve`] | the `lacr serve` daemon: line-JSON protocol, worker pool, fault isolation |
 
 pub use lacr_bench as bench;

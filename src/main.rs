@@ -36,6 +36,7 @@
 //! 2 usage, 3 the run finished but the plan is *degraded* (budget
 //! expiry, fallback solver, residual overflow — reasons on stderr).
 
+use lacr::bench::ObsOptions;
 use lacr::core::experiment::{format_table, run_circuit, run_experiment, ExperimentConfig};
 use lacr::core::planner::{
     try_build_physical_plan, try_plan_retimings, try_plan_retimings_at, PlannerConfig,
@@ -47,121 +48,47 @@ use lacr::serve::ServeConfig;
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Observability flags accepted by every command, stripped from the
-/// argument list before command dispatch.
-#[derive(Debug, Default)]
-struct ObsFlags {
-    quiet: bool,
-    trace: bool,
-    report: bool,
-    report_json: Option<String>,
-    metrics_out: Option<String>,
-    trace_chrome: Option<String>,
-    threads: Option<usize>,
-    flight_out: Option<String>,
-}
-
-impl ObsFlags {
-    fn from_args(args: &mut Vec<String>) -> Result<Self, String> {
-        let mut flags = Self::default();
-        let mut rest = Vec::with_capacity(args.len());
-        let mut it = std::mem::take(args).into_iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quiet" => flags.quiet = true,
-                "--trace" => flags.trace = true,
-                "--report" => flags.report = true,
-                "--metrics-out" => {
-                    flags.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
-                }
-                "--trace-chrome" => {
-                    flags.trace_chrome = Some(it.next().ok_or("--trace-chrome needs a path")?);
-                }
-                "--report-json" => {
-                    flags.report_json = Some(it.next().ok_or("--report-json needs a path")?);
-                }
-                "--flight-recorder-out" => {
-                    flags.flight_out = Some(it.next().ok_or("--flight-recorder-out needs a path")?);
-                }
-                "--threads" => {
-                    let n: usize = it
-                        .next()
-                        .ok_or("--threads needs a worker count")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    flags.threads = Some(n);
-                }
-                _ => rest.push(a),
-            }
+/// The CLI's own report flags, stripped from the argument list after the
+/// shared [`ObsOptions`]: `--report` prints the self-time table,
+/// `--report-json <path>` writes it as JSON.
+fn report_flags(args: &mut Vec<String>) -> Result<(bool, Option<String>), String> {
+    let (mut report, mut report_json) = (false, None);
+    let mut rest = Vec::with_capacity(args.len());
+    let mut it = std::mem::take(args).into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--report" => report = true,
+            "--report-json" => report_json = Some(it.next().ok_or("--report-json needs a path")?),
+            _ => rest.push(a),
         }
-        *args = rest;
-        Ok(flags)
     }
-
-    /// Installs the diagnostics level and the requested sinks: the JSONL
-    /// file for `--metrics-out`, live stderr tracing for `--trace`, a
-    /// Chrome trace-event file for `--trace-chrome`. Several at once fan
-    /// out through a [`lacr::obs::sink::TeeSink`]; `--report` /
-    /// `--report-json` alone install a null sink (aggregation only).
-    fn install(&self) -> Result<(), String> {
-        // Allocation counting honors `LACR_MEM=0|off`; applied here (not
-        // inside the allocator, which must never read the environment).
-        lacr::obs::mem::init_tracking_from_env();
-        if let Some(n) = self.threads {
-            lacr::par::set_threads(n);
-        }
-        if self.quiet {
-            lacr::obs::set_diag_level(lacr::obs::DiagLevel::Silent);
-        }
-        let mut sinks: Vec<Box<dyn lacr::obs::sink::Sink + Send>> = Vec::new();
-        if let Some(path) = &self.metrics_out {
-            let sink =
-                lacr::obs::sink::JsonlSink::create(path).map_err(|e| format!("{path}: {e}"))?;
-            sinks.push(Box::new(sink));
-        }
-        if self.trace {
-            sinks.push(Box::new(lacr::obs::sink::StderrSink));
-        }
-        if let Some(path) = &self.trace_chrome {
-            sinks.push(Box::new(lacr::obs::ChromeTraceSink::create(path)));
-        }
-        match sinks.len() {
-            0 => {
-                if self.report || self.report_json.is_some() {
-                    lacr::obs::init(Box::new(lacr::obs::sink::NullSink));
-                }
-            }
-            1 => lacr::obs::init(sinks.pop().expect("one sink")),
-            _ => lacr::obs::init(Box::new(lacr::obs::sink::TeeSink::new(sinks))),
-        }
-        // The flight recorder is always on (LACR_FLIGHT=off opts out):
-        // arm the postmortem path and hook panics so a crash, a degraded
-        // exit or a budget expiry leaves a debuggable artifact behind.
-        lacr::obs::flight::arm(
-            self.flight_out
-                .clone()
-                .unwrap_or_else(|| "target/flight/last-run.jsonl".to_string()),
-        );
-        lacr::obs::flight::install_panic_hook();
-        Ok(())
-    }
+    *args = rest;
+    Ok((report, report_json))
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = match ObsFlags::from_args(&mut args) {
-        Ok(obs) => obs,
+    let parsed =
+        ObsOptions::from_args(&mut args).and_then(|obs| Ok((obs, report_flags(&mut args)?)));
+    let (mut obs, (report, report_json)) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
             lacr::obs::diag!("error: {e}");
             return ExitCode::from(2);
         }
     };
+    // The flight recorder is always on (LACR_FLIGHT=off opts out): arm the
+    // postmortem path so a crash, a degraded exit or a budget expiry
+    // leaves a debuggable artifact behind.
+    obs.flight_out
+        .get_or_insert_with(|| "target/flight/last-run.jsonl".to_string());
     if let Err(e) = obs.install() {
         lacr::obs::diag!("error: {e}");
         return ExitCode::FAILURE;
+    }
+    // `--report` / `--report-json` alone aggregate into a null sink.
+    if (report || report_json.is_some()) && !lacr::obs::is_enabled() {
+        lacr::obs::init(Box::new(lacr::obs::sink::NullSink));
     }
     let result = match args
         .first()
@@ -176,13 +103,13 @@ fn main() -> ExitCode {
     // Flush the sinks (writing the JSONL summary line and the Chrome
     // trace, if any), then render the aggregate report as asked.
     let obs_report = lacr::obs::finish();
-    if obs.report {
+    if report {
         match &obs_report {
             Some(r) => print!("{}", r.self_time_table()),
             None => eprintln!("--report: no observability data collected"),
         }
     }
-    if let Some(path) = &obs.report_json {
+    if let Some(path) = &report_json {
         match &obs_report {
             Some(r) => {
                 if let Some(parent) = std::path::Path::new(path).parent() {

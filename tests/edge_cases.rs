@@ -1,11 +1,11 @@
 //! Edge-case and failure-injection tests across the pipeline: degenerate
 //! circuits, extreme configurations, and hostile-but-legal inputs.
 
-use lacr::core::planner::{build_physical_plan, plan_retimings, PlannerConfig};
+use lacr::core::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
 use lacr::floorplan::anneal::FloorplanConfig;
 use lacr::netlist::{bench89::GenSpec, Circuit, Sink, Unit};
-use lacr::retime::{min_area_retiming, min_period_retiming, RetimeGraph, VertexKind};
-use lacr::route::{route, NetPins, RouteConfig};
+use lacr::retime::{min_area_retiming, try_min_period_retiming, RetimeGraph, VertexKind};
+use lacr::route::{try_route, NetPins, RouteConfig};
 
 fn quick() -> PlannerConfig {
     PlannerConfig {
@@ -32,8 +32,8 @@ fn single_unit_circuit_plans() {
         num_blocks: Some(1),
         ..quick()
     };
-    let plan = build_physical_plan(&c, &cfg, &[]);
-    let report = plan_retimings(&plan, &cfg).expect("feasible");
+    let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+    let report = try_plan_retimings(&plan, &cfg).expect("feasible");
     assert_eq!(report.lac.result.n_f as u64, c.num_flops());
 }
 
@@ -57,11 +57,11 @@ fn deep_combinational_ladder() {
         num_blocks: Some(4),
         ..quick()
     };
-    let plan = build_physical_plan(&c, &cfg, &[]);
+    let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
     // One register, a 60-deep path: T_min ≈ half the path after moving it
     // to the middle.
     assert!(plan.t_min < plan.t_init);
-    let report = plan_retimings(&plan, &cfg).expect("feasible");
+    let report = try_plan_retimings(&plan, &cfg).expect("feasible");
     assert!(report.lac.result.outcome.period <= plan.t_clk);
 }
 
@@ -84,8 +84,8 @@ fn wide_fanout_net() {
     c.add_net(leaf_ids[0], vec![Sink::new(z, 1)]);
     assert!(c.validate().is_empty(), "{:?}", c.validate());
     let cfg = quick();
-    let plan = build_physical_plan(&c, &cfg, &[]);
-    let report = plan_retimings(&plan, &cfg).expect("feasible");
+    let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+    let report = try_plan_retimings(&plan, &cfg).expect("feasible");
     // Retiming may change the total count (fanout duplication), but the
     // result must be legal and meet the period.
     assert!(report.lac.result.n_f > 0);
@@ -105,7 +105,7 @@ fn routing_with_zero_ripup_passes() {
         passes: 0,
         ..Default::default()
     };
-    let r = route(4, 4, &nets, &cfg);
+    let r = try_route(4, 4, &nets, &cfg).unwrap();
     assert_eq!(r.nets.len(), 30);
     for (ni, net) in nets.iter().enumerate() {
         assert_eq!(r.nets[ni].sink_paths[0].first(), Some(&net.driver));
@@ -145,7 +145,7 @@ fn self_loop_retiming() {
     let mut g = RetimeGraph::new();
     let v = g.add_vertex(VertexKind::Functional, 3, 1.0, None);
     g.add_edge(v, v, 2);
-    let mp = min_period_retiming(&g);
+    let mp = try_min_period_retiming(&g, 0).unwrap().result;
     assert_eq!(mp.period, 3);
     let out = min_area_retiming(&g, 3).expect("feasible");
     assert_eq!(out.total_flops, 2, "self-loop weight is invariant");
@@ -167,8 +167,8 @@ fn extreme_generator_specs_plan() {
             num_blocks: Some(2.min(units)),
             ..quick()
         };
-        let plan = build_physical_plan(&c, &cfg, &[]);
-        let report = plan_retimings(&plan, &cfg).expect("feasible");
+        let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
+        let report = try_plan_retimings(&plan, &cfg).expect("feasible");
         assert!(report.lac.result.outcome.period <= plan.t_clk);
     }
 }
@@ -189,8 +189,8 @@ fn already_optimal_circuit() {
         num_blocks: Some(1),
         ..quick()
     };
-    let plan = build_physical_plan(&c, &cfg, &[]);
+    let plan = try_build_physical_plan(&c, &cfg, &[]).unwrap();
     assert!(plan.t_clk >= plan.t_min);
-    let report = plan_retimings(&plan, &cfg).expect("feasible");
+    let report = try_plan_retimings(&plan, &cfg).expect("feasible");
     assert_eq!(report.lac.result.n_foa, 0);
 }

@@ -2,7 +2,7 @@
 //! pipeline with cross-stage invariants.
 
 use lacr::core::planner::{
-    build_physical_plan, plan_retimings, plan_with_iterations, PlannerConfig,
+    try_build_physical_plan, try_plan_retimings, try_plan_with_iterations, PlannerConfig,
 };
 use lacr::floorplan::anneal::FloorplanConfig;
 use lacr::netlist::bench89;
@@ -22,7 +22,7 @@ fn pipeline_invariants_hold_on_several_circuits() {
     let cfg = quick_config();
     for name in ["s344", "s382", "s641"] {
         let circuit = bench89::generate(name).expect("known circuit");
-        let plan = build_physical_plan(&circuit, &cfg, &[]);
+        let plan = try_build_physical_plan(&circuit, &cfg, &[]).unwrap();
 
         // Physical consistency.
         assert!(
@@ -52,7 +52,7 @@ fn pipeline_invariants_hold_on_several_circuits() {
         );
 
         // Retiming correctness.
-        let report = plan_retimings(&plan, &cfg).expect("t_clk is feasible");
+        let report = try_plan_retimings(&plan, &cfg).expect("t_clk is feasible");
         for run in [&report.min_area, &report.lac] {
             let out = &run.result.outcome;
             assert!(plan.expanded.graph.weights_legal(&out.weights), "{name}");
@@ -75,8 +75,8 @@ fn pipeline_invariants_hold_on_several_circuits() {
 fn occupancy_accounts_every_placed_flop() {
     let cfg = quick_config();
     let circuit = bench89::generate("s526").expect("known circuit");
-    let plan = build_physical_plan(&circuit, &cfg, &[]);
-    let report = plan_retimings(&plan, &cfg).expect("feasible");
+    let plan = try_build_physical_plan(&circuit, &cfg, &[]).unwrap();
+    let report = try_plan_retimings(&plan, &cfg).expect("feasible");
     let res = &report.lac.result;
     // Flops charged to tiles + flops on untiled (host) tails == N_F.
     let tiled: i64 = res.occupancy.counts.iter().sum();
@@ -96,7 +96,7 @@ fn occupancy_accounts_every_placed_flop() {
 fn iterated_planning_reduces_or_resolves_violations() {
     let cfg = quick_config();
     let circuit = bench89::generate("s713").expect("known circuit");
-    let iterated = plan_with_iterations(&circuit, &cfg).expect("plans");
+    let iterated = try_plan_with_iterations(&circuit, &cfg).expect("plans");
     let first = iterated.first.1.lac.result.n_foa;
     match iterated.second_n_foa {
         None => assert_eq!(first, 0, "no second iteration only when clean"),
@@ -119,8 +119,10 @@ fn iterated_planning_reduces_or_resolves_violations() {
 fn planning_is_deterministic_end_to_end() {
     let cfg = quick_config();
     let circuit = bench89::generate("s382").expect("known circuit");
-    let a = plan_retimings(&build_physical_plan(&circuit, &cfg, &[]), &cfg).unwrap();
-    let b = plan_retimings(&build_physical_plan(&circuit, &cfg, &[]), &cfg).unwrap();
+    let a =
+        try_plan_retimings(&try_build_physical_plan(&circuit, &cfg, &[]).unwrap(), &cfg).unwrap();
+    let b =
+        try_plan_retimings(&try_build_physical_plan(&circuit, &cfg, &[]).unwrap(), &cfg).unwrap();
     assert_eq!(a.lac.result.n_foa, b.lac.result.n_foa);
     assert_eq!(a.lac.result.n_f, b.lac.result.n_f);
     assert_eq!(a.lac.result.outcome.weights, b.lac.result.outcome.weights);
@@ -134,9 +136,9 @@ fn planning_is_deterministic_end_to_end() {
 fn growth_only_enlarges_blocks() {
     let cfg = quick_config();
     let circuit = bench89::generate("s641").expect("known circuit");
-    let plan1 = build_physical_plan(&circuit, &cfg, &[]);
+    let plan1 = try_build_physical_plan(&circuit, &cfg, &[]).unwrap();
     let growth = vec![5e5; plan1.partitioning.blocks.len()];
-    let plan2 = build_physical_plan(&circuit, &cfg, &growth);
+    let plan2 = try_build_physical_plan(&circuit, &cfg, &growth).unwrap();
     let a1: f64 = plan1.floorplan.blocks.iter().map(|b| b.w * b.h).sum();
     let a2: f64 = plan2.floorplan.blocks.iter().map(|b| b.w * b.h).sum();
     assert!(a2 > a1, "grown plan should have larger total block area");

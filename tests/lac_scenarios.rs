@@ -212,11 +212,7 @@ fn s526_lac_result_is_pinned() {
     .into_iter()
     .flat_map(|v| std::iter::once(v.len() as i64).chain(v.iter().copied()))
     .chain([res.n_foa, res.n_f]);
-    let digest = values
-        .flat_map(i64::to_le_bytes)
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let digest = lacr::obs::fnv1a64(values.flat_map(i64::to_le_bytes));
     assert_eq!(
         digest, 0x83a0_346c_94c1_3af4,
         "s526 LAC digest {digest:#018x}"

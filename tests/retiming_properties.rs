@@ -6,7 +6,7 @@
 
 use lacr::mcmf::{Constraint, DifferenceConstraints, DualSolver};
 use lacr::retime::{
-    feasible_retiming, generate_period_constraints, min_area_retiming, min_period_retiming,
+    generate_period_constraints, min_area_retiming, try_feasible_retiming, try_min_period_retiming,
     RetimeGraph, VertexKind,
 };
 use lacr_prng::{prop_assert, prop_assert_eq, Rng};
@@ -50,17 +50,17 @@ lacr_prng::properties! {
         prop_assert_eq!(ring0, ring1);
     }
 
-    /// `min_period_retiming` returns a feasible retiming, and one below
+    /// `try_min_period_retiming` returns a feasible retiming, and one below
     /// its reported optimum does not exist.
     fn min_period_is_tight(rng) {
         let g = arb_graph(rng);
-        let res = min_period_retiming(&g);
+        let res = try_min_period_retiming(&g, 0).unwrap().result;
         let w = g.retimed_weights(&res.retiming);
         prop_assert!(g.weights_legal(&w));
-        let p = g.clock_period(&w).expect("legal");
+        let p = g.try_clock_period(&w).expect("legal");
         prop_assert!(p <= res.period);
         if res.period > 0 {
-            prop_assert!(feasible_retiming(&g, res.period - 1).is_none());
+            prop_assert!(try_feasible_retiming(&g, res.period - 1).unwrap().is_none());
         }
     }
 
@@ -69,7 +69,7 @@ lacr_prng::properties! {
     /// the unretimed period (r = 0 is a candidate).
     fn min_area_never_worse_than_identity(rng) {
         let g = arb_graph(rng);
-        let t0 = g.clock_period(&g.weights()).expect("valid");
+        let t0 = g.try_clock_period(&g.weights()).expect("valid");
         let out = min_area_retiming(&g, t0).expect("t0 feasible");
         prop_assert!(out.period <= t0);
         prop_assert!(out.total_flops <= g.total_flops());
@@ -81,7 +81,7 @@ lacr_prng::properties! {
     fn constraints_characterise_feasibility(rng) {
         let g = arb_graph(rng);
         let slack = rng.gen_range(0u64..6);
-        let mp = min_period_retiming(&g);
+        let mp = try_min_period_retiming(&g, 0).unwrap().result;
         let t = mp.period + slack;
         let pc = generate_period_constraints(&g, t).unwrap();
         let mut cons = lacr::retime::edge_constraints(&g);
@@ -90,7 +90,7 @@ lacr_prng::properties! {
         let r = sys.solve().expect("t >= minimum period must be feasible");
         let w = g.retimed_weights(&r);
         prop_assert!(g.weights_legal(&w));
-        prop_assert!(g.clock_period(&w).expect("legal") <= t);
+        prop_assert!(g.try_clock_period(&w).expect("legal") <= t);
     }
 
     /// Pruning is exact: a solution of the pruned constraint system (plus
@@ -100,7 +100,7 @@ lacr_prng::properties! {
     fn pruning_is_equivalence_preserving(rng) {
         let g = arb_graph(rng);
         let slack = rng.gen_range(0u64..4);
-        let t = min_period_retiming(&g).period + slack;
+        let t = try_min_period_retiming(&g, 0).unwrap().result.period + slack;
         let pruned = generate_period_constraints(&g, t).unwrap();
         prop_assert!(pruned.constraints.len() <= pruned.pairs_before_pruning);
         let mut cons = lacr::retime::edge_constraints(&g);
@@ -110,7 +110,7 @@ lacr_prng::properties! {
         let w = g.retimed_weights(&r);
         prop_assert!(g.weights_legal(&w));
         prop_assert!(
-            g.clock_period(&w).expect("legal") <= t,
+            g.try_clock_period(&w).expect("legal") <= t,
             "pruned solution misses the target period"
         );
     }
@@ -181,7 +181,7 @@ lacr_prng::properties! {
         let g = arb_graph(rng);
         let slack = rng.gen_range(0u64..10);
         let w = g.weights();
-        let period = g.clock_period(&w).expect("valid circuit");
+        let period = g.try_clock_period(&w).expect("valid circuit");
         let target = period + slack;
         let report = analyze_timing(&g, &w, target).expect("acyclic");
         prop_assert_eq!(report.period, period);
@@ -200,7 +200,7 @@ lacr_prng::properties! {
         use lacr::retime::critical_path;
         let g = arb_graph(rng);
         let w = g.weights();
-        let period = g.clock_period(&w).expect("valid circuit");
+        let period = g.try_clock_period(&w).expect("valid circuit");
         let cp = critical_path(&g, &w);
         let sum: u64 = cp.iter().map(|&v| g.delay(v)).sum();
         prop_assert_eq!(sum, period);
@@ -215,7 +215,7 @@ lacr_prng::properties! {
             weighted_min_area_retiming,
         };
         let g = arb_graph(rng);
-        let t = g.clock_period(&g.weights()).expect("valid circuit");
+        let t = g.try_clock_period(&g.weights()).expect("valid circuit");
         let pc = generate_period_constraints(&g, t).unwrap();
         let ones = vec![1.0; g.num_vertices()];
         let sum_opt = weighted_min_area_retiming(&g, &pc, &ones).expect("t feasible");

@@ -9,8 +9,8 @@ use lacr::floorplan::tiles::{CapacityLedger, TileGrid, TileGridConfig};
 use lacr::floorplan::{BlockSpec, Floorplan, PlacedBlock};
 use lacr::netlist::{bench89, bench_format, Circuit, Sink, Unit, UnitKind};
 use lacr::partition::{partition, PartitionConfig};
-use lacr::repeater::{insert_repeaters, plan_positions};
-use lacr::route::{route, NetPins, RouteConfig};
+use lacr::repeater::{plan_positions, try_insert_repeaters};
+use lacr::route::{try_route, NetPins, RouteConfig};
 use lacr::timing::Technology;
 use lacr_prng::{prop_assert, prop_assert_eq};
 
@@ -49,7 +49,7 @@ lacr_prng::properties! {
                     .collect(),
             })
             .collect();
-        let r = route(6, 6, &nets, &RouteConfig::default());
+        let r = try_route(6, 6, &nets, &RouteConfig::default()).unwrap();
         for (ni, net) in nets.iter().enumerate() {
             for (si, &sink) in net.sinks.iter().enumerate() {
                 let p = &r.nets[ni].sink_paths[si];
@@ -147,7 +147,7 @@ lacr_prng::properties! {
         let tech = Technology::default();
         let before: f64 = grid.tile_ids().map(|t| ledger.remaining(t)).sum();
         let path: Vec<usize> = (0..len).collect();
-        let res = insert_repeaters(&path, &grid, &mut ledger, &tech);
+        let res = try_insert_repeaters(&path, &grid, &mut ledger, &tech).unwrap();
         let total: f64 = res.segments.iter().map(|s| s.length_um).sum();
         prop_assert!((total - (len - 1) as f64 * 500.0).abs() < 1e-6);
         for s in &res.segments {
