@@ -20,15 +20,8 @@
 //!    from the cached W/D substrate or by building it — summed
 //!    `retime.probe` deltas equal summed `retime.wd_cache_hits` deltas
 //!    plus the number of `retime.wd_build` child spans. (Host-free
-//!    searches use arrival-time FEAS probes, which emit only
-//!    `retime.feas_probes`; both sides are then zero.)
-//!
-//! `--mem` mode re-reads the same JSONL stream and enforces the memory
-//! observability contract instead: every `span_close` carries all four
-//! `mem.*` keys (`mem.self_bytes`, `mem.live_bytes`, `mem.peak_bytes`,
-//! `mem.allocs`), the allocator's peak is never below its live gauge at
-//! any sample, per-span alloc counts are non-negative, and `mem.allocs`
-//! counter totals are monotone non-decreasing across the stream.
+//!    searches run arrival-time FEAS probes, which touch no substrate;
+//!    both sides are then zero.)
 //!
 //! Other artifact kinds have their own modes:
 //!
@@ -39,21 +32,17 @@
 //! - `--flight <dump.jsonl>`: a flight-recorder postmortem — versioned
 //!   header with a `reason`, an `events` count matching the body, every
 //!   body line a known record type;
-//! - `--serve <responses.jsonl>`: a transcript of `lacr serve` response
-//!   lines — every line a structured response with an `id`
+//! - `--serve <responses.jsonl>`: `lacr serve` output lines — responses,
+//!   `{"cmd":"stats"}` probe answers or `--stats-interval-ms`
+//!   heartbeats — every line a structured response with an `id`
 //!   (string-or-null) and a known `status`, and the payload each status
-//!   promises (plan text, error kind/message, rejection reason, stats
-//!   snapshot blocks);
-//! - `--stats <snapshots.jsonl>`: one or more `lacr serve` stats
-//!   snapshots (from `{"cmd":"stats"}` responses or the periodic
-//!   `--stats-interval-ms` heartbeat) — required keys present, status
-//!   counts sum to completed requests, gauges non-negative, rolling
-//!   percentiles ordered `p50 <= p95 <= p99`, and every counter
-//!   monotone non-decreasing across successive snapshots;
-//! - `--chrome <trace.json>`: a Chrome trace-event file from
-//!   `--trace-chrome` — a `traceEvents` array whose every event carries
-//!   `name`/`ph`/`ts`/`pid`/`tid`, with `B`/`E` begin–end events
-//!   balancing like parentheses (matching names) per `(pid, tid)` lane.
+//!   promises (plan text, error kind/message, rejection reason, a
+//!   versioned stats snapshot with its six blocks).
+//!
+//! Each mode guards a format that crosses a process boundary. Invariants
+//! that hold by construction inside one process (a stats snapshot's
+//! status partition, `peak >= live`) are unit-tested beside the code
+//! that guarantees them.
 //!
 //! ```text
 //! cargo run --release -p lacr-bench --bin check_metrics -- [mode] <file>
@@ -236,101 +225,6 @@ fn check_stream(text: &str) -> Result<(usize, usize, usize), String> {
     Ok((records, spans, par_regions))
 }
 
-/// Span-close keys the memory observability contract requires on every
-/// record once the counting allocator is wired in (schema version 2).
-const MEM_SPAN_KEYS: &[&str] = &[
-    "mem.self_bytes",
-    "mem.live_bytes",
-    "mem.peak_bytes",
-    "mem.allocs",
-];
-
-/// Validates the memory contract over a JSONL metrics stream: every
-/// `span_close` carries all `mem.*` keys, `mem.peak_bytes >=
-/// mem.live_bytes` at every sample (the allocator loads live before
-/// peak, so a violation means the record was fabricated or the
-/// counters are broken), per-span `mem.allocs` is non-negative, and
-/// `mem.allocs` counter totals never decrease. Returns (span closes
-/// checked, counter samples checked).
-fn check_mem_stream(text: &str) -> Result<(usize, usize), String> {
-    let mut closes = 0usize;
-    let mut counter_samples = 0usize;
-    let mut last_alloc_total = f64::NEG_INFINITY;
-    let mut saw_summary = false;
-    for (ln, line) in text.lines().enumerate() {
-        let ln = ln + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse_json(line).map_err(|e| format!("line {ln}: {e}"))?;
-        let t = v
-            .get("t")
-            .and_then(Json::as_str)
-            .ok_or(format!("line {ln}: missing \"t\" tag"))?;
-        match t {
-            "span_close" => {
-                let name = v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("line {ln}: span_close without name"))?;
-                for &key in MEM_SPAN_KEYS {
-                    v.get(key)
-                        .and_then(Json::as_num)
-                        .ok_or(format!("line {ln}: span_close {name:?} missing {key}"))?;
-                }
-                let live = v.get("mem.live_bytes").and_then(Json::as_num).unwrap();
-                let peak = v.get("mem.peak_bytes").and_then(Json::as_num).unwrap();
-                if peak < live {
-                    return Err(format!(
-                        "line {ln}: span_close {name:?} has mem.peak_bytes {peak} \
-                         below mem.live_bytes {live}"
-                    ));
-                }
-                let allocs = v.get("mem.allocs").and_then(Json::as_num).unwrap();
-                if allocs < 0.0 {
-                    return Err(format!(
-                        "line {ln}: span_close {name:?} has negative mem.allocs {allocs}"
-                    ));
-                }
-                closes += 1;
-            }
-            "counter" if v.get("name").and_then(Json::as_str) == Some("mem.allocs") => {
-                let delta = v
-                    .get("delta")
-                    .and_then(Json::as_num)
-                    .ok_or(format!("line {ln}: mem.allocs counter without delta"))?;
-                if delta < 0.0 {
-                    return Err(format!("line {ln}: mem.allocs delta {delta} is negative"));
-                }
-                let total = v
-                    .get("total")
-                    .and_then(Json::as_num)
-                    .ok_or(format!("line {ln}: mem.allocs counter without total"))?;
-                if total < last_alloc_total {
-                    return Err(format!(
-                        "line {ln}: mem.allocs total went backwards \
-                         ({last_alloc_total} -> {total})"
-                    ));
-                }
-                last_alloc_total = total;
-                counter_samples += 1;
-            }
-            "summary" => {
-                check_schema_version(&v).map_err(|e| format!("line {ln}: summary {e}"))?;
-                saw_summary = true;
-            }
-            _ => {}
-        }
-    }
-    if !saw_summary {
-        return Err("no summary record (stream truncated?)".to_string());
-    }
-    if closes == 0 {
-        return Err("no span_close records to check the memory contract on".to_string());
-    }
-    Ok((closes, counter_samples))
-}
-
 /// Requires a supported `schema_version` on `v`.
 fn check_schema_version(v: &Json) -> Result<u32, String> {
     let version = v
@@ -415,8 +309,8 @@ fn check_run_record(text: &str) -> Result<(String, usize), String> {
 /// `ok`/`degraded` carry a `plan` block with a non-empty `text` array
 /// (and `degraded` a non-empty `degradations` array), `error` carries
 /// `error.kind`/`error.message`, `rejected` carries a `reason`, and
-/// `stats` carries the snapshot blocks (`requests`/`pool`/`latency`/
-/// `cache`/`connections`/`flight` — deep-validated by `--stats`).
+/// `stats` carries a `schema_version` and the snapshot blocks
+/// (`requests`/`pool`/`latency`/`cache`/`connections`/`flight`).
 /// Returns (responses, per-status counts in taxonomy order).
 fn check_serve_transcript(text: &str) -> Result<(usize, [usize; 5]), String> {
     const STATUSES: [&str; 5] = ["ok", "degraded", "error", "rejected", "stats"];
@@ -516,284 +410,6 @@ fn check_serve_transcript(text: &str) -> Result<(usize, [usize; 5]), String> {
     Ok((responses, counts))
 }
 
-/// Numeric leaf at `path` inside a stats snapshot, or an error naming
-/// the missing key.
-fn stats_num(v: &Json, path: &[&str]) -> Result<f64, String> {
-    let mut cur = v;
-    for key in path {
-        cur = cur
-            .get(key)
-            .ok_or_else(|| format!("snapshot missing {}", path.join(".")))?;
-    }
-    cur.as_num()
-        .ok_or_else(|| format!("{} is not a number", path.join(".")))
-}
-
-/// Counters that must never decrease across successive snapshots from
-/// one daemon: the request totals, the pool's lifetime counters, the
-/// plan-cache and connection counters, and the flight-recorder dump
-/// count.
-const MONOTONE_COUNTERS: &[&[&str]] = &[
-    &["requests", "received"],
-    &["requests", "ok"],
-    &["requests", "degraded"],
-    &["requests", "error"],
-    &["requests", "rejected"],
-    &["requests", "completed"],
-    &["pool", "shed_total"],
-    &["pool", "completed_total"],
-    &["pool", "panics"],
-    &["cache", "hits"],
-    &["cache", "misses"],
-    &["cache", "evictions"],
-    &["connections", "accepted_total"],
-    &["connections", "shed_total"],
-    &["flight", "dumps"],
-    &["uptime_us"],
-];
-
-/// Validates one or more `lacr serve` stats snapshots, one JSON object
-/// per line (ordered oldest first, as both the `{"cmd":"stats"}`
-/// response stream and the periodic heartbeat emit them). Checks the
-/// contract every snapshot promises — required keys, status counts
-/// summing to completed, non-negative gauges, `queued <= capacity`,
-/// ordered percentiles — and that every lifetime counter is monotone
-/// non-decreasing across the sequence. Returns the snapshot count.
-fn check_stats_lines(text: &str) -> Result<usize, String> {
-    let mut snapshots = 0usize;
-    let mut prev: Option<Json> = None;
-    for (ln, line) in text.lines().enumerate() {
-        let ln = ln + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse_json(line).map_err(|e| format!("line {ln}: {e}"))?;
-        snapshots += 1;
-        if v.get("status").and_then(Json::as_str) != Some("stats") {
-            return Err(format!("line {ln}: not a stats snapshot (status != stats)"));
-        }
-        let version = check_schema_version(&v).map_err(|e| format!("line {ln}: {e}"))?;
-        let num = |path: &[&str]| stats_num(&v, path).map_err(|e| format!("line {ln}: {e}"));
-        // Request accounting: the status counts partition completed
-        // requests, and nothing finishes that was never received.
-        let ok = num(&["requests", "ok"])?;
-        let degraded = num(&["requests", "degraded"])?;
-        let error = num(&["requests", "error"])?;
-        let rejected = num(&["requests", "rejected"])?;
-        let received = num(&["requests", "received"])?;
-        let completed = num(&["requests", "completed"])?;
-        if completed != ok + degraded + error {
-            return Err(format!(
-                "line {ln}: completed {completed} != ok {ok} + degraded {degraded} \
-                 + error {error}"
-            ));
-        }
-        if completed + rejected > received {
-            return Err(format!(
-                "line {ln}: completed {completed} + rejected {rejected} exceeds \
-                 received {received}"
-            ));
-        }
-        // Pool gauges: instantaneous, but never negative, and the queue
-        // never reports beyond its own capacity.
-        let queued = num(&["pool", "queued"])?;
-        let capacity = num(&["pool", "capacity"])?;
-        if queued > capacity {
-            return Err(format!("line {ln}: queued {queued} > capacity {capacity}"));
-        }
-        for path in [
-            ["pool", "workers"],
-            ["pool", "inflight"],
-            ["pool", "shed_total"],
-            ["pool", "completed_total"],
-            ["pool", "panics"],
-            ["cache", "hits"],
-            ["cache", "misses"],
-            ["cache", "evictions"],
-            ["connections", "active"],
-            ["connections", "accepted_total"],
-            ["connections", "shed_total"],
-            ["connections", "max"],
-            ["flight", "dumps"],
-            ["flight", "capacity"],
-        ] {
-            let n = num(&path)?;
-            if n < 0.0 {
-                return Err(format!("line {ln}: {} is negative ({n})", path.join(".")));
-            }
-        }
-        // The plan cache never reports residency beyond its own caps.
-        let cache_entries = num(&["cache", "entries"])?;
-        let cache_max_entries = num(&["cache", "max_entries"])?;
-        if cache_entries > cache_max_entries {
-            return Err(format!(
-                "line {ln}: cache entries {cache_entries} > max_entries {cache_max_entries}"
-            ));
-        }
-        let cache_bytes = num(&["cache", "bytes"])?;
-        let cache_max_bytes = num(&["cache", "max_bytes"])?;
-        if cache_bytes > cache_max_bytes {
-            return Err(format!(
-                "line {ln}: cache bytes {cache_bytes} > max_bytes {cache_max_bytes}"
-            ));
-        }
-        // Schema 2 snapshots carry the allocator block and the cache's
-        // audited byte count; schema-1 archives predate both.
-        if version >= 2 {
-            let live = num(&["mem", "live_bytes"])?;
-            let peak = num(&["mem", "peak_bytes"])?;
-            if peak < live {
-                return Err(format!(
-                    "line {ln}: mem.peak_bytes {peak} below mem.live_bytes {live}"
-                ));
-            }
-            for path in [
-                ["mem", "allocs"],
-                ["mem", "deallocs"],
-                ["mem", "peak_rss_bytes"],
-                ["mem", "cache_bytes_actual"],
-                ["cache", "bytes_actual"],
-            ] {
-                let n = num(&path)?;
-                if n < 0.0 {
-                    return Err(format!("line {ln}: {} is negative ({n})", path.join(".")));
-                }
-            }
-        }
-        // Rolling latency: both windows carry ordered percentiles.
-        num(&["latency", "window_us"])?;
-        for block in ["queue_wait_us", "service_us"] {
-            let p50 = num(&["latency", block, "p50"])?;
-            let p95 = num(&["latency", block, "p95"])?;
-            let p99 = num(&["latency", block, "p99"])?;
-            if !(p50 <= p95 && p95 <= p99) {
-                return Err(format!(
-                    "line {ln}: {block} percentiles out of order \
-                     (p50 {p50}, p95 {p95}, p99 {p99})"
-                ));
-            }
-        }
-        if let Some(p) = &prev {
-            for path in MONOTONE_COUNTERS {
-                let before = stats_num(p, path).map_err(|e| format!("line {ln}: {e}"))?;
-                let after = stats_num(&v, path).map_err(|e| format!("line {ln}: {e}"))?;
-                if after < before {
-                    return Err(format!(
-                        "line {ln}: {} went backwards ({before} -> {after})",
-                        path.join(".")
-                    ));
-                }
-            }
-            // Allocator lifetime counters are monotone too, but only
-            // when both snapshots are schema-2 (a v1 -> v2 boundary in
-            // an archive has nothing to compare).
-            for path in [
-                &["mem", "allocs"][..],
-                &["mem", "deallocs"],
-                &["mem", "peak_bytes"],
-                &["mem", "peak_rss_bytes"],
-            ] {
-                if let (Ok(before), Ok(after)) = (stats_num(p, path), stats_num(&v, path)) {
-                    if after < before {
-                        return Err(format!(
-                            "line {ln}: {} went backwards ({before} -> {after})",
-                            path.join(".")
-                        ));
-                    }
-                }
-            }
-        }
-        prev = Some(v);
-    }
-    if snapshots == 0 {
-        return Err("no stats snapshots (daemon produced no output?)".to_string());
-    }
-    Ok(snapshots)
-}
-
-/// Validates a Chrome trace-event file from `--trace-chrome`: the
-/// `traceEvents` array is present and non-empty, every event carries
-/// `name`/`ph`/`ts`/`pid`/`tid` with a known phase, and the `B`/`E`
-/// duration events balance like parentheses — matching names, LIFO
-/// order — within each `(pid, tid)` lane. Returns (events, lanes).
-fn check_chrome_trace(text: &str) -> Result<(usize, usize), String> {
-    const KNOWN_PHASES: [&str; 5] = ["B", "E", "C", "i", "M"];
-    let v = parse_json(text)?;
-    let events = v
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("no traceEvents array")?;
-    if events.is_empty() {
-        return Err("traceEvents is empty".to_string());
-    }
-    // Per-(pid, tid) open-span stacks; B pushes, E must pop its match.
-    let mut stacks: std::collections::BTreeMap<(u64, u64), Vec<String>> =
-        std::collections::BTreeMap::new();
-    let mut last_ts_per_lane: std::collections::BTreeMap<(u64, u64), f64> =
-        std::collections::BTreeMap::new();
-    for (i, e) in events.iter().enumerate() {
-        let ctx = |what: &str| format!("event {i}: {what}");
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("no name"))?;
-        let ph = e
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("no ph"))?;
-        if !KNOWN_PHASES.contains(&ph) {
-            return Err(ctx(&format!("unknown phase {ph:?}")));
-        }
-        let ts = e
-            .get("ts")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("no ts"))?;
-        if ts < 0.0 {
-            return Err(ctx(&format!("negative ts {ts}")));
-        }
-        let pid = e
-            .get("pid")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("no pid"))? as u64;
-        let tid = e
-            .get("tid")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ctx("no tid"))? as u64;
-        let lane = (pid, tid);
-        // Timestamps never run backwards within a lane (metadata events
-        // are pinned at ts 0 and exempt).
-        if ph != "M" {
-            let last = last_ts_per_lane.entry(lane).or_insert(0.0);
-            if ts < *last {
-                return Err(ctx(&format!("ts {ts} before lane high-water {last}")));
-            }
-            *last = ts;
-        }
-        match ph {
-            "B" => stacks.entry(lane).or_default().push(name.to_string()),
-            "E" => {
-                let open = stacks
-                    .entry(lane)
-                    .or_default()
-                    .pop()
-                    .ok_or_else(|| ctx("E with no open B in its lane"))?;
-                if open != name {
-                    return Err(ctx(&format!("E {name:?} does not match open B {open:?}")));
-                }
-            }
-            _ => {}
-        }
-    }
-    for ((pid, tid), stack) in &stacks {
-        if let Some(open) = stack.last() {
-            return Err(format!(
-                "lane ({pid}, {tid}) ends with span {open:?} still open"
-            ));
-        }
-    }
-    Ok((events.len(), stacks.len()))
-}
-
 /// Validates a flight-recorder postmortem dump: a versioned header line
 /// with a `reason` and an `events` count that matches the number of
 /// body lines; every body line a known record type. Returns (reason,
@@ -842,18 +458,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mode, path) = match args.as_slice() {
         [path] => ("--stream", path.as_str()),
-        [mode, path]
-            if matches!(
-                mode.as_str(),
-                "--run" | "--bench" | "--flight" | "--serve" | "--stats" | "--chrome" | "--mem"
-            ) =>
-        {
+        [mode, path] if matches!(mode.as_str(), "--run" | "--bench" | "--flight" | "--serve") => {
             (mode.as_str(), path.as_str())
         }
         _ => {
             eprintln!(
                 "usage: check_metrics \
-                 [--run|--bench|--flight|--serve|--stats|--chrome|--mem] <file>"
+                 [--run|--bench|--flight|--serve] <file>"
             );
             return ExitCode::from(2);
         }
@@ -880,17 +491,6 @@ fn main() -> ExitCode {
                 )
             })
         }
-        "--stats" => check_stats_lines(&text)
-            .map(|snapshots| format!("stats snapshots: {snapshots} consistent snapshot(s)")),
-        "--chrome" => check_chrome_trace(&text).map(|(events, lanes)| {
-            format!("chrome trace: {events} event(s), {lanes} lane(s), B/E balanced")
-        }),
-        "--mem" => check_mem_stream(&text).map(|(closes, counters)| {
-            format!(
-                "memory contract: {closes} span close(s) with mem.* keys, \
-                 peak >= live throughout, {counters} monotone mem.allocs sample(s)"
-            )
-        }),
         _ => check_stream(&text).map(|(records, spans, par_regions)| {
             format!(
                 "{records} records, {spans} spans, \
@@ -994,64 +594,13 @@ mod tests {
         let err = check_stream(bypassed).unwrap_err();
         assert!(err.contains("2 substrate probe(s)"), "{err}");
 
-        // Host-free searches: FEAS probes only, both sides zero.
+        // Host-free searches probe no substrate: both sides zero.
         let host_free = "\
 {\"t\":\"span_open\",\"us\":1,\"name\":\"retime.min_period\",\"depth\":0,\"attrs\":{}}
-{\"t\":\"counter\",\"us\":2,\"name\":\"retime.feas_probes\",\"delta\":4,\"total\":4}
 {\"t\":\"span_close\",\"us\":3,\"name\":\"retime.min_period\",\"depth\":0,\"incl_us\":2,\"excl_us\":2}
 {\"t\":\"summary\",\"schema_version\":1}
 ";
         assert!(check_stream(host_free).is_ok());
-    }
-
-    #[test]
-    fn enforces_the_memory_contract() {
-        // Well-formed: every close carries the mem keys, peak >= live,
-        // and mem.allocs totals climb.
-        let good = "\
-{\"t\":\"span_open\",\"us\":1,\"name\":\"a\",\"depth\":0,\"attrs\":{}}
-{\"t\":\"span_open\",\"us\":2,\"name\":\"b\",\"depth\":1,\"attrs\":{}}
-{\"t\":\"span_close\",\"us\":3,\"name\":\"b\",\"depth\":1,\"incl_us\":1,\"excl_us\":1,\"mem.self_bytes\":128,\"mem.live_bytes\":4096,\"mem.peak_bytes\":8192,\"mem.allocs\":3}
-{\"t\":\"counter\",\"us\":4,\"name\":\"mem.allocs\",\"delta\":3,\"total\":3}
-{\"t\":\"span_close\",\"us\":5,\"name\":\"a\",\"depth\":0,\"incl_us\":4,\"excl_us\":3,\"mem.self_bytes\":-64,\"mem.live_bytes\":4000,\"mem.peak_bytes\":8192,\"mem.allocs\":5}
-{\"t\":\"counter\",\"us\":6,\"name\":\"mem.allocs\",\"delta\":5,\"total\":8}
-{\"t\":\"summary\",\"schema_version\":2}
-";
-        assert_eq!(check_mem_stream(good).unwrap(), (2, 2));
-
-        // A close missing any mem key fails by name.
-        let keyless = "\
-{\"t\":\"span_close\",\"us\":1,\"name\":\"a\",\"depth\":0,\"incl_us\":1,\"excl_us\":1,\"mem.self_bytes\":0,\"mem.live_bytes\":0,\"mem.allocs\":0}
-{\"t\":\"summary\",\"schema_version\":2}
-";
-        let err = check_mem_stream(keyless).unwrap_err();
-        assert!(err.contains("missing mem.peak_bytes"), "{err}");
-
-        // The allocator loads live before peak: peak < live at any
-        // sample means the record was fabricated.
-        let inverted = good.replace(
-            "\"mem.peak_bytes\":8192,\"mem.allocs\":5",
-            "\"mem.peak_bytes\":100,\"mem.allocs\":5",
-        );
-        let err = check_mem_stream(&inverted).unwrap_err();
-        assert!(err.contains("below mem.live_bytes"), "{err}");
-
-        // mem.allocs counter totals never run backwards.
-        let rewound = good.replace("\"delta\":5,\"total\":8", "\"delta\":5,\"total\":1");
-        let err = check_mem_stream(&rewound).unwrap_err();
-        assert!(err.contains("went backwards"), "{err}");
-
-        // Negative per-span alloc counts are impossible.
-        let negative = good.replace("\"mem.allocs\":3}", "\"mem.allocs\":-3}");
-        let err = check_mem_stream(&negative).unwrap_err();
-        assert!(err.contains("negative mem.allocs"), "{err}");
-
-        // A stream with no closes proves nothing — reject it.
-        let empty = "{\"t\":\"summary\",\"schema_version\":2}\n";
-        assert!(check_mem_stream(empty)
-            .unwrap_err()
-            .contains("no span_close"));
-        assert!(check_mem_stream("").unwrap_err().contains("no summary"));
     }
 
     #[test]
@@ -1183,195 +732,12 @@ mod tests {
         )
     }
 
-    /// Upgrades a v1 snapshot line to schema 2: the allocator block and
-    /// the cache's audited byte count become mandatory there.
-    fn upgrade_snapshot(line: &str) -> String {
-        line.replace("\"schema_version\":1", "\"schema_version\":2")
-            .replace("\"evictions\":0}", "\"evictions\":0,\"bytes_actual\":512}")
-            .replace(
-                "\"flight\":",
-                "\"mem\":{\"live_bytes\":1048576,\"peak_bytes\":4194304,\
-                 \"allocs\":1000,\"deallocs\":900,\"peak_rss_bytes\":8388608,\
-                 \"cache_bytes_actual\":512},\"flight\":",
-            )
-    }
-
-    #[test]
-    fn schema_2_snapshots_must_carry_the_mem_block() {
-        let good = format!(
-            "{}{}",
-            upgrade_snapshot(&stats_snapshot(2, 1, 0, 0, 0)),
-            upgrade_snapshot(&stats_snapshot(5, 3, 1, 0, 1))
-                .replace("\"allocs\":1000", "\"allocs\":2000")
-        );
-        assert_eq!(check_stats_lines(&good).unwrap(), 2);
-
-        // A v2 snapshot without the allocator block is incomplete.
-        let block_less =
-            stats_snapshot(2, 1, 0, 0, 0).replace("\"schema_version\":1", "\"schema_version\":2");
-        let err = check_stats_lines(&block_less).unwrap_err();
-        assert!(err.contains("missing mem"), "{err}");
-
-        // The snapshot loads live before peak: peak < live is broken.
-        let inverted = upgrade_snapshot(&stats_snapshot(2, 1, 0, 0, 0))
-            .replace("\"peak_bytes\":4194304", "\"peak_bytes\":1");
-        let err = check_stats_lines(&inverted).unwrap_err();
-        assert!(err.contains("below mem.live_bytes"), "{err}");
-
-        // Allocator lifetime counters are monotone across snapshots.
-        let rewound = format!(
-            "{}{}",
-            upgrade_snapshot(&stats_snapshot(2, 1, 0, 0, 0)),
-            upgrade_snapshot(&stats_snapshot(5, 3, 1, 0, 1))
-                .replace("\"allocs\":1000", "\"allocs\":10")
-        );
-        let err = check_stats_lines(&rewound).unwrap_err();
-        assert!(err.contains("mem.allocs went backwards"), "{err}");
-
-        // v1 archives predate the block and are exempt.
-        assert_eq!(
-            check_stats_lines(&stats_snapshot(2, 1, 0, 0, 0)).unwrap(),
-            1
-        );
-    }
-
-    #[test]
-    fn validates_stats_snapshots() {
-        let good = format!(
-            "{}{}{}",
-            stats_snapshot(2, 1, 0, 0, 0),
-            stats_snapshot(5, 3, 1, 0, 1),
-            stats_snapshot(9, 5, 2, 1, 1)
-        );
-        assert_eq!(check_stats_lines(&good).unwrap(), 3);
-
-        // The status counts must partition completed.
-        let inconsistent = stats_snapshot(4, 2, 1, 0, 0)
-            .replace("\"completed\":3", "\"completed\":4")
-            .replace("\"completed_total\":3", "\"completed_total\":4");
-        let err = check_stats_lines(&inconsistent).unwrap_err();
-        assert!(err.contains("completed 4 != ok 2"), "{err}");
-
-        // Completed + rejected can never exceed received.
-        let overcount = stats_snapshot(1, 2, 0, 0, 1);
-        assert!(check_stats_lines(&overcount)
-            .unwrap_err()
-            .contains("exceeds"));
-
-        // Percentiles must be ordered within each latency block.
-        let disordered = stats_snapshot(2, 1, 0, 0, 0).replace("\"p95\":16", "\"p95\":4");
-        assert!(check_stats_lines(&disordered)
-            .unwrap_err()
-            .contains("out of order"));
-
-        // The cache never reports residency beyond its caps.
-        let overfull = stats_snapshot(2, 1, 0, 0, 0).replace("\"entries\":1", "\"entries\":200");
-        let err = check_stats_lines(&overfull).unwrap_err();
-        assert!(err.contains("cache entries 200 > max_entries"), "{err}");
-        let overweight =
-            stats_snapshot(2, 1, 0, 0, 0).replace("\"bytes\":512", "\"bytes\":99999999");
-        assert!(check_stats_lines(&overweight)
-            .unwrap_err()
-            .contains("max_bytes"));
-
-        // Cache counters are lifetime totals: never backwards.
-        let cache_rewind = format!(
-            "{}{}",
-            stats_snapshot(5, 3, 1, 0, 1),
-            stats_snapshot(9, 5, 2, 1, 1).replace("\"misses\":8", "\"misses\":2")
-        );
-        let err = check_stats_lines(&cache_rewind).unwrap_err();
-        assert!(err.contains("cache.misses went backwards"), "{err}");
-
-        // Counters never run backwards across successive snapshots.
-        let backwards = format!(
-            "{}{}",
-            stats_snapshot(5, 3, 1, 0, 1),
-            stats_snapshot(4, 2, 1, 0, 1)
-        );
-        assert!(check_stats_lines(&backwards)
-            .unwrap_err()
-            .contains("went backwards"));
-
-        // Missing keys and empty inputs are structural failures.
-        let keyless = "{\"id\":null,\"status\":\"stats\",\"schema_version\":1}\n";
-        assert!(check_stats_lines(keyless)
-            .unwrap_err()
-            .contains("missing requests"));
-        assert!(check_stats_lines("").unwrap_err().contains("no stats"));
-    }
-
-    #[test]
-    fn validates_chrome_traces() {
-        let good = r#"{"traceEvents":[
-{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"lacr"}},
-{"name":"outer","ph":"B","ts":10,"pid":1,"tid":1,"args":{}},
-{"name":"inner","ph":"B","ts":20,"pid":1,"tid":1,"args":{}},
-{"name":"c","ph":"C","ts":25,"pid":1,"tid":0,"args":{"value":3}},
-{"name":"inner","ph":"E","ts":30,"pid":1,"tid":1},
-{"name":"mark","ph":"i","ts":35,"pid":1,"tid":1,"s":"t","args":{}},
-{"name":"outer","ph":"E","ts":40,"pid":1,"tid":1}
-],"displayTimeUnit":"ms"}"#;
-        // Lanes with any B/E activity: tid 0 carries only counter and
-        // metadata events, so only tid 1 opens a stack... but tid 0
-        // still appears once `stacks.entry` is touched — it is not, so
-        // one lane.
-        assert_eq!(check_chrome_trace(good).unwrap(), (7, 1));
-
-        // Interleaved (not nested) spans violate the stack discipline.
-        let crossed = r#"{"traceEvents":[
-{"name":"a","ph":"B","ts":1,"pid":1,"tid":1,"args":{}},
-{"name":"b","ph":"B","ts":2,"pid":1,"tid":1,"args":{}},
-{"name":"a","ph":"E","ts":3,"pid":1,"tid":1},
-{"name":"b","ph":"E","ts":4,"pid":1,"tid":1}
-]}"#;
-        assert!(check_chrome_trace(crossed)
-            .unwrap_err()
-            .contains("does not match"));
-
-        // A close with no open, and a dangling open, both fail.
-        let orphan_close = r#"{"traceEvents":[{"name":"a","ph":"E","ts":1,"pid":1,"tid":1}]}"#;
-        assert!(check_chrome_trace(orphan_close)
-            .unwrap_err()
-            .contains("no open B"));
-        let dangling =
-            r#"{"traceEvents":[{"name":"a","ph":"B","ts":1,"pid":1,"tid":1,"args":{}}]}"#;
-        assert!(check_chrome_trace(dangling)
-            .unwrap_err()
-            .contains("still open"));
-
-        // Same-name spans on different lanes are independent.
-        let lanes = r#"{"traceEvents":[
-{"name":"a","ph":"B","ts":1,"pid":1,"tid":1,"args":{}},
-{"name":"a","ph":"B","ts":2,"pid":1,"tid":2,"args":{}},
-{"name":"a","ph":"E","ts":3,"pid":1,"tid":2},
-{"name":"a","ph":"E","ts":4,"pid":1,"tid":1}
-]}"#;
-        assert_eq!(check_chrome_trace(lanes).unwrap(), (4, 2));
-
-        // Timestamps must not run backwards within a lane.
-        let rewound = r#"{"traceEvents":[
-{"name":"a","ph":"B","ts":10,"pid":1,"tid":1,"args":{}},
-{"name":"a","ph":"E","ts":5,"pid":1,"tid":1}
-]}"#;
-        assert!(check_chrome_trace(rewound)
-            .unwrap_err()
-            .contains("high-water"));
-
-        assert!(check_chrome_trace("{}")
-            .unwrap_err()
-            .contains("traceEvents"));
-        assert!(check_chrome_trace(r#"{"traceEvents":[]}"#)
-            .unwrap_err()
-            .contains("empty"));
-    }
-
     #[test]
     fn validates_flight_dumps() {
         let good = "\
 {\"t\":\"flight\",\"schema_version\":1,\"reason\":\"panic: boom\",\"events\":2,\"dropped\":0}
 {\"t\":\"event\",\"us\":1,\"name\":\"route.pass\",\"attrs\":{}}
-{\"t\":\"gauge\",\"us\":2,\"name\":\"lac.n_foa\",\"value\":3}
+{\"t\":\"gauge\",\"us\":2,\"name\":\"quality.repeaters\",\"value\":3}
 ";
         assert_eq!(check_flight_dump(good).unwrap(), ("panic: boom".into(), 2));
         // Count mismatch between header and body.

@@ -40,8 +40,7 @@ use std::io::Write as _;
 /// Observability flags shared by the `lacr` CLI and every artifact
 /// binary: `--quiet` silences the `[lacr]` stderr diagnostics, `--trace`
 /// streams spans to stderr, `--metrics-out <path>` writes the full JSONL
-/// record stream, `--trace-chrome <path>` writes a Chrome trace-event
-/// JSON file, `--threads <n>` caps the parallel-region worker pool
+/// record stream, `--threads <n>` caps the parallel-region worker pool
 /// (results are bit-identical at any thread count),
 /// `--flight-recorder-out <path>` arms the always-on flight recorder to
 /// dump its postmortem there.
@@ -53,8 +52,6 @@ pub struct ObsOptions {
     pub trace: bool,
     /// Write every record to this JSONL file.
     pub metrics_out: Option<String>,
-    /// Write a Chrome trace-event JSON file here on exit.
-    pub trace_chrome: Option<String>,
     /// Worker-pool cap for parallel regions.
     pub threads: Option<usize>,
     /// Arm the flight recorder to dump its ring here on panic or
@@ -68,8 +65,8 @@ impl ObsOptions {
     ///
     /// # Errors
     ///
-    /// A usage message when a path flag has no value or `--threads` is
-    /// not a positive integer.
+    /// A usage message when a path flag has no value, `--threads` is
+    /// not a positive integer, or the removed `--trace-chrome` is given.
     pub fn from_args(args: &mut Vec<String>) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut rest = Vec::with_capacity(args.len());
@@ -80,7 +77,11 @@ impl ObsOptions {
                 "--quiet" => opts.quiet = true,
                 "--trace" => opts.trace = true,
                 "--metrics-out" => opts.metrics_out = Some(value("a path")?),
-                "--trace-chrome" => opts.trace_chrome = Some(value("a path")?),
+                "--trace-chrome" => {
+                    return Err("--trace-chrome was removed; --metrics-out <path> \
+                                writes the record stream"
+                        .into())
+                }
                 "--flight-recorder-out" => opts.flight_out = Some(value("a path")?),
                 "--threads" => {
                     let n: usize = value("a worker count")?
@@ -126,9 +127,6 @@ impl ObsOptions {
         }
         if self.trace {
             sinks.push(Box::new(lacr_obs::sink::StderrSink));
-        }
-        if let Some(path) = &self.trace_chrome {
-            sinks.push(Box::new(lacr_obs::ChromeTraceSink::create(path)));
         }
         match sinks.len() {
             0 => {}

@@ -18,8 +18,8 @@
 //! shift that boundary, but it can never make the pipeline flip back
 //! and forth between "expired" and "not expired" decisions within one
 //! run, which previously produced inconsistent degradation reports
-//! under `--trace`. Every clock poll is counted and surfaced as the
-//! `budget.deadline_checks` counter.
+//! under `--trace`. Every clock poll is counted by [`Budget::checks`],
+//! and the `budget.expired` event carries the count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,8 +105,8 @@ impl Budget {
     /// Whether the wall-clock deadline has passed.
     ///
     /// Sticky: the first `true` latches, so later calls return `true`
-    /// without polling the clock. Each real clock poll increments the
-    /// `budget.deadline_checks` counter.
+    /// without polling the clock. Each real clock poll increments
+    /// [`Self::checks`].
     pub fn expired(&self) -> bool {
         let Some(deadline) = self.deadline else {
             return false;
@@ -115,7 +115,6 @@ impl Budget {
             return true;
         }
         self.state.checks.fetch_add(1, Ordering::Relaxed);
-        lacr_obs::counter!("budget.deadline_checks", 1);
         if Instant::now() >= deadline {
             self.state.expired.store(true, Ordering::Relaxed);
             lacr_obs::event!("budget.expired", checks = self.checks());

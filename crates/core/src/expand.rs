@@ -260,10 +260,6 @@ pub fn try_expand(
         .collect();
     caps_ff.push(pad_ff_capacity);
 
-    lacr_obs::gauge!("expand.interconnect_units", num_interconnect_units);
-    lacr_obs::gauge!("expand.repeaters", num_repeaters);
-    lacr_obs::gauge!("expand.graph_vertices", graph.num_vertices());
-
     Ok(ExpandedDesign {
         graph,
         unit_vertex,

@@ -1311,17 +1311,13 @@ pub fn lac_retiming(
         // first round always runs so the caller gets *some* retiming.
         // Polling only at this round boundary keeps the degradation path
         // deterministic under tracing.
-        if best.is_some() {
-            if config.deadline.is_some() {
-                lacr_obs::counter!("budget.deadline_checks", 1);
-            }
-            if config
+        if best.is_some()
+            && config
                 .deadline
                 .is_some_and(|d| std::time::Instant::now() >= d)
-            {
-                timed_out = true;
-                break;
-            }
+        {
+            timed_out = true;
+            break;
         }
         rounds += 1;
         let _round_span = lacr_obs::span!("lac.round", round = rounds);
@@ -1387,9 +1383,7 @@ pub fn lac_retiming(
                 }
                 None => (0, 0),
             };
-            lacr_obs::counter!("lac.rounds", 1);
             lacr_obs::counter!("lac.occupancy_delta", abs_delta);
-            lacr_obs::histogram!("lac.round_n_foa", n_foa.max(0) as u64);
             lacr_obs::event!(
                 "lac.round_result",
                 round = rounds,

@@ -609,9 +609,6 @@ pub fn try_build_physical_plan(
     };
     check_deadline(Stage::Timing, &mut deadline_hit);
     drop(span_timing);
-    lacr_obs::gauge!("plan.t_init", t_init);
-    lacr_obs::gauge!("plan.t_min", t_min);
-    lacr_obs::gauge!("plan.t_clk", t_clk);
 
     if let Some(stage) = deadline_hit {
         degradations.insert(
@@ -799,7 +796,6 @@ pub fn try_plan_retimings_at(
         elapsed: t1.elapsed() + constraint_time,
     };
     drop(span_minarea);
-    lacr_obs::gauge!("minarea.n_foa", min_area.result.n_foa);
 
     let lac_config = LacConfig {
         deadline: budget.min_deadline(config.lac.deadline),
@@ -844,8 +840,6 @@ pub fn try_plan_retimings_at(
         ));
     }
     drop(span_lac);
-    lacr_obs::gauge!("lac.n_foa", lac_result.n_foa);
-    lacr_obs::gauge!("lac.n_wr", lac_result.n_wr);
     emit_quality_metrics(plan, caps, &lac_result, t_clk);
     let lac = TimedRun {
         result: lac_result,

@@ -1,6 +1,7 @@
 //! Integration test: planning `s344` under a capture sink emits a span
 //! for every pipeline stage, in pipeline order, with balanced nesting
-//! (no orphaned opens) and the headline counters populated.
+//! (no orphaned opens), no span per item, and the headline counters
+//! populated.
 
 use lacr_core::planner::{try_build_physical_plan, try_plan_retimings, PlannerConfig};
 use lacr_floorplan::anneal::FloorplanConfig;
@@ -17,10 +18,10 @@ fn s344_pipeline_emits_stage_spans_in_order() {
         },
         ..Default::default()
     };
-    let (n_foa, records, report) = lacr_obs::run_captured(|| {
+    let ((n_foa, n_wr), records, report) = lacr_obs::run_captured(|| {
         let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
         let report = try_plan_retimings(&plan, &config).expect("retiming succeeds");
-        report.lac.result.n_foa
+        (report.lac.result.n_foa, report.lac.result.n_wr)
     });
     assert!(n_foa >= 0);
 
@@ -80,14 +81,17 @@ fn s344_pipeline_emits_stage_spans_in_order() {
         assert_eq!(stat.count, 1, "{stage} should run exactly once");
         assert!(stat.incl_ns >= stat.excl_ns);
     }
-    for counter in [
-        "floorplan.moves_tried",
-        "floorplan.moves_accepted",
-        "mcmf.ssp_iterations",
-        "mcmf.sweeps",
-        "lac.rounds",
-        "repeater.connections",
-    ] {
+    // Spans time stages and rounds, never single items: no name closes
+    // more often than the minimum-area solve, once per LAC round plus
+    // the baseline.
+    for (name, stat) in &report.spans {
+        assert!(
+            stat.count <= n_wr as u64 + 1,
+            "span {name} closed {} times for {n_wr} LAC rounds",
+            stat.count
+        );
+    }
+    for counter in ["mcmf.ssp_iterations", "mcmf.sweeps"] {
         assert!(
             report.counter(counter).is_some_and(|v| v > 0),
             "counter {counter} missing or zero"
@@ -100,11 +104,6 @@ fn s344_pipeline_emits_stage_spans_in_order() {
     assert!(
         sweeps >= repricings,
         "{sweeps} sweeps for {repricings} repricings"
-    );
-    // Always present even when the first routing pass is overflow-free.
-    assert!(
-        report.counter("route.ripup_passes").is_some(),
-        "route.ripup_passes missing"
     );
     // Exclusive times partition each top-level span's wall-clock: the
     // nested retime spans must not exceed their parents.

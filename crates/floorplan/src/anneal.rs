@@ -202,21 +202,16 @@ fn anneal_once(
     let cool_every = (config.moves / 100).max(1);
 
     let _span = lacr_obs::span!("floorplan.anneal", blocks = n, moves = config.moves);
-    lacr_obs::gauge!("floorplan.initial_temp", temp);
-    let mut tried = 0_u64;
-    let mut accepted = 0_u64;
 
     for step in 0..config.moves {
         if step % cool_every == 0 {
             // Round boundary: the only place the deadline is consulted.
             if let Some(deadline) = config.deadline {
-                lacr_obs::counter!("budget.deadline_checks", 1);
                 if std::time::Instant::now() >= deadline {
                     break; // budget expired: keep the best layout so far
                 }
             }
         }
-        tried += 1;
         let mut cand_sp = sp.clone();
         let mut cand_aspect = aspect.clone();
         match rng.gen_range(0..4u32) {
@@ -266,7 +261,6 @@ fn anneal_once(
                     .clamp(0.0, 1.0),
             );
         if accept {
-            accepted += 1;
             sp = cand_sp;
             aspect = cand_aspect;
             cur_cost = cand_cost;
@@ -276,13 +270,8 @@ fn anneal_once(
         }
         if step % cool_every == cool_every - 1 {
             temp *= config.cooling;
-            lacr_obs::gauge!("floorplan.temp", temp);
         }
     }
-
-    lacr_obs::counter!("floorplan.moves_tried", tried);
-    lacr_obs::counter!("floorplan.moves_accepted", accepted);
-    lacr_obs::gauge!("floorplan.final_temp", temp);
 
     let (area, hpwl, pos, w, h) = evaluate(&best.0, &best.1);
     let mut chip_w = 0.0f64;

@@ -317,18 +317,14 @@ impl DualSolver {
         let mut augmentations = 0_u64;
         let mut repricings = 0_u64;
         let mut sweeps = 0_u64;
-        let mut pot_updates = 0_u64;
         let mut result = Ok(());
         let mut reprice = true;
         while remaining > 0 {
             if reprice {
                 repricings += 1;
-                match self.reprice(s, t, &mut w) {
-                    Some(moved) => pot_updates += moved,
-                    None => {
-                        result = Err(DualError::Unbounded);
-                        break;
-                    }
+                if self.reprice(s, t, &mut w).is_none() {
+                    result = Err(DualError::Unbounded);
+                    break;
                 }
             }
             sweeps += 1;
@@ -343,15 +339,13 @@ impl DualSolver {
         lacr_obs::counter!("mcmf.ssp_iterations", augmentations);
         lacr_obs::counter!("mcmf.dijkstra_phases", repricings);
         lacr_obs::counter!("mcmf.sweeps", sweeps);
-        lacr_obs::counter!("mcmf.potential_updates", pot_updates);
         result
     }
 
     /// Runs Dijkstra over reduced costs from `s`, raises each potential by
     /// `min(dist, dist_t)` and lists the arcs that the new potentials make
-    /// admissible. Returns how many potentials moved, or `None` when `t`
-    /// is unreachable.
-    fn reprice(&mut self, s: usize, t: usize, w: &mut Buffers) -> Option<u64> {
+    /// admissible. Returns `None` when `t` is unreachable.
+    fn reprice(&mut self, s: usize, t: usize, w: &mut Buffers) -> Option<()> {
         w.dist.iter_mut().for_each(|d| *d = i64::MAX);
         w.dist[s] = 0;
         w.heap.clear();
@@ -380,13 +374,8 @@ impl DualSolver {
             }
         }
         let dist_t = dist_t?;
-        let mut moved = 0;
         for (p, &d) in self.pi.iter_mut().zip(&w.dist) {
-            let delta = d.min(dist_t);
-            if delta != 0 {
-                moved += 1;
-            }
-            *p += delta;
+            *p += d.min(dist_t);
         }
         // Potentials stay put until the next repricing, and augmenting
         // changes capacities, never reduced costs: the sweeps in between
@@ -400,7 +389,7 @@ impl DualSolver {
             }));
         }
         w.first[self.adj.len()] = w.admissible.len();
-        Some(moved)
+        Some(())
     }
 
     /// One blocking-flow sweep from fresh cursors over the admissible arcs

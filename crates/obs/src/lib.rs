@@ -7,7 +7,7 @@
 //! pulling in `tracing`/`metrics`/`serde`: like `lacr-prng`, it is
 //! dependency-free by design so the workspace stays hermetic.
 //!
-//! Four pieces live here:
+//! Five pieces live here:
 //!
 //! * **Spans** — [`span!`] opens an RAII-timed region
 //!   (`let _g = span!("lac.round", round = r);`). Nested spans track
@@ -44,14 +44,12 @@ pub mod mem;
 pub mod report;
 pub mod scope;
 pub mod sink;
-pub mod trace_export;
 pub mod window;
 
 pub use hist::Histogram;
 pub use mem::{MemDelta, MemStats};
 pub use report::{Report, SpanStat};
 pub use sink::{json_escape, CaptureSink, JsonlSink, NullSink, Record, Sink, StderrSink, TeeSink};
-pub use trace_export::{ChromeTrace, ChromeTraceSink};
 pub use window::{SlidingWindow, WindowSnapshot};
 
 /// The counting allocator ([`mem`]) is installed here, in the crate
@@ -548,13 +546,6 @@ impl Drop for Span {
         if recorded_globally || scope::active() {
             flight::push(&rec);
         }
-        // A monotone, serialized allocation counter alongside the span
-        // stream (`check_metrics --mem` verifies its totals never step
-        // backwards). Emitted after the frame pop so its own small
-        // allocations charge the parent span.
-        if self_mem.allocs > 0 {
-            add_counter("mem.allocs", self_mem.allocs as i64);
-        }
     }
 }
 
@@ -586,7 +577,7 @@ macro_rules! counter {
     };
 }
 
-/// Sets a gauge (last value wins): `gauge!("route.overflow", ov);`.
+/// Sets a gauge (last value wins): `gauge!("quality.route_overflow", ov);`.
 #[macro_export]
 macro_rules! gauge {
     ($name:expr, $value:expr) => {
@@ -597,7 +588,7 @@ macro_rules! gauge {
 }
 
 /// Records a sample into a power-of-two histogram:
-/// `histogram!("route.net_len", len);`.
+/// `histogram!("quality.ff_relocation", lag);`.
 #[macro_export]
 macro_rules! histogram {
     ($name:expr, $value:expr) => {
@@ -779,6 +770,34 @@ mod tests {
         let c = report.span("c").expect("c");
         assert_eq!(c.count, 2);
         assert_eq!(p.excl_ns, p.incl_ns - c.incl_ns);
+    }
+
+    #[test]
+    fn span_closes_carry_a_peak_at_least_live() {
+        let ((), records, _) = run_captured(|| {
+            let _outer = span!("outer");
+            let kept = vec![0_u8; 1 << 16];
+            {
+                let _inner = span!("inner");
+                std::hint::black_box(vec![1_u64; 1 << 12]);
+            }
+            std::hint::black_box(kept);
+        });
+        let closes: Vec<(u64, u64)> = records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                Record::SpanClose {
+                    mem_live_bytes,
+                    mem_peak_bytes,
+                    ..
+                } => Some((*mem_live_bytes, *mem_peak_bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closes.len(), 2);
+        for (live, peak) in closes {
+            assert!(peak >= live, "peak {peak} < live {live}");
+        }
     }
 
     #[test]

@@ -357,7 +357,7 @@ mod tests {
             },
         );
         let mut counters = BTreeMap::new();
-        counters.insert("route.ripup_passes".to_string(), 7);
+        counters.insert("mcmf.sweeps".to_string(), 7);
         let mut gauges = BTreeMap::new();
         gauges.insert("lac.alpha".to_string(), 0.5);
         let mut hists = BTreeMap::new();
@@ -397,10 +397,10 @@ mod tests {
         for v in [1_u64, 2, 3, 100] {
             h.record(v);
         }
-        hists.insert("lac.round_n_foa".to_string(), h);
+        hists.insert("quality.tile_occupancy_ff".to_string(), h);
         let r = Report::build(&BTreeMap::new(), &BTreeMap::new(), &BTreeMap::new(), &hists);
         let t = r.histogram_table();
-        assert!(t.contains("lac.round_n_foa"), "{t}");
+        assert!(t.contains("quality.tile_occupancy_ff"), "{t}");
         // count 4, p50 in [2,4) bucket → bound 4, p99 covers 100 → 128.
         assert!(t.contains("4"), "{t}");
         assert!(t.contains("128"), "{t}");
@@ -414,7 +414,7 @@ mod tests {
         let r = sample();
         let json = r.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"route.ripup_passes\":7"));
+        assert!(json.contains("\"mcmf.sweeps\":7"));
         assert!(json.contains("\"lac.alpha\":0.5"));
         assert!(json.contains("\"plan.lac\":{\"count\":4"));
         assert!(json.contains("\"net_len\":{\"count\":1"));
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn accessors() {
         let r = sample();
-        assert_eq!(r.counter("route.ripup_passes"), Some(7));
+        assert_eq!(r.counter("mcmf.sweeps"), Some(7));
         assert_eq!(r.counter("missing"), None);
         assert_eq!(r.gauge("lac.alpha"), Some(0.5));
         assert_eq!(r.span("plan.route").unwrap().count, 1);

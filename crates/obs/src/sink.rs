@@ -232,6 +232,9 @@ impl Sink for StderrSink {
 
 /// Writes one JSON object per line (the CLI's `--metrics-out`); the
 /// summary aggregate goes out as a final `{"t":"summary",...}` line.
+/// The stream is flushed whenever a top-level (depth 0) span closes, so
+/// a long run that is killed or still going has every finished stage on
+/// disk.
 pub struct JsonlSink {
     out: Box<dyn Write + Send>,
 }
@@ -252,6 +255,9 @@ impl JsonlSink {
 impl Sink for JsonlSink {
     fn record(&mut self, ts_us: u64, record: &Record) {
         let _ = writeln!(self.out, "{}", record.to_json(ts_us));
+        if let Record::SpanClose { depth: 0, .. } = record {
+            let _ = self.out.flush();
+        }
     }
 
     fn summary(&mut self, report: &Report) {
@@ -269,8 +275,7 @@ impl Sink for JsonlSink {
 }
 
 /// Fans the record stream out to several sinks (the CLI combines
-/// `--metrics-out`, `--trace`, and `--trace-chrome` this way: one
-/// collector, every requested view).
+/// `--metrics-out` and `--trace` this way: one collector, both views).
 pub struct TeeSink {
     sinks: Vec<Box<dyn Sink + Send>>,
 }
@@ -444,5 +449,37 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"t\":\"counter\""));
         assert!(lines[1].contains("\"value\":0.5"));
+    }
+
+    #[test]
+    fn jsonl_file_sink_flushes_at_each_top_level_span_close() {
+        let path =
+            std::env::temp_dir().join(format!("lacr-jsonl-flush-{}.jsonl", std::process::id()));
+        let path_str = path.to_str().expect("utf-8 temp path");
+        let mut sink = JsonlSink::create(path_str).expect("create temp stream");
+        let close = |depth| Record::SpanClose {
+            name: "s".into(),
+            depth,
+            incl_us: 1,
+            excl_us: 1,
+            mem_self_bytes: 0,
+            mem_live_bytes: 0,
+            mem_peak_bytes: 0,
+            mem_allocs: 0,
+        };
+        sink.record(1, &close(1));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "",
+            "nested closes stay buffered"
+        );
+        sink.record(2, &close(0));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            text.lines().count(),
+            2,
+            "a top-level close reaches the file: {text}"
+        );
     }
 }

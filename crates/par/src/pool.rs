@@ -11,7 +11,7 @@
 //!   queue is at capacity it returns [`SubmitError::Overloaded`] with
 //!   the queue depth, so callers can shed with a structured rejection;
 //! * **fault isolation** — every job runs under `catch_unwind`, so a
-//!   panicking job is counted (`pool.panics`) and its worker survives
+//!   panicking job is counted ([`PoolStats::panics`]) and its worker survives
 //!   to take the next job. Jobs that must report a panic outcome do
 //!   their own `catch_unwind` inside the job; the pool's is a backstop;
 //! * **graceful drain** — [`Pool::close_and_drain`] stops admission,
@@ -31,22 +31,12 @@
 //! other threads are still submitting: they get
 //! [`SubmitError::Closed`] and shed.
 //!
-//! **Telemetry.** The pool is the daemon's load-bearing wall, so it is
-//! instrumented at every edge: submit, start, finish, shed. Two views
-//! are maintained simultaneously:
-//!
-//! * **always-on atomics + sliding windows**, readable via
-//!   [`Pool::stats`] / [`Pool::queue_wait`] / [`Pool::service`] even
-//!   when no collector is installed — this is what `{"cmd":"stats"}`
-//!   snapshots on a live daemon. The windows (one-minute rolling
-//!   queue-wait and service-time histograms) are bounded memory; the
-//!   rest is a handful of relaxed atomics per job.
-//! * **lacr-obs gauges/counters/histograms** (`pool.queue_depth`,
-//!   `pool.inflight`, `pool.shed_total`, `pool.completed_total`,
-//!   `pool.panics`, `pool.queue_wait_us`, `pool.service_us`), emitted
-//!   through the usual `recording()` gate so `--metrics-out` /
-//!   `--trace-chrome` streams see the pool breathing, at zero cost when
-//!   nothing is collecting.
+//! **Telemetry.** The pool counts every edge (submit, start, finish,
+//! shed) in relaxed atomics and two one-minute [`SlidingWindow`]s,
+//! readable through [`Pool::stats`] / [`Pool::queue_wait`] /
+//! [`Pool::service`] with no collector installed. That is the one view:
+//! `{"cmd":"stats"}` snapshots it on a live daemon. The windows are
+//! bounded memory; the rest is a handful of relaxed atomics per job.
 
 use lacr_obs::window::{SlidingWindow, WindowSnapshot};
 use std::collections::VecDeque;
@@ -67,7 +57,7 @@ struct Queue {
     closed: bool,
 }
 
-/// The always-on half of the pool's telemetry (see the module docs).
+/// The pool's always-on telemetry (see the module docs).
 struct Telemetry {
     /// Jobs currently executing on a worker.
     inflight: AtomicUsize,
@@ -235,7 +225,7 @@ impl Pool {
     /// job is dropped — shed it), [`SubmitError::Closed`] after
     /// [`close_and_drain`](Self::close_and_drain).
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        let depth = {
+        {
             let mut q = self.lock();
             if q.closed {
                 return Err(SubmitError::Closed);
@@ -250,14 +240,11 @@ impl Pool {
                     .telemetry
                     .shed_total
                     .fetch_add(1, Ordering::Relaxed);
-                lacr_obs::counter!("pool.shed_total", 1_u64);
                 return Err(err);
             }
             q.jobs.push_back((Instant::now(), Box::new(job)));
-            q.jobs.len()
-        };
+        }
         self.shared.ready.notify_one();
-        lacr_obs::gauge!("pool.queue_depth", depth);
         Ok(())
     }
 
@@ -291,11 +278,11 @@ impl Drop for Pool {
 fn worker_loop(shared: &Shared) {
     let t = &shared.telemetry;
     loop {
-        let (enqueued, job, depth_after) = {
+        let (enqueued, job) = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some((enqueued, job)) = q.jobs.pop_front() {
-                    break (enqueued, job, q.jobs.len());
+                if let Some(next) = q.jobs.pop_front() {
+                    break next;
                 }
                 if q.closed {
                     return;
@@ -304,48 +291,30 @@ fn worker_loop(shared: &Shared) {
             }
         };
         // Start edge: the job left the queue and occupies this worker.
-        let wait_us = enqueued.elapsed().as_micros() as u64;
-        t.queue_wait_us.record(wait_us);
-        let inflight = t.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        lacr_obs::gauge!("pool.queue_depth", depth_after);
-        lacr_obs::gauge!("pool.inflight", inflight);
-        lacr_obs::histogram!("pool.queue_wait_us", wait_us);
+        t.queue_wait_us
+            .record(enqueued.elapsed().as_micros() as u64);
+        t.inflight.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         // Isolation backstop: a panicking job must not take its worker
         // (and with it, a slot of the pool) down.
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
             t.panics.fetch_add(1, Ordering::Relaxed);
-            lacr_obs::counter!("pool.panics", 1_u64);
         }
         // Finish edge: panicked or not, the job consumed a service slot
         // and was answered — it counts as completed.
-        let service_us = started.elapsed().as_micros() as u64;
-        t.service_us.record(service_us);
-        let inflight = t.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
+        t.service_us.record(started.elapsed().as_micros() as u64);
+        t.inflight.fetch_sub(1, Ordering::Relaxed);
         t.completed_total.fetch_add(1, Ordering::Relaxed);
-        lacr_obs::gauge!("pool.inflight", inflight);
-        lacr_obs::counter!("pool.completed_total", 1_u64);
-        lacr_obs::histogram!("pool.service_us", service_us);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lacr_obs::Histogram;
     use std::sync::mpsc;
-
-    /// Held by every test that runs a pool: workers write the process-wide
-    /// `pool.*` gauges, which one test captures and checks, and tests run
-    /// on parallel threads.
-    fn pool_gauge_lock() -> std::sync::MutexGuard<'static, ()> {
-        static POOL_GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        POOL_GAUGES.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn jobs_run_and_drain_completes() {
-        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-basic", 3, 64);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
@@ -361,7 +330,6 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_overloaded() {
-        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-full", 1, 2);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
@@ -390,7 +358,6 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_its_worker() {
-        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-panic", 1, 16);
         let done = Arc::new(AtomicUsize::new(0));
         pool.submit(|| panic!("injected"))
@@ -407,7 +374,6 @@ mod tests {
 
     #[test]
     fn closed_pool_rejects_and_drain_is_idempotent() {
-        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-closed", 2, 8);
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
@@ -423,7 +389,6 @@ mod tests {
 
     #[test]
     fn stats_track_the_submit_start_finish_shed_edges() {
-        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-stats", 2, 4);
         let s = pool.stats();
         assert_eq!((s.workers, s.capacity), (2, 4));
@@ -475,7 +440,6 @@ mod tests {
 
     #[test]
     fn panicking_jobs_count_as_completed_and_panicked() {
-        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-stats-panic", 1, 8);
         pool.submit(|| panic!("injected")).expect("submit");
         pool.submit(|| {}).expect("submit");
@@ -487,47 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_edges_emit_obs_metrics_when_collecting() {
-        let _gauges = pool_gauge_lock();
-        let ((), _records, report) = lacr_obs::run_captured(|| {
-            let pool = Pool::new("t-stats-obs", 1, 2);
-            let (block_tx, block_rx) = mpsc::channel::<()>();
-            let (started_tx, started_rx) = mpsc::channel::<()>();
-            pool.submit(move || {
-                started_tx.send(()).unwrap();
-                block_rx.recv().unwrap();
-            })
-            .expect("blocker");
-            started_rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("blocker running");
-            pool.submit(|| {}).expect("fits");
-            pool.submit(|| {}).expect("fits");
-            let _ = pool.submit(|| {}); // shed
-            block_tx.send(()).unwrap();
-            pool.close_and_drain();
-        });
-        assert_eq!(report.counter("pool.completed_total"), Some(3));
-        assert_eq!(report.counter("pool.shed_total"), Some(1));
-        assert_eq!(
-            report.gauge("pool.inflight"),
-            Some(0.0),
-            "last write is the drain"
-        );
-        assert!(report.gauge("pool.queue_depth").is_some());
-        assert_eq!(
-            report.hist("pool.queue_wait_us").map(Histogram::count),
-            Some(3)
-        );
-        assert_eq!(
-            report.hist("pool.service_us").map(Histogram::count),
-            Some(3)
-        );
-    }
-
-    #[test]
     fn one_shared_pool_accepts_submitters_from_many_threads() {
-        let _gauges = pool_gauge_lock();
         // The serve socket mode's shape: N connection threads submit
         // into one Arc<Pool>. Admission stays globally bounded (either
         // run or shed with a structured depth, never lost), and the
@@ -578,7 +502,6 @@ mod tests {
 
     #[test]
     fn drain_runs_every_queued_job() {
-        let _gauges = pool_gauge_lock();
         let pool = Pool::new("t-drain", 2, 256);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..200 {

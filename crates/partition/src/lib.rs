@@ -112,7 +112,6 @@ pub fn partition(circuit: &Circuit, config: &PartitionConfig) -> Partitioning {
     let all: Vec<UnitId> = circuit.unit_ids().collect();
     let mut groups: Vec<Vec<UnitId>> = vec![all];
 
-    let mut bisections = 0_u64;
     let mut seed = config.seed;
     while groups.len() < config.num_blocks {
         // Split the group with the largest area (ties: most units).
@@ -148,11 +147,9 @@ pub fn partition(circuit: &Circuit, config: &PartitionConfig) -> Partitioning {
                 seed,
             )
         };
-        bisections += 1;
         groups.push(left);
         groups.push(right);
     }
-    lacr_obs::counter!("partition.bisections", bisections);
 
     let mut block_of = vec![usize::MAX; n];
     let blocks: Vec<Block> = groups

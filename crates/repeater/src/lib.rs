@@ -174,8 +174,6 @@ pub fn try_insert_repeaters(
     if path.is_empty() {
         return Err(RepeaterError::EmptyPath);
     }
-    let _span = lacr_obs::span!("repeater.plan", path_cells = path.len());
-    lacr_obs::histogram!("repeater.path_cells", path.len() as u64);
     let ts = grid.tile_size();
     let max_interval = if technology.l_max.is_finite() && technology.l_max >= ts {
         (technology.l_max / ts).floor() as usize
@@ -207,20 +205,12 @@ pub fn try_insert_repeaters(
     };
 
     let mut repeater_cells = Vec::with_capacity(positions.len());
-    let mut forced = 0_u64;
     for &p in &positions {
         let tile = grid.tile_of_cell(path[p]);
         if !ledger.try_consume(tile, technology.repeater_area) {
             ledger.consume_forced(tile, technology.repeater_area);
-            forced += 1;
         }
         repeater_cells.push(path[p]);
-    }
-    lacr_obs::counter!("repeater.connections", 1);
-    if !positions.is_empty() {
-        // Each inserted repeater is one L_max interval violation fixed.
-        lacr_obs::counter!("repeater.inserted", positions.len());
-        lacr_obs::counter!("repeater.forced_overdraws", forced);
     }
 
     // Drivers: source, repeaters, then the sink terminates the last span.

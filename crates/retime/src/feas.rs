@@ -84,7 +84,6 @@ pub fn try_feasible_retiming(
     if n == 0 {
         return Ok(Some(Vec::new()));
     }
-    lacr_obs::counter!("retime.feas_probes", 1);
     // No retiming helps a single vertex slower than the target.
     if graph.vertex_ids().any(|v| graph.delay(v) > target) {
         return Ok(None);
@@ -174,7 +173,6 @@ impl<'g> SubstrateOracle<'g> {
     /// so within one `retime.min_period` span
     /// `Σ retime.probe == Σ retime.wd_cache_hits + #(retime.wd_build)`.
     fn probe(&mut self, target: u64) -> Result<Option<Vec<i64>>, RetimeError> {
-        lacr_obs::counter!("retime.feas_probes", 1);
         lacr_obs::counter!("retime.probe", 1);
         if self.substrate.is_some() {
             lacr_obs::counter!("retime.wd_cache_hits", 1);

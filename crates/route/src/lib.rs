@@ -210,11 +210,8 @@ pub fn try_route(
     // no longer see each other's same-pass re-routes; separation between
     // conflicting nets comes from the history penalties that escalate
     // across passes.)
-    let mut nets_rerouted = 0_u64;
-    let mut ripup_passes = 0_u64;
     for pass in 0..config.passes {
         if let Some(deadline) = config.deadline {
-            lacr_obs::counter!("budget.deadline_checks", 1);
             if std::time::Instant::now() >= deadline {
                 break; // budget expired: return the routing as-is
             }
@@ -227,7 +224,6 @@ pub fn try_route(
         if over.is_empty() {
             break;
         }
-        ripup_passes += 1;
         lacr_obs::event!("route.pass", pass = pass, overflowed_edges = over.len(),);
         for k in &over {
             *history.entry(*k).or_insert(0.0) += config.history_penalty;
@@ -238,7 +234,6 @@ pub fn try_route(
         for &i in &ripped {
             remove_usage(&mut usage, &routed[i]);
         }
-        nets_rerouted += ripped.len() as u64;
         let rerouted = lacr_par::Region::new("route.ripup_batch")
             .deadline(config.deadline)
             .map_indexed(&ripped, |_, &i| {
@@ -249,15 +244,8 @@ pub fn try_route(
             routed[i] = r;
         }
     }
-    // Always emitted (a clean first pass reports 0), so the metric key
-    // is present in every run's record stream.
-    lacr_obs::counter!("route.ripup_passes", ripup_passes);
-    lacr_obs::counter!("route.nets_rerouted", nets_rerouted);
-
     let wirelength = routed.iter().map(|r| tree_edges(r).len()).sum();
     let (overflow, max_usage) = overflow_stats(&usage, config.edge_capacity);
-    lacr_obs::gauge!("route.overflow", overflow);
-    lacr_obs::gauge!("route.max_usage", max_usage);
     let edge_usage: Vec<((usize, usize), u64)> =
         usage.into_iter().filter(|&(_, u)| u > 0).collect();
     Ok(Routing {

@@ -27,8 +27,7 @@
 //! The cache is bounded two ways — entry count and approximate resident
 //! bytes (key + plan text + quality gauges) — and evicts least recently
 //! used. Counters (`hits`/`misses`/`evictions`) surface in
-//! `{"cmd":"stats"}` and, when a collector is installed, as `cache.*`
-//! obs metrics.
+//! `{"cmd":"stats"}`.
 
 use lacr_core::summary::PlanSummary;
 use std::collections::BTreeMap;
@@ -150,15 +149,9 @@ impl PlanCache {
             None
         };
         match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                lacr_obs::counter!("cache.hits", 1_u64);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                lacr_obs::counter!("cache.misses", 1_u64);
-            }
-        }
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
         found
     }
 
@@ -203,12 +196,9 @@ impl PlanCache {
                 inner.bytes -= gone.bytes;
                 evicted += 1;
             }
-            lacr_obs::gauge!("cache.entries", inner.map.len());
-            lacr_obs::gauge!("cache.bytes", inner.bytes);
         }
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            lacr_obs::counter!("cache.evictions", evicted);
         }
     }
 

@@ -199,19 +199,15 @@ struct ConnTelemetry {
 impl ConnTelemetry {
     fn open(&self) {
         self.accepted_total.fetch_add(1, Ordering::Relaxed);
-        let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
-        lacr_obs::gauge!("conn.active", active);
-        lacr_obs::counter!("conn.accepted_total", 1_u64);
+        self.active.fetch_add(1, Ordering::Relaxed);
     }
 
     fn close(&self) {
-        let active = self.active.fetch_sub(1, Ordering::Relaxed) - 1;
-        lacr_obs::gauge!("conn.active", active);
+        self.active.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn shed(&self) {
         self.shed_total.fetch_add(1, Ordering::Relaxed);
-        lacr_obs::counter!("conn.shed_total", 1_u64);
     }
 
     fn active(&self) -> u64 {

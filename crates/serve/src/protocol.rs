@@ -49,7 +49,8 @@
 //!   window), `cache` (plan-cache occupancy/caps and hit/miss/eviction
 //!   counters), `connections` (active/accepted/shed gauges and the
 //!   configured cap, 0 = unlimited) and `flight` (postmortem dump
-//!   count and ring capacity). Validated by `check_metrics --stats`.
+//!   count and ring capacity). `check_metrics --serve` validates the
+//!   schema version and the blocks.
 //!   Stats responses answer on the connection's accept thread, so they
 //!   stay live even when every worker is busy.
 
@@ -487,9 +488,9 @@ fn latency_block(w: &WindowSnapshot) -> String {
 }
 
 /// A `stats` response line: one schema-versioned telemetry snapshot.
-/// `check_metrics --stats` enforces the contract (required keys,
-/// non-negative gauges, `completed == ok + degraded + error`, ordered
-/// percentiles, counters monotone across successive snapshots).
+/// Every field is an unsigned integer; `completed == ok + degraded +
+/// error`, ordered percentiles and counters monotone across successive
+/// snapshots hold by construction and are asserted by the serve tests.
 #[allow(clippy::too_many_arguments)]
 pub fn stats_line(
     id: Option<&str>,

@@ -19,11 +19,10 @@
 //!
 //! Global flags (any command): `--trace` streams pipeline spans to
 //! stderr, `--metrics-out <path>` writes the JSONL record stream,
-//! `--trace-chrome <path>` writes a Chrome trace-event JSON file
-//! (loadable in Perfetto / `chrome://tracing`), `--report` prints the
-//! per-stage self-time table after the run, `--report-json <path>`
-//! writes the same aggregate report as schema-versioned JSON,
-//! `--quiet` silences `[lacr]` diagnostics, and `--threads N` caps the
+//! `--report` prints the per-stage self-time table after the run,
+//! `--report-json <path>` writes the same aggregate report as
+//! schema-versioned JSON, `--quiet` silences `[lacr]` diagnostics,
+//! and `--threads N` caps the
 //! worker pool for parallel regions (overriding the `LACR_THREADS`
 //! environment variable; output is bit-identical at any thread count).
 //! `--flight-recorder-out <path>` redirects the always-on flight
@@ -100,8 +99,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Flush the sinks (writing the JSONL summary line and the Chrome
-    // trace, if any), then render the aggregate report as asked.
+    // Flush the sinks (writing the JSONL summary line, if any), then
+    // render the aggregate report as asked.
     let obs_report = lacr::obs::finish();
     if report {
         match &obs_report {
@@ -228,8 +227,8 @@ fn print_usage() {
         }
     }
     eprintln!(
-        "global flags: --trace --metrics-out <path> --trace-chrome <path> --report \
-         --report-json <path> --quiet --threads <n> --flight-recorder-out <path>"
+        "global flags: --trace --metrics-out <path> --report --report-json <path> \
+         --quiet --threads <n> --flight-recorder-out <path>"
     );
     eprintln!("exit codes: 0 ok, 1 error, 2 usage, 3 degraded plan");
 }

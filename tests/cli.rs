@@ -183,6 +183,19 @@ fn budget_flag_rejects_garbage() {
 }
 
 #[test]
+fn removed_trace_chrome_flag_is_a_usage_error() {
+    let trace = std::env::temp_dir().join(format!("lacr-cli-trace-{}.json", std::process::id()));
+    let out = lacr()
+        .args(["run", "s344", "--trace-chrome"])
+        .arg(&trace)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--trace-chrome"));
+    assert!(!trace.exists(), "nothing may be written for a removed flag");
+}
+
+#[test]
 fn fig2_prints_a_tile_map() {
     let out = lacr().args(["fig2", "s344"]).output().expect("runs");
     assert!(out.status.success());

@@ -19,6 +19,31 @@ const TOTAL: usize = 200;
 /// Stats probes interleaved into the soak (one per 50 requests).
 const PROBES: usize = TOTAL / 50;
 
+/// Stats-snapshot paths that count over the daemon's lifetime and so
+/// never decrease from one probe to the next.
+const MONOTONE_COUNTERS: &[&[&str]] = &[
+    &["requests", "received"],
+    &["requests", "ok"],
+    &["requests", "degraded"],
+    &["requests", "error"],
+    &["requests", "rejected"],
+    &["requests", "completed"],
+    &["pool", "shed_total"],
+    &["pool", "completed_total"],
+    &["pool", "panics"],
+    &["cache", "hits"],
+    &["cache", "misses"],
+    &["cache", "evictions"],
+    &["connections", "accepted_total"],
+    &["connections", "shed_total"],
+    &["flight", "dumps"],
+    &["mem", "allocs"],
+    &["mem", "deallocs"],
+    &["mem", "peak_bytes"],
+    &["mem", "peak_rss_bytes"],
+    &["uptime_us"],
+];
+
 fn bench_path(name: &str) -> String {
     format!("{}/tests/data/{name}.bench", env!("CARGO_MANIFEST_DIR"))
 }
@@ -204,6 +229,18 @@ fn soak_200_requests_against_a_3_worker_daemon() {
                 num(&["latency", block, "p99"]),
             );
             assert!(p50 <= p95 && p95 <= p99, "{block}: {p50} {p95} {p99}");
+        }
+    }
+    // Probes are answered inline, in order, so every lifetime counter is
+    // non-decreasing from one snapshot to the next.
+    for pair in snapshots.windows(2) {
+        for path in MONOTONE_COUNTERS {
+            let num = |s: &Json| path.iter().try_fold(s, |cur, k| cur.get(k))?.as_num();
+            let (before, after) = (num(&pair[0]), num(&pair[1]));
+            assert!(
+                matches!((before, after), (Some(b), Some(a)) if b <= a),
+                "{path:?} went backwards: {before:?} -> {after:?}"
+            );
         }
     }
 
