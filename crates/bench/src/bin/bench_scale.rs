@@ -18,7 +18,7 @@
 //! scale artifacts exactly like Table-1 runs — the topology is a pure
 //! function of `(spec, seed)`, so quality is bit-identical across runs.
 //!
-//! With no specs the default campaign runs: two fast-subset sizes (the
+//! With no specs the default campaign runs: three fast-subset sizes (the
 //! ones `scripts/verify.sh --regress` regenerates and gates) plus the
 //! flagship >= 100k-cell runs recorded in the committed artifact.
 
@@ -32,7 +32,13 @@ use std::time::Instant;
 
 /// Default campaign: fast-subset sizes first (CI regenerates these),
 /// then the flagship scale points.
-const DEFAULT_SPECS: &[&str] = &["ring:4096", "mesh:4096", "ring:20000", "mesh:102400"];
+const DEFAULT_SPECS: &[&str] = &[
+    "ring:4096",
+    "mesh:4096",
+    "ring:20000",
+    "mesh:102400",
+    "ring:100000",
+];
 
 fn parse_spec(spec: &str, seed: u64) -> Result<SynthNetlist, String> {
     let (topology, cells) = spec

@@ -17,7 +17,7 @@
 //! ```
 
 use lacr_bench::{quality_json, write_bench_record, write_run_record, ObsOptions};
-use lacr_core::experiment::{format_table, run_circuit, ExperimentConfig};
+use lacr_core::experiment::{check_circuits, format_table, run_circuit, ExperimentConfig};
 use std::time::Instant;
 
 fn main() {
@@ -35,12 +35,17 @@ fn main() {
     if !args.is_empty() {
         config.circuits = args;
     }
+    if let Err(e) = check_circuits(&config.circuits) {
+        eprintln!("table1: {e}");
+        std::process::exit(2);
+    }
     lacr_obs::diag!(
         "table1: planning {} circuits (this reruns the full pipeline per circuit)...",
         config.circuits.len()
     );
     let t0 = Instant::now();
     let mut rows = Vec::new();
+    let mut failed = Vec::new();
     let mut circuit_records = Vec::new();
     let mut run_records = Vec::new();
     for name in &config.circuits {
@@ -77,10 +82,19 @@ fn main() {
                 ));
                 rows.push(row);
             }
-            Err(e) => lacr_obs::diag!("{name}: {e}"),
+            Err(e) => {
+                lacr_obs::diag!("{name}: {e}");
+                failed.push(name.as_str());
+            }
         }
     }
     println!("{}", format_table(&rows));
+    if !failed.is_empty() {
+        // A partial table must not overwrite the records as if complete.
+        eprintln!("table1: no row for {}", failed.join(", "));
+        lacr_obs::finish();
+        std::process::exit(1);
+    }
     println!(
         "shape checks: LAC beats or matches the baseline on every circuit: {}",
         rows.iter().all(|r| r.lac.n_foa <= r.min_area.n_foa)

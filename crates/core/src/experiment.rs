@@ -127,19 +127,34 @@ fn plan_digest(report: &PlanReport) -> u64 {
     lacr_obs::fnv1a64(min_area.iter().chain(lac).flat_map(|w| w.to_le_bytes()))
 }
 
-/// Runs the whole sweep, skipping circuits that fail with a message on
-/// stderr (none are expected to).
-pub fn run_experiment(config: &ExperimentConfig) -> Vec<TableRow> {
+/// Checks that every requested circuit names a benchmark, before anything
+/// is planned.
+///
+/// # Errors
+///
+/// The first unknown name.
+pub fn check_circuits(names: &[String]) -> Result<(), bench89::UnknownBenchmarkError> {
+    let suite = bench89::suite();
+    match names.iter().find(|n| !suite.contains(&n.as_str())) {
+        Some(name) => Err(bench89::UnknownBenchmarkError { name: name.clone() }),
+        None => Ok(()),
+    }
+}
+
+/// Runs the whole sweep: one row per requested circuit, in order.
+///
+/// # Errors
+///
+/// An unknown circuit name, before anything is planned; otherwise the
+/// first circuit that produced no row, prefixed with its name.
+pub fn run_experiment(
+    config: &ExperimentConfig,
+) -> Result<Vec<TableRow>, Box<dyn std::error::Error>> {
+    check_circuits(&config.circuits)?;
     config
         .circuits
         .iter()
-        .filter_map(|name| match run_circuit(name, &config.planner) {
-            Ok(row) => Some(row),
-            Err(e) => {
-                lacr_obs::diag!("{name}: {e}");
-                None
-            }
-        })
+        .map(|name| run_circuit(name, &config.planner).map_err(|e| format!("{name}: {e}").into()))
         .collect()
 }
 

@@ -7,11 +7,14 @@
 //! minimum-weight paths.
 //!
 //! Implementation: one Dijkstra per source `u` over the non-negative edge
-//! weights gives `W(u, ·)`; the *tight subgraph* (edges on some
-//! minimum-weight path) is then a DAG — any tight cycle would be a
-//! zero-weight cycle, which valid circuits exclude — so a longest-path DP
-//! over it gives `D(u, ·)`. Constraints are emitted per row, never storing
-//! the full `|V|²` matrices.
+//! weights gives `W(u, ·)`. The *tight subgraph* (edges on some
+//! minimum-weight path) is a DAG — any tight cycle would be a zero-weight
+//! cycle, which valid circuits exclude — and `D(u, ·)` is the longest
+//! delay over it. Keying the heap by `(W, ρ(v))`, with ρ a topological
+//! order of the zero-weight subgraph, pops every vertex after its tight
+//! parents, so `D` folds in at relaxation and no second pass runs.
+//! Constraints are emitted per row, never storing the full `|V|²`
+//! matrices.
 //!
 //! *Pruning* (in the spirit of Maheshwari & Sapatnekar's constraint
 //! reduction, cited in §5) drops `(u, v)` whenever some tight-DAG ancestor
@@ -41,8 +44,14 @@
 //! set for any target in the bracket with a linear scan. This is what
 //! makes the min-period binary search build its W/D system once instead
 //! of once per feasibility probe.
+//!
+//! A row stops as soon as no reached, unpopped vertex has `A ≤ hi`:
+//! everything left is covered at every target of the bracket. So a row
+//! costs what it reaches before its frontier is covered, not
+//! `Θ(V + E)`. The violating-pair count stays exact through the reach
+//! sizes `Σ_u |R(u)|`, counted once per build (see `reach_total`).
 
-use crate::graph::{RetimeGraph, VertexId};
+use crate::graph::{GraphEdge, RetimeGraph, VertexId};
 use crate::minarea::RetimeError;
 use lacr_mcmf::Constraint;
 use std::cmp::Reverse;
@@ -122,8 +131,10 @@ impl WdSubstrate {
     ///
     /// # Errors
     ///
-    /// [`RetimeError::DelayOverflow`] when accumulating path delays
-    /// overflows `u64` (adversarially large vertex delays).
+    /// * [`RetimeError::CombinationalCycle`] — a zero-weight cycle avoids
+    ///   the host.
+    /// * [`RetimeError::DelayOverflow`] — a path delay a row accumulates
+    ///   overflows `u64` (adversarially large vertex delays).
     ///
     /// # Panics
     ///
@@ -132,6 +143,7 @@ impl WdSubstrate {
         assert!(lo <= hi, "bracket [{lo}, {hi}] is empty");
         let n = graph.num_vertices();
         let _span = lacr_obs::span!("retime.wd_build", vertices = n, lo = lo, hi = hi);
+        let shared = Rows::new(graph, lo, hi)?;
         // Each source's row of the W/D computation is independent of every
         // other's, so the per-source loop fans out across the deterministic
         // pool; the ordered merge below restores the canonical
@@ -139,16 +151,18 @@ impl WdSubstrate {
         let sources: Vec<VertexId> = graph.vertex_ids().collect();
         let rows = lacr_par::Region::new("retime.wd_sources").map_indexed_with(
             &sources,
-            || SourceScratch::new(n),
-            |scratch, _, &u| source_row(graph, lo, hi, u, scratch),
+            || RowSearch::new(n),
+            |search, _, &u| search.run(&shared, u),
         );
         let mut row_start = Vec::with_capacity(n + 1);
         row_start.push(0usize);
         let mut cands = Vec::new();
-        let mut pairs_at_floor = 0usize;
+        // Every reached `v ≠ u` violates at the floor unless its row popped
+        // it with `D ≤ lo`.
+        let mut pairs_at_floor = reach_total(graph) - n;
         for row in rows {
-            let (row_pairs, row_cands) = row?;
-            pairs_at_floor += row_pairs;
+            let (low, row_cands) = row?;
+            pairs_at_floor -= low;
             cands.extend(row_cands);
             row_start.push(cands.len());
         }
@@ -221,8 +235,7 @@ impl WdSubstrate {
 ///
 /// # Errors
 ///
-/// [`RetimeError::DelayOverflow`] when accumulating path delays overflows
-/// `u64`.
+/// As [`WdSubstrate::build`].
 ///
 /// # Examples
 ///
@@ -247,191 +260,351 @@ pub fn generate_period_constraints(
     Ok(WdSubstrate::build(graph, target, target)?.constraints_for(target))
 }
 
-/// Reusable per-worker scratch for [`source_row`].
+/// What every row of one build shares: the graph, the bracket, and the
+/// tie order ρ — a topological order of the zero-weight subgraph with the
+/// host's out-edges removed.
+struct Rows<'g> {
+    graph: &'g RetimeGraph,
+    lo: u64,
+    hi: u64,
+    /// `rank[v]` = ρ(v); `by_rank` is its inverse.
+    rank: Vec<u32>,
+    by_rank: Vec<u32>,
+}
+
+impl<'g> Rows<'g> {
+    /// Computes ρ.
+    ///
+    /// # Errors
+    ///
+    /// [`RetimeError::CombinationalCycle`] when a zero-weight cycle avoids
+    /// the host.
+    fn new(graph: &'g RetimeGraph, lo: u64, hi: u64) -> Result<Self, RetimeError> {
+        let n = graph.num_vertices();
+        let host = graph.host();
+        let zero = |e: &GraphEdge| e.weight == 0 && Some(e.from) != host;
+        let mut indeg = vec![0u32; n];
+        for e in graph.edges().iter().filter(|e| zero(e)) {
+            indeg[e.to.index()] += 1;
+        }
+        let mut by_rank = Vec::with_capacity(n);
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        while let Some(v) = queue.pop() {
+            by_rank.push(v);
+            for e in graph.out_edges(VertexId(v)) {
+                let e = graph.edge(e);
+                if zero(&e) {
+                    indeg[e.to.index()] -= 1;
+                    if indeg[e.to.index()] == 0 {
+                        queue.push(e.to.0);
+                    }
+                }
+            }
+        }
+        if by_rank.len() < n {
+            return Err(RetimeError::CombinationalCycle);
+        }
+        let mut rank = vec![0u32; n];
+        for (i, &v) in by_rank.iter().enumerate() {
+            rank[v as usize] = i as u32;
+        }
+        Ok(Self {
+            graph,
+            lo,
+            hi,
+            rank,
+            by_rank,
+        })
+    }
+}
+
+/// Per-worker state of the row search. `w == i64::MAX` marks a vertex the
+/// current row has not reached; `touched` lists the ones it has, so the
+/// reset costs what the row reached.
 #[derive(Debug)]
-struct SourceScratch {
+struct RowSearch {
     w: Vec<i64>,
     d: Vec<u64>,
     a: Vec<u64>,
+    touched: Vec<u32>,
+    /// Keyed by `(W, ρ(v))`.
     heap: BinaryHeap<Reverse<(i64, u32)>>,
 }
 
-impl SourceScratch {
+impl RowSearch {
     fn new(n: usize) -> Self {
         Self {
             w: vec![i64::MAX; n],
             d: vec![0; n],
             a: vec![0; n],
+            touched: Vec::new(),
             heap: BinaryHeap::new(),
         }
     }
-}
 
-/// One source's W/D/A row: Dijkstra for `W(u, ·)`, longest-delay DP over
-/// the tight DAG for `D(u, ·)` and the ancestor maximum `A(u, ·)`, then
-/// the band candidates, **in ascending head-vertex index**. The emission
-/// order is part of the determinism contract: `W`, `D` and `A` are
-/// invariant under adjacency-list order (Dijkstra's heap orders ties by
-/// `(distance, vertex)`, both DPs take maxima over incoming tight edges —
-/// all order-free), so index-ordered emission makes the whole row, and
-/// with it [`WdSubstrate`] and [`PeriodConstraints`], independent of edge
-/// insertion order and of scheduling.
-///
-/// `A(u, v) > T` is exactly the classic `covered` condition at target `T`
-/// (some proper tight ancestor `x ≠ u` of `v` violates `D(u, x) > T`):
-/// coverage is an OR over ancestor chains, which in threshold space is a
-/// max over the same chains.
-fn source_row(
-    graph: &RetimeGraph,
-    band_lo: u64,
-    band_hi: u64,
-    u: VertexId,
-    scratch: &mut SourceScratch,
-) -> Result<(usize, Vec<Candidate>), RetimeError> {
-    // Paths must not pass *through* the host: the environment registers
-    // primary outputs before they can influence primary inputs, so a
-    // `u ⇝ host ⇝ v` chain is not a real signal path (pairs ending or
-    // starting at the host are still considered).
-    let host = graph.host();
-    let SourceScratch { w, d, a, heap } = scratch;
-    w.iter_mut().for_each(|x| *x = i64::MAX);
-    a.iter_mut().for_each(|x| *x = 0);
-    // Dijkstra for W(u, ·).
-    w[u.index()] = 0;
-    heap.clear();
-    heap.push(Reverse((0, u.0)));
-    let mut reached = 0usize;
-    while let Some(Reverse((dist, v))) = heap.pop() {
-        if dist > w[v as usize] {
-            continue;
+    /// One source's row: a Dijkstra for `W(u, ·)` that folds in `D(u, ·)`
+    /// and the ancestor maximum `A(u, ·)` as it relaxes, returning how
+    /// many popped vertices `v ≠ u` have `D ≤ lo` and the band
+    /// candidates, **in ascending head-vertex index** (the canonical
+    /// emission order; `W`, `D` and `A` do not depend on adjacency
+    /// order).
+    ///
+    /// * **Order.** The heap key `(W, ρ(v))` pops every vertex after all
+    ///   its tight parents: a positive-weight tight edge raises `W`, a
+    ///   zero-weight one raises ρ. (A `(W, index)` key is wrong: vertices
+    ///   of equal `W` joined by zero-weight edges are not index-ordered.)
+    ///   So `D` and `A` are final at the pop: a strict `W` improvement
+    ///   resets them to that parent's contribution, an equal `W` takes
+    ///   the max.
+    /// * **Host.** Paths must not pass *through* the host: the
+    ///   environment registers primary outputs before they can influence
+    ///   primary inputs. The host relays only as the source, and no edge
+    ///   into the source is followed.
+    /// * **Stop.** `pending` counts the reached, unpopped vertices with
+    ///   `A ≤ hi`. At 0, every unpopped vertex is reached only through
+    ///   vertices covered at every target of the bracket, so it is
+    ///   covered too (`A` is a running max along tight paths) and holds
+    ///   no candidate. A vertex with `D ≤ lo` has `A ≤ D ≤ hi`, so it is
+    ///   always popped and the count is exact.
+    ///
+    /// `A(u, v) > T` is exactly the classic `covered` condition at target
+    /// `T` (some proper tight ancestor `x ≠ u` of `v` violates
+    /// `D(u, x) > T`): coverage is an OR over ancestor chains, which in
+    /// threshold space is a max over the same chains.
+    fn run(
+        &mut self,
+        rows: &Rows<'_>,
+        u: VertexId,
+    ) -> Result<(usize, Vec<Candidate>), RetimeError> {
+        let row = self.search(rows, u);
+        for &t in &self.touched {
+            self.w[t as usize] = i64::MAX;
         }
-        reached += 1;
-        if host == Some(VertexId(v)) && u != VertexId(v) {
-            continue; // terminate paths at the host
-        }
-        for e in graph.out_edges(VertexId(v)) {
-            let edge = graph.edge(e);
-            let nd = dist
-                .checked_add(edge.weight)
-                .ok_or(RetimeError::DelayOverflow)?;
-            if nd < w[edge.to.index()] {
-                w[edge.to.index()] = nd;
-                heap.push(Reverse((nd, edge.to.0)));
-            }
-        }
+        self.touched.clear();
+        self.heap.clear();
+        let (low, mut cands) = row?;
+        cands.sort_unstable_by_key(|c| c.v);
+        Ok((low, cands))
     }
-    // Dijkstra pops are in W order, but equal-W pops are not DAG-ordered
-    // in general (a tight zero-weight edge may point between two vertices
-    // popped in either order), so do an explicit Kahn pass for the tight
-    // DAG's topological order.
-    let topo = tight_dag_topo(graph, w, host.filter(|&h| h != u), u);
-    debug_assert_eq!(
-        topo.len(),
-        reached,
-        "tight subgraph had a zero-weight cycle (invalid circuit)"
-    );
-    // Longest-delay DP over the tight DAG, with the ancestor maximum `A`
-    // computed alongside it.
-    d.iter_mut().for_each(|x| *x = 0);
-    d[u.index()] = graph.delay(u);
-    for &v in &topo {
-        let vi = v as usize;
-        if host == Some(VertexId(v)) && u != VertexId(v) {
-            continue; // terminate paths at the host
-        }
-        let base = d[vi];
-        // A tight ancestor that itself violates the period makes every
-        // descendant's constraint redundant (see module docs); in target
-        // space that is a running max of ancestor D values, where the
-        // source itself never counts.
-        let threshold = if vi == u.index() {
-            a[vi]
-        } else {
-            a[vi].max(base)
-        };
-        for e in graph.out_edges(VertexId(v)) {
-            let edge = graph.edge(e);
-            let ti = edge.to.index();
-            if w[vi] + edge.weight == w[ti] {
-                let cand = base
+
+    /// The search behind [`Self::run`], leaving its scratch to reset.
+    fn search(
+        &mut self,
+        rows: &Rows<'_>,
+        u: VertexId,
+    ) -> Result<(usize, Vec<Candidate>), RetimeError> {
+        let (graph, lo, hi) = (rows.graph, rows.lo, rows.hi);
+        let Self {
+            w,
+            d,
+            a,
+            touched,
+            heap,
+        } = self;
+        let ui = u.index();
+        w[ui] = 0;
+        d[ui] = graph.delay(u);
+        a[ui] = 0;
+        touched.push(u.0);
+        heap.push(Reverse((0, rows.rank[ui])));
+        let mut pending = 1usize;
+        let mut low = 0usize;
+        let mut cands = Vec::new();
+        while pending > 0 {
+            let Some(Reverse((dist, rank))) = heap.pop() else {
+                break;
+            };
+            let v = VertexId(rows.by_rank[rank as usize]);
+            let vi = v.index();
+            if dist > w[vi] {
+                continue; // stale entry
+            }
+            let (dv, av) = (d[vi], a[vi]);
+            if av <= hi {
+                pending -= 1;
+            }
+            if v != u {
+                if dv <= lo {
+                    low += 1;
+                } else if av <= hi {
+                    cands.push(Candidate {
+                        v: v.0,
+                        bound: dist - 1,
+                        d: dv,
+                        a: av,
+                    });
+                }
+            }
+            if graph.host() == Some(v) && v != u {
+                continue;
+            }
+            // A violating tight ancestor makes every descendant's
+            // constraint redundant (see module docs); the source itself
+            // never counts.
+            let threshold = if v == u { av } else { av.max(dv) };
+            for e in graph.out_edges(v) {
+                let edge = graph.edge(e);
+                let t = edge.to.index();
+                if edge.to == u {
+                    continue;
+                }
+                let nd = dist
+                    .checked_add(edge.weight)
+                    .ok_or(RetimeError::DelayOverflow)?;
+                if nd > w[t] {
+                    continue;
+                }
+                let dt = dv
                     .checked_add(graph.delay(edge.to))
                     .ok_or(RetimeError::DelayOverflow)?;
-                if cand > d[ti] {
-                    d[ti] = cand;
+                let was_pending = w[t] != i64::MAX && a[t] <= hi;
+                if nd < w[t] {
+                    if w[t] == i64::MAX {
+                        touched.push(edge.to.0);
+                    }
+                    w[t] = nd;
+                    d[t] = dt;
+                    a[t] = threshold;
+                    heap.push(Reverse((nd, rows.rank[t])));
+                } else {
+                    d[t] = d[t].max(dt);
+                    a[t] = a[t].max(threshold);
                 }
-                if threshold > a[ti] {
-                    a[ti] = threshold;
-                }
+                pending = pending + usize::from(a[t] <= hi) - usize::from(was_pending);
             }
         }
+        Ok((low, cands))
     }
-    let mut pairs = 0usize;
-    let mut cands = Vec::new();
-    for vi in 0..w.len() {
-        if vi == u.index() || w[vi] == i64::MAX {
-            continue;
-        }
-        if d[vi] > band_lo {
-            pairs += 1;
-            // Keep the candidate when its emission interval [a, d)
-            // intersects the bracket; `a > band_hi` means it is covered
-            // at every target the substrate can serve.
-            if a[vi] <= band_hi {
-                cands.push(Candidate {
-                    v: vi as u32,
-                    bound: w[vi] - 1,
-                    d: d[vi],
-                    a: a[vi],
-                });
-            }
-        }
-    }
-    Ok((pairs, cands))
 }
 
-/// Kahn topological order of the tight DAG induced by `w`. Vertices with
-/// `w == MAX` (unreachable) never join the order; `blocked` (the host when
-/// it is not the source) contributes no outgoing tight edges, and edges
-/// back into the `source` are ignored (a tight edge into the source would
-/// close a zero-weight cycle — only possible through the host, where paths
-/// must terminate anyway).
-fn tight_dag_topo(
-    graph: &RetimeGraph,
-    w: &[i64],
-    blocked: Option<VertexId>,
-    source: VertexId,
-) -> Vec<u32> {
+/// `Σ_u |R(u)|`, where `R(u)` is every vertex a row search from `u`
+/// reaches without its stop: what `u` reaches with the host's out-edges
+/// cut, or, for the host itself, the host plus what its successors reach.
+///
+/// One bit-parallel pass per 64 sources over the strongly connected
+/// components of the cut graph (Tarjan numbers them so every arc runs to
+/// a lower number): each component's mask collects the sources that
+/// reach it, in topological order.
+fn reach_total(graph: &RetimeGraph) -> usize {
+    const UNSEEN: u32 = u32::MAX;
     let n = graph.num_vertices();
-    let tight = |edge: &crate::graph::GraphEdge| -> bool {
-        let fi = edge.from.index();
-        Some(edge.from) != blocked
-            && edge.to != source
-            && w[fi] != i64::MAX
-            && w[fi] + edge.weight == w[edge.to.index()]
-    };
-    let mut indeg = vec![0u32; n];
-    for edge in graph.edges() {
-        if tight(edge) {
-            indeg[edge.to.index()] += 1;
+    let host = graph.host();
+    // The cut graph in CSR form.
+    let mut start = Vec::with_capacity(n + 1);
+    let mut arcs = Vec::with_capacity(graph.num_edges());
+    start.push(0u32);
+    for v in graph.vertex_ids() {
+        if host != Some(v) {
+            arcs.extend(graph.out_edges(v).map(|e| graph.edge(e).to.0));
+        }
+        start.push(arcs.len() as u32);
+    }
+    let succ = |v: usize| &arcs[start[v] as usize..start[v + 1] as usize];
+    // Tarjan's algorithm without recursion.
+    let (mut index, mut low, mut comp) = (vec![UNSEEN; n], vec![0u32; n], vec![UNSEEN; n]);
+    let mut size: Vec<usize> = Vec::new();
+    let (mut stack, mut frames) = (Vec::new(), Vec::<(u32, u32)>::new());
+    let mut next = 0u32;
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                index[v] = next;
+                low[v] = next;
+                next += 1;
+                stack.push(v as u32);
+                frames.push((v as u32, start[v]));
+            }
+            let Some(&(v, at)) = frames.last() else {
+                break;
+            };
+            let v = v as usize;
+            if at < start[v + 1] {
+                frames.last_mut().expect("a frame is open").1 += 1;
+                let x = arcs[at as usize] as usize;
+                if index[x] == UNSEEN {
+                    enter = Some(x);
+                } else if comp[x] == UNSEEN {
+                    low[v] = low[v].min(index[x]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(p, _)) = frames.last() {
+                low[p as usize] = low[p as usize].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let c = size.len() as u32;
+                let mut members = 0;
+                loop {
+                    let x = stack.pop().expect("v is on the stack") as usize;
+                    comp[x] = c;
+                    members += 1;
+                    if x == v {
+                        break;
+                    }
+                }
+                size.push(members);
+            }
         }
     }
-    let mut topo = Vec::with_capacity(n);
-    let mut queue: Vec<u32> = (0..n as u32)
-        .filter(|&v| w[v as usize] != i64::MAX && indeg[v as usize] == 0)
-        .collect();
-    while let Some(v) = queue.pop() {
-        topo.push(v);
-        for e in graph.out_edges(VertexId(v)) {
-            let edge = graph.edge(e);
-            if tight(&edge) {
-                indeg[edge.to.index()] -= 1;
-                if indeg[edge.to.index()] == 0 {
-                    queue.push(edge.to.0);
+    // Component arcs, grouped by tail component.
+    let comps = size.len();
+    let mut cstart = vec![0u32; comps + 1];
+    for v in 0..n {
+        for &x in succ(v) {
+            if comp[x as usize] != comp[v] {
+                cstart[comp[v] as usize + 1] += 1;
+            }
+        }
+    }
+    for c in 0..comps {
+        cstart[c + 1] += cstart[c];
+    }
+    let mut fill = cstart.clone();
+    let mut carcs = vec![0u32; cstart[comps] as usize];
+    for v in 0..n {
+        for &x in succ(v) {
+            let (cv, cx) = (comp[v] as usize, comp[x as usize]);
+            if cx != cv as u32 {
+                carcs[fill[cv] as usize] = cx;
+                fill[cv] += 1;
+            }
+        }
+    }
+    // Sources in topological order, so a batch spans few components.
+    let mut sources: Vec<u32> = (0..n as u32).collect();
+    sources.sort_unstable_by_key(|&v| Reverse(comp[v as usize]));
+    let mut mask = vec![0u64; comps];
+    let mut total = 0usize;
+    for batch in sources.chunks(64) {
+        let mut top = 0usize;
+        for (i, &v) in batch.iter().enumerate() {
+            let mut seed = |c: u32| {
+                mask[c as usize] |= 1 << i;
+                top = top.max(c as usize);
+            };
+            seed(comp[v as usize]);
+            if host == Some(VertexId(v)) {
+                for e in graph.out_edges(VertexId(v)) {
+                    seed(comp[graph.edge(e).to.index()]);
+                }
+            }
+        }
+        for c in (0..=top).rev() {
+            let m = std::mem::take(&mut mask[c]);
+            if m != 0 {
+                total += m.count_ones() as usize * size[c];
+                for &x in &carcs[cstart[c] as usize..cstart[c + 1] as usize] {
+                    mask[x as usize] |= m;
                 }
             }
         }
     }
-    topo
+    total
 }
 
 /// The edge-weight (non-negativity) constraints `r(tail) − r(head) ≤ w(e)`
@@ -618,7 +791,7 @@ mod tests {
         /// The generated constraint list — values *and* order — is
         /// invariant under the order edges are inserted into the graph
         /// (adjacency-list order). This enforces the tie-breaking
-        /// discussion in [`source_row`]: W, D and A are
+        /// discussion in [`RowSearch::run`]: W, D and A are
         /// adjacency-order-free and emission is in vertex-index order, so
         /// two graphs that differ only in edge insertion order must
         /// produce byte-identical [`PeriodConstraints`].
@@ -693,6 +866,147 @@ mod tests {
                 lacr_prng::prop_assert_eq!(&probe.constraints, &fresh.constraints);
             }
         }
+    }
+
+    /// All-pairs `(W, D)` by Floyd–Warshall over the lexicographic order
+    /// (min `W`, then max `D`), the host never an intermediate vertex.
+    /// `None` marks an unreachable pair.
+    fn all_pairs_wd(g: &RetimeGraph) -> Vec<Vec<Option<(i64, u64)>>> {
+        let n = g.num_vertices();
+        let better = |c: (i64, u64), old: Option<(i64, u64)>| {
+            old.is_none_or(|o| c.0 < o.0 || (c.0 == o.0 && c.1 > o.1))
+        };
+        let mut m = vec![vec![None; n]; n];
+        for v in g.vertex_ids() {
+            m[v.index()][v.index()] = Some((0, g.delay(v)));
+        }
+        for e in g.edges() {
+            let (x, y) = (e.from.index(), e.to.index());
+            let c = (e.weight, g.delay(e.from) + g.delay(e.to));
+            if x != y && better(c, m[x][y]) {
+                m[x][y] = Some(c);
+            }
+        }
+        for k in g.vertex_ids().filter(|&k| Some(k) != g.host()) {
+            // Row `k` does not change in round `k` (`m[k][k]` is `(0, d(k))`).
+            let via = m[k.index()].clone();
+            for (i, row) in m.iter_mut().enumerate() {
+                let Some((wik, dik)) = row[k.index()] else {
+                    continue;
+                };
+                for (j, (cell, kj)) in row.iter_mut().zip(&via).enumerate() {
+                    if let Some((wkj, dkj)) = *kj {
+                        let c = (wik + wkj, dik + dkj - g.delay(k));
+                        if i != j && better(c, *cell) {
+                            *cell = Some(c);
+                        }
+                    }
+                }
+            }
+        }
+        m
+    }
+
+    /// The reference constraint list at `target` (source-major, heads in
+    /// index order) and the violating-pair count at `floor`. `(u, v)` is
+    /// covered when some `x ∉ {u, v}` lies on a minimum-weight `u ⇝ v`
+    /// path (`W(u,x) + W(x,v) = W(u,v)`) and already violates; as an
+    /// intermediate vertex, `x` is never the host.
+    fn reference(g: &RetimeGraph, target: u64, floor: u64) -> (Vec<Constraint>, usize) {
+        let m = all_pairs_wd(g);
+        let n = g.num_vertices();
+        let host = g.host().map(VertexId::index);
+        let mut cons = Vec::new();
+        let mut pairs = 0;
+        for u in 0..n {
+            for v in (0..n).filter(|&v| v != u) {
+                let Some((w, d)) = m[u][v] else { continue };
+                pairs += usize::from(d > floor);
+                let covered = (0..n)
+                    .filter(|&x| x != u && x != v && Some(x) != host)
+                    .any(|x| {
+                        matches!((m[u][x], m[x][v]),
+                        (Some((wux, dux)), Some((wxv, _))) if wux + wxv == w && dux > target)
+                    });
+                if d > target && !covered {
+                    cons.push(Constraint::new(u, v, w - 1));
+                }
+            }
+        }
+        (cons, pairs)
+    }
+
+    lacr_prng::properties! {
+        cases = 200;
+
+        /// `WdSubstrate` emits, at every target of its bracket, exactly
+        /// the reference's constraints (values and order), and counts
+        /// exactly its violating pairs at the floor.
+        fn substrate_matches_the_all_pairs_reference(rng) {
+            let n = rng.gen_range(1..13usize);
+            let mut g = RetimeGraph::new();
+            let vs: Vec<VertexId> = (0..n)
+                .map(|_| g.add_vertex(VertexKind::Functional, rng.gen_range(0..7u64), 1.0, None))
+                .collect();
+            // Zero-weight edges follow a random order, not the index order,
+            // so equal-`W` vertices are not index-ordered; edges against
+            // it close cycles and carry a register.
+            let order = rng.permutation(n);
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let w = if order[x] < order[y] { rng.gen_range(0..3i64) } else { rng.gen_range(1..3i64) };
+                g.add_edge(vs[x], vs[y], w);
+            }
+            if rng.gen_bool(0.5) {
+                let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+                g.set_host(h);
+                for _ in 0..rng.gen_range(1..5usize) {
+                    g.add_edge(h, vs[rng.gen_range(0..n)], rng.gen_range(0..3i64));
+                    g.add_edge(vs[rng.gen_range(0..n)], h, rng.gen_range(0..3i64));
+                }
+            }
+            let lo = rng.gen_range(0..16u64);
+            let hi = if rng.gen_bool(0.5) { lo } else { lo + rng.gen_range(0..24u64) };
+            let sub = WdSubstrate::build(&g, lo, hi).unwrap();
+            for t in lo..=hi {
+                let (cons, pairs) = reference(&g, t, lo);
+                let probe = sub.constraints_for(t);
+                lacr_prng::prop_assert_eq!(&probe.constraints, &cons);
+                lacr_prng::prop_assert_eq!(probe.pairs_before_pruning, pairs);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_weight_cycle_off_the_host_is_a_typed_error() {
+        for with_host in [false, true] {
+            let mut g = RetimeGraph::new();
+            let a = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
+            let b = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
+            g.add_edge(a, b, 0);
+            g.add_edge(b, a, 0);
+            if with_host {
+                let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+                g.set_host(h);
+                g.add_edge(h, a, 0);
+                g.add_edge(b, h, 0);
+            }
+            assert_eq!(
+                WdSubstrate::build(&g, 1, 5).unwrap_err(),
+                RetimeError::CombinationalCycle
+            );
+        }
+        // Through the host, a zero-weight cycle is no cycle.
+        let g = {
+            let mut g = RetimeGraph::new();
+            let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+            g.set_host(h);
+            let a = g.add_vertex(VertexKind::Functional, 3, 1.0, None);
+            g.add_edge(h, a, 0);
+            g.add_edge(a, h, 0);
+            g
+        };
+        assert!(WdSubstrate::build(&g, 1, 5).is_ok());
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! two feasibility oracles.
 //!
 //! * Host-free graphs use the Leiserson–Saxe **FEAS** relaxation — fast,
-//!   and sound because every violating vertex can be incremented.
+//!   and sound because every violating vertex can be incremented. An
+//!   infeasible target ends as soon as the increments' predecessor graph
+//!   closes a cycle, a certificate that no retiming meets it (see
+//!   `feas_loop`), instead of after `|V| + 1` passes.
 //! * Graphs with a host vertex use the **constraint oracle**: emit the W/D
 //!   period constraints for the candidate period and solve the
 //!   difference-constraint system with Bellman–Ford. FEAS is unsound
@@ -22,7 +25,7 @@
 //! in the same bracket (the planner's `t_clk`) reuse it too.
 
 use crate::constraints::{edge_constraints, generate_period_constraints, WdSubstrate};
-use crate::graph::RetimeGraph;
+use crate::graph::{RetimeGraph, VertexId};
 use crate::minarea::RetimeError;
 use lacr_mcmf::{Constraint, DifferenceConstraints};
 
@@ -56,8 +59,10 @@ pub struct MinPeriodOutcome {
 ///
 /// # Errors
 ///
-/// [`RetimeError::DelayOverflow`] when accumulating path delays overflows
-/// `u64`.
+/// * [`RetimeError::CombinationalCycle`] — some directed cycle carries no
+///   flip-flop.
+/// * [`RetimeError::DelayOverflow`] — accumulating path delays overflowed
+///   `u64`.
 ///
 /// # Examples
 ///
@@ -91,7 +96,7 @@ pub fn try_feasible_retiming(
     let r = if graph.host().is_some() {
         constraint_feasible(graph, target)?
     } else {
-        feas_loop(graph, target)?
+        feas_loop(graph, target)?.0
     };
     if let Some(r) = &r {
         debug_assert!({
@@ -102,33 +107,160 @@ pub fn try_feasible_retiming(
     Ok(r)
 }
 
-/// The classic FEAS loop (host-free graphs only).
-fn feas_loop(graph: &RetimeGraph, target: u64) -> Result<Option<Vec<i64>>, RetimeError> {
+/// No predecessor yet: the vertex was never incremented.
+const NO_PRED: u32 = u32::MAX;
+
+/// The classic FEAS loop (host-free graphs only), returning the retiming
+/// (or `None`) and how many arrival passes it ran.
+///
+/// Each pass computes arrival times over the zero-weight edges and
+/// increments every vertex whose arrival exceeds `target`. An increment of
+/// `v` records `pred(v) = s`, the first vertex of `v`'s critical
+/// zero-weight path `P` (`origin`), and `lift(v) = 1 − w(P)`: every legal
+/// retiming `r'` with period `≤ target` must register `P`, so
+/// `r'(v) − r'(s) ≥ lift(v)`. A cycle of `pred` pointers sums these around
+/// to `0 ≥ Σ lift`, while `Σ lift ≥ 1` (see the debug assertion and
+/// ALGORITHMS.md §2): the target is infeasible. A feasible target never
+/// closes such a cycle, so its passes and its retiming are those of the
+/// classic loop; the `|V| + 1` pass bound stays as the backstop.
+pub(crate) fn feas_loop(
+    graph: &RetimeGraph,
+    target: u64,
+) -> Result<(Option<Vec<i64>>, usize), RetimeError> {
+    debug_assert!(graph.host().is_none(), "FEAS is the host-free oracle");
     let n = graph.num_vertices();
+    // Out-arcs in CSR form: arc `k` of `v`, for `k` in
+    // `start[v]..start[v + 1]`, has head `head[k]` and weight `base[k]`;
+    // `w[k]` is its retimed weight in the current pass.
+    let mut start = Vec::with_capacity(n + 1);
+    let (mut head, mut base) = (Vec::new(), Vec::new());
+    start.push(0usize);
+    for v in graph.vertex_ids() {
+        for e in graph.out_edges(v) {
+            let e = graph.edge(e);
+            head.push(e.to.0);
+            base.push(e.weight);
+        }
+        start.push(head.len());
+    }
+    let mut w = base.clone();
     let mut r = vec![0i64; n];
+    // Pass buffers, reused: arrivals, critical-path origins, zero-weight
+    // in-degrees, the Kahn queue and the vertices incremented.
+    let mut arr = vec![0u64; n];
+    let mut origin = vec![0u32; n];
+    let mut indeg = vec![0u32; n];
+    let mut queue: Vec<u32> = Vec::with_capacity(n);
+    let mut bumped: Vec<u32> = Vec::new();
+    // The certificate: each vertex's `pred` (from its last increment) next
+    // to its walk stamp, and `lift`. A stamp `≥` the pass's first walk
+    // marks a vertex this pass already followed.
+    let mut pred = vec![(NO_PRED, 0u32); n];
+    let mut lift = vec![0i64; n];
+    let mut walk = 0u32;
     // |V| rounds: the classic bound is |V| − 1 increments; one extra round
     // performs the final check.
-    for _ in 0..=n {
-        let weights = graph.retimed_weights(&r);
-        debug_assert!(graph.weights_legal(&weights), "FEAS lost legality");
-        let arrivals = graph.try_arrival_times(&weights).map_err(|e| match e {
-            RetimeError::CombinationalCycle => {
-                unreachable!("legal retiming keeps the zero-weight subgraph acyclic")
-            }
-            other => other,
-        })?;
-        let mut ok = true;
-        for (v, &a) in arrivals.iter().enumerate() {
-            if a > target {
-                r[v] += 1;
-                ok = false;
+    for pass in 1..=n + 1 {
+        indeg.fill(0);
+        for v in 0..n {
+            for k in start[v]..start[v + 1] {
+                let t = head[k] as usize;
+                w[k] = base[k] + r[t] - r[v];
+                debug_assert!(w[k] >= 0, "FEAS lost legality");
+                if w[k] == 0 {
+                    indeg[t] += 1;
+                }
             }
         }
-        if ok {
-            return Ok(Some(r));
+        for v in graph.vertex_ids() {
+            arr[v.index()] = graph.delay(v);
+            origin[v.index()] = v.0;
+        }
+        queue.clear();
+        queue.extend((0..n as u32).filter(|&v| indeg[v as usize] == 0));
+        let mut seen = 0usize;
+        while let Some(v) = queue.pop() {
+            seen += 1;
+            let v = v as usize;
+            for k in start[v]..start[v + 1] {
+                if w[k] != 0 {
+                    continue;
+                }
+                let t = head[k] as usize;
+                let cand = arr[v]
+                    .checked_add(graph.delay(VertexId(t as u32)))
+                    .ok_or(RetimeError::DelayOverflow)?;
+                if cand > arr[t] {
+                    arr[t] = cand;
+                    origin[t] = origin[v];
+                }
+                indeg[t] -= 1;
+                if indeg[t] == 0 {
+                    queue.push(t as u32);
+                }
+            }
+        }
+        if seen < n {
+            // Retiming preserves cycle weights, so only the input itself
+            // can carry a zero-weight cycle.
+            return Err(RetimeError::CombinationalCycle);
+        }
+        bumped.clear();
+        for v in 0..n {
+            if arr[v] > target {
+                let s = origin[v] as usize;
+                pred[v].0 = s as u32;
+                // `P` has zero retimed weight: w(P) = r(s) − r(v).
+                lift[v] = 1 - (r[s] - r[v]);
+                bumped.push(v as u32);
+            }
+        }
+        if bumped.is_empty() {
+            return Ok((Some(r), pass));
+        }
+        for &v in &bumped {
+            r[v as usize] += 1;
+        }
+        // Only the pointers just set can close a new cycle. A walk stops
+        // at a vertex an earlier walk of this pass already followed.
+        if walk > u32::MAX - n as u32 {
+            pred.iter_mut().for_each(|p| p.1 = 0);
+            walk = 0;
+        }
+        let pass_start = walk + 1;
+        for &v in &bumped {
+            walk += 1;
+            let mut x = v;
+            while x != NO_PRED {
+                let (next, seen_at) = &mut pred[x as usize];
+                if *seen_at == walk {
+                    debug_assert!(cycle_lift(&pred, &lift, x) > 0, "FEAS certificate");
+                    return Ok((None, pass));
+                }
+                if *seen_at >= pass_start {
+                    break;
+                }
+                *seen_at = walk;
+                x = *next;
+            }
         }
     }
-    Ok(None)
+    Ok((None, n + 1))
+}
+
+/// `Σ lift` around the `pred` cycle through `x`. Along the cycle,
+/// `lift(v) = R(v) − r_t(pred(v))`, where `R` is the current retiming and
+/// `r_t` the one before `v`'s last increment, so the sum telescopes to
+/// `Σ (R(s) − r_t(s)) ≥ 0`; the term whose `s` was incremented last is
+/// at least 1.
+fn cycle_lift(pred: &[(u32, u32)], lift: &[i64], x: u32) -> i64 {
+    let mut sum = lift[x as usize];
+    let mut y = pred[x as usize].0;
+    while y != x {
+        sum += lift[y as usize];
+        y = pred[y as usize].0;
+    }
+    sum
 }
 
 /// One-shot feasibility via the W/D constraint system (sound for host
@@ -564,6 +696,97 @@ mod tests {
                 .expect("unretimed period is always feasible");
             lacr_prng::prop_assert_eq!(fast, slow);
         }
+    }
+
+    lacr_prng::properties! {
+        cases = 48;
+
+        /// FEAS, with its early exit, gives the verdict of the one-shot W/D +
+        /// Bellman–Ford oracle at every target of the search bracket, and
+        /// every retiming it returns verifies independently.
+        fn feas_verdict_matches_the_constraint_oracle(rng) {
+            let n = rng.gen_range(2..41usize);
+            let mut g = RetimeGraph::new();
+            let vs: Vec<_> = (0..n)
+                .map(|_| g.add_vertex(VertexKind::Functional, rng.gen_range(1..9u64), 1.0, None))
+                .collect();
+            // A registered ring plus chords: forward chords may be
+            // combinational, backward ones carry a register.
+            for i in 0..n {
+                let w = if i + 1 == n { rng.gen_range(1..3i64) } else { rng.gen_range(0..3i64) };
+                g.add_edge(vs[i], vs[(i + 1) % n], w);
+            }
+            for _ in 0..rng.gen_range(0..n) {
+                let a = rng.gen_range(0..n);
+                let b = rng.gen_range(0..n);
+                let w = if a < b { rng.gen_range(0..3i64) } else { rng.gen_range(1..3i64) };
+                g.add_edge(vs[a], vs[b], w);
+            }
+            let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
+            let floor = g.vertex_ids().map(|v| g.delay(v)).max().expect("non-empty");
+            for t in floor..=unretimed {
+                let feas = try_feasible_retiming(&g, t).unwrap();
+                let oracle = constraint_feasible(&g, t).unwrap();
+                lacr_prng::prop_assert!(
+                    feas.is_some() == oracle.is_some(),
+                    "target {t}: FEAS {}, oracle {}",
+                    feas.is_some(),
+                    oracle.is_some()
+                );
+                if let Some(r) = feas {
+                    let weights = g.retimed_weights(&r);
+                    let out = crate::RetimingOutcome {
+                        total_flops: weights.iter().sum(),
+                        period: g.try_clock_period(&weights).unwrap(),
+                        retiming: r,
+                        weights,
+                    };
+                    let verdict = crate::verify_retiming(&g, &out, t);
+                    lacr_prng::prop_assert!(verdict.is_ok(), "target {t}: {verdict:?}");
+                }
+            }
+        }
+    }
+
+    /// An infeasible probe just below `T_min` on a 4,096-cell ring of
+    /// rings ends at its predecessor-cycle certificate, not after the
+    /// `|V| + 1` passes of the classic bound.
+    #[test]
+    fn infeasible_ring_probe_ends_at_the_certificate() {
+        let net = lacr_prng::synth::ring_of_rings(4096, 2003);
+        let mut g = RetimeGraph::new();
+        let ids: Vec<_> = net
+            .delays_ps
+            .iter()
+            .map(|&d| g.add_vertex(VertexKind::Functional, d, 1.0, None))
+            .collect();
+        for e in &net.edges {
+            g.add_edge(ids[e.from as usize], ids[e.to as usize], i64::from(e.flops));
+        }
+        let t_min = try_min_period_retiming(&g, 0).unwrap().result.period;
+        let floor = g.vertex_ids().map(|v| g.delay(v)).max().unwrap();
+        assert!(
+            t_min > floor,
+            "the probe must run FEAS, not the delay check"
+        );
+        let (r, passes) = feas_loop(&g, t_min - 1).unwrap();
+        assert!(r.is_none());
+        assert!(passes <= 64, "{passes} passes at T_min − 1");
+        let (r, _) = feas_loop(&g, t_min).unwrap();
+        assert!(r.is_some());
+    }
+
+    #[test]
+    fn zero_weight_cycle_is_a_typed_error() {
+        let mut g = RetimeGraph::new();
+        let a = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, a, 0);
+        assert_eq!(
+            try_feasible_retiming(&g, 5),
+            Err(RetimeError::CombinationalCycle)
+        );
     }
 
     fn brute_force_feasible(g: &RetimeGraph, t: u64) -> bool {

@@ -124,8 +124,8 @@ if [[ "$REGRESS" == 1 ]]; then
     }
     echo "    undeclared subset rejected (exit 1), as required"
 
-    echo "==> bench_scale fast subset (synthetic 4096-cell ring + mesh)"
-    LACR_RECORD_DIR=target/regress target/release/bench_scale ring:4096 mesh:4096 \
+    echo "==> bench_scale fast subset (synthetic 4096-cell ring + mesh, 20000-cell ring)"
+    LACR_RECORD_DIR=target/regress target/release/bench_scale ring:4096 mesh:4096 ring:20000 \
         >target/regress/scale.txt
     target/release/check_metrics --bench target/regress/BENCH_scale.json
 

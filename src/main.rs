@@ -159,7 +159,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "list",
         usage: &["list                        available benchmark circuits"],
-        run: |_| cmd_list(),
+        run: cmd_list,
     },
     Command {
         name: "plan",
@@ -252,7 +252,10 @@ fn load_circuit(spec: &str) -> Result<Circuit, Box<dyn std::error::Error>> {
     }
 }
 
-fn cmd_list() -> CliResult {
+fn cmd_list(args: &[String]) -> CliResult {
+    if let Some(stray) = args.first() {
+        return Err(format!("list: unexpected argument {stray:?}").into());
+    }
     println!("synthetic ISCAS89-class circuits (lacr-netlist::bench89):");
     for name in bench89::suite() {
         let c = bench89::generate(name)?;
@@ -434,7 +437,7 @@ fn cmd_table1(circuits: &[String]) -> CliResult {
     if !circuits.is_empty() {
         config.circuits = circuits.to_vec();
     }
-    let rows = run_experiment(&config);
+    let rows = run_experiment(&config)?;
     println!("{}", format_table(&rows));
     Ok(Vec::new())
 }

@@ -77,6 +77,31 @@ fn unknown_circuit_is_a_clean_error() {
 }
 
 #[test]
+fn table1_rejects_an_unknown_circuit_before_planning() {
+    let out = lacr()
+        .args(["table1", "s344", "nosuch"])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown benchmark \"nosuch\""), "{err}");
+    // Rejected up front: s344 was never planned, so no table was printed.
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn list_rejects_stray_arguments() {
+    let out = lacr().args(["list", "--bogus"]).output().expect("runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--bogus"), "{err}");
+}
+
+#[test]
 fn plan_on_a_bench_file() {
     let input = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/counter3.bench");
     let out = lacr().args(["plan", input]).output().expect("runs");
