@@ -74,7 +74,7 @@ impl DifferenceConstraints {
     /// values ≤ 0 (standard single-source Bellman–Ford from a virtual
     /// source), shifted so that the minimum value is 0.
     pub fn solve(&self) -> Option<Vec<i64>> {
-        self.solve_from(vec![0i64; self.num_vars])
+        self.run(vec![0i64; self.num_vars]).0.ok()
     }
 
     /// Like [`Self::solve`], but warm-started from `initial` potentials —
@@ -93,27 +93,53 @@ impl DifferenceConstraints {
     ///
     /// Panics if `initial.len() != num_vars()`.
     pub fn solve_warm(&self, initial: &[i64]) -> Option<Vec<i64>> {
-        assert_eq!(initial.len(), self.num_vars);
-        self.solve_from(initial.to_vec())
+        self.solve_or_cycle(initial).ok()
     }
 
-    fn solve_from(&self, mut dist: Vec<i64>) -> Option<Vec<i64>> {
+    /// Like [`Self::solve_warm`], but an infeasible system returns the
+    /// negative cycle that proved it: constraints of the system in cycle
+    /// order (each one's `v` is the previous one's `u`, and the first
+    /// one's `v` the last one's `u`), whose bounds sum below zero. The
+    /// list is empty when the path-length backstop proved infeasibility
+    /// before the parent pointers closed a cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial.len() != num_vars()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lacr_mcmf::{Constraint, DifferenceConstraints};
+    ///
+    /// let sys = DifferenceConstraints::new(
+    ///     2,
+    ///     [Constraint::new(0, 1, -1), Constraint::new(1, 0, 0)],
+    /// );
+    /// let cycle = sys.solve_or_cycle(&[0, 0]).unwrap_err();
+    /// assert_eq!(cycle.iter().map(|c| c.bound).sum::<i64>(), -1);
+    /// ```
+    pub fn solve_or_cycle(&self, initial: &[i64]) -> Result<Vec<i64>, Vec<Constraint>> {
+        assert_eq!(initial.len(), self.num_vars);
+        self.run(initial.to_vec()).0
+    }
+
+    /// The solver behind every entry point; also returns the number of
+    /// relaxations it made.
+    fn run(&self, mut dist: Vec<i64>) -> (Result<Vec<i64>, Vec<Constraint>>, u64) {
         // Constraint r_u − r_v ≤ b becomes edge v → u with weight b; dist
         // from a virtual source (dist = initial value for each vertex)
         // yields r = dist.
         let n = self.num_vars;
         if n == 0 {
-            return Some(Vec::new());
+            return (Ok(Vec::new()), 0);
         }
         // Queue-based Bellman–Ford (SPFA). The result is independent of
         // relaxation order: from a fixed initial vector the relaxation
         // operator has a unique greatest fixpoint ≤ init (the pointwise
         // min over walks), and every terminating relaxation sequence ends
         // there — so this is bit-identical to round-based Bellman–Ford,
-        // just without re-scanning settled constraints. Infeasible systems
-        // are the big win: the round-based loop certifies a negative cycle
-        // only after `n` full passes (Θ(n·m)), while a path-length witness
-        // reaches `n` edges after only a few laps of the cycle.
+        // just without re-scanning settled constraints.
         //
         // CSR adjacency grouped by source `v` of the edge `v → u`.
         let m = self.constraints.len();
@@ -130,17 +156,32 @@ impl DifferenceConstraints {
             adj[cursor[c.v] as usize] = (c.u as u32, c.bound);
             cursor[c.v] += 1;
         }
-        // Every vertex starts relaxed by its virtual-source edge, so every
-        // vertex starts queued with a path of one (virtual) edge. A simple
-        // virtual-source path touches at most `n` real vertices, so any
-        // relaxation pushing a path length past `n` has revisited a vertex
-        // along a strictly improving walk — a negative cycle. Feasible
-        // systems can never trip this, so detection is exact.
+        // Infeasible systems end at the first of two certificates:
+        //
+        // * a cycle of parent pointers (the variable and bound that last
+        //   lowered each variable), looked for after every `n`
+        //   relaxations: such a cycle is a negative cycle (see
+        //   `parent_cycle`), and it forms after about one lap of the
+        //   cycle, while
+        // * the path-length witness, the backstop, needs walks of `n`
+        //   edges: every vertex starts relaxed by its virtual-source
+        //   edge, so it starts queued with a path of one (virtual) edge;
+        //   a simple virtual-source path touches at most `n` real
+        //   vertices, so any relaxation pushing a path length past `n`
+        //   has revisited a vertex along a strictly improving walk.
+        //
+        // Feasible systems trip neither, so the solution is unchanged.
         let mut queue: std::collections::VecDeque<u32> = (0..n as u32).collect();
         let mut in_queue = vec![true; n];
         let mut path_len = vec![1u32; n];
+        let mut parent = vec![(NO_PARENT, 0i64); n];
+        let mut stamp = vec![0u32; n];
+        let mut walk = 0u32;
         let mut relaxations = 0_u64;
-        let mut feasible = true;
+        let mut since_sweep = 0usize;
+        // The proof of infeasibility: a negative cycle, or an empty list
+        // when only the witness fired.
+        let mut proof: Option<Vec<Constraint>> = None;
         'relax: while let Some(v) = queue.pop_front() {
             in_queue[v as usize] = false;
             let dv = dist[v as usize];
@@ -151,10 +192,18 @@ impl DifferenceConstraints {
                 if cand < dist[u] {
                     dist[u] = cand;
                     path_len[u] = lv + 1;
+                    parent[u] = (v, b);
                     relaxations += 1;
-                    if path_len[u] as usize > n {
-                        feasible = false; // negative cycle
-                        break 'relax;
+                    since_sweep += 1;
+                    let witness = path_len[u] as usize > n;
+                    if witness || since_sweep == n {
+                        since_sweep = 0;
+                        let found = parent_cycle(&parent, &mut stamp, &mut walk);
+                        if witness || found.is_some() {
+                            proof =
+                                Some(found.map_or_else(Vec::new, |x| cycle_through(&parent, x)));
+                            break 'relax;
+                        }
                     }
                     if !in_queue[u] {
                         in_queue[u] = true;
@@ -164,28 +213,94 @@ impl DifferenceConstraints {
             }
         }
         lacr_obs::counter!("mcmf.bf_relaxations", relaxations);
-        if !feasible {
-            return None;
-        }
         // One extra scan to be safe against the boundary case n == 1 etc.
-        if self
-            .constraints
-            .iter()
-            .any(|c| dist[c.v].saturating_add(c.bound) < dist[c.u])
+        if proof.is_none()
+            && self
+                .constraints
+                .iter()
+                .any(|c| dist[c.v].saturating_add(c.bound) < dist[c.u])
         {
-            return None;
+            proof = Some(Vec::new());
+        }
+        if let Some(cycle) = proof {
+            return (Err(cycle), relaxations);
         }
         let m = *dist.iter().min().unwrap_or(&0);
         for d in &mut dist {
             *d -= m;
         }
-        Some(dist)
+        (Ok(dist), relaxations)
     }
 
     /// Returns `true` when the system has at least one solution.
     pub fn is_feasible(&self) -> bool {
         self.solve().is_some()
     }
+}
+
+/// No parent yet: the variable still holds its initial value.
+const NO_PARENT: u32 = u32::MAX;
+
+/// A variable on a cycle of `parent` pointers, if there is one.
+///
+/// Such a cycle is negative. Each pointer `x → p` (`p` last lowered `x`,
+/// through bound `b`) keeps `dist[x] ≥ dist[p] + b`: equality when it is
+/// set, and `dist[p]` only falls afterwards. Let `x → p` be the cycle's
+/// pointer set last. Just before, the pointers from `p` round to `x` gave
+/// `dist[p] ≥ dist[x] + Σ_rest b`, and the relaxation made `dist[x]`
+/// strictly smaller than that old value:
+/// `dist[p] + b < dist[x] ≤ dist[p] − Σ_rest b`, so `Σ b < 0`. A
+/// feasible system therefore never closes one.
+///
+/// Walks are stamped per sweep like FEAS's `pred` walks: a walk stops at a
+/// variable an earlier walk of the same sweep already followed, so a
+/// sweep costs `O(n)`.
+fn parent_cycle(parent: &[(u32, i64)], stamp: &mut [u32], walk: &mut u32) -> Option<usize> {
+    let n = parent.len() as u32;
+    if *walk > u32::MAX - n {
+        stamp.fill(0);
+        *walk = 0;
+    }
+    let sweep = *walk + 1;
+    for s in 0..parent.len() {
+        if stamp[s] >= sweep {
+            continue;
+        }
+        *walk += 1;
+        let mut x = s as u32;
+        while x != NO_PARENT {
+            let seen = &mut stamp[x as usize];
+            if *seen == *walk {
+                return Some(x as usize);
+            }
+            if *seen >= sweep {
+                break;
+            }
+            *seen = *walk;
+            x = parent[x as usize].0;
+        }
+    }
+    None
+}
+
+/// The constraints of the parent cycle through `x`, in cycle order.
+fn cycle_through(parent: &[(u32, i64)], x: usize) -> Vec<Constraint> {
+    let mut cycle = Vec::new();
+    let mut y = x;
+    loop {
+        let (p, b) = parent[y];
+        cycle.push(Constraint::new(y, p as usize, b));
+        y = p as usize;
+        if y == x {
+            break;
+        }
+    }
+    cycle.reverse();
+    debug_assert!(
+        cycle.iter().map(|c| i128::from(c.bound)).sum::<i128>() < 0,
+        "parent cycle {cycle:?} is not negative"
+    );
+    cycle
 }
 
 #[cfg(test)]
@@ -307,12 +422,28 @@ mod tests {
         }
     }
 
+    /// Checks that `cycle` is a negative cycle of `sys`'s constraints, in
+    /// cycle order.
+    fn assert_negative_cycle(sys: &DifferenceConstraints, cycle: &[Constraint]) {
+        assert!(!cycle.is_empty());
+        for (i, c) in cycle.iter().enumerate() {
+            assert!(sys.constraints().contains(c), "{c:?} is not in the system");
+            let prev = cycle[(i + cycle.len() - 1) % cycle.len()];
+            assert_eq!(c.v, prev.u, "cycle {cycle:?} is not in order");
+        }
+        assert!(cycle.iter().map(|c| c.bound).sum::<i64>() < 0, "{cycle:?}");
+    }
+
     /// The queue-based solver must return *exactly* what the classic
     /// round-based Bellman–Ford returns — same feasibility verdict, same
     /// vector — on random systems from both sides of the feasibility
     /// boundary, cold and warm-started. (The solution is the unique
     /// greatest fixpoint of the relaxation operator below the initial
-    /// vector, so relaxation order must not matter; this pins it.)
+    /// vector, so relaxation order must not matter; this pins it.) The
+    /// larger cases are where the parent-cycle exit ends a probe before
+    /// the path-length witness would: the solver makes the relaxations of
+    /// a witness-only run in the same order, so it may stop earlier, never
+    /// later, and every cycle it returns is negative.
     #[test]
     fn spfa_matches_round_based_reference() {
         fn reference(sys: &DifferenceConstraints, mut dist: Vec<i64>) -> Option<Vec<i64>> {
@@ -336,6 +467,37 @@ mod tests {
             let m = *dist.iter().min().unwrap_or(&0);
             Some(dist.iter().map(|d| d - m).collect())
         }
+        /// Relaxations of the same queue order that ends only at the
+        /// path-length witness (or at the fixpoint).
+        fn witness_only_relaxations(sys: &DifferenceConstraints, mut dist: Vec<i64>) -> u64 {
+            let n = sys.num_vars();
+            let mut adj = vec![Vec::new(); n];
+            for c in sys.constraints() {
+                adj[c.v].push((c.u, c.bound));
+            }
+            let mut queue: std::collections::VecDeque<usize> = (0..n).collect();
+            let (mut in_queue, mut path_len) = (vec![true; n], vec![1usize; n]);
+            let mut relaxations = 0;
+            while let Some(v) = queue.pop_front() {
+                in_queue[v] = false;
+                let (dv, lv) = (dist[v], path_len[v]);
+                for &(u, b) in &adj[v] {
+                    if dv.saturating_add(b) < dist[u] {
+                        dist[u] = dv.saturating_add(b);
+                        path_len[u] = lv + 1;
+                        relaxations += 1;
+                        if path_len[u] > n {
+                            return relaxations;
+                        }
+                        if !in_queue[u] {
+                            in_queue[u] = true;
+                            queue.push_back(u);
+                        }
+                    }
+                }
+            }
+            relaxations
+        }
         // Deterministic xorshift so the cases are replayable.
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = move || {
@@ -344,31 +506,64 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut infeasible_seen = 0;
-        for _ in 0..200 {
-            let n = (next() % 12 + 1) as usize;
-            let m = (next() % (4 * n as u64 + 1)) as usize;
+        let (mut infeasible_seen, mut earlier_exits) = (0, 0);
+        for case in 0..300 {
+            let large = case >= 200;
+            let (n, m, span, shift) = if large {
+                let n = next() % 200 + 50;
+                (n, 2 * n + next() % (2 * n), 60, 6)
+            } else {
+                let n = next() % 12 + 1;
+                (n, next() % (4 * n + 1), 9, 3)
+            };
+            let (n, m) = (n as usize, m as usize);
             let cons: Vec<Constraint> = (0..m)
                 .map(|_| {
                     Constraint::new(
                         (next() % n as u64) as usize,
                         (next() % n as u64) as usize,
-                        (next() % 9) as i64 - 3,
+                        (next() % span) as i64 - shift,
                     )
                 })
                 .collect();
             let sys = DifferenceConstraints::new(n, cons);
             let init: Vec<i64> = (0..n).map(|_| (next() % 21) as i64 - 10).collect();
-            let cold = sys.solve();
-            assert_eq!(cold, reference(&sys, vec![0; n]));
-            let warm = sys.solve_warm(&init);
-            assert_eq!(warm, reference(&sys, init));
-            assert_eq!(cold.is_some(), warm.is_some(), "verdict differs by start");
-            if cold.is_none() {
+            let (cold, relaxations) = sys.run(vec![0; n]);
+            assert_eq!(cold.clone().ok(), reference(&sys, vec![0; n]));
+            let warm = sys.solve_or_cycle(&init);
+            assert_eq!(warm.clone().ok(), reference(&sys, init));
+            assert_eq!(cold.is_ok(), warm.is_ok(), "verdict differs by start");
+            for cycle in [&cold, &warm].into_iter().filter_map(|r| r.as_ref().err()) {
+                if !cycle.is_empty() {
+                    assert_negative_cycle(&sys, cycle);
+                }
+            }
+            if cold.is_err() {
                 infeasible_seen += 1;
+                let witness = witness_only_relaxations(&sys, vec![0; n]);
+                assert!(relaxations <= witness, "{relaxations} > {witness}");
+                earlier_exits += usize::from(large && relaxations < witness);
             }
         }
-        assert!(infeasible_seen > 20, "want both sides: {infeasible_seen}");
+        assert!(infeasible_seen > 40, "want both sides: {infeasible_seen}");
+        assert!(earlier_exits > 10, "parent-cycle exits: {earlier_exits}");
+    }
+
+    /// A 2-cycle feeding a 10,000-variable chain: the path-length witness
+    /// needs about `n / 2` laps of the cycle, each lowering the chain again
+    /// (~`n² / 8` relaxations), while the parent pointers close the cycle in
+    /// its first lap and the first sweep, after `n` relaxations, finds it.
+    #[test]
+    fn short_negative_cycle_exits_within_a_few_sweeps() {
+        let n = 10_000;
+        let mut cons: Vec<Constraint> = (0..n - 1).map(|i| Constraint::new(i + 1, i, 0)).collect();
+        cons.push(Constraint::new(0, 1, -1));
+        let sys = DifferenceConstraints::new(n, cons);
+        let (verdict, relaxations) = sys.run(vec![0; n]);
+        assert!(relaxations <= 2 * n as u64, "{relaxations} relaxations");
+        let cycle = verdict.expect_err("infeasible");
+        assert_negative_cycle(&sys, &cycle);
+        assert_eq!(cycle.len(), 2);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! solver's flow ([`DualSolver::flows`]); in a debug build every
 //! successful solve passes it before it returns. [`DifferenceConstraints`] solves pure
 //! feasibility (no objective) with Bellman–Ford, as used by min-period
-//! retiming.
+//! retiming, and returns the negative cycle that proves a system
+//! infeasible.
 //!
 //! All quantities are integers (`i64`); callers quantise real-valued data.
 

@@ -5,7 +5,9 @@
 //!   and sound because every violating vertex can be incremented. An
 //!   infeasible target ends as soon as the increments' predecessor graph
 //!   closes a cycle, a certificate that no retiming meets it (see
-//!   `feas_loop`), instead of after `|V| + 1` passes.
+//!   `feas_loop`), instead of after `|V| + 1` passes. Each probe of a
+//!   search starts from the last feasible probe's retiming and reuses one
+//!   arc CSR.
 //! * Graphs with a host vertex use the **constraint oracle**: emit the W/D
 //!   period constraints for the candidate period and solve the
 //!   difference-constraint system with Bellman–Ford. FEAS is unsound
@@ -14,15 +16,19 @@
 //!   output driver cannot legally be incremented past a zero-weight host
 //!   edge.
 //!
-//! The constraint oracle is **incremental across probes**: the W/D
-//! substrate ([`WdSubstrate`]) is built once for the whole search bracket
-//! (one `retime.wd_build` span per [`try_min_period_retiming`] call, counted
-//! by `retime.probe` / `retime.wd_cache_hits`), each probe re-emits its
-//! constraint set with a linear scan, and Bellman–Ford warm-starts from
-//! the previous feasible probe's potentials
-//! ([`DifferenceConstraints::solve_warm`]). The surviving substrate is
-//! returned in [`MinPeriodOutcome`] so callers probing a *derived* period
-//! in the same bracket (the planner's `t_clk`) reuse it too.
+//! A host graph's search starts at its **cycle-ratio floor**
+//! `max(d_max, ⌈λ*⌉)`, where λ* is the largest `Σ delay / Σ flip-flops`
+//! over cycles that avoid the host (see `cycle_ratio_floor`), and probes
+//! that floor first. The constraint oracle is **incremental across
+//! probes**: the W/D substrate ([`WdSubstrate`]) is built once for the
+//! bracket `[floor, T_init]` (one `retime.wd_build` span per
+//! [`try_min_period_retiming`] call, counted by `retime.probe` /
+//! `retime.wd_cache_hits`), each probe re-emits its constraint set with a
+//! linear scan, and Bellman–Ford warm-starts from the previous feasible
+//! probe's potentials ([`DifferenceConstraints::solve_warm`]). The
+//! surviving substrate is returned in [`MinPeriodOutcome`] so callers
+//! probing a *derived* period in the same bracket (the planner's `t_clk`)
+//! reuse it too.
 
 use crate::constraints::{edge_constraints, generate_period_constraints, WdSubstrate};
 use crate::graph::{RetimeGraph, VertexId};
@@ -44,13 +50,16 @@ pub struct MinPeriodResult {
 pub struct MinPeriodOutcome {
     /// The minimum feasible period and a retiming achieving it.
     pub result: MinPeriodResult,
-    /// The W/D substrate covering the search bracket
-    /// `[max single-vertex delay, unretimed period]`. `None` when no
-    /// constraint-oracle probe ran (host-free graphs, empty graphs, or a
-    /// bracket that was already collapsed). Any target in the bracket —
-    /// in particular every period between the returned optimum and the
-    /// unretimed period — can be served by
-    /// [`WdSubstrate::constraints_for`] without another W/D build.
+    /// The W/D substrate covering the search bracket `[floor, unretimed
+    /// period]`, where the floor is the larger of the largest
+    /// single-vertex delay and `⌈λ*⌉`, the host-avoiding cycle-ratio bound
+    /// (both at most the optimum). `None` when no constraint-oracle probe
+    /// ran (host-free graphs, empty graphs, or a bracket that was already
+    /// collapsed). Any target in the bracket — in particular every period
+    /// between the returned optimum and the unretimed period — can be
+    /// served by [`WdSubstrate::constraints_for`] without another W/D
+    /// build; its `pairs_before_pruning` counts the pairs violating at the
+    /// floor.
     pub substrate: Option<WdSubstrate>,
 }
 
@@ -96,22 +105,84 @@ pub fn try_feasible_retiming(
     let r = if graph.host().is_some() {
         constraint_feasible(graph, target)?
     } else {
-        feas_loop(graph, target)?.0
+        feas_loop(&mut Feas::new(graph), target, vec![0; n])?.0
     };
     if let Some(r) = &r {
-        debug_assert!({
-            let w = graph.retimed_weights(r);
-            graph.weights_legal(&w) && graph.try_clock_period(&w).is_ok_and(|p| p <= target)
-        });
+        debug_assert!(meets(graph, r, target));
     }
     Ok(r)
+}
+
+/// Whether `r` is a legal retiming of `graph` with period `≤ target`.
+fn meets(graph: &RetimeGraph, r: &[i64], target: u64) -> bool {
+    let w = graph.retimed_weights(r);
+    graph.weights_legal(&w) && graph.try_clock_period(&w).is_ok_and(|p| p <= target)
 }
 
 /// No predecessor yet: the vertex was never incremented.
 const NO_PRED: u32 = u32::MAX;
 
-/// The classic FEAS loop (host-free graphs only), returning the retiming
-/// (or `None`) and how many arrival passes it ran.
+/// The FEAS oracle (host-free graphs only): the graph's arcs in CSR form
+/// and the pass buffers, built once and reused by every probe of a search.
+struct Feas<'g> {
+    graph: &'g RetimeGraph,
+    /// Out-arcs: arc `k` of `v`, for `k` in `start[v]..start[v + 1]`, has
+    /// head `head[k]` and weight `base[k]`; `w[k]` is its retimed weight
+    /// in the current pass.
+    start: Vec<usize>,
+    head: Vec<u32>,
+    base: Vec<i64>,
+    w: Vec<i64>,
+    /// Pass buffers: arrivals, critical-path origins, zero-weight
+    /// in-degrees, the Kahn queue and the vertices incremented.
+    arr: Vec<u64>,
+    origin: Vec<u32>,
+    indeg: Vec<u32>,
+    queue: Vec<u32>,
+    bumped: Vec<u32>,
+    /// The certificate: each vertex's `pred` (from its last increment)
+    /// next to its walk stamp, and `lift`. A stamp `≥` the pass's first
+    /// walk marks a vertex this pass already followed.
+    pred: Vec<(u32, u32)>,
+    lift: Vec<i64>,
+    walk: u32,
+}
+
+impl<'g> Feas<'g> {
+    fn new(graph: &'g RetimeGraph) -> Self {
+        debug_assert!(graph.host().is_none(), "FEAS is the host-free oracle");
+        let n = graph.num_vertices();
+        let mut start = Vec::with_capacity(n + 1);
+        let (mut head, mut base) = (Vec::new(), Vec::new());
+        start.push(0usize);
+        for v in graph.vertex_ids() {
+            for e in graph.out_edges(v) {
+                let e = graph.edge(e);
+                head.push(e.to.0);
+                base.push(e.weight);
+            }
+            start.push(head.len());
+        }
+        Self {
+            graph,
+            start,
+            w: base.clone(),
+            head,
+            base,
+            arr: vec![0; n],
+            origin: vec![0; n],
+            indeg: vec![0; n],
+            queue: Vec::with_capacity(n),
+            bumped: Vec::new(),
+            pred: vec![(NO_PRED, 0); n],
+            lift: vec![0; n],
+            walk: 0,
+        }
+    }
+}
+
+/// The classic FEAS loop (host-free graphs only) from the retiming `r`,
+/// returning the retiming (or `None`) and how many arrival passes it ran.
 ///
 /// Each pass computes arrival times over the zero-weight edges and
 /// increments every vertex whose arrival exceeds `target`. An increment of
@@ -121,43 +192,33 @@ const NO_PRED: u32 = u32::MAX;
 /// `r'(v) − r'(s) ≥ lift(v)`. A cycle of `pred` pointers sums these around
 /// to `0 ≥ Σ lift`, while `Σ lift ≥ 1` (see the debug assertion and
 /// ALGORITHMS.md §2): the target is infeasible. A feasible target never
-/// closes such a cycle, so its passes and its retiming are those of the
-/// classic loop; the `|V| + 1` pass bound stays as the backstop.
-pub(crate) fn feas_loop(
-    graph: &RetimeGraph,
+/// closes such a cycle. From any legal `r` it ends at the least feasible
+/// retiming `≥ r` within `|V|` passes, so a search may start each probe
+/// from the last feasible probe's retiming and still get the cold start's
+/// retiming (ALGORITHMS.md §2); the `|V| + 1` pass bound stays as the
+/// backstop.
+fn feas_loop(
+    feas: &mut Feas,
     target: u64,
+    mut r: Vec<i64>,
 ) -> Result<(Option<Vec<i64>>, usize), RetimeError> {
-    debug_assert!(graph.host().is_none(), "FEAS is the host-free oracle");
+    let Feas {
+        graph,
+        start,
+        head,
+        base,
+        w,
+        arr,
+        origin,
+        indeg,
+        queue,
+        bumped,
+        pred,
+        lift,
+        walk,
+    } = feas;
     let n = graph.num_vertices();
-    // Out-arcs in CSR form: arc `k` of `v`, for `k` in
-    // `start[v]..start[v + 1]`, has head `head[k]` and weight `base[k]`;
-    // `w[k]` is its retimed weight in the current pass.
-    let mut start = Vec::with_capacity(n + 1);
-    let (mut head, mut base) = (Vec::new(), Vec::new());
-    start.push(0usize);
-    for v in graph.vertex_ids() {
-        for e in graph.out_edges(v) {
-            let e = graph.edge(e);
-            head.push(e.to.0);
-            base.push(e.weight);
-        }
-        start.push(head.len());
-    }
-    let mut w = base.clone();
-    let mut r = vec![0i64; n];
-    // Pass buffers, reused: arrivals, critical-path origins, zero-weight
-    // in-degrees, the Kahn queue and the vertices incremented.
-    let mut arr = vec![0u64; n];
-    let mut origin = vec![0u32; n];
-    let mut indeg = vec![0u32; n];
-    let mut queue: Vec<u32> = Vec::with_capacity(n);
-    let mut bumped: Vec<u32> = Vec::new();
-    // The certificate: each vertex's `pred` (from its last increment) next
-    // to its walk stamp, and `lift`. A stamp `≥` the pass's first walk
-    // marks a vertex this pass already followed.
-    let mut pred = vec![(NO_PRED, 0u32); n];
-    let mut lift = vec![0i64; n];
-    let mut walk = 0u32;
+    pred.iter_mut().for_each(|p| p.0 = NO_PRED);
     // |V| rounds: the classic bound is |V| − 1 increments; one extra round
     // performs the final check.
     for pass in 1..=n + 1 {
@@ -218,29 +279,29 @@ pub(crate) fn feas_loop(
         if bumped.is_empty() {
             return Ok((Some(r), pass));
         }
-        for &v in &bumped {
+        for &v in bumped.iter() {
             r[v as usize] += 1;
         }
         // Only the pointers just set can close a new cycle. A walk stops
         // at a vertex an earlier walk of this pass already followed.
-        if walk > u32::MAX - n as u32 {
+        if *walk > u32::MAX - n as u32 {
             pred.iter_mut().for_each(|p| p.1 = 0);
-            walk = 0;
+            *walk = 0;
         }
-        let pass_start = walk + 1;
-        for &v in &bumped {
-            walk += 1;
+        let pass_start = *walk + 1;
+        for &v in bumped.iter() {
+            *walk += 1;
             let mut x = v;
             while x != NO_PRED {
                 let (next, seen_at) = &mut pred[x as usize];
-                if *seen_at == walk {
-                    debug_assert!(cycle_lift(&pred, &lift, x) > 0, "FEAS certificate");
+                if *seen_at == *walk {
+                    debug_assert!(cycle_lift(pred, lift, x) > 0, "FEAS certificate");
                     return Ok((None, pass));
                 }
                 if *seen_at >= pass_start {
                     break;
                 }
-                *seen_at = walk;
+                *seen_at = *walk;
                 x = *next;
             }
         }
@@ -272,8 +333,97 @@ fn constraint_feasible(graph: &RetimeGraph, target: u64) -> Result<Option<Vec<i6
     Ok(DifferenceConstraints::new(graph.num_vertices(), cons).solve())
 }
 
-/// The incremental constraint oracle: one substrate for the whole search
-/// bracket, warm-started Bellman–Ford across probes.
+/// The cycle-ratio floor of a host graph's period search,
+/// `max(d_max, ⌈λ*⌉)`, with the negative cycle of the search's last
+/// infeasible probe (empty when no probe failed, or when the solver's
+/// path-length backstop proved it without a cycle).
+///
+/// A cycle `C` that avoids the host keeps its `w(C)` flip-flops under any
+/// retiming, and each of its at most `w(C)` register-free stretches has
+/// delay `≤ T`, so `d(C) ≤ T · w(C)` at every feasible period `T`: the
+/// floor is at most `T_min`. Lawler's binary search finds the least
+/// integer `T` in `[d_max, t_init]` at which no such cycle has
+/// `d(C) > T · w(C)`, i.e. at which the constraints
+/// `r(head) − r(tail) ≤ T · w(e) − d(tail)`, one per edge off the host,
+/// have no negative cycle. `t_init`, the unretimed period, always passes.
+/// Probes warm-start from the last feasible one's potentials and never
+/// bump `retime.probe`.
+///
+/// # Errors
+///
+/// [`RetimeError::DelayOverflow`] when a probe's bound `T · w(e) − d(tail)`
+/// overflows `i64`.
+fn cycle_ratio_floor(
+    graph: &RetimeGraph,
+    d_max: u64,
+    t_init: u64,
+) -> Result<(u64, Vec<Constraint>), RetimeError> {
+    let _span = lacr_obs::span!("retime.cycle_ratio", edges = graph.num_edges());
+    let host = graph.host();
+    let arcs: Vec<_> = graph
+        .edges()
+        .iter()
+        .filter(|e| Some(e.from) != host && Some(e.to) != host)
+        .collect();
+    let bounds_at = |t: u64| -> Option<Vec<Constraint>> {
+        let t = i64::try_from(t).ok()?;
+        arcs.iter()
+            .map(|e| {
+                let bound = t
+                    .checked_mul(e.weight)?
+                    .checked_sub(i64::try_from(graph.delay(e.from)).ok()?)?;
+                Some(Constraint::new(e.to.index(), e.from.index(), bound))
+            })
+            .collect()
+    };
+    let (mut lo, mut hi) = (d_max, t_init);
+    let mut warm = vec![0; graph.num_vertices()];
+    let mut cycle = Vec::new();
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let cons = bounds_at(mid).ok_or(RetimeError::DelayOverflow)?;
+        match DifferenceConstraints::new(warm.len(), cons).solve_or_cycle(&warm) {
+            Ok(r) => {
+                warm = r;
+                hi = mid;
+            }
+            Err(c) => {
+                cycle = c;
+                lo = mid + 1;
+            }
+        }
+    }
+    Ok((lo, cycle))
+}
+
+/// Whether the cycle of floor constraints `cycle` rules out period `t`,
+/// re-derived from the graph alone: each hop `tail → head` takes the
+/// fewest flip-flops of any host-avoiding edge between the two, and the
+/// cycle must have `d(C) > t · w(C)`.
+fn ratio_cycle_rules_out(graph: &RetimeGraph, cycle: &[Constraint], t: u64) -> bool {
+    let host = graph.host();
+    let (mut delay, mut flops) = (0i128, 0i128);
+    for c in cycle {
+        let (tail, head) = (VertexId(c.v as u32), VertexId(c.u as u32));
+        let hop = graph
+            .out_edges(tail)
+            .map(|e| graph.edge(e))
+            .filter(|e| e.to == head && Some(tail) != host && Some(head) != host)
+            .map(|e| e.weight)
+            .min();
+        let Some(w) = hop else {
+            return false;
+        };
+        delay += i128::from(graph.delay(tail));
+        flops += i128::from(w);
+    }
+    delay > i128::from(t) * flops
+}
+
+/// The incremental constraint oracle: one substrate for the search
+/// bracket `[floor, T_init]` (the cycle-ratio floor), warm-started
+/// Bellman–Ford across probes. The substrate's `pairs_before_pruning`
+/// counts the pairs violating at that floor.
 struct SubstrateOracle<'g> {
     graph: &'g RetimeGraph,
     band_lo: u64,
@@ -324,39 +474,64 @@ impl<'g> SubstrateOracle<'g> {
             None => sys.solve(),
         };
         if let Some(r) = &sol {
-            debug_assert!({
-                let w = self.graph.retimed_weights(r);
-                self.graph.weights_legal(&w)
-                    && self.graph.try_clock_period(&w).is_ok_and(|p| p <= target)
-            });
+            debug_assert!(meets(self.graph, r, target));
             self.prev = Some(r.clone());
         }
         Ok(sol)
     }
 }
 
+/// The feasibility oracle of one search.
+enum Oracle<'g> {
+    /// Host graphs: W/D constraints from one substrate.
+    Constraints(SubstrateOracle<'g>),
+    /// Host-free graphs: FEAS from the last feasible probe's retiming
+    /// (which is at or below the least feasible retiming of every lower
+    /// target, so each probe returns its cold-start retiming).
+    Feas { feas: Feas<'g>, warm: Vec<i64> },
+}
+
+impl Oracle<'_> {
+    fn probe(&mut self, target: u64) -> Result<Option<Vec<i64>>, RetimeError> {
+        match self {
+            Oracle::Constraints(oracle) => oracle.probe(target),
+            Oracle::Feas { feas, warm } => {
+                let r = feas_loop(feas, target, warm.clone())?.0;
+                if let Some(r) = &r {
+                    debug_assert!(meets(feas.graph, r, target));
+                    warm.clone_from(r);
+                }
+                Ok(r)
+            }
+        }
+    }
+}
+
 /// Computes the minimum feasible clock period and a retiming achieving
 /// it, returning the search's W/D substrate for reuse.
 ///
-/// Binary-searches integer periods between the largest single-vertex delay
-/// (no retiming can beat it) and the unretimed period. A positive
-/// `tolerance_ps` stops the search once the bracket `[infeasible,
-/// feasible]` is narrower than it, returning the feasible end after one
-/// final downward probe at the bracket floor. The result is at most
-/// `tolerance_ps` above the true optimum — and *exact* whenever the floor
-/// itself is feasible, whatever the tolerance.
+/// Binary-searches integer periods between a floor no retiming can beat
+/// and the unretimed period. The floor is the largest single-vertex delay
+/// on host-free graphs; on host graphs it is raised to the host-avoiding
+/// cycle-ratio bound `⌈λ*⌉` when that is larger, and probed first. A
+/// positive `tolerance_ps` stops the search once the bracket
+/// `[infeasible, feasible]` is narrower than it, returning the feasible
+/// end after one final downward probe at the bracket floor. The result
+/// is at most `tolerance_ps` above the true optimum — and *exact*
+/// whenever the floor itself is feasible, whatever the tolerance.
 ///
 /// # Errors
 ///
 /// * [`RetimeError::CombinationalCycle`] — some directed cycle carries no
 ///   flip-flop (the unretimed period is undefined).
 /// * [`RetimeError::DelayOverflow`] — path-delay accumulation overflowed
-///   `u64`.
+///   `u64`, or a cycle-ratio bound `T · w(e) − d` overflowed `i64`.
 pub fn try_min_period_retiming(
     graph: &RetimeGraph,
     tolerance_ps: u64,
 ) -> Result<MinPeriodOutcome, RetimeError> {
-    if graph.num_vertices() == 0 {
+    let n = graph.num_vertices();
+    if n == 0 {
         return Ok(MinPeriodOutcome {
             result: MinPeriodResult {
                 period: 0,
@@ -367,31 +542,48 @@ pub fn try_min_period_retiming(
     }
     let _span = lacr_obs::span!(
         "retime.min_period",
-        vertices = graph.num_vertices(),
+        vertices = n,
         tolerance_ps = tolerance_ps,
     );
     let start = graph.try_clock_period(&graph.weights())?;
-    let mut lo = graph
+    let d_max = graph
         .vertex_ids()
         .map(|v| graph.delay(v))
         .max()
         .unwrap_or(0);
-    let mut hi = start;
-    let mut best = (hi, vec![0i64; graph.num_vertices()]);
     let host = graph.host().is_some();
-    // One substrate serves every probe of the search: all candidates lie
-    // in [lo, start] and the bracket only shrinks.
-    let mut oracle = SubstrateOracle::new(graph, lo, start);
-    let probe = |target: u64, oracle: &mut SubstrateOracle| {
-        if host {
-            oracle.probe(target)
-        } else {
-            try_feasible_retiming(graph, target)
+    let (floor, ratio_cycle) = if host {
+        cycle_ratio_floor(graph, d_max, start)?
+    } else {
+        (d_max, Vec::new())
+    };
+    let (mut lo, mut hi) = (floor, start);
+    let mut best = (hi, vec![0i64; n]);
+    // One oracle serves every probe of the search. On host graphs its
+    // substrate covers [floor, start]: every candidate lies there and the
+    // bracket only shrinks.
+    let mut oracle = if host {
+        Oracle::Constraints(SubstrateOracle::new(graph, floor, start))
+    } else {
+        Oracle::Feas {
+            feas: Feas::new(graph),
+            warm: vec![0; n],
         }
     };
+    if host && lo < hi {
+        // A raised floor is often the optimum (s838, s1269 and s1423 of
+        // Table 1): probe it first.
+        match oracle.probe(lo)? {
+            Some(r) => {
+                best = (lo, r);
+                hi = lo;
+            }
+            None => lo += 1,
+        }
+    }
     while lo < hi && hi - lo > tolerance_ps {
         let mid = lo + (hi - lo) / 2;
-        match probe(mid, &mut oracle)? {
+        match oracle.probe(mid)? {
             Some(r) => {
                 best = (mid, r);
                 hi = mid;
@@ -407,16 +599,30 @@ pub fn try_min_period_retiming(
     // the tolerance (a collapsed bracket in particular must not be
     // skipped just because tolerance_ps > 0).
     if lo < best.0 {
-        if let Some(r) = probe(lo, &mut oracle)? {
+        if let Some(r) = oracle.probe(lo)? {
             best = (lo, r);
         }
     }
+    // A tight raised floor is certified by the graph alone: the cycle
+    // Lawler's search found at `floor − 1` rules that period out.
+    debug_assert!(
+        best.0 != floor
+            || floor == d_max
+            || ratio_cycle.is_empty()
+            || ratio_cycle_rules_out(graph, &ratio_cycle, floor - 1),
+        "cycle {ratio_cycle:?} does not rule out period {}",
+        floor - 1
+    );
+    let substrate = match oracle {
+        Oracle::Constraints(oracle) => oracle.substrate,
+        Oracle::Feas { .. } => None,
+    };
     Ok(MinPeriodOutcome {
         result: MinPeriodResult {
             period: best.0,
             retiming: best.1,
         },
-        substrate: oracle.substrate,
+        substrate,
     })
 }
 
@@ -497,19 +703,86 @@ mod tests {
     }
 
     #[test]
-    fn combinational_io_path_bounds_period() {
-        // host →0→ a →0→ host with d(a) = 9: no register may be inserted
-        // without changing I/O latency, so the min period is 9 even though
-        // a registered side path exists.
+    fn pipeline_without_a_host_avoiding_cycle_keeps_the_delay_floor() {
+        // host --2--> a --0--> b --0--> host: every cycle runs through the
+        // host, so λ* bounds nothing and the floor is the largest delay.
         let mut g = RetimeGraph::new();
         let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
         g.set_host(h);
-        let a = g.add_vertex(VertexKind::Functional, 9, 1.0, None);
+        let a = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 3, 1.0, None);
+        g.add_edge(h, a, 2);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, h, 0);
+        assert_eq!(cycle_ratio_floor(&g, 5, 8).unwrap(), (5, Vec::new()));
+        assert_eq!(try_min_period_retiming(&g, 0).unwrap().result.period, 5);
+    }
+
+    #[test]
+    fn combinational_io_path_bounds_period() {
+        // host →0→ a →0→ b →0→ host with d(a) + d(b) = 9: no register may
+        // be inserted without changing I/O latency, so the min period is 9
+        // even though the registered loop b →2→ a alone would allow 5 (its
+        // cycle ratio 9 / 2, below d(b)): the floor sits under T_min.
+        let mut g = RetimeGraph::new();
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let a = g.add_vertex(VertexKind::Functional, 4, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
         g.add_edge(h, a, 0);
-        g.add_edge(a, h, 0);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, h, 0);
+        g.add_edge(b, a, 2);
+        let (floor, _) = cycle_ratio_floor(&g, 5, 9).unwrap();
+        assert_eq!(floor, 5);
         let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 9);
         assert!(try_feasible_retiming(&g, 8).unwrap().is_none());
+    }
+
+    #[test]
+    fn tight_cycle_ratio_floor_is_the_optimum_and_certified() {
+        // host →1→ a, a →0→ b →0→ c →1→ d →1→ a, d →1→ host, every delay
+        // 3: the loop carries two flip-flops over delay 12, so no period
+        // below 6 exists, and 6 splits it evenly. The unretimed period is
+        // 9 (a → b → c), and the search needs one probe, at the floor.
+        let mut g = RetimeGraph::new();
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let vs: Vec<_> = (0..4)
+            .map(|_| g.add_vertex(VertexKind::Functional, 3, 1.0, None))
+            .collect();
+        g.add_edge(h, vs[0], 1);
+        for (i, w) in [0, 0, 1, 1].into_iter().enumerate() {
+            g.add_edge(vs[i], vs[(i + 1) % 4], w);
+        }
+        g.add_edge(vs[3], h, 1);
+        let (floor, cycle) = cycle_ratio_floor(&g, 3, 9).unwrap();
+        assert_eq!(floor, 6);
+        assert!(ratio_cycle_rules_out(&g, &cycle, 5));
+        assert!(!ratio_cycle_rules_out(&g, &cycle, 6));
+        let out = try_min_period_retiming(&g, 0).unwrap();
+        assert_eq!(out.result.period, 6);
+        assert_eq!(out.substrate.expect("probed").bracket(), (6, 9));
+    }
+
+    #[test]
+    fn cycle_ratio_bound_overflow_is_a_typed_error() {
+        // The loop a ⇄ b carries i64::MAX / 2 flip-flops: T · w(e)
+        // overflows i64 at every probe above 2.
+        let mut g = RetimeGraph::new();
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let a = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        g.add_edge(h, a, 1);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, a, i64::MAX / 2);
+        g.add_edge(b, h, 0);
+        assert_eq!(
+            try_min_period_retiming(&g, 0).map(|out| out.result.period),
+            Err(RetimeError::DelayOverflow)
+        );
     }
 
     #[test]
@@ -578,7 +851,8 @@ mod tests {
         assert_eq!(out.result.period, 5);
         let sub = out.substrate.expect("host search builds a substrate");
         let (lo, hi) = sub.bracket();
-        assert_eq!((lo, hi), (5, 10), "bracket [max delay, unretimed]");
+        // No cycle avoids the host, so the floor is the largest delay.
+        assert_eq!((lo, hi), (5, 10), "bracket [floor, unretimed]");
         for t in lo..=hi {
             let probe = sub.constraints_for(t);
             let fresh = generate_period_constraints(&g, t).unwrap();
@@ -685,8 +959,8 @@ mod tests {
             // Slow oracle: smallest T whose cold constraint system is
             // feasible (scanning up from the max single-vertex delay).
             let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
-            let floor = (0..=n).map(|i| g.delay(crate::graph::VertexId(i as u32))).max().unwrap();
-            let slow = (floor..=unretimed)
+            let d_max = g.vertex_ids().map(|v| g.delay(v)).max().unwrap();
+            let slow = (d_max..=unretimed)
                 .find(|&t| {
                     let pc = generate_period_constraints(&g, t).unwrap();
                     let mut cons = edge_constraints(&g);
@@ -695,6 +969,14 @@ mod tests {
                 })
                 .expect("unretimed period is always feasible");
             lacr_prng::prop_assert_eq!(fast, slow);
+            // The cycle-ratio floor never overshoots, and a raised one
+            // carries a cycle that rules out the period below it.
+            let (floor, cycle) = cycle_ratio_floor(&g, d_max, unretimed).unwrap();
+            lacr_prng::prop_assert!(floor <= slow, "floor {floor} > T_min {slow}");
+            lacr_prng::prop_assert!(
+                floor == d_max || ratio_cycle_rules_out(&g, &cycle, floor - 1),
+                "floor {floor}: cycle {cycle:?}"
+            );
         }
     }
 
@@ -702,8 +984,10 @@ mod tests {
         cases = 48;
 
         /// FEAS, with its early exit, gives the verdict of the one-shot W/D +
-        /// Bellman–Ford oracle at every target of the search bracket, and
-        /// every retiming it returns verifies independently.
+        /// Bellman–Ford oracle at every target of the search bracket, every
+        /// retiming it returns verifies independently, and FEAS started
+        /// from the retiming of the next higher feasible target returns
+        /// the cold start's retiming.
         fn feas_verdict_matches_the_constraint_oracle(rng) {
             let n = rng.gen_range(2..41usize);
             let mut g = RetimeGraph::new();
@@ -724,8 +1008,15 @@ mod tests {
             }
             let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
             let floor = g.vertex_ids().map(|v| g.delay(v)).max().expect("non-empty");
-            for t in floor..=unretimed {
+            let mut search = Feas::new(&g);
+            let mut warm = vec![0; n];
+            for t in (floor..=unretimed).rev() {
                 let feas = try_feasible_retiming(&g, t).unwrap();
+                let (from_warm, _) = feas_loop(&mut search, t, warm.clone()).unwrap();
+                lacr_prng::prop_assert!(from_warm == feas, "target {t}: warm start differs");
+                if let Some(r) = &feas {
+                    warm.clone_from(r);
+                }
                 let oracle = constraint_feasible(&g, t).unwrap();
                 lacr_prng::prop_assert!(
                     feas.is_some() == oracle.is_some(),
@@ -769,10 +1060,11 @@ mod tests {
             t_min > floor,
             "the probe must run FEAS, not the delay check"
         );
-        let (r, passes) = feas_loop(&g, t_min - 1).unwrap();
+        let mut feas = Feas::new(&g);
+        let (r, passes) = feas_loop(&mut feas, t_min - 1, vec![0; g.num_vertices()]).unwrap();
         assert!(r.is_none());
         assert!(passes <= 64, "{passes} passes at T_min − 1");
-        let (r, _) = feas_loop(&g, t_min).unwrap();
+        let (r, _) = feas_loop(&mut feas, t_min, vec![0; g.num_vertices()]).unwrap();
         assert!(r.is_some());
     }
 

@@ -8,7 +8,9 @@
 //!   *interconnect units* (repeater-driven wire segments modelled as
 //!   zero-logic vertices, §3.2);
 //! * [`try_min_period_retiming`] / [`try_feasible_retiming`] —
-//!   Leiserson–Saxe FEAS with binary search, producing the paper's `T_min`;
+//!   Leiserson–Saxe FEAS with binary search, producing the paper's `T_min`
+//!   (on host graphs, W/D constraints searched up from the host-avoiding
+//!   cycle-ratio floor);
 //! * [`generate_period_constraints`] / [`WdSubstrate`] — the W/D
 //!   computation with Maheshwari–Sapatnekar-style constraint pruning,
 //!   generated **once** per search bracket and re-emitted per target with
