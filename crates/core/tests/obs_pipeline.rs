@@ -91,19 +91,19 @@ fn s344_pipeline_emits_stage_spans_in_order() {
             stat.count
         );
     }
-    for counter in ["mcmf.ssp_iterations", "mcmf.sweeps"] {
+    for counter in ["mcmf.ssp_iterations", "mcmf.dijkstra_phases"] {
         assert!(
             report.counter(counter).is_some_and(|v| v > 0),
             "counter {counter} missing or zero"
         );
     }
-    // The solver reprices only after a sweep that augmented nothing, so
-    // every Dijkstra run is followed by at least one sweep.
+    // Every repricing is followed by a maximum flow that augments at
+    // least once.
     let repricings = report.counter("mcmf.dijkstra_phases").unwrap_or(0);
-    let sweeps = report.counter("mcmf.sweeps").unwrap_or(0);
+    let augmentations = report.counter("mcmf.ssp_iterations").unwrap_or(0);
     assert!(
-        sweeps >= repricings,
-        "{sweeps} sweeps for {repricings} repricings"
+        augmentations >= repricings,
+        "{augmentations} augmentations for {repricings} repricings"
     );
     // Exclusive times partition each top-level span's wall-clock: the
     // nested retime spans must not exceed their parents.

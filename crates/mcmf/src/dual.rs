@@ -54,14 +54,16 @@ pub struct DualSolver {
     pi: Vec<i64>,
     /// Imbalance satisfied by the current interior flow.
     cur: Vec<i64>,
-    /// Pristine copies for rebuilding after a failed solve (a partial
-    /// routing leaves the flow inconsistent with `cur`).
-    arcs0: Vec<Arc>,
+    /// The initial potentials, for resetting after a failed solve (a
+    /// partial routing leaves the flow inconsistent with `cur`).
     pi0: Vec<i64>,
     /// The caller's constraints, which every successful solve in a debug
     /// build certifies itself against.
     #[cfg(debug_assertions)]
     constraints: Vec<Constraint>,
+    /// Global relabels run so far, which tests read.
+    #[cfg(test)]
+    global_relabels: u64,
 }
 
 /// Capacity of a constraint arc: a finite stand-in for infinity. A solve
@@ -124,6 +126,12 @@ impl DualSolver {
             adj[u].push(fwd);
             adj[v].push(fwd + 1);
         }
+        // `route` indexes arcs, the s/t arcs of a solve included, as u32.
+        assert!(
+            u32::try_from(arcs.len() + 2 * nn).is_ok(),
+            "{} merged constraints overflow the u32 arc index",
+            merged.len()
+        );
         // Initial potentials: the Bellman–Ford solution of the constraint
         // system gives distances `r` with `r_u − r_v ≤ b` for every arc,
         // i.e. `b + (−r_u) − (−r_v) ≥ 0`: π = −r is dual-feasible.
@@ -132,7 +140,6 @@ impl DualSolver {
         pi.push(0); // t, fixed up per solve
         Ok(Self {
             n: num_vars,
-            arcs0: arcs.clone(),
             pi0: pi.clone(),
             arcs,
             adj,
@@ -140,6 +147,8 @@ impl DualSolver {
             cur: vec![0; num_vars],
             #[cfg(debug_assertions)]
             constraints: constraints.to_vec(),
+            #[cfg(test)]
+            global_relabels: 0,
         })
     }
 
@@ -251,9 +260,13 @@ impl DualSolver {
             result = Err(DualError::Overflow);
         }
         if result.is_err() {
-            // A partial routing left flow inconsistent with `cur`; restore
-            // the pristine network so later solves stay correct.
-            self.arcs.clone_from(&self.arcs0);
+            // A partial routing left flow inconsistent with `cur`; empty
+            // every interior arc pair and restore the initial potentials,
+            // as freshly built, so later solves stay correct.
+            for pair in self.arcs.chunks_exact_mut(2) {
+                pair[0].cap = INF_CAP;
+                pair[1].cap = 0;
+            }
             self.pi.clone_from(&self.pi0);
             self.cur.iter_mut().for_each(|c| *c = 0);
         }
@@ -288,19 +301,15 @@ impl DualSolver {
 
     /// Primal–dual min-cost routing of `remaining` units from `s` to `t`.
     ///
-    /// The loop alternates two steps. A *repricing* ([`Self::reprice`])
-    /// runs one Dijkstra over reduced costs and makes the dual update. A
-    /// *sweep* ([`Self::sweep`]) is a blocking-flow DFS that augments
-    /// along as many zero-reduced-cost paths as it can find. A sweep can
-    /// miss a path through a node that was transiently on its own path,
-    /// so after a sweep that augmented, the next sweep runs at the same
-    /// potentials; a repricing comes only at the start and after a sweep
-    /// that augmented nothing. Repricing after an augmenting sweep instead
-    /// would either find a zero-cost path, which leaves every potential
-    /// unchanged, or none, which the next sweep would not find either:
-    /// the augmentations and final potentials are the same. On the dense
-    /// W/D constraint networks of LAC retiming about one sweep in fifty
-    /// needs a repricing.
+    /// Each phase makes one *repricing* ([`Self::reprice`]): a Dijkstra
+    /// over reduced costs and the dual update. It then routes an exact
+    /// maximum flow, capped at `remaining`, over the arcs the new
+    /// potentials make admissible ([`Self::max_flow`]). After the phase no
+    /// zero-cost path is left, so the next repricing moves the
+    /// potentials. Which maximum flow a phase finds cannot change the
+    /// potentials any later repricing computes (ALGORITHMS.md §4), so the
+    /// returned `r` and the number of phases are those of every exact
+    /// maximum-flow routine.
     fn route(&mut self, s: usize, t: usize, mut remaining: i64) -> Result<(), DualError> {
         let nn = self.adj.len();
         let mut w = Buffers {
@@ -309,36 +318,30 @@ impl DualSolver {
             first: vec![0; nn + 1],
             admissible: Vec::new(),
             cur: vec![0; nn],
-            on_path: vec![false; nn],
+            label: vec![0; nn],
+            queue: Vec::with_capacity(nn),
             path: Vec::new(),
         };
         // Statistics, accumulated locally (the loop is hot) and flushed
         // as counters on exit.
         let mut augmentations = 0_u64;
         let mut repricings = 0_u64;
-        let mut sweeps = 0_u64;
         let mut result = Ok(());
-        let mut reprice = true;
         while remaining > 0 {
-            if reprice {
-                repricings += 1;
-                if self.reprice(s, t, &mut w).is_none() {
-                    result = Err(DualError::Unbounded);
-                    break;
-                }
+            repricings += 1;
+            if self.reprice(s, t, &mut w).is_none() {
+                result = Err(DualError::Unbounded);
+                break;
             }
-            sweeps += 1;
-            let augmented = self.sweep(s, t, &mut remaining, &mut w);
-            // A repricing leaves a shortest s–t path admissible, and a
-            // sweep that never augments is a complete DFS: it finds one.
-            // This is also what keeps the loop from spinning.
-            debug_assert!(augmented > 0 || !reprice, "no path after a repricing");
+            let augmented = self.max_flow(s, t, &mut remaining, &mut w);
+            // A repricing leaves its shortest s–t path admissible, so the
+            // phase routes at least one unit. This is also what keeps the
+            // loop from spinning.
+            debug_assert!(augmented > 0, "no path after a repricing");
             augmentations += augmented;
-            reprice = augmented == 0;
         }
         lacr_obs::counter!("mcmf.ssp_iterations", augmentations);
         lacr_obs::counter!("mcmf.dijkstra_phases", repricings);
-        lacr_obs::counter!("mcmf.sweeps", sweeps);
         result
     }
 
@@ -378,102 +381,158 @@ impl DualSolver {
             *p += d.min(dist_t);
         }
         // Potentials stay put until the next repricing, and augmenting
-        // changes capacities, never reduced costs: the sweeps in between
-        // need only the arcs of zero reduced cost, whatever their capacity.
+        // changes capacities, never reduced costs: the phase needs only
+        // the arcs of zero reduced cost, whatever their capacity. An arc
+        // and its reverse have opposite reduced costs, so the list holds
+        // the reverse of every arc it holds. (`new` checked that arc
+        // indices fit a u32.)
         w.admissible.clear();
         for (u, arcs) in self.adj.iter().enumerate() {
-            w.first[u] = w.admissible.len();
-            w.admissible.extend(arcs.iter().copied().filter(|&ai| {
+            w.first[u] = w.admissible.len() as u32;
+            w.admissible.extend(arcs.iter().filter_map(|&ai| {
                 let a = &self.arcs[ai];
-                a.cost + self.pi[u] - self.pi[a.to] == 0
+                (a.cost + self.pi[u] - self.pi[a.to] == 0).then_some(ai as u32)
             }));
         }
-        w.first[self.adj.len()] = w.admissible.len();
+        w.first[self.adj.len()] = w.admissible.len() as u32;
         Some(())
     }
 
-    /// One blocking-flow sweep from fresh cursors over the admissible arcs
-    /// with capacity. Cursors never rewind, so each arc is inspected O(1)
-    /// times per sweep. Returns the number of augmentations.
-    fn sweep(&mut self, s: usize, t: usize, remaining: &mut i64, w: &mut Buffers) -> u64 {
-        w.cur.copy_from_slice(&w.first[..self.adj.len()]);
-        w.path.clear();
-        w.on_path[s] = true;
+    /// Routes a maximum flow, capped at `remaining`, over the admissible
+    /// arcs with capacity: ISAP (improved shortest augmenting path).
+    /// `label[v]` is a lower bound on `v`'s admissible distance to `t`.
+    /// The search advances along arcs one label closer to `t`, relabels
+    /// a node that has none left, and augments on reaching `t`; it ends
+    /// once `s`'s label reaches the node count, when no path is left.
+    /// Labels start exact and are made exact again after every `nn`
+    /// relabels, which keeps nodes from climbing one step at a time
+    /// around the 2-cycles that every arc carrying flow forms. Returns
+    /// the number of augmentations.
+    fn max_flow(&mut self, s: usize, t: usize, remaining: &mut i64, w: &mut Buffers) -> u64 {
+        let nn = self.adj.len();
+        let unreachable = nn as u32;
+        self.global_relabel(t, w);
         let mut augmentations = 0;
+        let mut relabels = 0;
         let mut v = s;
-        while *remaining > 0 {
+        while *remaining > 0 && w.label[s] < unreachable {
             if v == t {
                 let bottleneck = w
                     .path
                     .iter()
-                    .fold(*remaining, |b, &ai| b.min(self.arcs[ai].cap));
+                    .fold(*remaining, |b, &ai| b.min(self.arcs[ai as usize].cap));
                 for &ai in &w.path {
+                    let ai = ai as usize;
                     self.arcs[ai].cap -= bottleneck;
                     let rev = self.arcs[ai].rev;
                     self.arcs[rev].cap += bottleneck;
                 }
                 *remaining -= bottleneck;
                 augmentations += 1;
-                // Dinic's retreat: resume at the tail of the first arc the
-                // augmentation saturated. Every cursor on the path still
-                // points at its path arc, so a restart from `s` would walk
-                // exactly this prefix again. No arc saturates only when
-                // `remaining` was the bottleneck, and the sweep is done.
-                let Some(k) = w.path.iter().position(|&ai| self.arcs[ai].cap == 0) else {
+                // Resume at the tail of the first arc the augmentation
+                // saturated: every cursor on the path still points at its
+                // path arc. No arc saturates only when `remaining` was the
+                // bottleneck, and the phase is done.
+                let Some(k) = w
+                    .path
+                    .iter()
+                    .position(|&ai| self.arcs[ai as usize].cap == 0)
+                else {
                     break;
                 };
-                for &ai in &w.path[k..] {
-                    w.on_path[self.arcs[ai].to] = false;
-                }
-                v = self.arcs[self.arcs[w.path[k]].rev].to;
+                v = self.arcs[self.arcs[w.path[k] as usize].rev].to;
                 w.path.truncate(k);
                 continue;
             }
-            let mut advanced = false;
-            while w.cur[v] < w.first[v + 1] {
-                let ai = w.admissible[w.cur[v]];
-                let a = &self.arcs[ai];
-                if a.cap > 0 && !w.on_path[a.to] {
-                    w.path.push(ai);
-                    w.on_path[a.to] = true;
-                    v = a.to;
-                    advanced = true;
+            // `v` is not `t` and its label is below `nn`, so it is at
+            // least 1: only `t` has label 0.
+            let closer = w.label[v] - 1;
+            let end = w.first[v + 1];
+            while w.cur[v] < end {
+                let ai = w.admissible[w.cur[v] as usize];
+                let a = &self.arcs[ai as usize];
+                if a.cap > 0 && w.label[a.to] == closer {
                     break;
                 }
                 w.cur[v] += 1;
             }
-            if advanced {
+            if w.cur[v] < end {
+                let ai = w.admissible[w.cur[v] as usize];
+                w.path.push(ai);
+                v = self.arcs[ai as usize].to;
                 continue;
             }
-            // Dead end: retreat one step, skipping the arc that led
-            // here. At the source the sweep is exhausted.
-            match w.path.pop() {
-                Some(ai) => {
-                    w.on_path[v] = false;
-                    v = self.arcs[self.arcs[ai].rev].to;
-                    w.cur[v] += 1;
-                }
-                None => break,
+            // Dead end: raise the label to one past the nearest
+            // neighbour's, rewind the cursor and retreat one step.
+            let arcs = &w.admissible[w.first[v] as usize..end as usize];
+            w.label[v] = arcs
+                .iter()
+                .map(|&ai| &self.arcs[ai as usize])
+                .filter(|a| a.cap > 0)
+                .map(|a| w.label[a.to] + 1)
+                .fold(unreachable, u32::min);
+            w.cur[v] = w.first[v];
+            relabels += 1;
+            if relabels == nn {
+                relabels = 0;
+                self.global_relabel(t, w);
+                w.path.clear();
+                v = s;
+            } else if let Some(ai) = w.path.pop() {
+                v = self.arcs[self.arcs[ai as usize].rev].to;
             }
         }
-        w.on_path.iter_mut().for_each(|b| *b = false);
         augmentations
+    }
+
+    /// Sets every label to its node's exact admissible distance to `t`,
+    /// `nn` where `t` is out of reach, by a BFS from `t`, and rewinds the
+    /// cursors. The BFS walks `u`'s own admissible list, which holds the
+    /// reverse of every admissible arc into `u`, and tests that reverse
+    /// arc's capacity.
+    fn global_relabel(&mut self, t: usize, w: &mut Buffers) {
+        let unreachable = self.adj.len() as u32;
+        w.label.iter_mut().for_each(|l| *l = unreachable);
+        w.label[t] = 0;
+        w.queue.clear();
+        w.queue.push(t as u32);
+        let mut head = 0;
+        while let Some(&u) = w.queue.get(head) {
+            head += 1;
+            let u = u as usize;
+            let next = w.label[u] + 1;
+            for &ai in &w.admissible[w.first[u] as usize..w.first[u + 1] as usize] {
+                let a = &self.arcs[ai as usize];
+                if w.label[a.to] == unreachable && self.arcs[a.rev].cap > 0 {
+                    w.label[a.to] = next;
+                    w.queue.push(a.to as u32);
+                }
+            }
+        }
+        w.cur.copy_from_slice(&w.first[..self.adj.len()]);
+        #[cfg(test)]
+        {
+            self.global_relabels += 1;
+        }
     }
 }
 
-/// Working arrays of one [`DualSolver::route`] call.
+/// Working arrays of one [`DualSolver::route`] call. Node and arc indices
+/// are u32, which keeps the working set small.
 struct Buffers {
     dist: Vec<i64>,
     heap: BinaryHeap<Reverse<(i64, usize)>>,
     /// Arcs of zero reduced cost at the last repricing, node `v`'s in
     /// adjacency order at `admissible[first[v]..first[v + 1]]`.
-    first: Vec<usize>,
-    admissible: Vec<usize>,
-    /// Sweep state: `cur[v]` is the next slot of `admissible` to try at
-    /// `v`, `on_path` guards against zero-cost cycles.
-    cur: Vec<usize>,
-    on_path: Vec<bool>,
-    path: Vec<usize>,
+    first: Vec<u32>,
+    admissible: Vec<u32>,
+    /// Max-flow state: `cur[v]` is the next slot of `admissible` to try
+    /// at `v`, `label[v]` its distance label, `queue` the BFS queue of a
+    /// global relabel and `path` the arcs from `s` to the current node.
+    cur: Vec<u32>,
+    label: Vec<u32>,
+    queue: Vec<u32>,
+    path: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -541,60 +600,112 @@ pub(crate) mod tests {
             // Several cost vectors in sequence, each solve warm-started
             // from the last and certified on its own.
             for _ in 0..4 {
-                let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-5..=5)).collect();
-                let sum: i64 = cost.iter().sum();
-                cost[0] -= sum;
+                let cost = balanced_costs(&mut rng, n, 5);
                 certified(&mut solver, &cons, &cost).expect("a ring is bounded");
             }
         }
     }
 
-    /// Pins which of several optimal `(r, flow)` pairs every warm solve
-    /// returns. Pairs fixed by `r_u − r_v ≤ b` and `r_v − r_u ≤ −b` put
-    /// zero-cost cycles in the network, so blocking-flow sweeps miss
-    /// admissible paths and several sweeps share one repricing. The pin
-    /// moves only when the solver deliberately returns a different
-    /// optimum; a change that only makes `route` faster must keep it.
+    /// A degenerate bounded system over `n` variables: every bound is
+    /// `p_u − p_v` plus a slack for a hidden `p`, so `p` is feasible; a
+    /// ring keeps every balanced cost bounded, and fixed pairs (no slack
+    /// either way) put zero-cost cycles in the network.
+    fn degenerate_system(rng: &mut Rng, n: usize) -> Vec<Constraint> {
+        let p: Vec<i64> = (0..n).map(|_| rng.gen_range(0..8)).collect();
+        let mut cons = Vec::new();
+        let mut push = |u: usize, v: usize, slack: i64| {
+            cons.push(Constraint::new(u, v, p[u] - p[v] + slack));
+        };
+        for u in 0..n {
+            push(u, (u + 1) % n, rng.gen_range(0..3));
+        }
+        for _ in 0..2 * n {
+            push(
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..4),
+            );
+        }
+        for _ in 0..n / 4 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            push(u, v, 0);
+            push(v, u, 0);
+        }
+        cons
+    }
+
+    /// Costs drawn from `-span..=span`, balanced to sum to zero on
+    /// variable 0.
+    fn balanced_costs(rng: &mut Rng, n: usize, span: i64) -> Vec<i64> {
+        let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-span..=span)).collect();
+        let sum: i64 = cost.iter().sum();
+        cost[0] -= sum;
+        cost
+    }
+
+    /// Pins which of several optimal `r` every warm solve returns on
+    /// degenerate systems. ALGORITHMS.md §4 proves the potentials after
+    /// each repricing independent of which maximum flow the phases
+    /// before it found, so a change that only makes `route` faster must
+    /// keep this digest. The flow is one of many optimal flows, certified
+    /// by every solve; its digest moves whenever `route` finds a
+    /// different maximum flow, and then only on purpose.
     #[test]
     fn warm_solve_trajectory_is_pinned() {
         let mut rng = Rng::seed_from_u64(17);
-        let mut words = Vec::new();
+        let (mut lags, mut flows) = (Vec::new(), Vec::new());
         for _ in 0..24 {
             let n = rng.gen_range(30..=80usize);
-            // Every bound is `p_u − p_v` plus a slack for a hidden `p`,
-            // so `p` is feasible; fixed pairs have no slack either way.
-            let p: Vec<i64> = (0..n).map(|_| rng.gen_range(0..8)).collect();
-            let mut cons = Vec::new();
-            let mut push = |u: usize, v: usize, slack: i64| {
-                cons.push(Constraint::new(u, v, p[u] - p[v] + slack));
-            };
-            for u in 0..n {
-                push(u, (u + 1) % n, rng.gen_range(0..3));
-            }
-            for _ in 0..2 * n {
-                push(
-                    rng.gen_range(0..n),
-                    rng.gen_range(0..n),
-                    rng.gen_range(0..4),
-                );
-            }
-            for _ in 0..n / 4 {
-                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                push(u, v, 0);
-                push(v, u, 0);
-            }
+            let cons = degenerate_system(&mut rng, n);
             let mut solver = DualSolver::new(n, &cons).expect("p is feasible");
             for _ in 0..4 {
-                let mut cost: Vec<i64> = (0..n).map(|_| rng.gen_range(-20..=20)).collect();
-                let sum: i64 = cost.iter().sum();
-                cost[0] -= sum;
-                words.extend(certified(&mut solver, &cons, &cost).expect("a ring is bounded"));
-                let flows = solver.flows().into_iter();
-                words.extend(flows.flat_map(|(c, f)| [c.u as i64, c.v as i64, c.bound, f]));
+                let cost = balanced_costs(&mut rng, n, 20);
+                lags.extend(certified(&mut solver, &cons, &cost).expect("a ring is bounded"));
+                let f = solver.flows().into_iter();
+                flows.extend(f.flat_map(|(c, f)| [c.u as i64, c.v as i64, c.bound, f]));
             }
         }
-        let digest = lacr_obs::fnv1a64(words.into_iter().flat_map(i64::to_le_bytes));
-        assert_eq!(digest, 0x5dc4_56d1_3623_515c, "{digest:#018x}");
+        let digest =
+            |words: Vec<i64>| lacr_obs::fnv1a64(words.into_iter().flat_map(i64::to_le_bytes));
+        let (lags, flows) = (digest(lags), digest(flows));
+        assert_eq!(lags, 0xf97a_169c_62a5_25eb, "{lags:#018x}");
+        assert_eq!(flows, 0xf7a3_5ee9_ebe3_5ff8, "{flows:#018x}");
+    }
+
+    /// Renumbering the variables (and reordering the constraint list)
+    /// renumbers every warm solve's `r` and changes nothing else: the
+    /// potentials depend on the program, never on the arc layout or on
+    /// which maximum flow a phase found (ALGORITHMS.md §4). Small costs
+    /// over fixed pairs leave many optimal `r`, so a layout-dependent
+    /// choice among them would show here.
+    #[test]
+    fn warm_solves_commute_with_renumbering() {
+        let mut rng = Rng::seed_from_u64(29);
+        for _ in 0..60 {
+            let n = rng.gen_range(4..=60usize);
+            let cons = degenerate_system(&mut rng, n);
+            let perm = rng.permutation(n);
+            let mut renumbered: Vec<Constraint> = cons
+                .iter()
+                .map(|c| Constraint::new(perm[c.u], perm[c.v], c.bound))
+                .collect();
+            rng.shuffle(&mut renumbered);
+            let mut solver = DualSolver::new(n, &cons).expect("p is feasible");
+            let mut twin = DualSolver::new(n, &renumbered).expect("p is feasible");
+            for _ in 0..4 {
+                let cost = balanced_costs(&mut rng, n, 2);
+                let mut twin_cost = vec![0; n];
+                for (v, &c) in cost.iter().enumerate() {
+                    twin_cost[perm[v]] = c;
+                }
+                let r = certified(&mut solver, &cons, &cost).expect("a ring is bounded");
+                let twin_r =
+                    certified(&mut twin, &renumbered, &twin_cost).expect("a ring is bounded");
+                for (v, &x) in r.iter().enumerate() {
+                    assert_eq!(twin_r[perm[v]], x, "variable {v} (renumbered {})", perm[v]);
+                }
+            }
+        }
     }
 
     #[test]
@@ -661,6 +772,72 @@ pub(crate) mod tests {
                 .and_then(|mut solver| certified(&mut solver, &cons, cost))
                 .map(|r| cost.iter().zip(&r).map(|(&c, &x)| c * x).sum());
             assert_eq!(got, expected, "{name}");
+        }
+    }
+
+    /// Two phases pinned by what ends them: `(name, constraints, costs,
+    /// optimal Σ cost·r, repricings, augmentations, global relabels)`.
+    ///
+    /// * "supply runs out": both paths from 0 cost 1, so one phase
+    ///   routes all 5 units in two augmentations and stops as soon as
+    ///   nothing remains, without relabelling `s` out of reach.
+    /// * "global relabel": variable 0 supplies 9 units to 1, 2 and 3
+    ///   around a ring. The first phase saturates 1 → t, then 2 → t.
+    ///   The dead ends they leave relabel 1, 0 and `s`, then 2, 1 and 0,
+    ///   and that sixth relabel (`nn` = 6) triggers a global relabel,
+    ///   which finds `s` cut off from `t` and ends the phase. The last 3
+    ///   units take the dearer arc 2 → 3 in a later phase.
+    #[test]
+    fn phases_end_where_expected() {
+        type Case = (
+            &'static str,
+            &'static [Triple],
+            &'static [i64],
+            i64,
+            i64,
+            i64,
+            u64,
+        );
+        let cases: [Case; 2] = [
+            (
+                "supply runs out",
+                &[(0, 1, 1), (1, 0, 0), (0, 2, 1), (2, 0, 0)],
+                &[-5, 2, 3],
+                -5,
+                1,
+                2,
+                1,
+            ),
+            (
+                "global relabel",
+                &[(0, 1, 1), (1, 2, 0), (2, 3, 1), (3, 0, 0)],
+                &[-9, 3, 3, 3],
+                -12,
+                2,
+                3,
+                3,
+            ),
+        ];
+        for (name, triples, cost, optimum, repricings, augmentations, global_relabels) in cases {
+            let cons = system(triples);
+            let mut solver = DualSolver::new(cost.len(), &cons).unwrap();
+            let scope = lacr_obs::scope::Scope::new(name);
+            let r = {
+                let _attached = scope.attach();
+                certified(&mut solver, &cons, cost).unwrap()
+            };
+            let work = scope.report();
+            let got = (
+                cost.iter().zip(&r).map(|(&c, &x)| c * x).sum::<i64>(),
+                work.counter("mcmf.dijkstra_phases").unwrap_or(0),
+                work.counter("mcmf.ssp_iterations").unwrap_or(0),
+                solver.global_relabels,
+            );
+            assert_eq!(
+                got,
+                (optimum, repricings, augmentations, global_relabels),
+                "{name}"
+            );
         }
     }
 

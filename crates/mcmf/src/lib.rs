@@ -10,14 +10,14 @@
 //! ```
 //!
 //! is the LP dual of a transshipment (min-cost flow) problem.
-//! [`DualSolver`] solves it primal–dual: blocking-flow DFS sweeps over
-//! zero-reduced-cost arcs, with a Dijkstra repricing over reduced costs
-//! at the start of a solve and after each sweep that finds no path. The
-//! residual network and Johnson potentials are kept between solves, so
-//! LAC's re-weighted rounds warm-start. [`check_optimal`] certifies a
-//! solution by LP duality from the caller's constraint list and the
-//! solver's flow ([`DualSolver::flows`]); in a debug build every
-//! successful solve passes it before it returns. [`DifferenceConstraints`] solves pure
+//! [`DualSolver`] solves it primal–dual: each phase is one Dijkstra
+//! repricing over reduced costs, then one exact maximum flow (ISAP) over
+//! the arcs of zero reduced cost. The residual network and Johnson
+//! potentials are kept between solves, so LAC's re-weighted rounds
+//! warm-start. [`check_optimal`] certifies a solution by LP duality from
+//! the caller's constraint list and the solver's flow
+//! ([`DualSolver::flows`]); in a debug build every successful solve
+//! passes it before it returns. [`DifferenceConstraints`] solves pure
 //! feasibility (no objective) with Bellman–Ford, as used by min-period
 //! retiming, and returns the negative cycle that proves a system
 //! infeasible.

@@ -357,7 +357,7 @@ mod tests {
             },
         );
         let mut counters = BTreeMap::new();
-        counters.insert("mcmf.sweeps".to_string(), 7);
+        counters.insert("mcmf.dijkstra_phases".to_string(), 7);
         let mut gauges = BTreeMap::new();
         gauges.insert("lac.alpha".to_string(), 0.5);
         let mut hists = BTreeMap::new();
@@ -414,7 +414,7 @@ mod tests {
         let r = sample();
         let json = r.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"mcmf.sweeps\":7"));
+        assert!(json.contains("\"mcmf.dijkstra_phases\":7"));
         assert!(json.contains("\"lac.alpha\":0.5"));
         assert!(json.contains("\"plan.lac\":{\"count\":4"));
         assert!(json.contains("\"net_len\":{\"count\":1"));
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn accessors() {
         let r = sample();
-        assert_eq!(r.counter("mcmf.sweeps"), Some(7));
+        assert_eq!(r.counter("mcmf.dijkstra_phases"), Some(7));
         assert_eq!(r.counter("missing"), None);
         assert_eq!(r.gauge("lac.alpha"), Some(0.5));
         assert_eq!(r.span("plan.route").unwrap().count, 1);

@@ -347,6 +347,10 @@ if [[ "$DETERMINISM" == 1 ]]; then
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release --offline \
         -p lacr-retime constraints_invariant_under_adjacency_order
 
+    echo "==> renumbering invariance (warm min-cost-flow solves on degenerate systems)"
+    RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release --offline \
+        -p lacr-mcmf warm_solves_commute_with_renumbering
+
     echo "==> CLI cross-thread diff: lacr plan s344 at LACR_THREADS=1,2,8"
     mkdir -p target/determinism
     # Mask the two Texec/s wall-clock columns — the only 3-decimal fields
