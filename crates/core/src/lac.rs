@@ -198,20 +198,28 @@ struct Csr<T> {
     items: Vec<T>,
 }
 
-impl<T: Copy> Csr<T> {
-    /// Builds `rows` rows from `(row, item)` pairs sorted by row.
-    fn from_sorted(rows: usize, pairs: &[(usize, T)]) -> Self {
+impl<T: Copy + Default> Csr<T> {
+    /// Builds `rows` rows from `(row, item)` pairs by one counting pass;
+    /// each row keeps its items in the order the pairs give them.
+    fn new(rows: usize, pairs: impl Iterator<Item = (usize, T)> + Clone) -> Self {
         let mut start = vec![0u32; rows + 1];
-        for &(row, _) in pairs {
+        for (row, _) in pairs.clone() {
             start[row + 1] += 1;
         }
         for i in 0..rows {
             start[i + 1] += start[i];
         }
-        let items = pairs.iter().map(|&(_, item)| item).collect();
+        let mut next = start.clone();
+        let mut items = vec![T::default(); start[rows] as usize];
+        for (row, item) in pairs {
+            items[next[row] as usize] = item;
+            next[row] += 1;
+        }
         Self { start, items }
     }
+}
 
+impl<T> Csr<T> {
     fn rows(&self) -> usize {
         self.start.len() - 1
     }
@@ -222,33 +230,54 @@ impl<T: Copy> Csr<T> {
 }
 
 /// Per-vertex view of the difference-constraint system `r(u) − r(v) ≤ b`,
-/// for O(deg) legality checks of single-vertex retiming moves.
+/// for O(deg) legality checks of single-vertex retiming moves. Rows keep
+/// the order of the constraint list.
 struct ConstraintIndex {
-    /// `by_u[x]`: constraints `r(x) − r(other) ≤ bound`.
-    by_u: Vec<Vec<(usize, i64)>>,
-    /// `by_v[x]`: constraints `r(other) − r(x) ≤ bound`.
-    by_v: Vec<Vec<(usize, i64)>>,
+    /// Row `x`: `(y, b)` for each constraint `r(x) − r(y) ≤ b`.
+    by_u: Csr<(u32, i64)>,
+    /// Row `x`: `(y, b)` for each constraint `r(y) − r(x) ≤ b`.
+    by_v: Csr<(u32, i64)>,
 }
 
 impl ConstraintIndex {
     fn new(n: usize, constraints: &[Constraint]) -> Self {
-        let mut by_u = vec![Vec::new(); n];
-        let mut by_v = vec![Vec::new(); n];
-        for c in constraints {
-            by_u[c.u].push((c.v, c.bound));
-            by_v[c.v].push((c.u, c.bound));
+        let cons = constraints.iter();
+        Self {
+            by_u: Csr::new(n, cons.clone().map(|c| (c.u, (c.v as u32, c.bound)))),
+            by_v: Csr::new(n, cons.map(|c| (c.v, (c.u as u32, c.bound)))),
         }
-        Self { by_u, by_v }
     }
 
     /// Would `r[x] += 1` keep every constraint satisfied?
     fn can_increment(&self, r: &[i64], x: usize) -> bool {
-        self.by_u[x].iter().all(|&(v, b)| r[x] + 1 - r[v] <= b)
+        let rx = r[x] + 1;
+        self.by_u
+            .row(x)
+            .iter()
+            .all(|&(y, b)| rx - r[y as usize] <= b)
     }
 
     /// Would `r[x] -= 1` keep every constraint satisfied?
     fn can_decrement(&self, r: &[i64], x: usize) -> bool {
-        self.by_v[x].iter().all(|&(u, b)| r[u] - (r[x] - 1) <= b)
+        let rx = r[x] - 1;
+        self.by_v
+            .row(x)
+            .iter()
+            .all(|&(y, b)| r[y as usize] - rx <= b)
+    }
+
+    /// The constraints at `x` that a unit retiming of a vertex set holding
+    /// `x` (`r[S] += 1` when `increment`, else `r[S] -= 1`) tightens unless
+    /// their far end `y` joins the set, as `(y, b)` pairs, and the sign `s`
+    /// with which each reads `s · (r(x) − r(y)) ≤ b`. A pair is tight at
+    /// `r` when equality holds; the edge constraint of an edge is tight
+    /// exactly when the edge holds no flip-flop.
+    fn tightened(&self, x: usize, increment: bool) -> (&[(u32, i64)], i64) {
+        if increment {
+            (self.by_u.row(x), 1)
+        } else {
+            (self.by_v.row(x), -1)
+        }
     }
 }
 
@@ -266,9 +295,17 @@ struct LegalizeIndex {
     charged: Vec<Option<usize>>,
     /// The edges charged to each tile, in ascending edge order.
     tile_edges: Vec<Vec<EdgeId>>,
+    /// Tile `t`'s loaded-edge bits are words `tile_words[t]..tile_words[t
+    /// + 1]` of [`Legalizer::loaded`], one bit per `tile_edges[t]` entry.
+    tile_words: Vec<u32>,
+    /// Each charged edge's bit in [`Legalizer::loaded`].
+    bit_of: Vec<u32>,
     /// The connection chain each edge lies on: edges joined through
     /// chain-interior units form one chain.
     chain_of: Vec<u32>,
+    /// Per chain: the vertices that drive it and that it feeds, or `None`
+    /// for a ring of interior units, which has neither.
+    chain_ends: Vec<Option<(VertexId, VertexId)>>,
     /// Row `c`: the tiles chain `c`'s edges are charged to.
     chain_tiles: Csr<usize>,
     /// Row `x`: the chains whose slides read `r[x]`, because `x` is one of
@@ -303,33 +340,42 @@ impl LegalizeIndex {
                 tile_edges[t].push(EdgeId(ei as u32));
             }
         }
+        let mut tile_words = vec![0u32];
+        let mut bit_of = vec![u32::MAX; edges.len()];
+        for (t, edges) in tile_edges.iter().enumerate() {
+            for (i, e) in edges.iter().enumerate() {
+                bit_of[e.index()] = 64 * tile_words[t] + i as u32;
+            }
+            tile_words.push(tile_words[t] + edges.len().div_ceil(64) as u32);
+        }
 
-        // Chains are paths (or, in degenerate graphs, cycles) of edges
+        // Chains are paths (or, in degenerate graphs, rings) of edges
         // through interior units: walk up to a chain's first edge, then
         // number the chain walking down.
         let mut chain_of = vec![u32::MAX; edges.len()];
-        let mut chains = 0u32;
+        let mut chain_ends = Vec::new();
         for e0 in 0..edges.len() {
             if chain_of[e0] != u32::MAX {
                 continue;
             }
-            let mut e = e0;
+            let (mut e, mut ring) = (e0, false);
             while let Some(prev) = only_in[edges[e].from.index()] {
                 if prev.index() == e0 {
+                    ring = true;
                     break;
                 }
                 e = prev.index();
             }
+            let source = edges[e].from;
             loop {
-                chain_of[e] = chains;
+                chain_of[e] = chain_ends.len() as u32;
                 match only_out[edges[e].to.index()] {
                     Some(next) if chain_of[next.index()] == u32::MAX => e = next.index(),
                     _ => break,
                 }
             }
-            chains += 1;
+            chain_ends.push((!ring).then_some((source, edges[e].to)));
         }
-        let chains = chains as usize;
         let mut chain_tiles: Vec<(usize, usize)> = (0..edges.len())
             .filter_map(|e| charged[e].map(|t| (chain_of[e] as usize, t)))
             .collect();
@@ -344,8 +390,8 @@ impl LegalizeIndex {
             if only_out[x].is_some() {
                 let c = chain_of[e];
                 readers.push((x, c));
-                let partners = cons.by_u[x].iter().chain(&cons.by_v[x]);
-                readers.extend(partners.map(|&(y, _)| (y, c)));
+                let partners = cons.by_u.row(x).iter().chain(cons.by_v.row(x));
+                readers.extend(partners.map(|&(y, _)| (y as usize, c)));
             }
         }
         readers.sort_unstable();
@@ -365,9 +411,12 @@ impl LegalizeIndex {
             only_out,
             charged,
             tile_edges,
+            tile_words,
+            bit_of,
+            chain_tiles: Csr::new(chain_ends.len(), chain_tiles.iter().copied()),
             chain_of,
-            chain_tiles: Csr::from_sorted(chains, &chain_tiles),
-            readers: Csr::from_sorted(n, &readers),
+            chain_ends,
+            readers: Csr::new(n, readers.iter().copied()),
             in_minus_out,
             keys,
         }
@@ -375,12 +424,12 @@ impl LegalizeIndex {
 }
 
 /// One journalled change to the legaliser's state.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Change {
     /// `r[vertex] += delta`.
     Lag(usize, i64),
-    /// `weights[edge] += delta`, with the charged tile's count and the
-    /// flip-flop total.
+    /// `weights[edge] += delta`, with the charged tile's count and
+    /// loaded-edge bit and the flip-flop total.
     Weight(usize, i64),
 }
 
@@ -391,6 +440,7 @@ struct State {
     r: Vec<i64>,
     weights: Vec<i64>,
     counts: Vec<i64>,
+    loaded: Vec<u64>,
     flops: i64,
     hash: u64,
 }
@@ -429,34 +479,24 @@ const _: () = assert!(MAX_CANDIDATES <= u64::BITS as usize);
 /// stack.
 const UNSEEN: u32 = u32::MAX;
 
-/// The closure digraph at one state: an arc `x → y` for each zero-weight
-/// edge `x → y` and each constraint `r(x) − r(y) ≤ b` tight at `r`. An
-/// increment grows a cluster forward along it, a decrement backward.
+/// The closure digraph at one state: an arc `x → y` for each constraint
+/// `r(x) − r(y) ≤ b` tight at `r`. The edge constraints are among them, so
+/// a zero-weight edge `x → y` is an arc too. An increment grows a cluster
+/// forward along it, a decrement backward.
 #[derive(Clone, Copy)]
 struct ClosureArcs<'a> {
-    graph: &'a RetimeGraph,
     ix: &'a LegalizeIndex,
     r: &'a [i64],
-    weights: &'a [i64],
     increment: bool,
 }
 
 impl ClosureArcs<'_> {
     /// Appends the vertices a cluster holding `x` must also hold.
     fn successors(&self, x: usize, out: &mut Vec<u32>) {
-        let (graph, cons, r, w) = (self.graph, &self.ix.cons, self.r, self.weights);
-        let v = VertexId(x as u32);
-        if self.increment {
-            let edges = graph.out_edges(v).filter(|e| w[e.index()] == 0);
-            out.extend(edges.map(|e| graph.edge(e).to.0));
-            let tight = cons.by_u[x].iter().filter(|&&(y, b)| r[x] - r[y] >= b);
-            out.extend(tight.map(|&(y, _)| y as u32));
-        } else {
-            let edges = graph.in_edges(v).filter(|e| w[e.index()] == 0);
-            out.extend(edges.map(|e| graph.edge(e).from.0));
-            let tight = cons.by_v[x].iter().filter(|&&(y, b)| r[y] - r[x] >= b);
-            out.extend(tight.map(|&(y, _)| y as u32));
-        }
+        let (row, s) = self.ix.cons.tightened(x, self.increment);
+        let (r, rx) = (self.r, self.r[x]);
+        let tight = row.iter().filter(|&&(y, b)| s * (rx - r[y as usize]) >= b);
+        out.extend(tight.map(|&(y, _)| y));
     }
 }
 
@@ -540,14 +580,21 @@ impl ClosureSweep {
                 self.mask[self.comp[seed] as usize] |= 1u64 << i;
             }
             // Highest component first: every mask is complete before it
-            // spreads to the components its arcs reach.
+            // spreads to the components its arcs reach. Consecutive
+            // components mostly share a mask, so each run of equal masks
+            // is summed first and added to its candidates once.
+            let mut run = (0u64, 0usize, 0i64);
             for c in (0..comps).rev() {
                 let m = self.mask[c];
                 let vs =
                     &self.members[self.comp_start[c] as usize..self.comp_start[c + 1] as usize];
-                let mut flow = 0;
+                if m != run.0 {
+                    add_to_candidates(&mut self.verdicts, run);
+                    run = (m, 0, 0);
+                }
+                run.1 += vs.len();
                 for &v in vs {
-                    flow += arcs.ix.in_minus_out[v as usize];
+                    run.2 += arcs.ix.in_minus_out[v as usize];
                     let (a, b) = self.arc_range[v as usize];
                     for &w in &self.arcs[a as usize..b as usize] {
                         let cw = self.comp[w as usize] as usize;
@@ -556,14 +603,8 @@ impl ClosureSweep {
                         }
                     }
                 }
-                let mut bits = m;
-                while bits != 0 {
-                    let i = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.verdicts[i].0 += vs.len();
-                    self.verdicts[i].1 += flow;
-                }
             }
+            add_to_candidates(&mut self.verdicts, run);
             for &v in &self.reached {
                 self.index[v as usize] = UNSEEN;
                 self.comp[v as usize] = UNSEEN;
@@ -624,11 +665,24 @@ impl ClosureSweep {
     }
 }
 
+/// Adds a run of components, `(mask, size, flow)`, to the verdict of each
+/// candidate in its mask.
+fn add_to_candidates(verdicts: &mut [(usize, i64)], (mask, size, flow): (u64, usize, i64)) {
+    let mut bits = mask;
+    while bits != 0 {
+        let i = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        verdicts[i].0 += size;
+        verdicts[i].1 += flow;
+    }
+}
+
 /// Working state of the flip-flop placement legaliser, built once per
 /// [`lac_retiming`] call and reused by every round. Every change to `r`
 /// and `weights` goes through [`Self::record`], which logs it in
 /// `journal`, so [`Self::undo_to`] reverts any suffix of moves in time
-/// proportional to its size.
+/// proportional to its size. (A slide probe shifts `r` without it, and
+/// puts it back before returning.)
 struct Legalizer<'a> {
     graph: &'a RetimeGraph,
     ix: &'a LegalizeIndex,
@@ -636,6 +690,9 @@ struct Legalizer<'a> {
     weights: Vec<i64>,
     /// Flip-flops charged to each tile.
     counts: Vec<i64>,
+    /// A bit per charged edge, set while it holds a flip-flop (see
+    /// [`LegalizeIndex::tile_words`]).
+    loaded: Vec<u64>,
     /// Total flip-flops (the sum of `weights`).
     flops: i64,
     /// Tabu fingerprint of `r`: `Σ r[x]·ix.keys[x]`, wrapping.
@@ -648,6 +705,9 @@ struct Legalizer<'a> {
     epoch: u32,
     members: Vec<usize>,
     stack: Vec<usize>,
+    /// The steps of the last probed slide walk (see
+    /// [`Self::probe_walk`]).
+    walk: Vec<(usize, EdgeId)>,
     /// Slide skipping, in `clock` ticks (one per failed slide).
     /// `failed_at[e]`: when a slide of `e` last failed (0: not this
     /// round). `chain_stamp[c]`: when `r` last changed at one of chain
@@ -687,6 +747,13 @@ struct Legalizer<'a> {
 ///   [`ClosureSweep`] per beam state sizes every candidate's closure, so
 ///   only moves within the flip-flop budget are grown.
 fn legalize_flop_placement(lg: &mut Legalizer<'_>, outcome: &mut RetimingOutcome) {
+    // The closures read a zero-weight edge as its tight edge constraint,
+    // which holds while every weight is the retimed one.
+    debug_assert_eq!(
+        outcome.weights,
+        lg.graph.retimed_weights(&outcome.retiming),
+        "weights follow the retiming"
+    );
     lg.start(&outcome.retiming, &outcome.weights);
     lg.slide_pass();
 
@@ -768,6 +835,7 @@ impl<'a> Legalizer<'a> {
             r: vec![0; n],
             weights: vec![0; m],
             counts: vec![0; ix.cap.len()],
+            loaded: vec![0; *ix.tile_words.last().expect("one more start than tiles") as usize],
             flops: 0,
             hash: 0,
             journal: Vec::new(),
@@ -775,6 +843,7 @@ impl<'a> Legalizer<'a> {
             epoch: 0,
             members: Vec::new(),
             stack: Vec::new(),
+            walk: Vec::new(),
             clock: 0,
             failed_at: vec![0; m],
             chain_stamp: vec![0; ix.chain_tiles.rows()],
@@ -789,14 +858,17 @@ impl<'a> Legalizer<'a> {
     fn start(&mut self, r: &[i64], weights: &[i64]) {
         self.r.copy_from_slice(r);
         self.weights.copy_from_slice(weights);
+        let ix = self.ix;
         self.counts.fill(0);
-        for (&w, t) in weights.iter().zip(&self.ix.charged) {
+        self.loaded.fill(0);
+        for (e, (&w, t)) in weights.iter().zip(&ix.charged).enumerate() {
             if let Some(t) = *t {
                 self.counts[t] += w;
+                self.set_loaded(e);
             }
         }
         self.flops = weights.iter().sum();
-        self.hash = r.iter().zip(&self.ix.keys).fold(0u64, |h, (&x, &k)| {
+        self.hash = r.iter().zip(&ix.keys).fold(0u64, |h, (&x, &k)| {
             h.wrapping_add((x as u64).wrapping_mul(k))
         });
         self.journal.clear();
@@ -844,9 +916,43 @@ impl Legalizer<'_> {
                     if was >= cap && self.counts[t] < cap {
                         self.room_stamp[t] = self.clock;
                     }
+                    self.set_loaded(e);
                 }
             }
         }
+    }
+
+    /// Makes charged edge `e`'s loaded bit say whether it holds a
+    /// flip-flop.
+    fn set_loaded(&mut self, e: usize) {
+        let bit = self.ix.bit_of[e] as usize;
+        let (word, mask) = (&mut self.loaded[bit / 64], 1u64 << (bit % 64));
+        if self.weights[e] > 0 {
+            *word |= mask;
+        } else {
+            *word &= !mask;
+        }
+    }
+
+    /// The first edge at position `from` or later in `tile_edges[t]` that
+    /// holds a flip-flop, and its position.
+    fn next_loaded(&self, t: usize, from: usize) -> Option<(usize, EdgeId)> {
+        let ix = self.ix;
+        let (first, end) = (ix.tile_words[t] as usize, ix.tile_words[t + 1] as usize);
+        let mut word = first + from / 64;
+        if word >= end {
+            return None;
+        }
+        let mut bits = self.loaded[word] & (!0u64 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            if word == end {
+                return None;
+            }
+            bits = self.loaded[word];
+        }
+        let i = 64 * (word - first) + bits.trailing_zeros() as usize;
+        Some((i, ix.tile_edges[t][i]))
     }
 
     /// Marks every chain whose slides read `r[x]` as changed.
@@ -871,6 +977,7 @@ impl Legalizer<'_> {
 
     /// [`Self::undo_to`] for a failed slide walk, which marks nothing: the
     /// walk leaves no net change, and no tile gains room on the way.
+    #[cfg(any(test, debug_assertions))]
     fn unwind_to(&mut self, mark: usize) {
         while self.journal.len() > mark {
             let change = self.journal.pop().expect("journal is longer than mark");
@@ -884,6 +991,7 @@ impl Legalizer<'_> {
             r: self.r.clone(),
             weights: self.weights.clone(),
             counts: self.counts.clone(),
+            loaded: self.loaded.clone(),
             flops: self.flops,
             hash: self.hash,
         }
@@ -906,6 +1014,7 @@ impl Legalizer<'_> {
             }
             *cur = new;
         }
+        self.loaded.copy_from_slice(&state.loaded);
         self.flops = state.flops;
         self.hash = state.hash;
         self.journal.clear();
@@ -919,43 +1028,26 @@ impl Legalizer<'_> {
             .sum()
     }
 
-    /// The functional (or host) vertex driving the connection `e` lies on,
-    /// found by walking upstream through the chain's interconnect units.
-    fn connection_source(&self, e: EdgeId) -> VertexId {
-        let mut tail = self.graph.edge(e).from;
-        while let Some(prev) = self.ix.only_in[tail.index()] {
-            tail = self.graph.edge(prev).from;
-        }
-        tail
-    }
-
-    /// The functional (or host) vertex the connection `e` lies on feeds,
-    /// found by walking downstream through the chain's interconnect units.
-    fn connection_sink(&self, e: EdgeId) -> VertexId {
-        let mut head = self.graph.edge(e).to;
-        while let Some(next) = self.ix.only_out[head.index()] {
-            head = self.graph.edge(next).to;
-        }
-        head
-    }
-
     /// Cluster-move seeds, sorted and deduplicated, at most
-    /// [`MAX_CANDIDATES`]: the two endpoints of every connection holding a
-    /// flip-flop charged to an overfull tile. Retiming the source side up
-    /// (a cluster grown from it) frees the flip-flop backwards onto the
-    /// source's fanins; retiming the sink side down pulls it forwards onto
-    /// the sink's fanouts.
+    /// [`MAX_CANDIDATES`]: the two ends of every connection holding a
+    /// flip-flop charged to an overfull tile (a ring of interconnect units
+    /// has none). Retiming the source side up (a cluster grown from it)
+    /// frees the flip-flop backwards onto the source's fanins; retiming the
+    /// sink side down pulls it forwards onto the sink's fanouts.
     fn collect_candidates(&self, out: &mut Vec<(usize, bool)>) {
+        let ix = self.ix;
         out.clear();
-        for (t, edges) in self.ix.tile_edges.iter().enumerate() {
-            if self.counts[t] <= self.ix.cap[t] {
+        for t in 0..ix.cap.len() {
+            if self.counts[t] <= ix.cap[t] {
                 continue;
             }
-            for &e in edges {
-                if self.weights[e.index()] > 0 {
-                    out.push((self.connection_source(e).index(), true));
-                    out.push((self.connection_sink(e).index(), false));
+            let mut from = 0;
+            while let Some((i, e)) = self.next_loaded(t, from) {
+                if let Some((source, sink)) = ix.chain_ends[ix.chain_of[e.index()] as usize] {
+                    out.push((source.index(), true));
+                    out.push((sink.index(), false));
                 }
+                from = i + 1;
             }
         }
         out.sort_unstable();
@@ -966,10 +1058,8 @@ impl Legalizer<'_> {
     /// Sizes every candidate's closure at the current state.
     fn sweep_closures(&mut self, candidates: &[(usize, bool)]) {
         let arcs = ClosureArcs {
-            graph: self.graph,
             ix: self.ix,
             r: &self.r,
-            weights: &self.weights,
             increment: true,
         };
         self.sweep.run(arcs, candidates);
@@ -977,49 +1067,29 @@ impl Legalizer<'_> {
 
     /// Grows the closure of `{seed}` for a legal unit retiming of a whole
     /// vertex set (`r[S] += 1` when `increment`, else `r[S] -= 1`) into
-    /// `members`:
-    ///
-    /// * a boundary edge that would lose a flip-flop but carries none
-    ///   forces its far endpoint into S (edges inside S never change);
-    /// * a constraint that would tighten and is already tight forces its
-    ///   far endpoint into S (constraints inside S never change).
+    /// `members`: a constraint that would tighten and is already tight
+    /// forces its far endpoint into S (constraints inside S never change).
+    /// The edge constraints are among them, so a boundary edge that would
+    /// lose a flip-flop but carries none pulls its far end in too.
     ///
     /// Returns `false` when the closure swallows the whole graph (a no-op
     /// shift). The host may join S: weights and constraints only depend on
     /// retiming differences, and moves through the host are how flip-flops
     /// reach the pad ring.
     fn grow_cluster(&mut self, seed: usize, increment: bool) -> bool {
-        let (graph, cons) = (self.graph, &self.ix.cons);
+        let ix = self.ix;
         self.epoch += 1;
         self.members.clear();
         self.stack.clear();
         self.absorb(seed);
         while let Some(x) = self.stack.pop() {
-            if self.members.len() >= graph.num_vertices() {
+            if self.members.len() >= self.graph.num_vertices() {
                 return false;
             }
-            let v = VertexId(x as u32);
-            if increment {
-                for e in graph.out_edges(v) {
-                    if self.weights[e.index()] == 0 {
-                        self.absorb(graph.edge(e).to.index());
-                    }
-                }
-                for &(y, b) in &cons.by_u[x] {
-                    if self.r[x] - self.r[y] >= b {
-                        self.absorb(y);
-                    }
-                }
-            } else {
-                for e in graph.in_edges(v) {
-                    if self.weights[e.index()] == 0 {
-                        self.absorb(graph.edge(e).from.index());
-                    }
-                }
-                for &(y, b) in &cons.by_v[x] {
-                    if self.r[y] - self.r[x] >= b {
-                        self.absorb(y);
-                    }
+            let (row, s) = ix.cons.tightened(x, increment);
+            for &(y, b) in row {
+                if s * (self.r[x] - self.r[y as usize]) >= b {
+                    self.absorb(y as usize);
                 }
             }
         }
@@ -1117,21 +1187,21 @@ impl Legalizer<'_> {
 
     /// Runs chain slides to exhaustion: every flip-flop charged to an
     /// overfull tile is offered a slide towards spare capacity, until a
-    /// full sweep makes no progress.
+    /// full sweep makes no progress. A sweep visits only a tile's loaded
+    /// edges, in ascending order.
     fn slide_pass(&mut self) {
         let ix = self.ix;
         loop {
             let mut progress = false;
-            for (t, edges) in ix.tile_edges.iter().enumerate() {
+            for t in 0..ix.cap.len() {
                 while self.counts[t] > ix.cap[t] {
-                    let mut moved = false;
-                    for &e in edges {
-                        if self.counts[t] <= ix.cap[t] {
+                    let (mut moved, mut from) = (false, 0);
+                    while self.counts[t] > ix.cap[t] {
+                        let Some((i, e)) = self.next_loaded(t, from) else {
                             break;
-                        }
-                        if self.weights[e.index()] > 0 && self.try_slide(e, t) {
-                            moved = true;
-                        }
+                        };
+                        moved |= self.try_slide(e, t);
+                        from = i + 1;
                     }
                     progress |= moved;
                     if !moved {
@@ -1156,11 +1226,11 @@ impl Legalizer<'_> {
     fn try_slide(&mut self, e: EdgeId, from_tile: usize) -> bool {
         if self.slide_must_fail(e) {
             self.stats.slide_skips += 1;
-            // Debug builds replay the skipped slide: it must fail, which
-            // leaves the state as it was.
+            // Debug builds replay the skipped slide through the journal:
+            // it must fail, which leaves the state as it was.
             #[cfg(debug_assertions)]
             assert!(
-                !self.slide_flop(e, from_tile),
+                !self.slide_journalled(e, from_tile),
                 "skipped slide of edge {} succeeds",
                 e.index()
             );
@@ -1206,56 +1276,110 @@ impl Legalizer<'_> {
     /// untiled chain unit charges no tile and is no landing spot. Applies
     /// and journals the move, unmarked, and returns `true` on success;
     /// leaves all state untouched and returns `false` otherwise.
+    ///
+    /// Each walk is first probed without the journal; only a walk that
+    /// lands is journalled, with the changes [`Self::slide_journalled`]
+    /// makes, in its order.
     fn slide_flop(&mut self, e: EdgeId, from_tile: usize) -> bool {
-        let (graph, ix) = (self.graph, self.ix);
-        let mark = self.journal.len();
-        // Downstream: repeatedly decrement the head of the flop's edge.
-        let mut cur = e;
-        loop {
-            let x = graph.edge(cur).to.index();
-            let Some(eout) = ix.only_out[x] else {
-                break;
-            };
-            if self.weights[cur.index()] < 1 || !ix.cons.can_decrement(&self.r, x) {
-                break;
-            }
-            self.record(Change::Lag(x, -1));
-            self.record(Change::Weight(cur.index(), -1));
-            self.record(Change::Weight(eout.index(), 1));
-            if self.lands(eout, from_tile) {
+        for down in [true, false] {
+            if self.probe_walk(e, from_tile, down) {
+                let mut cur = e;
+                for i in 0..self.walk.len() {
+                    let (x, next) = self.walk[i];
+                    self.record(Change::Lag(x, if down { -1 } else { 1 }));
+                    self.record(Change::Weight(cur.index(), -1));
+                    self.record(Change::Weight(next.index(), 1));
+                    cur = next;
+                }
                 return true;
             }
-            cur = eout;
         }
-        self.unwind_to(mark);
-
-        // Upstream: repeatedly increment the tail of the flop's edge.
-        let mut cur = e;
-        loop {
-            let x = graph.edge(cur).from.index();
-            let Some(ein) = ix.only_in[x] else {
-                break;
-            };
-            if self.weights[cur.index()] < 1 || !ix.cons.can_increment(&self.r, x) {
-                break;
-            }
-            self.record(Change::Lag(x, 1));
-            self.record(Change::Weight(cur.index(), -1));
-            self.record(Change::Weight(ein.index(), 1));
-            if self.lands(ein, from_tile) {
-                return true;
-            }
-            cur = ein;
-        }
-        self.unwind_to(mark);
         false
     }
 
-    /// Whether the flip-flop just moved onto edge `e` sits in a tile other
-    /// than `from_tile` that has room for it.
-    fn lands(&self, e: EdgeId, from_tile: usize) -> bool {
+    /// Walks a flip-flop off `e` (`down`: downstream) into `walk`, one
+    /// `(retimed unit, next edge)` pair per step, and tells whether it
+    /// lands; the state is left as it was. A walk reads only `r`, which
+    /// the probe shifts in place and restores: each step's edge holds the
+    /// flip-flop it carries, and the chain edges it passes get their
+    /// weights back, so the flip-flop lands on `e'` exactly when `e'` is
+    /// charged to a tile other than `from_tile` that had room before.
+    fn probe_walk(&mut self, e: EdgeId, from_tile: usize, down: bool) -> bool {
+        debug_assert!(self.weights[e.index()] > 0 && self.ix.charged[e.index()] == Some(from_tile));
+        let d = if down { -1 } else { 1 };
+        self.walk.clear();
+        let (mut cur, mut landed) = (e, false);
+        while let Some((x, next)) = self.slide_step(e, cur, down) {
+            self.r[x] += d;
+            self.walk.push((x, next));
+            if self.lands(next, from_tile, 1) {
+                landed = true;
+                break;
+            }
+            cur = next;
+        }
+        for &(x, _) in &self.walk {
+            self.r[x] -= d;
+        }
+        landed
+    }
+
+    /// The next step of a slide that carries a flip-flop from `e` and has
+    /// it on `cur`: the unit it retimes (the head when `down`, else the
+    /// tail) and the edge the flip-flop moves onto. `None` at the end of
+    /// the chain, where the retiming breaks a constraint, and after one lap
+    /// of a ring, since a second lap passes the same edges at the same
+    /// counts.
+    fn slide_step(&self, e: EdgeId, cur: EdgeId, down: bool) -> Option<(usize, EdgeId)> {
+        let (edge, ix) = (self.graph.edge(cur), self.ix);
+        let (x, next) = if down {
+            let x = edge.to.index();
+            (x, ix.only_out[x]?)
+        } else {
+            let x = edge.from.index();
+            (x, ix.only_in[x]?)
+        };
+        if next == e {
+            return None;
+        }
+        let legal = if down {
+            ix.cons.can_decrement(&self.r, x)
+        } else {
+            ix.cons.can_increment(&self.r, x)
+        };
+        legal.then_some((x, next))
+    }
+
+    /// Whether edge `e` is charged to a tile other than `from_tile` whose
+    /// count, plus `pending` flip-flops not counted yet, fits its
+    /// capacity.
+    fn lands(&self, e: EdgeId, from_tile: usize, pending: i64) -> bool {
         self.ix.charged[e.index()]
-            .is_some_and(|t| t != from_tile && self.counts[t] <= self.ix.cap[t])
+            .is_some_and(|t| t != from_tile && self.counts[t] + pending <= self.ix.cap[t])
+    }
+
+    /// The reference for [`Self::slide_flop`]: walks the flip-flop through
+    /// the journal, step by step, and unwinds a walk that does not land.
+    #[cfg(any(test, debug_assertions))]
+    fn slide_journalled(&mut self, e: EdgeId, from_tile: usize) -> bool {
+        let mark = self.journal.len();
+        for down in [true, false] {
+            let mut cur = e;
+            while let Some((x, next)) = self.slide_step(e, cur, down) {
+                if self.weights[cur.index()] < 1 {
+                    break;
+                }
+                self.record(Change::Lag(x, if down { -1 } else { 1 }));
+                self.record(Change::Weight(cur.index(), -1));
+                self.record(Change::Weight(next.index(), 1));
+                if self.lands(next, from_tile, 0) {
+                    return true;
+                }
+                cur = next;
+            }
+            self.unwind_to(mark);
+        }
+        false
     }
 }
 
@@ -1751,6 +1875,287 @@ mod tests {
         assert!(
             swallowed > 0 && over > 0 && within > 0 && full_lists > 0,
             "{swallowed} swallowed, {over} over budget, {within} within, {full_lists} full lists"
+        );
+    }
+
+    /// Three interconnect units in a ring, a flip-flop on each edge, all in
+    /// tile 0 of capacity 0. No slide can land, and the ring has no ends to
+    /// seed a cluster move; the walks must still end.
+    #[test]
+    fn a_ring_of_interconnect_units_ends() {
+        let mut g = RetimeGraph::new();
+        let units: Vec<VertexId> = (0..3)
+            .map(|_| g.add_vertex(VertexKind::Interconnect, 1, 1.0, Some(0)))
+            .collect();
+        for i in 0..3 {
+            g.add_edge(units[i], units[(i + 1) % 3], 1);
+        }
+        let pc = generate_period_constraints(&g, 100).unwrap();
+        let res = lac_retiming(&g, &pc, &[0.0], &LacConfig::default()).expect("feasible");
+        assert_eq!(res.n_foa, 3);
+    }
+
+    /// A random legal legaliser input: a retiming `r`, the weights it
+    /// gives, the edge constraints followed by extra ones (about half of
+    /// them tight at `r`), and capacities at or near each tile's count.
+    struct Case {
+        g: RetimeGraph,
+        cons: Vec<Constraint>,
+        caps: Vec<f64>,
+        r: Vec<i64>,
+        weights: Vec<i64>,
+    }
+
+    /// Functional units joined by connections through chains of up to
+    /// four interconnect units, plus a few rings of interconnect units;
+    /// about one unit in ten has no tile.
+    fn random_case(rng: &mut Rng) -> Case {
+        let tiles = rng.gen_range(2..=4usize);
+        let mut g = RetimeGraph::new();
+        let mut r = Vec::new();
+        let mut unit = |g: &mut RetimeGraph, rng: &mut Rng, kind| {
+            r.push(rng.gen_range(-1..=1i64));
+            let tile = (!rng.gen_bool(0.1)).then(|| rng.gen_range(0..tiles));
+            g.add_vertex(kind, 1, 1.0, tile)
+        };
+        let functional: Vec<VertexId> = (0..rng.gen_range(2..=8))
+            .map(|_| unit(&mut g, rng, VertexKind::Functional))
+            .collect();
+        let mut paths = Vec::new();
+        for _ in 0..rng.gen_range(functional.len()..=3 * functional.len()) {
+            let mut path = vec![functional[rng.gen_range(0..functional.len())]];
+            for _ in 0..rng.gen_range(0..=4) {
+                path.push(unit(&mut g, rng, VertexKind::Interconnect));
+            }
+            path.push(functional[rng.gen_range(0..functional.len())]);
+            paths.push(path);
+        }
+        for _ in 0..rng.gen_range(0..=2) {
+            let mut ring: Vec<VertexId> = (0..rng.gen_range(1..=4))
+                .map(|_| unit(&mut g, rng, VertexKind::Interconnect))
+                .collect();
+            ring.push(ring[0]);
+            paths.push(ring);
+        }
+        for path in &paths {
+            for pair in path.windows(2) {
+                let (u, v) = (pair[0], pair[1]);
+                // A retimed weight of 0–2, raised where the original one
+                // would be negative.
+                let w = (rng.gen_range(0..=2i64) + r[u.index()] - r[v.index()]).max(0);
+                g.add_edge(u, v, w);
+            }
+        }
+        let n = g.num_vertices();
+        let mut cons = edge_constraints(&g);
+        for _ in 0..rng.gen_range(0..=n) {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            cons.push(Constraint::new(u, v, r[u] - r[v] + rng.gen_range(0..=1i64)));
+        }
+        let weights = g.retimed_weights(&r);
+        let occupancy = TileOccupancy::compute(&g, &weights, &vec![0.0; tiles]);
+        let caps = occupancy
+            .counts
+            .iter()
+            .map(|&c| (c + rng.gen_range(-2..=1i64)).max(0) as f64)
+            .collect();
+        Case {
+            g,
+            cons,
+            caps,
+            r,
+            weights,
+        }
+    }
+
+    /// Everything a slide may change: `r`, the weights, the tile counts,
+    /// the loaded-edge bits, the flip-flop total, the fingerprint, the
+    /// journal and the room stamps.
+    type SlideState = (
+        Vec<i64>,
+        Vec<i64>,
+        Vec<i64>,
+        Vec<u64>,
+        i64,
+        u64,
+        Vec<Change>,
+        Vec<u64>,
+    );
+
+    fn slide_state(lg: &Legalizer<'_>) -> SlideState {
+        (
+            lg.r.clone(),
+            lg.weights.clone(),
+            lg.counts.clone(),
+            lg.loaded.clone(),
+            lg.flops,
+            lg.hash,
+            lg.journal.clone(),
+            lg.room_stamp.clone(),
+        )
+    }
+
+    #[test]
+    fn probed_slides_match_journalled_walks() {
+        let (mut landed, mut failed, mut ring_tries) = (0, 0, 0);
+        for case in 0..300u64 {
+            let mut rng = Rng::seed_from_u64(0x0051_1de5 ^ case);
+            let c = random_case(&mut rng);
+            let ix = LegalizeIndex::new(&c.g, &c.cons, &c.caps);
+            let (mut probe, mut journal) = (Legalizer::new(&c.g, &ix), Legalizer::new(&c.g, &ix));
+            probe.start(&c.r, &c.weights);
+            journal.start(&c.r, &c.weights);
+            // Slide passes without skipping, the two legalisers in step.
+            for _pass in 0..3 {
+                for t in 0..c.caps.len() {
+                    let mut from = 0;
+                    while probe.counts[t] > ix.cap[t] {
+                        let Some((i, e)) = probe.next_loaded(t, from) else {
+                            break;
+                        };
+                        from = i + 1;
+                        let before = slide_state(&probe);
+                        let verdict = probe.slide_flop(e, t);
+                        assert_eq!(
+                            verdict,
+                            journal.slide_journalled(e, t),
+                            "case {case}: edge {}",
+                            e.index()
+                        );
+                        assert_eq!(slide_state(&probe), slide_state(&journal), "case {case}");
+                        if verdict {
+                            landed += 1;
+                        } else {
+                            assert_eq!(slide_state(&probe), before, "case {case}: failed probe");
+                            failed += 1;
+                        }
+                        let chain = ix.chain_of[e.index()] as usize;
+                        ring_tries += usize::from(ix.chain_ends[chain].is_none());
+                    }
+                }
+            }
+        }
+        assert!(
+            landed > 0 && failed > 0 && ring_tries > 0,
+            "{landed} landed, {failed} failed, {ring_tries} on rings"
+        );
+    }
+
+    /// The closure as grown with an arc for each zero-weight edge besides
+    /// the tight constraints: `None` if it swallows the graph, else its
+    /// members in joining order.
+    fn grown_with_edge_arcs(
+        lg: &Legalizer<'_>,
+        seed: usize,
+        increment: bool,
+    ) -> Option<Vec<usize>> {
+        let (g, n) = (lg.graph, lg.r.len());
+        let mut inside = vec![false; n];
+        let (mut members, mut stack) = (vec![seed], vec![seed]);
+        inside[seed] = true;
+        while let Some(x) = stack.pop() {
+            if members.len() >= n {
+                return None;
+            }
+            let v = VertexId(x as u32);
+            let mut far: Vec<usize> = if increment {
+                let zero = g.out_edges(v).filter(|e| lg.weights[e.index()] == 0);
+                zero.map(|e| g.edge(e).to.index()).collect()
+            } else {
+                let zero = g.in_edges(v).filter(|e| lg.weights[e.index()] == 0);
+                zero.map(|e| g.edge(e).from.index()).collect()
+            };
+            let (row, s) = lg.ix.cons.tightened(x, increment);
+            let tight = row
+                .iter()
+                .filter(|&&(y, b)| s * (lg.r[x] - lg.r[y as usize]) >= b);
+            far.extend(tight.map(|&(y, _)| y as usize));
+            for y in far {
+                if !inside[y] {
+                    inside[y] = true;
+                    members.push(y);
+                    stack.push(y);
+                }
+            }
+        }
+        Some(members)
+    }
+
+    /// The loaded-edge bits `weights` calls for.
+    fn loaded_bits(ix: &LegalizeIndex, weights: &[i64]) -> Vec<u64> {
+        let mut words = vec![0u64; *ix.tile_words.last().unwrap() as usize];
+        for (e, &w) in weights.iter().enumerate() {
+            if w > 0 && ix.charged[e].is_some() {
+                let bit = ix.bit_of[e] as usize;
+                words[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        words
+    }
+
+    /// Random sequences of slide passes, cluster moves, undos, snapshots
+    /// and loads, from legal states: the loaded-edge bits stay equal to
+    /// the edges holding a flip-flop, and every closure grown without
+    /// edge arcs equals the one grown with them, in joining order.
+    #[test]
+    fn loaded_bits_and_closures_hold_through_random_moves() {
+        let (mut moves, mut undos, mut loads, mut closures) = (0, 0, 0, 0);
+        for case in 0..200u64 {
+            let mut rng = Rng::seed_from_u64(0x00b1_75e7 ^ case);
+            let c = random_case(&mut rng);
+            let ix = LegalizeIndex::new(&c.g, &c.cons, &c.caps);
+            let mut lg = Legalizer::new(&c.g, &ix);
+            lg.start(&c.r, &c.weights);
+            let mut saved = vec![lg.snapshot()];
+            // The journal lengths between moves, the marks undos may use.
+            let mut marks = vec![0];
+            let mut candidates = Vec::new();
+            for step in 0..30 {
+                match rng.gen_range(0..5) {
+                    0 => lg.slide_pass(),
+                    1 => {
+                        candidates.clear();
+                        let n = c.g.num_vertices();
+                        candidates.extend((0..n).flat_map(|x| [(x, false), (x, true)]));
+                        candidates.truncate(MAX_CANDIDATES);
+                        lg.sweep_closures(&candidates);
+                        let i = rng.gen_range(0..candidates.len());
+                        let (seed, up) = candidates[i];
+                        moves += usize::from(lg.try_cluster_move(i, seed, up, i64::MAX));
+                    }
+                    2 => {
+                        let mark = marks[rng.gen_range(0..marks.len())];
+                        lg.undo_to(mark);
+                        marks.retain(|&m| m <= mark);
+                        undos += 1;
+                    }
+                    3 => saved.push(lg.snapshot()),
+                    _ => {
+                        lg.load(&saved[rng.gen_range(0..saved.len())]);
+                        marks = vec![0];
+                        loads += 1;
+                    }
+                }
+                marks.push(lg.journal.len());
+                assert_eq!(lg.weights, c.g.retimed_weights(&lg.r), "case {case}");
+                assert_eq!(
+                    lg.loaded,
+                    loaded_bits(&ix, &lg.weights),
+                    "case {case}, step {step}"
+                );
+                for x in 0..c.g.num_vertices() {
+                    for up in [false, true] {
+                        let reference = grown_with_edge_arcs(&lg, x, up);
+                        let grown = lg.grow_cluster(x, up).then(|| lg.members.clone());
+                        assert_eq!(grown, reference, "case {case}: seed {x} ({up})");
+                        closures += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            moves > 0 && undos > 0 && loads > 0 && closures > 0,
+            "{moves} moves, {undos} undos, {loads} loads"
         );
     }
 }

@@ -2,6 +2,7 @@
 # Repository verification: exactly what CI runs, runnable offline.
 #
 #   scripts/verify.sh                # format check + clippy + rustdoc + build + tests + debug certificate run
+#                                    # + the hard Table-1 circuits under debug assertions
 #   scripts/verify.sh --quick        # skip the slow integration suites
 #   scripts/verify.sh --faults       # fault-injection suite + no-panic CLI smoke
 #   scripts/verify.sh --metrics      # observability smoke: lacr and table1 JSONL streams validated
@@ -429,6 +430,21 @@ else
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" \
         cargo test --offline -p lacr-mcmf -p lacr-retime -p lacr-core --lib
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --offline --test lac_scenarios
+
+    # The debug-profile suites run only single-round LAC loops. An
+    # optimised build with debug assertions runs the three multi-round
+    # circuits under the same references: every skipped slide is replayed
+    # through the journal and must fail, every closure-sweep verdict must
+    # equal a grown closure, and every solve is certified. Their plans
+    # must still match the committed baseline.
+    echo "==> table1 s838 s1196 s1423, optimised with debug assertions"
+    RUSTFLAGS="${RUSTFLAGS:-} -D warnings -C debug-assertions=on" CARGO_TARGET_DIR=target/checked \
+        cargo build --release --offline -p lacr-bench --bin table1
+    mkdir -p target/checked/run
+    LACR_RECORD_DIR=target/checked/run target/checked/release/table1 --quiet \
+        s838 s1196 s1423 >target/checked/run/table1.txt
+    target/release/bench_compare RUN_table1.json target/checked/run/RUN_table1.json \
+        --no-wall --subset
 fi
 
 echo "==> verify OK"
