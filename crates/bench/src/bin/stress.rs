@@ -26,7 +26,7 @@ fn main() {
             max_rounds: 12,
             ..Default::default()
         },
-        ..lacr_bench::experiment_planner()
+        ..PlannerConfig::default()
     };
     let circuit = match lacr_netlist::bench89::generate(&name) {
         Ok(c) => c,

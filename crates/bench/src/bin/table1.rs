@@ -17,7 +17,8 @@
 //! ```
 
 use lacr_bench::{quality_json, write_bench_record, write_run_record, ObsOptions};
-use lacr_core::experiment::{check_circuits, format_table, run_circuit, ExperimentConfig};
+use lacr_core::experiment::{check_circuits, format_table, run_circuit};
+use lacr_core::planner::PlannerConfig;
 use std::time::Instant;
 
 fn main() {
@@ -28,30 +29,31 @@ fn main() {
         // gets its quality blocks.
         lacr_obs::init(Box::new(lacr_obs::NullSink));
     }
-    let mut config = ExperimentConfig {
-        planner: lacr_bench::experiment_planner(),
-        ..Default::default()
-    };
-    if !args.is_empty() {
-        config.circuits = args;
+    let mut circuits = args;
+    if circuits.is_empty() {
+        circuits = lacr_netlist::bench89::table1_circuits()
+            .into_iter()
+            .map(String::from)
+            .collect();
     }
-    if let Err(e) = check_circuits(&config.circuits) {
+    if let Err(e) = check_circuits(&circuits) {
         eprintln!("table1: {e}");
         std::process::exit(2);
     }
     lacr_obs::diag!(
         "table1: planning {} circuits (this reruns the full pipeline per circuit)...",
-        config.circuits.len()
+        circuits.len()
     );
     let t0 = Instant::now();
     let mut rows = Vec::new();
     let mut failed = Vec::new();
     let mut circuit_records = Vec::new();
     let mut run_records = Vec::new();
-    for name in &config.circuits {
+    let planner = PlannerConfig::default();
+    for name in &circuits {
         let started = Instant::now();
         let mem_before = lacr_obs::mem::stats();
-        match run_circuit(name, &config.planner) {
+        match run_circuit(name, &planner) {
             Ok(row) => {
                 // Per-circuit perf record: reading the aggregates here and
                 // resetting them scopes each entry to one circuit's run.

@@ -16,7 +16,7 @@
 //! - **soft wall-clock gate**: `wall_s` may drift up to the configured
 //!   tolerance (±15 % by default) before it counts as a regression,
 //!   because wall-clock is machine-noisy. CI disables it entirely
-//!   (`check_wall = false`) and relies on Criterion for perf tracking.
+//!   (`check_wall = false`).
 //! - **soft memory gate**: peak heap bytes — the artifact-level
 //!   `mem.peak_bytes` from the counting allocator, and any per-circuit
 //!   `peak_bytes` — may grow up to the configured tolerance (±15 % by
@@ -481,13 +481,12 @@ pub fn compare(base: &RunArtifact, current: &RunArtifact, config: &CompareConfig
     }
 }
 
-/// The shared CLI driver behind the `bench_compare` binary and
-/// `lacr compare`: parses `<base> <current> [--no-wall]
-/// [--wall-tolerance <pct>] [--no-mem] [--mem-tolerance <pct>]
-/// [--subset] [--json <out>]`, prints the human table, and returns
-/// whether the gate passed. `--subset` declares the current artifact a
-/// deliberate subset run, so baseline circuits it omits are skipped
-/// instead of failing as dropped.
+/// The CLI driver behind the `bench_compare` binary: parses `<base>
+/// <current> [--no-wall] [--wall-tolerance <pct>] [--no-mem]
+/// [--mem-tolerance <pct>] [--subset] [--json <out>]`, prints the human
+/// table, and returns whether the gate passed. `--subset` declares the
+/// current artifact a deliberate subset run, so baseline circuits it
+/// omits are skipped instead of failing as dropped.
 ///
 /// # Errors
 ///

@@ -5,17 +5,13 @@
 //! | binary | reproduces |
 //! |--------|-----------|
 //! | `table1` | Table 1: per-circuit min-area vs LAC-retiming metrics |
-//! | `fig2_tilegraph` | Figure 2: the tile graph (ASCII to stdout, SVG to a file) |
-//! | `alpha_sweep` | ablation: the α coefficient of the LAC weight update |
-//! | `nmax_sweep` | ablation: the `N_max` convergence patience |
-//! | `subsegmentation` | ablation: interconnect sub-segmentation (§3.2) |
-//! | `constraint_pruning` | ablation: W/D constraint reduction on/off |
+//! | `ablations` | the ablations: `alpha`, `nmax`, `subseg`, `pruning`, `sharing` |
+//! | `bench_scale` | the scale campaign on synthetic ring and mesh netlists |
+//! | `stress` | s5378 at the large-circuit settings |
 //! | `check_metrics` | validator for JSONL streams, perf records, flight dumps |
 //! | `bench_compare` | regression gate: diffs two run artifacts |
 //!
-//! Criterion benches (`cargo bench -p lacr-bench`): `retiming`
-//! (min-period / min-area / LAC kernels), `substrates` (flow, floorplan,
-//! routing, repeater DP), `planning` (end-to-end planning of one circuit).
+//! Figure 2 is `lacr fig2 <circuit> [out.svg]`, in the root crate.
 //!
 //! # Run artifacts
 //!
@@ -34,7 +30,6 @@ pub mod compare;
 pub mod json;
 
 use lacr_core::experiment::TableRow;
-use lacr_core::planner::PlannerConfig;
 use std::io::Write as _;
 
 /// Observability flags shared by the `lacr` CLI and every artifact
@@ -325,24 +320,6 @@ pub fn quality_json(row: &TableRow, report: Option<&lacr_obs::Report>) -> String
     q
 }
 
-/// The planner configuration every artifact binary uses, identical to the
-/// library default so numbers printed by different binaries agree.
-pub fn experiment_planner() -> PlannerConfig {
-    PlannerConfig::default()
-}
-
-/// A smaller, faster configuration for Criterion kernels (fewer annealing
-/// moves; everything else at experiment settings).
-pub fn quick_planner() -> PlannerConfig {
-    PlannerConfig {
-        floorplan: lacr_floorplan::anneal::FloorplanConfig {
-            moves: 1_000,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,14 +375,6 @@ mod tests {
         };
         let err = opts.install().expect_err("install must fail");
         assert!(err.contains("Cargo.toml/m.jsonl"), "{err}");
-    }
-
-    #[test]
-    fn configs_are_buildable() {
-        let a = experiment_planner();
-        let b = quick_planner();
-        assert!(a.technology.validate().is_empty());
-        assert!(b.floorplan.moves < a.floorplan.moves);
     }
 
     #[test]

@@ -8,31 +8,10 @@
 //! circuits whose violations could not be removed in one pass.
 
 use crate::error::PlanError;
-use crate::planner::{try_plan_with_iterations, PlanReport, PlannerConfig};
+use crate::planner::{try_plan_with_iterations, IteratedPlan, PlanReport, PlannerConfig};
 use lacr_netlist::bench89;
 use std::fmt::Write as _;
 use std::time::Duration;
-
-/// Configuration of the experiment sweep.
-#[derive(Debug, Clone)]
-pub struct ExperimentConfig {
-    /// Planner settings shared by every circuit.
-    pub planner: PlannerConfig,
-    /// Benchmark names (defaults to the paper's ten Table-1 circuits).
-    pub circuits: Vec<String>,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        Self {
-            planner: PlannerConfig::default(),
-            circuits: bench89::table1_circuits()
-                .into_iter()
-                .map(String::from)
-                .collect(),
-        }
-    }
-}
 
 /// Metrics of one retimer on one circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,8 +72,13 @@ pub fn run_circuit(
 ) -> Result<TableRow, Box<dyn std::error::Error>> {
     let circuit = bench89::generate(name)?;
     let iterated = try_plan_with_iterations(&circuit, config)?;
+    Ok(table_row(name, &iterated))
+}
+
+/// The Table-1 row of one circuit's iterated plan.
+pub fn table_row(name: &str, iterated: &IteratedPlan) -> TableRow {
     let (plan, report) = &iterated.first;
-    Ok(TableRow {
+    TableRow {
         circuit: name.to_string(),
         t_clk_ns: plan.t_clk as f64 / 1000.0,
         t_init_ns: plan.t_init as f64 / 1000.0,
@@ -113,10 +97,10 @@ pub fn run_circuit(
         },
         n_wr: report.lac.result.n_wr,
         decrease_pct: report.n_foa_decrease_pct(),
-        second_iteration: iterated.second_n_foa,
+        second_iteration: iterated.second_n_foa.clone(),
         n_foa_trajectory: report.lac.result.history.clone(),
         plan_digest: plan_digest(report),
-    })
+    }
 }
 
 /// FNV-1a 64 over the little-endian bytes of the min-area, then the LAC,
@@ -139,23 +123,6 @@ pub fn check_circuits(names: &[String]) -> Result<(), bench89::UnknownBenchmarkE
         Some(name) => Err(bench89::UnknownBenchmarkError { name: name.clone() }),
         None => Ok(()),
     }
-}
-
-/// Runs the whole sweep: one row per requested circuit, in order.
-///
-/// # Errors
-///
-/// An unknown circuit name, before anything is planned; otherwise the
-/// first circuit that produced no row, prefixed with its name.
-pub fn run_experiment(
-    config: &ExperimentConfig,
-) -> Result<Vec<TableRow>, Box<dyn std::error::Error>> {
-    check_circuits(&config.circuits)?;
-    config
-        .circuits
-        .iter()
-        .map(|name| run_circuit(name, &config.planner).map_err(|e| format!("{name}: {e}").into()))
-        .collect()
 }
 
 /// Formats rows as the paper's Table 1 (plain text).

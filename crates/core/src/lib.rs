@@ -16,10 +16,10 @@
 //! Plan a benchmark circuit end to end:
 //!
 //! ```no_run
-//! use lacr_core::experiment::{run_circuit, ExperimentConfig};
+//! use lacr_core::experiment::run_circuit;
+//! use lacr_core::planner::PlannerConfig;
 //!
-//! let cfg = ExperimentConfig::default();
-//! let row = run_circuit("s344", &cfg.planner)?;
+//! let row = run_circuit("s344", &PlannerConfig::default())?;
 //! println!(
 //!     "{}: baseline N_FOA {} vs LAC {}",
 //!     row.circuit, row.min_area.n_foa, row.lac.n_foa

@@ -957,20 +957,34 @@ pub fn try_plan_with_iterations(
 ) -> Result<IteratedPlan, PlanError> {
     let plan1 = try_build_physical_plan(circuit, config, &[])?;
     let report1 = try_plan_retimings(&plan1, config)?;
-    let second_n_foa = if report1.lac.result.n_foa > 0 && !config.budget.expired() {
-        let growth = growth_from_violations(&plan1, &report1.lac.result, &config.technology, 1.5);
-        Some(
-            try_build_physical_plan(circuit, config, &growth)
-                .and_then(|plan2| try_plan_retimings_at(&plan2, config, plan1.t_clk))
-                .map(|r| r.lac.result.n_foa),
-        )
-    } else {
-        None
-    };
-    Ok(IteratedPlan {
-        first: (plan1, report1),
-        second_n_foa,
-    })
+    Ok(IteratedPlan::from_first(circuit, config, plan1, report1))
+}
+
+impl IteratedPlan {
+    /// Completes the flow of [`try_plan_with_iterations`] from a first
+    /// iteration the caller already planned, so nothing is planned twice.
+    pub fn from_first(
+        circuit: &Circuit,
+        config: &PlannerConfig,
+        plan1: PhysicalPlan,
+        report1: PlanReport,
+    ) -> Self {
+        let second_n_foa = if report1.lac.result.n_foa > 0 && !config.budget.expired() {
+            let growth =
+                growth_from_violations(&plan1, &report1.lac.result, &config.technology, 1.5);
+            Some(
+                try_build_physical_plan(circuit, config, &growth)
+                    .and_then(|plan2| try_plan_retimings_at(&plan2, config, plan1.t_clk))
+                    .map(|r| r.lac.result.n_foa),
+            )
+        } else {
+            None
+        };
+        Self {
+            first: (plan1, report1),
+            second_n_foa,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -18,14 +18,11 @@
 //!   `slice.shuffle(&mut rng)` call sites unchanged);
 //! * [`mod@prop`] — a minimal property-testing driver with failure-seed
 //!   reporting and single-seed replay (replaces `proptest`);
-//! * [`mod@bench`] — a minimal wall-clock benchmark harness (replaces
-//!   `criterion`);
 //! * [`mod@fault`] — seeded input mutators ([`FaultPlan`]) for the
 //!   fail-soft fault-injection suites;
 //! * [`mod@synth`] — seeded synthetic netlist topologies (ring-of-rings,
 //!   pipelined mesh) for the scale benchmarks.
 
-pub mod bench;
 pub mod fault;
 pub mod prop;
 pub mod synth;

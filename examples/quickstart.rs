@@ -4,11 +4,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lacr::core::experiment::{run_circuit, ExperimentConfig};
+use lacr::core::experiment::run_circuit;
+use lacr::core::planner::PlannerConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = ExperimentConfig::default();
-    let row = run_circuit("s344", &config.planner)?;
+    let row = run_circuit("s344", &PlannerConfig::default())?;
 
     println!("circuit          : {}", row.circuit);
     println!(

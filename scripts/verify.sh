@@ -134,6 +134,22 @@ if [[ "$REGRESS" == 1 ]]; then
     target/release/bench_compare BENCH_scale.json target/regress/BENCH_scale.json \
         --no-wall --subset --json target/regress/compare_scale.json
 
+    echo "==> ablations pruning s344 s641 (asserts re-emitted = one-shot constraints), sharing s344"
+    # A header plus one row per circuit, and no row that reports an error.
+    check_ablation() {
+        local lines
+        lines=$(wc -l <"$1")
+        if [[ "$lines" != $(($2 + 1)) ]] || grep -q "error" "$1"; then
+            echo "error: $1 must hold a header and $2 row(s), none an error:" >&2
+            cat "$1" >&2
+            exit 1
+        fi
+    }
+    target/release/ablations pruning --quiet s344 s641 >target/regress/ablations_pruning.txt
+    check_ablation target/regress/ablations_pruning.txt 2
+    target/release/ablations sharing --quiet s344 >target/regress/ablations_sharing.txt
+    check_ablation target/regress/ablations_sharing.txt 1
+
     echo "==> negative control: a synthetic quality regression must fail the gate"
     status=0
     target/release/bench_compare \
@@ -406,7 +422,6 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-# --all-targets also compiles the bench targets, which build and test skip.
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

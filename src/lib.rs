@@ -8,11 +8,11 @@
 //!
 //! ```
 //! use lacr::netlist::bench89;
-//! use lacr::core::experiment::ExperimentConfig;
+//! use lacr::core::planner::PlannerConfig;
 //!
 //! let circuit = bench89::generate("s344").expect("known benchmark");
 //! assert!(circuit.num_units() > 0);
-//! let _cfg = ExperimentConfig::default();
+//! let _cfg = PlannerConfig::default();
 //! ```
 //!
 //! ## Crate map

@@ -6,12 +6,10 @@
 //!                                # plan one circuit, print the report
 //! lacr run <circuit|file.bench> [--budget-ms N]
 //!                                # same as plan (canonical observability entry)
-//! lacr table1 [circuit ...]      # regenerate the paper's Table 1
-//! lacr fig2 <circuit> [out.svg]  # render the tile graph (Figure 2)
+//! lacr fig2 <circuit|file.bench> [out.svg]
+//!                                # render the tile graph (Figure 2)
 //! lacr retime <file.bench> <out.bench> [period_ps]
 //!                                # min-area retime a .bench netlist
-//! lacr compare <base.json> <current.json> [--no-wall] [--subset] [--json out]
-//!                                # diff two run artifacts (regression gate)
 //! lacr serve [--workers N] [--queue-cap N] [--socket path] ...
 //!                                # long-lived daemon: line-JSON requests in,
 //!                                # one JSON response line per request out
@@ -36,11 +34,11 @@
 //! expiry, fallback solver, residual overflow — reasons on stderr).
 
 use lacr::bench::ObsOptions;
-use lacr::core::experiment::{format_table, run_circuit, run_experiment, ExperimentConfig};
+use lacr::core::experiment::{format_table, table_row};
 use lacr::core::planner::{
-    try_build_physical_plan, try_plan_retimings, try_plan_retimings_at, PlannerConfig,
+    try_build_physical_plan, try_plan_retimings, try_plan_retimings_at, IteratedPlan, PlannerConfig,
 };
-use lacr::core::render::{tile_ascii, tile_ascii_legend, tile_svg};
+use lacr::core::render::{congestion_ascii, tile_ascii, tile_ascii_legend, tile_svg};
 use lacr::core::{summarize, try_retimed_circuit, Budget, Degradation};
 use lacr::netlist::{bench89, bench_format, stats::CircuitStats, Circuit};
 use lacr::serve::ServeConfig;
@@ -180,29 +178,17 @@ const COMMANDS: &[Command] = &[
         run: cmd_plan,
     },
     Command {
-        name: "table1",
-        usage: &["table1 [circuit ...]        regenerate the paper's Table 1"],
-        run: cmd_table1,
-    },
-    Command {
         name: "fig2",
-        usage: &["fig2 <circuit> [out.svg]    render the tile graph"],
-        run: |args| {
-            cmd_fig2(
-                args.first().map(String::as_str),
-                args.get(1).map(String::as_str),
-            )
-        },
+        usage: &[
+            "fig2 <circuit|file.bench> [out.svg]",
+            "                            render the tile graph (Figure 2)",
+        ],
+        run: cmd_fig2,
     },
     Command {
         name: "retime",
         usage: &["retime <in.bench> <out.bench> [period_ps]"],
         run: cmd_retime,
-    },
-    Command {
-        name: "compare",
-        usage: &["compare <base.json> <current.json> [--no-wall] [--subset] [--json <out>]"],
-        run: cmd_compare,
     },
     Command {
         name: "serve",
@@ -404,10 +390,10 @@ fn cmd_plan(args: &[String]) -> CliResult {
         let mut notes = plan.degradations.clone();
         notes.extend(report.degradations.iter().cloned());
         if notes.is_empty() {
-            // Pristine run: print the paper-style table row (which
-            // re-plans internally with the same deterministic seed).
-            let row = run_circuit(&spec, &config)?;
-            println!("{}", format_table(std::slice::from_ref(&row)));
+            // Pristine run: print the paper-style table row from this plan.
+            // LAC left no violation, so there is no second iteration.
+            let iterated = IteratedPlan::from_first(&circuit, &config, plan, report);
+            println!("{}", format_table(&[table_row(&spec, &iterated)]));
         } else {
             println!(
                 "{}: T_init {:.2} ns, T_clk {:.2} ns, LAC N_FOA {} ({} rounds)",
@@ -422,39 +408,41 @@ fn cmd_plan(args: &[String]) -> CliResult {
     }
 }
 
-/// `lacr compare`: the in-CLI face of the `bench_compare` regression
-/// gate. A failing gate is an ordinary error (exit 1).
-fn cmd_compare(args: &[String]) -> CliResult {
-    match lacr::bench::compare::cli_main(args) {
-        Ok(true) => Ok(Vec::new()),
-        Ok(false) => Err("benchmark regression detected (see table above)".into()),
-        Err(e) => Err(e.into()),
-    }
-}
-
-fn cmd_table1(circuits: &[String]) -> CliResult {
-    let mut config = ExperimentConfig::default();
-    if !circuits.is_empty() {
-        config.circuits = circuits.to_vec();
-    }
-    let rows = run_experiment(&config)?;
-    println!("{}", format_table(&rows));
-    Ok(Vec::new())
-}
-
-fn cmd_fig2(spec: Option<&str>, out: Option<&str>) -> CliResult {
-    let spec = spec.ok_or("fig2 needs a circuit name")?;
+/// `lacr fig2`: the paper's Figure 2. Prints the chip size, the ASCII
+/// tile map and the routing congestion map; with `out.svg`, also runs
+/// both retimers and writes the tile graph with LAC's per-tile
+/// flip-flop occupancy.
+fn cmd_fig2(args: &[String]) -> CliResult {
+    let spec = args
+        .first()
+        .ok_or("fig2 needs a circuit name or .bench path")?;
     let circuit = load_circuit(spec)?;
     let config = PlannerConfig::default();
     let plan = try_build_physical_plan(&circuit, &config, &[])?;
+    println!(
+        "{}: chip {:.1} x {:.1} mm, {} x {} cells, {} tiles ({} merged soft)",
+        circuit.name(),
+        plan.floorplan.chip_w / 1000.0,
+        plan.floorplan.chip_h / 1000.0,
+        plan.grid.nx(),
+        plan.grid.ny(),
+        plan.grid.num_tiles(),
+        plan.partitioning.blocks.len(),
+    );
     println!("{}", tile_ascii(&plan));
     println!("{}", tile_ascii_legend(&plan));
+    println!("\nrouting congestion (worst adjacent edge / capacity):");
+    println!("{}", congestion_ascii(&plan, config.route.edge_capacity));
     let mut notes = plan.degradations.clone();
-    if let Some(path) = out {
+    if let Some(path) = args.get(1) {
         let report = try_plan_retimings(&plan, &config)?;
         std::fs::write(path, tile_svg(&plan, Some(&report.lac.result.occupancy)))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        println!(
+            "\nLAC occupancy rendered to {path} (green = occupied within capacity, \
+             red = violating); N_FOA = {}",
+            report.lac.result.n_foa
+        );
         notes.extend(report.degradations.iter().cloned());
     }
     Ok(notes)

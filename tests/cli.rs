@@ -47,9 +47,7 @@ fn every_dispatched_subcommand_appears_in_the_usage_text() {
         .expect("closing bracket")
         .split('|')
         .collect();
-    let expected = [
-        "list", "plan", "run", "table1", "fig2", "retime", "compare", "serve",
-    ];
+    let expected = ["list", "plan", "run", "fig2", "retime", "serve"];
     assert_eq!(names, expected, "dispatched set drifted from the test");
     for name in expected {
         // Each subcommand also has a usage body line, not just the header.
@@ -74,23 +72,6 @@ fn unknown_circuit_is_a_clean_error() {
     let out = lacr().args(["plan", "sXYZ"]).output().expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown benchmark"));
-}
-
-#[test]
-fn table1_rejects_an_unknown_circuit_before_planning() {
-    let out = lacr()
-        .args(["table1", "s344", "nosuch"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown benchmark \"nosuch\""), "{err}");
-    // Rejected up front: s344 was never planned, so no table was printed.
-    assert!(
-        out.stdout.is_empty(),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
 }
 
 #[test]
@@ -226,4 +207,40 @@ fn fig2_prints_a_tile_map() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("legend"));
+}
+
+#[test]
+fn fig2_writes_the_occupancy_svg() {
+    let svg = std::env::temp_dir().join(format!("lacr-cli-fig2-{}.svg", std::process::id()));
+    let out = lacr()
+        .args(["fig2", "s344"])
+        .arg(&svg)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("s344: chip "), "{text}");
+    assert!(text.contains("routing congestion"), "{text}");
+    assert!(text.contains("; N_FOA = "), "{text}");
+    let body = std::fs::read_to_string(&svg).expect("svg written");
+    let _ = std::fs::remove_file(&svg);
+    assert!(body.starts_with("<svg"), "{body}");
+}
+
+#[test]
+fn plan_runs_each_stage_once() {
+    let metrics = std::env::temp_dir().join(format!("lacr-cli-once-{}.jsonl", std::process::id()));
+    let out = lacr()
+        .args(["run", "s344", "--quiet", "--metrics-out"])
+        .arg(&metrics)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let stream = std::fs::read_to_string(&metrics).expect("stream written");
+    let _ = std::fs::remove_file(&metrics);
+    let opens = stream
+        .lines()
+        .filter(|l| l.contains("\"t\":\"span_open\"") && l.contains("\"name\":\"plan.partition\""))
+        .count();
+    assert_eq!(opens, 1, "plan.partition opened {opens} times");
 }
