@@ -195,46 +195,6 @@ pub fn format_table(rows: &[TableRow]) -> String {
     s
 }
 
-/// Formats rows as a GitHub-flavoured Markdown table (for EXPERIMENTS.md
-/// style reports).
-pub fn format_table_markdown(rows: &[TableRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| circuit | T_clk/ns | T_init/ns | base N_FOA | base N_F | base N_FN | LAC N_FOA | LAC N_F | LAC N_FN | N_wr | decrease |"
-    );
-    let _ = writeln!(
-        s,
-        "|---------|---------:|----------:|-----------:|---------:|----------:|----------:|--------:|---------:|-----:|---------:|"
-    );
-    for r in rows {
-        let foa2 = match &r.second_iteration {
-            None => String::new(),
-            Some(Ok(n)) => format!(" ({n})"),
-            Some(Err(_)) => " (N/A)".to_string(),
-        };
-        let decr = match r.decrease_pct {
-            Some(p) => format!("{p:.0} %"),
-            None => "—".to_string(),
-        };
-        let _ = writeln!(
-            s,
-            "| {} | {:.2} | {:.2} | {} | {} | {} | {}{foa2} | {} | {} | {} | {decr} |",
-            r.circuit,
-            r.t_clk_ns,
-            r.t_init_ns,
-            r.min_area.n_foa,
-            r.min_area.n_f,
-            r.min_area.n_fn,
-            r.lac.n_foa,
-            r.lac.n_f,
-            r.lac.n_fn,
-            r.n_wr,
-        );
-    }
-    s
-}
-
 /// Mean of the per-circuit decrease percentages (over circuits where the
 /// baseline had violations), the paper's "84% on the average".
 pub fn average_decrease_pct(rows: &[TableRow]) -> Option<f64> {
@@ -289,16 +249,5 @@ mod tests {
     #[test]
     fn average_decrease_ignores_clean_baselines() {
         assert_eq!(average_decrease_pct(&[]), None);
-    }
-
-    #[test]
-    fn markdown_table_is_wellformed() {
-        let row = run_circuit("s344", &quick()).expect("s344 plans");
-        let md = format_table_markdown(std::slice::from_ref(&row));
-        let lines: Vec<&str> = md.lines().collect();
-        assert!(lines.len() >= 3);
-        let cols = lines[0].matches('|').count();
-        assert!(lines.iter().all(|l| l.matches('|').count() == cols));
-        assert!(md.contains("s344"));
     }
 }

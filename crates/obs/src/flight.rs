@@ -5,9 +5,9 @@
 //! leaves nothing to debug with. The flight recorder closes that gap:
 //! a fixed-capacity ring buffer that keeps the most recent records —
 //! every [`crate::diag!`] line and every [`crate::event!`], plus the
-//! full span/counter/gauge/histogram stream whenever a collector is
-//! installed — and can be dumped as a JSONL postmortem artifact at the
-//! moment something goes wrong.
+//! full span/counter/gauge/histogram stream whenever a collector or a
+//! request [`crate::scope`] records — and can be dumped as a JSONL
+//! postmortem artifact at the moment something goes wrong.
 //!
 //! Three triggers dump automatically once a dump path is [`arm`]ed:
 //!

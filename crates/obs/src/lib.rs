@@ -27,16 +27,23 @@
 //!   [`set_diag_level`]`(DiagLevel::Silent)` (the CLI's `--quiet`).
 //! * **Flight recorder** — [`flight`] keeps a bounded, always-on ring
 //!   of recent records (every diag line and event, plus the full record
-//!   stream when a collector is installed) and dumps it as a JSONL
-//!   postmortem on panic, degraded exit, or budget expiry.
+//!   stream while a collector or a request [`scope`] records) and dumps
+//!   it as a JSONL postmortem on panic, degraded exit, or budget expiry.
+//!
+//! Every record takes one path. The span guard and the metric and event
+//! functions each build a [`Record`] and hand it to one private `emit`.
+//! It folds the record into the request [`scope`] attached to the
+//! current thread, then into the global collector, whose sink it
+//! reaches next, and last pushes it to the flight ring. A scope and the
+//! collector aggregate alike: each holds one [`Report`].
 //!
 //! The tracer is *globally* installed ([`init`] / [`finish`]) and
-//! thread-safe (one mutexed collector). When no sink is installed the
-//! span/counter/gauge/histogram macros reduce to a single relaxed
-//! atomic load, so instrumentation left in hot loops costs nothing in
-//! normal runs; [`event!`] and [`diag!`] additionally feed the flight
-//! recorder (events are rare by contract — round results, degradations,
-//! budget expiry — never per-iteration).
+//! thread-safe (one mutexed collector). When neither a collector nor a
+//! scope records, the span/counter/gauge/histogram macros reduce to a
+//! relaxed atomic load and a thread-local read, so instrumentation left
+//! in hot loops costs nothing in normal runs; [`event!`] and [`diag!`]
+//! additionally feed the flight recorder (events are rare by contract —
+//! round results, degradations, budget expiry — never per-iteration).
 
 pub mod flight;
 pub mod hist;
@@ -71,7 +78,6 @@ static GLOBAL_ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 pub const SCHEMA_VERSION: u32 = 2;
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -163,38 +169,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 struct Collector {
     sink: Box<dyn Sink + Send>,
     start: Instant,
-    spans: BTreeMap<String, SpanStat>,
-    counters: BTreeMap<String, i64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, Histogram>,
-}
-
-impl Collector {
-    fn new(sink: Box<dyn Sink + Send>) -> Self {
-        Self {
-            sink,
-            start: Instant::now(),
-            spans: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
-        }
-    }
-
-    fn ts_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
-    fn snapshot(&self) -> Report {
-        Report::build(&self.spans, &self.counters, &self.gauges, &self.hists)
-    }
-
-    fn clear(&mut self) {
-        self.spans.clear();
-        self.counters.clear();
-        self.gauges.clear();
-        self.hists.clear();
-    }
+    agg: Report,
 }
 
 fn cell() -> &'static Mutex<Option<Collector>> {
@@ -230,11 +205,14 @@ pub fn recording() -> bool {
 pub fn init(sink: Box<dyn Sink + Send>) {
     let mut guard = lock();
     if let Some(mut old) = guard.take() {
-        let report = old.snapshot();
-        old.sink.summary(&report);
+        old.sink.summary(&old.agg.stamped());
         old.sink.flush();
     }
-    *guard = Some(Collector::new(sink));
+    *guard = Some(Collector {
+        sink,
+        start: Instant::now(),
+        agg: Report::default(),
+    });
     ENABLED.store(true, Ordering::Relaxed);
 }
 
@@ -245,7 +223,7 @@ pub fn finish() -> Option<Report> {
     let mut guard = lock();
     ENABLED.store(false, Ordering::Relaxed);
     let mut collector = guard.take()?;
-    let report = collector.snapshot();
+    let report = collector.agg.stamped();
     collector.sink.summary(&report);
     collector.sink.flush();
     Some(report)
@@ -253,7 +231,7 @@ pub fn finish() -> Option<Report> {
 
 /// Clones the current aggregates without uninstalling the collector.
 pub fn snapshot() -> Option<Report> {
-    lock().as_ref().map(Collector::snapshot)
+    lock().as_ref().map(|c| c.agg.clone().stamped())
 }
 
 /// Returns the current aggregates and resets them to zero, keeping the
@@ -261,115 +239,67 @@ pub fn snapshot() -> Option<Report> {
 /// out of one long-lived collector.
 pub fn take_snapshot() -> Option<Report> {
     let mut guard = lock();
-    let collector = guard.as_mut()?;
-    let report = collector.snapshot();
-    collector.clear();
-    Some(report)
+    Some(std::mem::take(&mut guard.as_mut()?.agg).stamped())
 }
 
-/// Adds `delta` to the named counter (and forwards the update to the
-/// sink). Prefer the [`counter!`] macro, which short-circuits when
-/// disabled.
-pub fn add_counter(name: &str, delta: i64) {
-    scope::record_counter(name, delta);
-    let mut total = delta;
-    let recorded_globally = {
-        let mut guard = lock();
-        if let Some(c) = guard.as_mut() {
-            let e = c.counters.entry(name.to_string()).or_insert(0);
-            *e += delta;
-            total = *e;
-            let ts = c.ts_us();
-            c.sink.record(
-                ts,
-                &Record::Counter {
-                    name: name.to_string(),
-                    delta,
-                    total,
-                },
-            );
-            true
-        } else {
-            false
-        }
-    };
-    if recorded_globally || scope::active() {
-        flight::push(&Record::Counter {
-            name: name.to_string(),
-            delta,
-            total,
-        });
+/// The one record path: folds `record` into the current thread's
+/// [`scope`] (if attached), then into the collector and its sink (if
+/// installed), and pushes it to the [`flight`] ring.
+fn emit(mut record: Record) {
+    if let Some(scope) = scope::current() {
+        scope.fold(&mut record);
     }
+    if let Some(c) = lock().as_mut() {
+        // Folded last, so a streamed counter `total` is the collector's.
+        c.agg.fold(&mut record);
+        let ts = c.start.elapsed().as_micros() as u64;
+        c.sink.record(ts, &record);
+    }
+    flight::push(&record);
+}
+
+fn owned_attrs(attrs: &[(&'static str, Value)]) -> Vec<(String, Value)> {
+    attrs
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect()
+}
+
+/// Adds `delta` to the named counter. Prefer the [`counter!`] macro,
+/// which short-circuits when nothing is recording.
+pub fn add_counter(name: &str, delta: i64) {
+    emit(Record::Counter {
+        name: name.to_string(),
+        delta,
+        total: delta,
+    });
 }
 
 /// Sets the named gauge (last value wins). Prefer [`gauge!`].
 pub fn set_gauge(name: &str, value: f64) {
-    scope::record_gauge(name, value);
-    let rec = Record::Gauge {
+    emit(Record::Gauge {
         name: name.to_string(),
         value,
-    };
-    let recorded_globally = {
-        let mut guard = lock();
-        if let Some(c) = guard.as_mut() {
-            c.gauges.insert(name.to_string(), value);
-            let ts = c.ts_us();
-            c.sink.record(ts, &rec);
-            true
-        } else {
-            false
-        }
-    };
-    if recorded_globally || scope::active() {
-        flight::push(&rec);
-    }
+    });
 }
 
 /// Records `value` into the named power-of-two histogram. Prefer
 /// [`histogram!`].
 pub fn record_hist(name: &str, value: u64) {
-    scope::record_hist(name, value);
-    let rec = Record::Hist {
+    emit(Record::Hist {
         name: name.to_string(),
         value,
-    };
-    let recorded_globally = {
-        let mut guard = lock();
-        if let Some(c) = guard.as_mut() {
-            c.hists.entry(name.to_string()).or_default().record(value);
-            let ts = c.ts_us();
-            c.sink.record(ts, &rec);
-            true
-        } else {
-            false
-        }
-    };
-    if recorded_globally || scope::active() {
-        flight::push(&rec);
-    }
+    });
 }
 
-/// Emits a point-in-time structured event. Prefer [`event!`]. Unlike
-/// the other record kinds, events reach the flight recorder even when
-/// no collector is installed — they are rare and forensically dense
-/// (degradations, budget expiry, round results).
+/// Emits a point-in-time structured event. Prefer [`event!`], which
+/// also fires when only the flight recorder is on — events are rare
+/// and forensically dense (degradations, budget expiry, round results).
 pub fn emit_event(name: &str, attrs: &[(&'static str, Value)]) {
-    scope::record_event(name, attrs);
-    let rec = Record::Event {
+    emit(Record::Event {
         name: name.to_string(),
-        attrs: attrs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-    };
-    {
-        let mut guard = lock();
-        if let Some(c) = guard.as_mut() {
-            let ts = c.ts_us();
-            c.sink.record(ts, &rec);
-        }
-    }
-    flight::push(&rec);
+        attrs: owned_attrs(attrs),
+    });
 }
 
 /// Whether the flight recorder is capturing (see [`flight`]); the
@@ -391,12 +321,11 @@ pub fn flight_on() -> bool {
 struct SpanFrame {
     /// Inclusive nanoseconds of direct children.
     child_ns: u64,
-    /// This thread's allocator counters when the span opened.
+    /// This thread's allocator counters when the span opened. They
+    /// include worker bytes a parallel region credits to this thread
+    /// ([`mem::credit_foreign`]).
     start_mem: Option<mem::ThreadMark>,
-    /// Allocation done on other threads, credited to this span by
-    /// `lacr_par::Region` fan-outs ([`mem::credit_foreign`]).
-    foreign_mem: MemDelta,
-    /// Inclusive memory deltas of direct children (own + foreign).
+    /// Inclusive memory deltas of direct children.
     child_mem: MemDelta,
 }
 
@@ -405,19 +334,6 @@ thread_local! {
     /// inclusive time and memory of its direct children, so a closing
     /// span can compute its exclusive share as `inclusive - children`.
     static SPAN_STACK: RefCell<Vec<SpanFrame>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Adds worker-thread allocation to the innermost open span on this
-/// thread (no-op outside any span). Called via [`mem::credit_foreign`]
-/// by parallel regions after joining their workers, while the region's
-/// own span is still open — the credit then propagates to enclosing
-/// stage spans through the normal inclusive/exclusive bookkeeping.
-pub(crate) fn credit_span_foreign(delta: &MemDelta) {
-    SPAN_STACK.with(|s| {
-        if let Some(frame) = s.borrow_mut().last_mut() {
-            frame.foreign_mem.add(delta);
-        }
-    });
 }
 
 /// An RAII span guard: created by [`span!`], records inclusive and
@@ -437,9 +353,8 @@ impl Span {
         }
     }
 
-    /// Opens a span: pushes a frame on the thread-local stack and
-    /// forwards a `span_open` record to the sink (and to the attached
-    /// per-request [`scope`], if any).
+    /// Opens a span: pushes a frame on the thread-local stack and emits
+    /// a `span_open` record.
     pub fn enter(name: &'static str, attrs: &[(&'static str, Value)]) -> Self {
         if !recording() {
             return Self::disabled();
@@ -452,24 +367,11 @@ impl Span {
             });
             s.len() - 1
         });
-        {
-            let rec = Record::SpanOpen {
-                name: name.to_string(),
-                depth,
-                attrs: attrs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            };
-            {
-                let mut guard = lock();
-                if let Some(c) = guard.as_mut() {
-                    let ts = c.ts_us();
-                    c.sink.record(ts, &rec);
-                }
-            }
-            flight::push(&rec);
-        }
+        emit(Record::SpanOpen {
+            name: name.to_string(),
+            depth,
+            attrs: owned_attrs(attrs),
+        });
         Span {
             name,
             start: Some(Instant::now()),
@@ -484,68 +386,36 @@ impl Drop for Span {
         let (child_ns, self_mem, self_bytes, depth) = SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             let frame = s.pop().unwrap_or_default();
-            // Inclusive memory: this thread's delta over the span
-            // window plus worker-thread credit from parallel regions;
-            // exclusive (self) memory subtracts direct children, the
-            // same arithmetic as exclusive time.
-            let mut incl_mem = frame
+            // Inclusive memory is this thread's delta over the span
+            // window (worker credit included); exclusive (self) memory
+            // subtracts direct children, the same arithmetic as
+            // exclusive time.
+            let incl_mem = frame
                 .start_mem
                 .as_ref()
                 .map(mem::ThreadMark::delta)
                 .unwrap_or_default();
-            incl_mem.add(&frame.foreign_mem);
             let self_mem = incl_mem.saturating_sub(&frame.child_mem);
             let self_bytes = incl_mem.net_bytes() - frame.child_mem.net_bytes();
             if let Some(parent) = s.last_mut() {
                 parent.child_ns += incl_ns;
                 parent.child_mem.add(&incl_mem);
-                parent.foreign_mem.add(&frame.foreign_mem);
             }
             (frame.child_ns, self_mem, self_bytes, s.len())
         });
-        let excl_ns = incl_ns.saturating_sub(child_ns);
         // Live is loaded before peak so `peak >= live` holds within
         // this record (the peak counter only grows).
         let live = mem::live_bytes();
-        let peak = mem::peak_bytes().max(live);
-        scope::record_span(
-            self.name,
-            incl_ns,
-            excl_ns,
-            self_bytes,
-            self_mem.allocs,
-            peak,
-        );
-        let rec = Record::SpanClose {
+        emit(Record::SpanClose {
             name: self.name.to_string(),
             depth,
-            incl_us: incl_ns / 1_000,
-            excl_us: excl_ns / 1_000,
+            incl_ns,
+            excl_ns: incl_ns.saturating_sub(child_ns),
             mem_self_bytes: self_bytes,
             mem_live_bytes: live,
-            mem_peak_bytes: peak,
+            mem_peak_bytes: mem::peak_bytes().max(live),
             mem_allocs: self_mem.allocs,
-        };
-        let recorded_globally = {
-            let mut guard = lock();
-            if let Some(c) = guard.as_mut() {
-                let stat = c.spans.entry(self.name.to_string()).or_default();
-                stat.count += 1;
-                stat.incl_ns += incl_ns;
-                stat.excl_ns += excl_ns;
-                stat.self_bytes += self_bytes;
-                stat.allocs += self_mem.allocs;
-                stat.peak_bytes = stat.peak_bytes.max(peak);
-                let ts = c.ts_us();
-                c.sink.record(ts, &rec);
-                true
-            } else {
-                false
-            }
-        };
-        if recorded_globally || scope::active() {
-            flight::push(&rec);
-        }
+        });
     }
 }
 

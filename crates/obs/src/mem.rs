@@ -12,12 +12,14 @@
 //! Alongside the process-wide counters, every thread keeps monotone
 //! *thread-local* counters (allocated bytes, freed bytes, allocation
 //! count). Those are what make attribution possible: a [`ThreadMark`]
-//! snapshots them, and the delta between two marks is exactly the
-//! allocation activity of *this thread* over that window — immune to
-//! concurrent allocation on other threads, which is why per-span and
-//! per-scope deltas stay correct in the serve daemon and under
-//! `lacr_par::Region` fan-outs (each worker measures its own delta and
-//! the caller sums them; see `Region::map_indexed_with`).
+//! snapshots them, and the delta between two marks is the allocation
+//! activity of *this thread* over that window — immune to concurrent
+//! allocation on other threads, which is why per-span and per-request
+//! deltas stay correct in the serve daemon. A `lacr_par::Region`
+//! fan-out is the one hand-off: each worker measures its own delta, and
+//! the forking thread adds their sum to its own counters
+//! ([`credit_foreign`]; see `Region::map_indexed_with`), so its open
+//! marks count the workers' bytes once.
 //!
 //! Cost model: when tracking is disabled ([`set_tracking`]`(false)`, or
 //! the `LACR_MEM=off` environment variable via
@@ -25,8 +27,8 @@
 //! atomic load** and falls through to the system allocator. When
 //! enabled (the default) each call adds a handful of relaxed
 //! atomic/thread-local increments — well inside the workspace's <2%
-//! disabled-instrumentation budget, since the span/scope attribution
-//! paths still gate on [`crate::recording`]. Toggling tracking
+//! disabled-instrumentation budget, since the span attribution path
+//! still gates on [`crate::recording`]. Toggling tracking
 //! mid-run skews the live counter (frees of blocks allocated while
 //! off); the toggle exists for overhead measurement, not steady-state
 //! use, and the live counter is clamped at zero rather than allowed to
@@ -257,11 +259,14 @@ impl ThreadMark {
 }
 
 /// Credits allocation done on *other* threads (a parallel region's
-/// workers) to the innermost open span on the current thread, so stage
-/// spans that fan out via `lacr_par::Region` still account their
-/// workers' bytes. No-op when no span is open.
+/// workers) to the current thread's own counters, so every
+/// [`ThreadMark`] open here counts those bytes: the enclosing spans and
+/// a serve request alike. The process-wide counters already hold them
+/// and are left alone.
 pub fn credit_foreign(delta: &MemDelta) {
-    crate::credit_span_foreign(delta);
+    TL_ALLOC_BYTES.with(|c| c.set(c.get() + delta.alloc_bytes));
+    TL_DEALLOC_BYTES.with(|c| c.set(c.get() + delta.dealloc_bytes));
+    TL_ALLOCS.with(|c| c.set(c.get() + delta.allocs));
 }
 
 /// The process peak resident set size in bytes (`VmHWM` from

@@ -1,15 +1,15 @@
 //! Aggregated results: the self-time report.
 //!
-//! The collector folds every span close and metric update into compact
-//! aggregates; [`Report`] is their snapshot. Its two renderings are the
-//! CLI's `--report` self-time table (stages ranked by exclusive time,
-//! whose column sums to ≈ the instrumented wall-clock) and the JSON
-//! object embedded in the JSONL summary line and `BENCH_*.json` perf
-//! records.
+//! The collector and every request scope fold each span close and
+//! metric update into a [`Report`] (`Report::fold`); a snapshot is a
+//! copy of it. Its two renderings are the CLI's `--report` self-time
+//! table (stages ranked by exclusive time, whose column sums to ≈ the
+//! instrumented wall-clock) and the JSON object embedded in the JSONL
+//! summary line and `BENCH_*.json` perf records.
 
 use crate::hist::Histogram;
 use crate::mem::MemStats;
-use crate::sink::json_escape;
+use crate::sink::{json_escape, Record};
 use std::collections::BTreeMap;
 
 /// Aggregate timing and memory of one span name.
@@ -32,7 +32,8 @@ pub struct SpanStat {
     pub allocs: u64,
 }
 
-/// A snapshot of every aggregate the collector holds.
+/// Every aggregate of one collector or scope: the one fold target for
+/// the record stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Span stats by name.
@@ -49,19 +50,49 @@ pub struct Report {
 }
 
 impl Report {
-    pub(crate) fn build(
-        spans: &BTreeMap<String, SpanStat>,
-        counters: &BTreeMap<String, i64>,
-        gauges: &BTreeMap<String, f64>,
-        hists: &BTreeMap<String, Histogram>,
-    ) -> Self {
-        Self {
-            spans: spans.clone(),
-            counters: counters.clone(),
-            gauges: gauges.clone(),
-            hists: hists.clone(),
-            mem: crate::mem::stats(),
+    /// Folds one record into the aggregates: a span close, a counter
+    /// delta, a gauge or a histogram sample. Span opens and events carry
+    /// nothing to aggregate. A counter record's `total` is set to this
+    /// report's running total.
+    pub(crate) fn fold(&mut self, record: &mut Record) {
+        match record {
+            Record::SpanClose {
+                name,
+                incl_ns,
+                excl_ns,
+                mem_self_bytes,
+                mem_peak_bytes,
+                mem_allocs,
+                ..
+            } => {
+                let stat = self.spans.entry(name.clone()).or_default();
+                stat.count += 1;
+                stat.incl_ns += *incl_ns;
+                stat.excl_ns += *excl_ns;
+                stat.self_bytes += *mem_self_bytes;
+                stat.allocs += *mem_allocs;
+                stat.peak_bytes = stat.peak_bytes.max(*mem_peak_bytes);
+            }
+            Record::Counter { name, delta, total } => {
+                let sum = self.counters.entry(name.clone()).or_insert(0);
+                *sum += *delta;
+                *total = *sum;
+            }
+            Record::Gauge { name, value } => {
+                self.gauges.insert(name.clone(), *value);
+            }
+            Record::Hist { name, value } => {
+                self.hists.entry(name.clone()).or_default().record(*value);
+            }
+            Record::SpanOpen { .. } | Record::Event { .. } => {}
         }
+    }
+
+    /// The aggregates with [`Report::mem`] set to the process-wide
+    /// allocator counters now: what a collector or scope hands out.
+    pub(crate) fn stamped(mut self) -> Self {
+        self.mem = crate::mem::stats();
+        self
     }
 
     /// The stat of a span name, if it ever closed.
@@ -364,7 +395,13 @@ mod tests {
         let mut h = Histogram::new();
         h.record(5);
         hists.insert("net_len".to_string(), h);
-        Report::build(&spans, &counters, &gauges, &hists)
+        Report {
+            spans,
+            counters,
+            gauges,
+            hists,
+            mem: MemStats::default(),
+        }
     }
 
     #[test]
@@ -398,7 +435,10 @@ mod tests {
             h.record(v);
         }
         hists.insert("quality.tile_occupancy_ff".to_string(), h);
-        let r = Report::build(&BTreeMap::new(), &BTreeMap::new(), &BTreeMap::new(), &hists);
+        let r = Report {
+            hists,
+            ..Report::default()
+        };
         let t = r.histogram_table();
         assert!(t.contains("quality.tile_occupancy_ff"), "{t}");
         // count 4, p50 in [2,4) bucket → bound 4, p99 covers 100 → 128.
@@ -443,6 +483,33 @@ mod tests {
         assert_eq!(r.gauge("lac.alpha"), Some(0.5));
         assert_eq!(r.span("plan.route").unwrap().count, 1);
         assert_eq!(r.hist("net_len").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn fold_sums_nanoseconds_and_sets_running_counter_totals() {
+        let close = |incl_ns| Record::SpanClose {
+            name: "s".into(),
+            depth: 0,
+            incl_ns,
+            excl_ns: incl_ns,
+            mem_self_bytes: 0,
+            mem_live_bytes: 0,
+            mem_peak_bytes: 0,
+            mem_allocs: 0,
+        };
+        let counter = |delta| Record::Counter {
+            name: "c".into(),
+            delta,
+            total: delta,
+        };
+        let mut records = [close(1_500), close(500), counter(2), counter(3)];
+        let mut r = Report::default();
+        for record in &mut records {
+            r.fold(record);
+        }
+        // 1.5 µs + 0.5 µs: no sub-microsecond part is lost.
+        assert_eq!(r.span("s").map(|s| (s.count, s.incl_ns)), Some((2, 2_000)));
+        assert!(matches!(records[3], Record::Counter { total: 5, .. }));
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! process-wide aggregate — exactly right for the one-shot CLI, and
 //! exactly wrong for a daemon running many plans at once: spans and
 //! counters from concurrent requests would merge into one unattributable
-//! blob. A [`Scope`] fixes that: a small, independently aggregating
-//! collector attached to the *current thread* for the duration of a
-//! request. While attached, every span close, counter, gauge and
-//! histogram recorded on that thread (and, via `lacr-par`'s scope
-//! propagation, on any worker thread a parallel region spawns for it)
-//! is folded into the scope's own aggregates — in addition to the
-//! global collector, whose behaviour is unchanged.
+//! blob. A [`Scope`] fixes that: a label and its own [`Report`],
+//! attached to the *current thread* for the duration of a request.
+//! While attached, every span close, counter, gauge and histogram
+//! recorded on that thread (and, via `lacr-par`'s scope propagation, on
+//! any worker thread a parallel region spawns for it) is folded into
+//! the scope's report by the same fold that then feeds the global
+//! collector, if one is installed.
+//!
+//! A scope counts no bytes of its own. A request's allocation volume is
+//! a [`crate::mem::ThreadMark`] delta on the thread that runs it:
+//! parallel regions credit their workers' bytes to the forking thread
+//! ([`crate::mem::credit_foreign`]), so the mark sees them too.
 //!
 //! ```
 //! use lacr_obs::scope::Scope;
@@ -28,35 +33,15 @@
 //! same scope on whichever thread executes the request. The guard is
 //! deliberately `!Send`: attach/detach must happen on one thread.
 
-use crate::hist::Histogram;
-use crate::mem::{self, MemDelta};
-use crate::report::{Report, SpanStat};
-use crate::Value;
+use crate::report::Report;
+use crate::sink::Record;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
-#[derive(Default)]
-struct Agg {
-    spans: BTreeMap<String, SpanStat>,
-    counters: BTreeMap<String, i64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, Histogram>,
-    /// Structured events, kept verbatim (they are rare by contract).
-    events: Vec<(String, Vec<(String, Value)>)>,
-    /// Allocation activity attributed to this scope: the sum, over
-    /// every thread the scope was attached on, of that thread's
-    /// allocator delta while attached — minus windows where a nested
-    /// scope was attached on the same thread (self-bytes semantics,
-    /// mirroring span self-time). Worker threads of a parallel region
-    /// attach the caller's scope, so their allocation lands here too.
-    mem: MemDelta,
-}
-
 struct Inner {
     label: String,
-    agg: Mutex<Agg>,
+    agg: Mutex<Report>,
 }
 
 /// A cloneable handle to one scoped collector. All clones share the
@@ -74,22 +59,12 @@ impl std::fmt::Debug for Scope {
     }
 }
 
-/// Memory bookkeeping for one scope attachment on one thread: the
-/// thread's allocator counters at attach, plus the inclusive deltas of
-/// nested attachments (excluded from this attachment's own share).
-struct MemFrame {
-    start: mem::ThreadMark,
-    child: MemDelta,
-}
-
 thread_local! {
     /// Innermost-wins stack of scopes attached to this thread.
     static STACK: RefCell<Vec<Scope>> = const { RefCell::new(Vec::new()) };
     /// Fast-path mirror of `!STACK.is_empty()`, read by the recording
     /// macros without borrowing the stack.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    /// Parallel stack of per-attachment memory frames.
-    static MEM_STACK: RefCell<Vec<MemFrame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Whether a scope is attached to the current thread. One thread-local
@@ -118,28 +93,11 @@ pub struct ScopeGuard {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        let scope = STACK.with(|s| {
+        STACK.with(|s| {
             let mut s = s.borrow_mut();
-            let scope = s.pop();
+            s.pop();
             ACTIVE.with(|a| a.set(!s.is_empty()));
-            scope
         });
-        // Attribute this thread's allocation over the attachment window
-        // to the scope, excluding nested attachments' windows; the
-        // inclusive delta rolls up into the enclosing frame, mirroring
-        // span self-time arithmetic.
-        let self_mem = MEM_STACK.with(|m| {
-            let mut m = m.borrow_mut();
-            let frame = m.pop()?;
-            let incl = frame.start.delta();
-            if let Some(parent) = m.last_mut() {
-                parent.child.add(&incl);
-            }
-            Some(incl.saturating_sub(&frame.child))
-        });
-        if let (Some(scope), Some(self_mem)) = (scope, self_mem) {
-            scope.lock().mem.add(&self_mem);
-        }
     }
 }
 
@@ -150,7 +108,7 @@ impl Scope {
         Self {
             inner: Arc::new(Inner {
                 label: label.into(),
-                agg: Mutex::new(Agg::default()),
+                agg: Mutex::new(Report::default()),
             }),
         }
     }
@@ -164,103 +122,31 @@ impl Scope {
     pub fn attach(&self) -> ScopeGuard {
         STACK.with(|s| s.borrow_mut().push(self.clone()));
         ACTIVE.with(|a| a.set(true));
-        MEM_STACK.with(|m| {
-            m.borrow_mut().push(MemFrame {
-                start: mem::thread_mark(),
-                child: MemDelta::default(),
-            });
-        });
         ScopeGuard {
             _not_send: PhantomData,
         }
     }
 
-    /// Allocation activity attributed to this scope so far: summed over
-    /// all finished attachments on all threads, with nested scopes'
-    /// windows excluded (self-bytes semantics, mirroring span
-    /// self-time). The serve daemon reads this after a request detaches
-    /// to report the request's `mem_bytes`.
-    pub fn mem(&self) -> MemDelta {
-        self.lock().mem
-    }
-
     /// Snapshot of everything recorded while attached.
     pub fn report(&self) -> Report {
-        let agg = self.lock();
-        Report::build(&agg.spans, &agg.counters, &agg.gauges, &agg.hists)
+        self.lock().clone().stamped()
     }
 
-    /// The structured events recorded while attached (name, attributes),
-    /// in record order.
-    pub fn events(&self) -> Vec<(String, Vec<(String, Value)>)> {
-        self.lock().events.clone()
+    /// Folds one record into this scope's aggregates.
+    pub(crate) fn fold(&self, record: &mut Record) {
+        self.lock().fold(record);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Agg> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Report> {
         // A panicking request must not wedge its own postmortem path.
         self.inner.agg.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// Folds a span close into the current thread's scope, if any.
-pub(crate) fn record_span(
-    name: &str,
-    incl_ns: u64,
-    excl_ns: u64,
-    self_bytes: i64,
-    allocs: u64,
-    peak_bytes: u64,
-) {
-    let Some(scope) = current() else { return };
-    let mut agg = scope.lock();
-    let stat = agg.spans.entry(name.to_string()).or_default();
-    stat.count += 1;
-    stat.incl_ns += incl_ns;
-    stat.excl_ns += excl_ns;
-    stat.self_bytes += self_bytes;
-    stat.allocs += allocs;
-    stat.peak_bytes = stat.peak_bytes.max(peak_bytes);
-}
-
-/// Adds to a counter in the current thread's scope, if any.
-pub(crate) fn record_counter(name: &str, delta: i64) {
-    let Some(scope) = current() else { return };
-    let mut agg = scope.lock();
-    *agg.counters.entry(name.to_string()).or_insert(0) += delta;
-}
-
-/// Sets a gauge in the current thread's scope, if any.
-pub(crate) fn record_gauge(name: &str, value: f64) {
-    let Some(scope) = current() else { return };
-    scope.lock().gauges.insert(name.to_string(), value);
-}
-
-/// Records a histogram sample in the current thread's scope, if any.
-pub(crate) fn record_hist(name: &str, value: u64) {
-    let Some(scope) = current() else { return };
-    scope
-        .lock()
-        .hists
-        .entry(name.to_string())
-        .or_default()
-        .record(value);
-}
-
-/// Records a structured event in the current thread's scope, if any.
-pub(crate) fn record_event(name: &str, attrs: &[(&'static str, Value)]) {
-    let Some(scope) = current() else { return };
-    scope.lock().events.push((
-        name.to_string(),
-        attrs
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect(),
-    ));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::Histogram;
 
     #[test]
     fn records_route_to_the_attached_scope_only_while_attached() {
@@ -336,60 +222,5 @@ mod tests {
             }
         });
         assert_eq!(scope.report().counter("scope.mt"), Some(400));
-    }
-
-    #[test]
-    fn nested_scope_bytes_are_excluded_from_the_outer_scope() {
-        let outer = Scope::new("mem-outer");
-        let inner = Scope::new("mem-inner");
-        {
-            let _go = outer.attach();
-            let _outer_buf: Vec<u8> = Vec::with_capacity(1 << 12);
-            {
-                let _gi = inner.attach();
-                let _inner_buf: Vec<u8> = Vec::with_capacity(1 << 16);
-            }
-        }
-        let im = inner.mem();
-        let om = outer.mem();
-        assert!(im.alloc_bytes >= 1 << 16, "inner saw its 64 KiB: {im:?}");
-        assert!(im.allocs >= 1, "{im:?}");
-        // The inner attachment's window is excluded from the outer
-        // scope's self-bytes — same arithmetic as span self-time. The
-        // outer keeps only its own 4 KiB plus small stack bookkeeping.
-        assert!(om.alloc_bytes >= 1 << 12, "outer saw its 4 KiB: {om:?}");
-        assert!(
-            om.alloc_bytes < 1 << 16,
-            "outer must exclude the inner scope's bytes: {om:?}"
-        );
-    }
-
-    #[test]
-    fn scope_mem_sums_attachments_across_threads() {
-        let scope = Scope::new("mem-mt");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let scope = scope.clone();
-                s.spawn(move || {
-                    let _g = scope.attach();
-                    let _buf: Vec<u8> = Vec::with_capacity(1 << 14);
-                });
-            }
-        });
-        let m = scope.mem();
-        // Four threads, 16 KiB each: all four attachments contribute.
-        assert!(m.alloc_bytes >= 4 << 14, "{m:?}");
-        assert!(m.allocs >= 4, "{m:?}");
-    }
-
-    #[test]
-    fn events_are_kept_verbatim() {
-        let scope = Scope::new("ev");
-        let _g = scope.attach();
-        crate::emit_event("scope.event", &[("k", Value::Uint(7))]);
-        let events = scope.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].0, "scope.event");
-        assert_eq!(events[0].1[0], ("k".to_string(), Value::Uint(7)));
     }
 }

@@ -30,10 +30,11 @@ pub enum Record {
         name: String,
         /// Nesting depth on the closing thread.
         depth: usize,
-        /// Inclusive wall-clock microseconds.
-        incl_us: u64,
-        /// Exclusive (inclusive minus children) microseconds.
-        excl_us: u64,
+        /// Inclusive wall-clock nanoseconds (streamed as whole `incl_us`).
+        incl_ns: u64,
+        /// Exclusive (inclusive minus children) nanoseconds (streamed as
+        /// whole `excl_us`).
+        excl_ns: u64,
         /// Net bytes retained by this span exclusive of children
         /// (negative when the span frees more than it allocates).
         mem_self_bytes: i64,
@@ -98,15 +99,17 @@ impl Record {
             Record::SpanClose {
                 name,
                 depth,
-                incl_us,
-                excl_us,
+                incl_ns,
+                excl_ns,
                 mem_self_bytes,
                 mem_live_bytes,
                 mem_peak_bytes,
                 mem_allocs,
             } => format!(
-                "{{\"t\":\"span_close\",\"us\":{ts_us},\"name\":\"{}\",\"depth\":{depth},\"incl_us\":{incl_us},\"excl_us\":{excl_us},\"mem.self_bytes\":{mem_self_bytes},\"mem.live_bytes\":{mem_live_bytes},\"mem.peak_bytes\":{mem_peak_bytes},\"mem.allocs\":{mem_allocs}}}",
-                json_escape(name)
+                "{{\"t\":\"span_close\",\"us\":{ts_us},\"name\":\"{}\",\"depth\":{depth},\"incl_us\":{},\"excl_us\":{},\"mem.self_bytes\":{mem_self_bytes},\"mem.live_bytes\":{mem_live_bytes},\"mem.peak_bytes\":{mem_peak_bytes},\"mem.allocs\":{mem_allocs}}}",
+                json_escape(name),
+                incl_ns / 1_000,
+                excl_ns / 1_000
             ),
             Record::Counter { name, delta, total } => format!(
                 "{{\"t\":\"counter\",\"us\":{ts_us},\"name\":\"{}\",\"delta\":{delta},\"total\":{total}}}",
@@ -193,16 +196,16 @@ impl Sink for StderrSink {
             Record::SpanClose {
                 name,
                 depth,
-                incl_us,
-                excl_us,
+                incl_ns,
+                excl_ns,
                 mem_self_bytes,
                 ..
             } => {
                 let pad = "  ".repeat(*depth);
                 eprintln!(
                     "[lacr] {ms:9.3}ms {pad}< {name} {:.3}ms (excl {:.3}ms, mem {})",
-                    *incl_us as f64 / 1000.0,
-                    *excl_us as f64 / 1000.0,
+                    (incl_ns / 1_000) as f64 / 1000.0,
+                    (excl_ns / 1_000) as f64 / 1000.0,
                     crate::report::fmt_bytes_signed(*mem_self_bytes)
                 );
             }
@@ -379,8 +382,8 @@ mod tests {
         let close = Record::SpanClose {
             name: "plan".into(),
             depth: 0,
-            incl_us: 120,
-            excl_us: 20,
+            incl_ns: 120_400,
+            excl_ns: 20_999,
             mem_self_bytes: -64,
             mem_live_bytes: 4096,
             mem_peak_bytes: 8192,
@@ -460,8 +463,8 @@ mod tests {
         let close = |depth| Record::SpanClose {
             name: "s".into(),
             depth,
-            incl_us: 1,
-            excl_us: 1,
+            incl_ns: 1_000,
+            excl_ns: 1_000,
             mem_self_bytes: 0,
             mem_live_bytes: 0,
             mem_peak_bytes: 0,

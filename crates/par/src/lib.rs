@@ -175,8 +175,8 @@ impl<'a> Region<'a> {
                     scope.spawn(|| {
                         let _scope_guard = obs_scope.as_ref().map(|s| s.attach());
                         // Snapshot the worker's allocation counters so the
-                        // fan-out's memory can be credited to the caller's
-                        // open `par.region` span after the join.
+                        // fan-out's memory can be credited to the forking
+                        // thread after the join.
                         let mem_mark = lacr_obs::mem::thread_mark();
                         let mut state = init();
                         let mut local: Vec<(usize, R)> = Vec::new();
@@ -221,9 +221,9 @@ impl<'a> Region<'a> {
                 std::panic::resume_unwind(e);
             }
             lacr_obs::counter!("par.steal", steals);
-            // Credit the workers' allocations to the still-open
-            // `par.region` span — without this, fan-out memory would
-            // vanish from the caller thread's attribution entirely.
+            // Credit the workers' allocations to this thread's own
+            // counters while `par.region` is still open, so the span,
+            // its enclosing spans and any request mark count them once.
             lacr_obs::mem::credit_foreign(&mem);
             all
         });
@@ -415,6 +415,30 @@ mod tests {
             span.allocs
         );
         assert!(span.peak_bytes >= span.self_bytes.max(0) as u64);
+    }
+
+    #[test]
+    fn fan_out_bytes_reach_marks_on_the_forking_thread() {
+        // Workers' allocation is credited to the forking thread's own
+        // counters, so a mark taken there before the region (a serve
+        // request's, an enclosing span's) counts it, with no span or
+        // scope open.
+        const ITEMS: usize = 64;
+        const BYTES_PER_ITEM: usize = 1 << 14; // 16 KiB
+        let items: Vec<u64> = (0..ITEMS as u64).collect();
+        let mark = lacr_obs::mem::thread_mark();
+        let got = with_threads(4, || {
+            Region::new("test.ledger").map_indexed(&items, |_, &x| {
+                std::hint::black_box(vec![x as u8; BYTES_PER_ITEM]).len()
+            })
+        });
+        let seen = mark.delta();
+        assert_eq!(got, vec![BYTES_PER_ITEM; ITEMS]);
+        assert!(
+            seen.alloc_bytes >= (ITEMS * BYTES_PER_ITEM) as u64,
+            "{seen:?}"
+        );
+        assert!(seen.allocs >= ITEMS as u64, "{seen:?}");
     }
 
     #[test]

@@ -114,15 +114,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// What one serve session did, for the shutdown diagnostic.
+/// What one serve session did. Requests received, answered and shed
+/// are in `counts`; requests admitted are `pool.completed_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Request lines received (including malformed and oversized).
-    pub received: u64,
-    /// Requests admitted to the worker pool.
-    pub admitted: u64,
-    /// Requests shed (overloaded, oversized, or shutting down).
-    pub rejected: u64,
     /// Admitted requests that panicked (isolated, answered as errors).
     pub panics: u64,
     /// Whether the session ended on an explicit shutdown (command or
@@ -215,13 +210,10 @@ impl ConnTelemetry {
     }
 }
 
-/// Daemon-global state shared by every connection: the netlist and plan
-/// caches, the status counts, and the stop latch. One `Session` exists
-/// per daemon, regardless of how many streams are connected.
+/// Daemon-global state shared by every connection: the plan cache, the
+/// status counts, and the stop latch. One `Session` exists per daemon,
+/// regardless of how many streams are connected.
 struct Session {
-    /// Parsed `.bench` files by path — requests against shared device
-    /// data reuse one immutable parse.
-    circuits: Mutex<BTreeMap<String, Arc<Circuit>>>,
     /// The request-level plan cache.
     cache: PlanCache,
     default_budget_ms: Option<u64>,
@@ -244,7 +236,6 @@ struct Session {
 impl Session {
     fn new(config: &ServeConfig) -> Self {
         Self {
-            circuits: Mutex::new(BTreeMap::new()),
             cache: PlanCache::new(config.cache_entries, config.cache_bytes),
             default_budget_ms: config.default_budget_ms,
             panics: AtomicU64::new(0),
@@ -351,37 +342,24 @@ enum RequestError {
     Plan(String),
 }
 
-fn resolve_circuit(session: &Session, spec: &Spec) -> Result<Arc<Circuit>, RequestError> {
+/// The request's netlist. A `bench_path` file is read and parsed on
+/// every request, so an edited file is never answered from a stale
+/// parse; true repeats still hit the plan cache, keyed by canonical
+/// netlist text.
+fn resolve_circuit(spec: &Spec) -> Result<Circuit, RequestError> {
     match spec {
         Spec::Circuit(name) => bench89::generate(name)
-            .map(Arc::new)
             .map_err(|e| RequestError::BadRequest(format!("circuit {name:?}: {e}"))),
         Spec::BenchPath(path) => {
-            if let Some(c) = session
-                .circuits
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(path)
-            {
-                return Ok(Arc::clone(c));
-            }
             let text = std::fs::read_to_string(path)
                 .map_err(|e| RequestError::BadRequest(format!("cannot read {path}: {e}")))?;
             let name = std::path::Path::new(path)
                 .file_stem()
                 .and_then(|s| s.to_str())
-                .unwrap_or("netlist")
-                .to_string();
-            let circuit = parse_bench(&name, &text, path)?;
-            let circuit = Arc::new(circuit);
-            session
-                .circuits
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(path.clone(), Arc::clone(&circuit));
-            Ok(circuit)
+                .unwrap_or("netlist");
+            parse_bench(name, &text, path)
         }
-        Spec::BenchInline { name, text } => parse_bench(name, text, "inline bench").map(Arc::new),
+        Spec::BenchInline { name, text } => parse_bench(name, text, "inline bench"),
     }
 }
 
@@ -412,7 +390,7 @@ fn execute(session: &Session, req: &Request, budget: Budget) -> Result<Planned, 
     if req.fault.panic {
         panic!("injected fault (request {})", req.id);
     }
-    let circuit = resolve_circuit(session, &req.spec)?;
+    let circuit = resolve_circuit(&req.spec)?;
     let mut config = PlannerConfig {
         budget,
         ..PlannerConfig::default()
@@ -478,8 +456,8 @@ fn run_request(session: &Session, out: &ConnOut, req: &Request, budget: Budget, 
     let scope = Scope::new(req.id.as_str());
     let _guard = scope.attach();
     // The request's allocation volume: this thread's delta over the
-    // planning call, plus whatever worker-thread attachments folded into
-    // the scope while parallel regions ran inside it.
+    // planning call, which includes the worker bytes that parallel
+    // regions inside it credit back to this thread.
     let mem_mark = lacr_obs::mem::thread_mark();
     let queue_ms = enqueued.elapsed().as_millis() as u64;
     let started = Instant::now();
@@ -495,9 +473,7 @@ fn run_request(session: &Session, out: &ConnOut, req: &Request, budget: Budget, 
             let mem_bytes = if cache_age_ms.is_some() {
                 0 // a cache hit ran no planning; its clone is noise
             } else {
-                let mut mem = mem_mark.delta();
-                mem.add(&scope.mem());
-                mem.alloc_bytes
+                mem_mark.delta().alloc_bytes
             };
             protocol::result_line(
                 &req.id,
@@ -553,9 +529,6 @@ enum Feed {
 /// owner ([`serve`] or the socket accept loop).
 #[derive(Default)]
 struct ConnOutcome {
-    received: u64,
-    admitted: u64,
-    rejected: u64,
     /// This connection saw an explicit `{"cmd":"shutdown"}` or a
     /// signal-driven stop (as opposed to plain EOF).
     shutdown: bool,
@@ -624,9 +597,8 @@ fn serve_connection(
         }
         match rx.recv_timeout(timeout) {
             Ok(Feed::Line(read)) => {
-                outcome.received += 1;
                 session.count(|c| c.received += 1);
-                if !admit(config, session, pool, out, &mut outcome, read) {
+                if !admit(config, session, pool, out, read) {
                     outcome.shutdown = true;
                     break;
                 }
@@ -644,8 +616,6 @@ fn serve_connection(
     // is closed for this connection).
     while let Ok(feed) = rx.try_recv() {
         if let Feed::Line(read) = feed {
-            outcome.received += 1;
-            outcome.rejected += 1;
             session.count(|c| {
                 c.received += 1;
                 c.rejected += 1;
@@ -692,29 +662,34 @@ pub fn serve(
     let outcome = serve_connection(config, &session, &pool, 0, input, &out, heartbeat);
     session.conns.close();
     pool.close_and_drain();
+    log_done(&session);
     let stats = ServeStats {
-        received: outcome.received,
-        admitted: outcome.admitted,
-        rejected: outcome.rejected,
         panics: session.panics.load(Ordering::Relaxed),
         shutdown: outcome.shutdown,
         counts: session.counts(),
         pool: pool.stats(),
         cache: session.cache.counts(),
     };
-    lacr_obs::diag!(
-        "serve: done ({} received, {} admitted, {} rejected, {} panics isolated, \
-         {} cache hits)",
-        stats.received,
-        stats.admitted,
-        stats.rejected,
-        stats.panics,
-        stats.cache.hits
-    );
     match outcome.io_error {
         Some(e) => Err(e),
         None => Ok(stats),
     }
+}
+
+/// The shutdown diagnostic, one line shared by both front ends and read
+/// from the daemon's own counts.
+fn log_done(session: &Session) {
+    let counts = session.counts();
+    lacr_obs::diag!(
+        "serve: done ({} received, {} completed, {} rejected, {} panics isolated, \
+         {} connections, {} cache hits)",
+        counts.received,
+        counts.completed(),
+        counts.rejected,
+        session.panics.load(Ordering::Relaxed),
+        session.conns.accepted_total.load(Ordering::Relaxed),
+        session.cache.counts().hits
+    );
 }
 
 /// Parses and admits one line. Returns `false` when the line asked for
@@ -724,13 +699,11 @@ fn admit(
     session: &Arc<Session>,
     pool: &Arc<Pool>,
     out: &ConnOut,
-    outcome: &mut ConnOutcome,
     read: LineRead,
 ) -> bool {
     let line = match read {
         LineRead::Line(line) => line,
         LineRead::TooLong { dropped } => {
-            outcome.rejected += 1;
             session.count(|c| c.rejected += 1);
             out.write_line(&protocol::rejected_oversized_line(
                 dropped,
@@ -779,14 +752,12 @@ fn admit(
     let job_session = Arc::clone(session);
     let job_out = out.clone();
     match pool.submit(move || run_request(&job_session, &job_out, &req, budget, enqueued)) {
-        Ok(()) => outcome.admitted += 1,
+        Ok(()) => {}
         Err(SubmitError::Overloaded { queued, capacity }) => {
-            outcome.rejected += 1;
             session.count(|c| c.rejected += 1);
             out.write_line(&protocol::rejected_overloaded_line(&id, queued, capacity));
         }
         Err(SubmitError::Closed) => {
-            outcome.rejected += 1;
             session.count(|c| c.rejected += 1);
             out.write_line(&protocol::rejected_shutdown_line(Some(&id)));
         }
@@ -966,16 +937,7 @@ pub fn serve_unix_socket(config: &ServeConfig, path: &std::path::Path) -> std::i
         let _ = handle.join();
     }
     pool.close_and_drain();
-    let counts = session.counts();
-    lacr_obs::diag!(
-        "serve: done ({} received, {} completed, {} rejected, {} connections, \
-         {} cache hits)",
-        counts.received,
-        counts.completed(),
-        counts.rejected,
-        session.conns.accepted_total.load(Ordering::Relaxed),
-        session.cache.counts().hits
-    );
+    log_done(&session);
     let _ = std::fs::remove_file(path);
     result
 }
@@ -986,19 +948,22 @@ mod tests {
     use lacr_bench::json::{parse_json, Json};
     use lacr_obs::Histogram;
 
+    /// A response stream the test keeps reading while the daemon writes.
+    struct SharedOut(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedOut {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     fn run_lines_with_stats(config: &ServeConfig, lines: &[&str]) -> (Vec<String>, ServeStats) {
         let input = std::io::Cursor::new(lines.join("\n").into_bytes());
         let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct SharedOut(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedOut {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let stats = serve(config, input, SharedOut(Arc::clone(&out))).expect("serve runs");
         let bytes = out.lock().unwrap().clone();
         let lines = String::from_utf8(bytes)
@@ -1161,6 +1126,46 @@ mod tests {
         assert_eq!(stats.cache.hits, 2);
         assert_eq!(stats.cache.misses, 2);
         assert_eq!(stats.cache.entries, 2, "cold + reseeded entries resident");
+    }
+
+    #[test]
+    fn a_rewritten_bench_file_is_planned_afresh() {
+        // One request at a time against one session, with the file
+        // rewritten in between: the second request names the same path
+        // but a different netlist.
+        let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data");
+        let dir = std::env::temp_dir().join(format!("lacr_rewrite_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("net.bench");
+        let answer = |session: &Session, line: String| -> Json {
+            let Ok(Parsed::Request(req)) = protocol::parse_line(&line) else {
+                panic!("not a request: {line}");
+            };
+            let buf = Arc::new(Mutex::new(Vec::new()));
+            let out = ConnOut::new(Box::new(SharedOut(Arc::clone(&buf))));
+            run_request(session, &out, &req, Budget::unlimited(), Instant::now());
+            let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf8");
+            parse_json(text.trim()).expect("one response line")
+        };
+        let by_path = |id: &str| format!(r#"{{"id":"{id}","bench_path":"{}"}}"#, path.display());
+        let session = Session::new(&ServeConfig::default());
+        std::fs::copy(format!("{data}/counter3.bench"), &path).expect("write counter3");
+        let first = answer(&session, by_path("first"));
+        let fir_tap = std::fs::read_to_string(format!("{data}/fir_tap.bench")).expect("fir_tap");
+        std::fs::write(&path, &fir_tap).expect("rewrite");
+        let second = answer(&session, by_path("second"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(second.get("cached"), Some(&Json::Bool(false)), "{second:?}");
+        assert_ne!(first.get("plan"), second.get("plan"));
+        // The same text sent inline to a fresh daemon plans the same.
+        let inline = answer(
+            &Session::new(&ServeConfig::default()),
+            format!(
+                r#"{{"id":"inline","bench":"{}","name":"net"}}"#,
+                fir_tap.replace('\n', "\\n")
+            ),
+        );
+        assert_eq!(second.get("plan"), inline.get("plan"), "{second:?}");
     }
 
     #[test]

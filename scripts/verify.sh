@@ -181,6 +181,30 @@ if [[ "$REGRESS" == 1 ]]; then
     }
     echo "    inflated memory peak rejected (exit 1), as required"
 
+    echo "==> lacr plan s838: its table row, with the second iteration when LAC leaves violations"
+    status=0
+    target/release/lacr plan s838 >target/regress/plan_s838.txt \
+        2>target/regress/plan_s838.err || status=$?
+    if [[ "$status" != 0 && "$status" != 3 ]]; then
+        echo "error: lacr plan s838 exited $status" >&2
+        exit 1
+    fi
+    row=$(grep '^s838 ' target/regress/plan_s838.txt) || {
+        echo "error: lacr plan s838 printed no s838 row:" >&2
+        cat target/regress/plan_s838.txt >&2
+        exit 1
+    }
+    if [[ "$status" == 3 ]] && grep -q '\[lac\]' target/regress/plan_s838.err; then
+        # The LAC N_FOA cell leads the second column group: "113 (0)".
+        lac_foa=$(awk -F'|' '{print $3}' <<<"$row" | awk '{print $1, $2}')
+        if ! [[ "$lac_foa" =~ ^[0-9]+\ \([0-9]+\)$ ]]; then
+            echo "error: s838 left LAC violations but its row shows no second iteration:" >&2
+            echo "$row" >&2
+            exit 1
+        fi
+    fi
+    echo "    $row"
+
     echo "==> flight-recorder smoke: budget expiry leaves a postmortem dump"
     status=0
     target/release/lacr plan s838 --budget-ms 1 \

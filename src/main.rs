@@ -389,21 +389,10 @@ fn cmd_plan(args: &[String]) -> CliResult {
         let report = try_plan_retimings(&plan, &config)?;
         let mut notes = plan.degradations.clone();
         notes.extend(report.degradations.iter().cloned());
-        if notes.is_empty() {
-            // Pristine run: print the paper-style table row from this plan.
-            // LAC left no violation, so there is no second iteration.
-            let iterated = IteratedPlan::from_first(&circuit, &config, plan, report);
-            println!("{}", format_table(&[table_row(&spec, &iterated)]));
-        } else {
-            println!(
-                "{}: T_init {:.2} ns, T_clk {:.2} ns, LAC N_FOA {} ({} rounds)",
-                circuit.name(),
-                plan.t_init as f64 / 1000.0,
-                plan.t_clk as f64 / 1000.0,
-                report.lac.result.n_foa,
-                report.lac.result.n_wr
-            );
-        }
+        // The paper-style table row, with the second iteration whenever
+        // LAC left violations and the budget allows it.
+        let iterated = IteratedPlan::from_first(&circuit, &config, plan, report);
+        println!("{}", format_table(&[table_row(&spec, &iterated)]));
         Ok(notes)
     }
 }
