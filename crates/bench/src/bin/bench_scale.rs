@@ -108,8 +108,13 @@ fn main() {
     );
     let t0 = Instant::now();
     let mut records = Vec::new();
+    let mut process_peak = 0;
     for spec in &specs {
         let t_gen = Instant::now();
+        // Restart the high-water mark (no parallel region is open here),
+        // so each point's `peak_bytes` is its own; the replaced marks fold
+        // back into the process peak after the loop.
+        process_peak = process_peak.max(lacr_obs::mem::reset_peak());
         let mem_before = lacr_obs::mem::stats();
         let net = match parse_spec(spec, seed) {
             Ok(n) => n,
@@ -157,8 +162,7 @@ fn main() {
             .map(|r| format!(",\"obs\":{}", r.to_json()))
             .unwrap_or_default();
         // Per-size-point memory curve: allocator deltas over this spec
-        // (generation through min-area), plus the process peak so far
-        // (monotone — the high-water mark as of this point finishing).
+        // (generation through min-area), plus its own high-water mark.
         let mem_after = lacr_obs::mem::stats();
         let mem_json = format!(
             "\"mem\":{{\"peak_bytes\":{},\"net_bytes\":{},\"allocs\":{}}}",
@@ -183,6 +187,7 @@ fn main() {
             graph.total_flops(),
         ));
     }
+    lacr_obs::mem::raise_peak(process_peak);
     match lacr_bench::write_bench_record(
         "scale",
         &[

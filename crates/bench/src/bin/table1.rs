@@ -50,8 +50,13 @@ fn main() {
     let mut circuit_records = Vec::new();
     let mut run_records = Vec::new();
     let planner = PlannerConfig::default();
+    let mut process_peak = 0;
     for name in &circuits {
         let started = Instant::now();
+        // Restart the high-water mark (no parallel region is open here),
+        // so each circuit's `peak_bytes` is its own; the replaced marks
+        // fold back into the process peak after the loop.
+        process_peak = process_peak.max(lacr_obs::mem::reset_peak());
         let mem_before = lacr_obs::mem::stats();
         match run_circuit(name, &planner) {
             Ok(row) => {
@@ -60,8 +65,7 @@ fn main() {
                 let report = lacr_obs::take_snapshot();
                 let wall_s = started.elapsed().as_secs_f64();
                 // Per-circuit memory: the allocator's deltas over this
-                // circuit's run, plus the process peak so far (monotone —
-                // the high-water mark as of this circuit finishing).
+                // circuit's run, plus its own high-water mark.
                 let mem_after = lacr_obs::mem::stats();
                 let mem_json = format!(
                     "\"mem\":{{\"peak_bytes\":{},\"net_bytes\":{},\"allocs\":{}}}",
@@ -90,6 +94,7 @@ fn main() {
             }
         }
     }
+    lacr_obs::mem::raise_peak(process_peak);
     println!("{}", format_table(&rows));
     if !failed.is_empty() {
         // A partial table must not overwrite the records as if complete.

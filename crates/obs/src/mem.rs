@@ -70,13 +70,7 @@ pub struct CountingAlloc;
 #[inline]
 fn on_alloc(size: usize) {
     let live = LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    let mut peak = PEAK.load(Ordering::Relaxed);
-    while live > peak {
-        match PEAK.compare_exchange_weak(peak, live, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(p) => peak = p,
-        }
-    }
+    raise(live);
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     let _ = TL_ALLOC_BYTES.try_with(|c| c.set(c.get() + size as u64));
     let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
@@ -161,10 +155,44 @@ pub fn live_bytes() -> u64 {
     LIVE.load(Ordering::Relaxed).max(0) as u64
 }
 
-/// High-water mark of live bytes since process start.
+/// High-water mark of live bytes since process start, or since the last
+/// [`reset_peak`].
 #[inline]
 pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed).max(0) as u64
+}
+
+/// Lifts the high-water mark to `bytes` if it is lower.
+pub fn raise_peak(bytes: u64) {
+    raise(i64::try_from(bytes).unwrap_or(i64::MAX));
+}
+
+/// The CAS-max behind [`raise_peak`] and every counted allocation.
+#[inline]
+fn raise(live: i64) {
+    let mut peak = PEAK.load(Ordering::Relaxed);
+    while live > peak {
+        match PEAK.compare_exchange_weak(peak, live, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(p) => peak = p,
+        }
+    }
+}
+
+/// Lowers the high-water mark to the current live bytes, so the next
+/// [`peak_bytes`] reads the peak of what runs from here on, and returns
+/// the mark it replaced.
+///
+/// Call it only where no other thread allocates (between the circuits
+/// of a bench bin, no parallel region open): an allocation racing the
+/// reset could leave the peak below live bytes. Library code never
+/// calls it, so a process that does not is left with the whole run's
+/// peak. A caller that resets must fold the returned marks (and the
+/// final one) back with [`raise_peak`] before it reports a process
+/// peak.
+pub fn reset_peak() -> u64 {
+    PEAK.swap(LIVE.load(Ordering::Relaxed), Ordering::Relaxed)
+        .max(0) as u64
 }
 
 /// Turns allocator counting on or off at runtime. Off reduces every
@@ -359,8 +387,9 @@ mod tests {
         assert!(d.alloc_bytes < 1 << 20, "{d:?}");
     }
 
-    // No test here may call `set_tracking`: the toggle is process-wide
-    // and these tests run in parallel. Its test is `tests/tracking_toggle.rs`.
+    // No test here may call `set_tracking` or `reset_peak`: both act
+    // process-wide and these tests run in parallel. Their tests are in
+    // `tests/tracking_toggle.rs` and `tests/reset_peak.rs`.
 
     #[test]
     fn mem_delta_arithmetic() {

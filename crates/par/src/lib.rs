@@ -196,6 +196,9 @@ impl<'a> Region<'a> {
                                 local.push((i, f(&mut state, i, item)));
                             }
                         }
+                        // The worker state is freed here, so its bytes
+                        // leave the delta they entered.
+                        drop(state);
                         let mem = mem_mark.delta();
                         (local, claims, mem)
                     })

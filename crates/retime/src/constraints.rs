@@ -74,15 +74,25 @@ pub struct PeriodConstraints {
     pub pairs_before_pruning: usize,
 }
 
-/// One pruning candidate of a substrate row: head vertex, constraint
-/// bound `W − 1`, and the emission interval `[a, d)` in target space.
+/// One pruning candidate of a substrate row, in 16 bytes: head vertex,
+/// constraint bound `W − 1`, and the emission interval `[A, D)` stored as
+/// offsets from the bracket floor `lo`, clamped to the bracket:
+/// `d = min(D, hi + 1) − lo` and `a = max(A, lo) − lo`.
+///
+/// The clamp loses nothing: emission only asks about targets
+/// `lo ≤ T ≤ hi`, and there `D > T ⟺ min(D, hi + 1) > T` and
+/// `A ≤ T ⟺ max(A, lo) ≤ T`. A stored candidate has `D > lo` and
+/// `A ≤ hi`, so both offsets lie in `[0, hi − lo + 1]`, which
+/// [`WdSubstrate::build`] keeps inside `u32`.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     v: u32,
-    bound: i64,
-    d: u64,
-    a: u64,
+    bound: i32,
+    d: u32,
+    a: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Candidate>() == 16);
 
 /// The target-independent part of the W/D computation for one graph and
 /// one bracket `[lo, hi]` of candidate periods.
@@ -91,6 +101,12 @@ struct Candidate {
 /// [`Self::constraints_for`] then emits the exact pruned constraint set of
 /// any target in the bracket — bit-identical, values and order, to a
 /// fresh [`generate_period_constraints`] at that target.
+///
+/// Storage is one exact-size slice per source row, kept as the row search
+/// produced it (no merged copy), at 16 bytes a candidate: head, bound
+/// `W − 1` as `i32`, and the emission interval as two `u32` offsets from
+/// the bracket floor. Bracket width and bounds are checked at build time
+/// so the narrow fields never truncate.
 ///
 /// # Examples
 ///
@@ -114,12 +130,9 @@ struct Candidate {
 pub struct WdSubstrate {
     lo: u64,
     hi: u64,
-    num_vertices: usize,
-    /// CSR rows: candidates of source `u` are
-    /// `cands[row_start[u]..row_start[u + 1]]`, in ascending head-vertex
+    /// Row `u` holds source `u`'s candidates in ascending head-vertex
     /// index (the canonical emission order).
-    row_start: Vec<usize>,
-    cands: Vec<Candidate>,
+    rows: Vec<Box<[Candidate]>>,
     /// `#{(u, v) : D(u, v) > lo}` — the violating pairs at the bracket
     /// floor, counted during the build without storing them.
     pairs_at_floor: usize,
@@ -134,48 +147,51 @@ impl WdSubstrate {
     /// * [`RetimeError::CombinationalCycle`] — a zero-weight cycle avoids
     ///   the host.
     /// * [`RetimeError::DelayOverflow`] — a path delay a row accumulates
-    ///   overflows `u64` (adversarially large vertex delays).
+    ///   overflows `u64` (adversarially large vertex delays), the bracket
+    ///   is wider than `u32::MAX` ps (`hi − lo + 1 > u32::MAX`), or a
+    ///   stored constraint bound `W − 1` falls outside `i32`. Graphs
+    ///   built from netlists stay far from the last two: their brackets
+    ///   span nanoseconds and their `W` counts flip-flops.
     ///
     /// # Panics
     ///
     /// Panics if `lo > hi`.
     pub fn build(graph: &RetimeGraph, lo: u64, hi: u64) -> Result<Self, RetimeError> {
         assert!(lo <= hi, "bracket [{lo}, {hi}] is empty");
+        if hi - lo >= u64::from(u32::MAX) {
+            return Err(RetimeError::DelayOverflow);
+        }
         let n = graph.num_vertices();
         let _span = lacr_obs::span!("retime.wd_build", vertices = n, lo = lo, hi = hi);
         let shared = Rows::new(graph, lo, hi)?;
         // Each source's row of the W/D computation is independent of every
         // other's, so the per-source loop fans out across the deterministic
-        // pool; the ordered merge below restores the canonical
-        // (source-major) constraint order regardless of scheduling.
+        // pool, which returns the rows in source order regardless of
+        // scheduling.
         let sources: Vec<VertexId> = graph.vertex_ids().collect();
-        let rows = lacr_par::Region::new("retime.wd_sources").map_indexed_with(
+        let searched = lacr_par::Region::new("retime.wd_sources").map_indexed_with(
             &sources,
             || RowSearch::new(n),
             |search, _, &u| search.run(&shared, u),
         );
-        let mut row_start = Vec::with_capacity(n + 1);
-        row_start.push(0usize);
-        let mut cands = Vec::new();
         // Every reached `v ≠ u` violates at the floor unless its row popped
         // it with `D ≤ lo`.
         let mut pairs_at_floor = reach_total(graph) - n;
-        for row in rows {
-            let (low, row_cands) = row?;
+        let mut rows = Vec::with_capacity(n);
+        for row in searched {
+            let (low, cands) = row?;
             pairs_at_floor -= low;
-            cands.extend(row_cands);
-            row_start.push(cands.len());
+            rows.push(cands);
         }
-        lacr_obs::counter!("retime.period_pairs", pairs_at_floor);
-        lacr_obs::counter!("retime.wd_candidates", cands.len());
-        Ok(Self {
+        let sub = Self {
             lo,
             hi,
-            num_vertices: n,
-            row_start,
-            cands,
+            rows,
             pairs_at_floor,
-        })
+        };
+        lacr_obs::counter!("retime.period_pairs", pairs_at_floor);
+        lacr_obs::counter!("retime.wd_candidates", sub.num_candidates());
+        Ok(sub)
     }
 
     /// The bracket `[lo, hi]` this substrate covers.
@@ -190,12 +206,12 @@ impl WdSubstrate {
 
     /// Number of vertices of the graph this substrate was built from.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.rows.len()
     }
 
     /// Number of candidates retained in the band.
     pub fn num_candidates(&self) -> usize {
-        self.cands.len()
+        self.rows.iter().map(|row| row.len()).sum()
     }
 
     /// Emits the pruned period constraints for `target` — bit-identical to
@@ -211,13 +227,15 @@ impl WdSubstrate {
             self.lo,
             self.hi
         );
+        // `T − lo` fits `u32`: `build` bounds the bracket width.
+        let t = (target - self.lo) as u32;
         let mut constraints = Vec::new();
-        for u in 0..self.num_vertices {
-            for c in &self.cands[self.row_start[u]..self.row_start[u + 1]] {
+        for (u, row) in self.rows.iter().enumerate() {
+            for c in row.iter() {
                 // Emission interval: violating (D > T) and not covered by
-                // a violating tight ancestor (A ≤ T).
-                if c.d > target && c.a <= target {
-                    constraints.push(Constraint::new(u, c.v as usize, c.bound));
+                // a violating tight ancestor (A ≤ T), in offsets from `lo`.
+                if c.d > t && c.a <= t {
+                    constraints.push(Constraint::new(u, c.v as usize, i64::from(c.bound)));
                 }
             }
         }
@@ -329,6 +347,9 @@ struct RowSearch {
     touched: Vec<u32>,
     /// Keyed by `(W, ρ(v))`.
     heap: BinaryHeap<Reverse<(i64, u32)>>,
+    /// The current row's candidates, reused across rows so that a row
+    /// costs one exact-size allocation when it is copied out.
+    cands: Vec<Candidate>,
 }
 
 impl RowSearch {
@@ -339,15 +360,16 @@ impl RowSearch {
             a: vec![0; n],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
+            cands: Vec::new(),
         }
     }
 
     /// One source's row: a Dijkstra for `W(u, ·)` that folds in `D(u, ·)`
     /// and the ancestor maximum `A(u, ·)` as it relaxes, returning how
     /// many popped vertices `v ≠ u` have `D ≤ lo` and the band
-    /// candidates, **in ascending head-vertex index** (the canonical
-    /// emission order; `W`, `D` and `A` do not depend on adjacency
-    /// order).
+    /// candidates as one exact-size slice, **in ascending head-vertex
+    /// index** (the canonical emission order; `W`, `D` and `A` do not
+    /// depend on adjacency order).
     ///
     /// * **Order.** The heap key `(W, ρ(v))` pops every vertex after all
     ///   its tight parents: a positive-weight tight edge raises `W`, a
@@ -375,31 +397,33 @@ impl RowSearch {
         &mut self,
         rows: &Rows<'_>,
         u: VertexId,
-    ) -> Result<(usize, Vec<Candidate>), RetimeError> {
-        let row = self.search(rows, u);
+    ) -> Result<(usize, Box<[Candidate]>), RetimeError> {
+        let low = self.search(rows, u);
         for &t in &self.touched {
             self.w[t as usize] = i64::MAX;
         }
         self.touched.clear();
         self.heap.clear();
-        let (low, mut cands) = row?;
-        cands.sort_unstable_by_key(|c| c.v);
-        Ok((low, cands))
+        self.cands.sort_unstable_by_key(|c| c.v);
+        let row = Box::from(self.cands.as_slice());
+        self.cands.clear();
+        Ok((low?, row))
     }
 
-    /// The search behind [`Self::run`], leaving its scratch to reset.
-    fn search(
-        &mut self,
-        rows: &Rows<'_>,
-        u: VertexId,
-    ) -> Result<(usize, Vec<Candidate>), RetimeError> {
+    /// The search behind [`Self::run`], filling `cands` and leaving its
+    /// scratch to reset.
+    fn search(&mut self, rows: &Rows<'_>, u: VertexId) -> Result<usize, RetimeError> {
         let (graph, lo, hi) = (rows.graph, rows.lo, rows.hi);
+        // Clamp `D` to `hi + 1` without computing it (`hi` may be
+        // `u64::MAX`); `build` keeps the offsets inside `u32`.
+        let span = hi - lo + 1;
         let Self {
             w,
             d,
             a,
             touched,
             heap,
+            cands,
         } = self;
         let ui = u.index();
         w[ui] = 0;
@@ -409,7 +433,6 @@ impl RowSearch {
         heap.push(Reverse((0, rows.rank[ui])));
         let mut pending = 1usize;
         let mut low = 0usize;
-        let mut cands = Vec::new();
         while pending > 0 {
             let Some(Reverse((dist, rank))) = heap.pop() else {
                 break;
@@ -429,9 +452,9 @@ impl RowSearch {
                 } else if av <= hi {
                     cands.push(Candidate {
                         v: v.0,
-                        bound: dist - 1,
-                        d: dv,
-                        a: av,
+                        bound: i32::try_from(dist - 1).map_err(|_| RetimeError::DelayOverflow)?,
+                        d: (dv - lo).min(span) as u32,
+                        a: av.saturating_sub(lo) as u32,
                     });
                 }
             }
@@ -473,7 +496,7 @@ impl RowSearch {
                 pending = pending + usize::from(a[t] <= hi) - usize::from(was_pending);
             }
         }
-        Ok((low, cands))
+        Ok(low)
     }
 }
 
@@ -1021,5 +1044,173 @@ mod tests {
             .constraints
             .iter()
             .all(|c| !(c.u == a.index() && c.v == b.index())));
+    }
+
+    /// One source `s` (delay 1) whose band, for the bracket `[10, 20]`,
+    /// holds every clamp boundary: heads at `D = hi`, `D = hi + 1` and
+    /// `D ≫ hi`, and heads behind ancestors with `A < lo`, `A = lo` and
+    /// `A = hi`. Every leaf closes a registered loop back to `s`.
+    fn clamp_boundaries() -> RetimeGraph {
+        let mut g = RetimeGraph::new();
+        let s = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
+        let leaf = |g: &mut RetimeGraph, from: VertexId, delay: u64| {
+            let v = g.add_vertex(VertexKind::Functional, delay, 1.0, None);
+            g.add_edge(from, v, 0);
+            g.add_edge(v, s, 1);
+            v
+        };
+        leaf(&mut g, s, 19); // D = 20 = hi
+        leaf(&mut g, s, 20); // D = 21 = hi + 1
+        leaf(&mut g, s, 99); // D = 100 ≫ hi
+        let x = leaf(&mut g, s, 4); // D = 5
+        leaf(&mut g, x, 10); // D = 15, A = 5 < lo
+        let x = leaf(&mut g, s, 9); // D = 10 = lo
+        leaf(&mut g, x, 5); // D = 15, A = 10 = lo
+        let x = leaf(&mut g, s, 19); // D = 20 = hi
+        leaf(&mut g, x, 3); // D = 23, A = 20 = hi
+        g
+    }
+
+    #[test]
+    fn clamped_offsets_emit_exactly_at_every_target_of_the_bracket() {
+        let g = clamp_boundaries();
+        let (lo, hi) = (10, 20);
+        let sub = WdSubstrate::build(&g, lo, hi).unwrap();
+        for t in lo..=hi {
+            let probe = sub.constraints_for(t);
+            let point = WdSubstrate::build(&g, t, t).unwrap().constraints_for(t);
+            assert_eq!(probe.constraints, reference(&g, t, lo).0, "target {t}");
+            assert_eq!(point.constraints, reference(&g, t, t).0, "target {t}");
+            assert_eq!(
+                probe.constraints,
+                generate_period_constraints(&g, t).unwrap().constraints,
+                "target {t}"
+            );
+        }
+        // Source 0's heads switch where the unclamped intervals say:
+        // `A = lo` (7) emits at `lo`, `D = hi` (1, 8) stops at `hi`,
+        // `D = hi + 1` (2) and `D ≫ hi` (3) emit throughout, and `A = hi`
+        // (9) starts at `hi`.
+        let heads = |t| -> Vec<usize> {
+            let pc = sub.constraints_for(t);
+            pc.constraints
+                .iter()
+                .filter(|c| c.u == 0)
+                .map(|c| c.v)
+                .collect()
+        };
+        assert_eq!(heads(lo), [1, 2, 3, 5, 7, 8]);
+        assert_eq!(heads(hi - 1), [1, 2, 3, 8]);
+        assert_eq!(heads(hi), [2, 3, 9]);
+    }
+
+    #[test]
+    fn widest_brackets_and_the_top_of_the_range_emit_exactly() {
+        // The widest bracket `build` accepts: `hi − lo + 1 = u32::MAX`.
+        let g = pipeline();
+        let hi = u64::from(u32::MAX) - 1;
+        let sub = WdSubstrate::build(&g, 0, hi).unwrap();
+        for t in [0, 4, 5, 9, 10, 11, hi] {
+            let fresh = generate_period_constraints(&g, t).unwrap();
+            assert_eq!(sub.constraints_for(t).constraints, fresh.constraints, "{t}");
+        }
+        // A bracket ending at `u64::MAX`: the `hi + 1` clamp must not wrap.
+        let mut g = RetimeGraph::new();
+        let a = g.add_vertex(VertexKind::Functional, u64::MAX - 10, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, a, 1);
+        let lo = u64::MAX - 8;
+        let sub = WdSubstrate::build(&g, lo, u64::MAX).unwrap();
+        assert_eq!(sub.num_candidates(), 2);
+        for t in lo..=u64::MAX {
+            let fresh = generate_period_constraints(&g, t).unwrap();
+            assert_eq!(sub.constraints_for(t).constraints, fresh.constraints, "{t}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_brackets_and_bounds_are_typed_errors() {
+        use crate::feas::try_min_period_retiming;
+        // A bracket of `u32::MAX + 1` targets.
+        let g = pipeline();
+        assert_eq!(
+            WdSubstrate::build(&g, 0, u64::from(u32::MAX)).unwrap_err(),
+            RetimeError::DelayOverflow
+        );
+        assert_eq!(
+            WdSubstrate::build(&g, 7, u64::MAX).unwrap_err(),
+            RetimeError::DelayOverflow
+        );
+        // The min-period search brackets `[d_max, T_init] = [2^33, 2^34]`.
+        let mut g = RetimeGraph::new();
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let a = g.add_vertex(VertexKind::Functional, 1 << 33, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 1 << 33, 1.0, None);
+        g.add_edge(h, a, 1);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, h, 1);
+        assert_eq!(
+            try_min_period_retiming(&g, 0).map(|out| out.result.period),
+            Err(RetimeError::DelayOverflow)
+        );
+        // With `w(b → a) = 2^32`, `W(b, a) − 1` does not fit `i32`; the
+        // search brackets `[5, 10]` and `(b, a)` violates at its floor.
+        let back_edge = |flops: i64| {
+            let mut g = RetimeGraph::new();
+            let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+            g.set_host(h);
+            let a = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+            let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+            g.add_edge(h, a, 0);
+            g.add_edge(a, b, 0);
+            g.add_edge(b, h, 0);
+            g.add_edge(b, a, flops);
+            g
+        };
+        let g = back_edge(1 << 32);
+        assert_eq!(
+            WdSubstrate::build(&g, 5, 10).unwrap_err(),
+            RetimeError::DelayOverflow
+        );
+        assert_eq!(
+            try_min_period_retiming(&g, 0).map(|out| out.result.period),
+            Err(RetimeError::DelayOverflow)
+        );
+        // One flip-flop fewer fits: the bound is `i32::MAX` exactly.
+        let g = back_edge(1 << 31);
+        let sub = WdSubstrate::build(&g, 5, 10).unwrap();
+        assert!(sub
+            .constraints_for(5)
+            .constraints
+            .contains(&Constraint::new(2, 1, i64::from(i32::MAX))));
+    }
+
+    /// The band is stored once, at 16 bytes a candidate: what a build
+    /// leaves allocated is its rows plus a per-vertex row header.
+    #[test]
+    fn substrate_holds_sixteen_bytes_a_candidate() {
+        let net = lacr_prng::synth::ring_of_rings(1024, 2003);
+        let mut g = RetimeGraph::new();
+        let ids: Vec<_> = net
+            .delays_ps
+            .iter()
+            .map(|&d| g.add_vertex(VertexKind::Functional, d, 1.0, None))
+            .collect();
+        for e in &net.edges {
+            g.add_edge(ids[e.from as usize], ids[e.to as usize], i64::from(e.flops));
+        }
+        let hi = g.try_clock_period(&g.weights()).unwrap();
+        let lo = g.vertex_ids().map(|v| g.delay(v)).max().unwrap();
+        let mark = lacr_obs::mem::thread_mark();
+        let sub = WdSubstrate::build(&g, lo, hi).unwrap();
+        let held = mark.delta().net_bytes();
+        let (cands, n) = (sub.num_candidates(), sub.num_vertices());
+        assert!(cands > 16 * n, "{cands} candidates on {n} vertices");
+        assert!(
+            held <= (16 * cands + 64 * n) as i64,
+            "{held} bytes held for {cands} candidates on {n} vertices"
+        );
     }
 }

@@ -32,7 +32,10 @@
 //! shutdown drains exactly one pool. `--max-connections` bounds the
 //! accept side the same way the queue bounds admission: an over-limit
 //! connection is answered with one `rejected: connection-limit` line
-//! and closed.
+//! and closed. A shed connection is a connection event, not a request:
+//! it counts in `connections.shed_total` only, never in
+//! `requests.received` or `requests.rejected`, so every snapshot keeps
+//! `completed + rejected ≤ received`.
 //!
 //! **The plan cache.** Identical requests (same canonicalised netlist,
 //! same effective seed and budget class) are answered from a bounded
@@ -872,8 +875,9 @@ pub fn serve_unix_socket(config: &ServeConfig, path: &std::path::Path) -> std::i
                 {
                     // Admission control for connections mirrors the
                     // queue: shed with one structured line, then close.
+                    // A shed connection sent no request, so it counts in
+                    // `connections.shed_total` only.
                     session.conns.shed();
-                    session.count(|c| c.rejected += 1);
                     let out = ConnOut::new(Box::new(stream));
                     out.write_line(&protocol::rejected_connection_limit_line(
                         session.conns.active(),

@@ -295,26 +295,34 @@ fn connection_cap_sheds_whole_connections_with_a_structured_line() {
         std::thread::sleep(Duration::from_millis(20));
     };
 
-    // The daemon is at its cap: the next connection gets exactly one
+    // The daemon is at its cap: each further connection gets exactly one
     // rejected line, then EOF — and the daemon stays up.
-    let mut shed = Client::connect(&socket);
-    let line = shed.recv();
-    assert_eq!(line.get("status").and_then(Json::as_str), Some("rejected"));
-    assert_eq!(
-        line.get("reason").and_then(Json::as_str),
-        Some("connection-limit"),
-        "{line:?}"
-    );
-    assert_eq!(num(&line, &["max"]), 1.0);
-    assert_eq!(shed.recv_line(), None, "shed connection is closed");
+    for _ in 0..3 {
+        let mut shed = Client::connect(&socket);
+        let line = shed.recv();
+        assert_eq!(line.get("status").and_then(Json::as_str), Some("rejected"));
+        assert_eq!(
+            line.get("reason").and_then(Json::as_str),
+            Some("connection-limit"),
+            "{line:?}"
+        );
+        assert_eq!(num(&line, &["max"]), 1.0);
+        assert_eq!(shed.recv_line(), None, "shed connection is closed");
+    }
 
     first.send(r#"{"cmd":"stats","id":"after"}"#);
     let snap = first.recv();
     assert_eq!(id_of(&snap), Some("after"), "survivor still served");
     assert!(
-        num(&snap, &["connections", "shed_total"]) >= 1.0,
+        num(&snap, &["connections", "shed_total"]) >= 3.0,
         "{snap:?}"
     );
+    // A shed connection sent no request: the request counts stay
+    // consistent however many connections were shed.
+    let completed = num(&snap, &["requests", "completed"]);
+    let rejected = num(&snap, &["requests", "rejected"]);
+    let received = num(&snap, &["requests", "received"]);
+    assert!(completed + rejected <= received, "{snap:?}");
 
     first.send(r#"{"cmd":"shutdown"}"#);
     let out = child.wait_with_output().expect("daemon exits");
