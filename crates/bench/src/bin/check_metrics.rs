@@ -22,6 +22,8 @@
 //!    plus the number of `retime.wd_build` child spans. (Host-free
 //!    searches run arrival-time FEAS probes, which touch no substrate;
 //!    both sides are then zero.)
+//! 7. a `hist` record that carries a `count` (samples of one value
+//!    folded into one record) carries a positive integer there.
 //!
 //! Other artifact kinds have their own modes:
 //!
@@ -200,6 +202,13 @@ fn check_stream(text: &str) -> Result<(usize, usize, usize), String> {
                         } else {
                             t.1 += delta as u64;
                         }
+                    }
+                }
+            }
+            "hist" => {
+                if let Some(count) = v.get("count") {
+                    if !count.as_num().is_some_and(|n| n >= 1.0 && n.fract() == 0.0) {
+                        return Err(format!("line {ln}: hist count is not a positive integer"));
                     }
                 }
             }
@@ -523,6 +532,28 @@ mod tests {
 {\"t\":\"summary\",\"schema_version\":1}
 ";
         assert_eq!(check_stream(stream).unwrap(), (4, 1, 0));
+    }
+
+    #[test]
+    fn hist_counts_are_positive_integers() {
+        let stream = |count: &str| {
+            format!(
+                "{{\"t\":\"hist\",\"us\":1,\"name\":\"h\",\"value\":2{count}}}\n\
+                 {{\"t\":\"summary\",\"schema_version\":1}}\n"
+            )
+        };
+        for good in ["", ",\"count\":1", ",\"count\":300"] {
+            assert!(check_stream(&stream(good)).is_ok(), "{good}");
+        }
+        for bad in [
+            ",\"count\":0",
+            ",\"count\":-2",
+            ",\"count\":1.5",
+            ",\"count\":\"3\"",
+        ] {
+            let err = check_stream(&stream(bad)).unwrap_err();
+            assert!(err.contains("hist count"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Wall-clock and iteration budgets for the planning pipeline.
+//! Wall-clock budgets for the planning pipeline.
 //!
 //! A [`Budget`] is threaded from `PlannerConfig` into every unbounded
 //! search loop — the floorplan annealer's move loop, the router's
@@ -34,7 +34,7 @@ struct BudgetState {
     checks: AtomicU64,
 }
 
-/// Resource limits for one planning run. The default is unlimited, which
+/// The wall-clock limit of one planning run. The default is unlimited, which
 /// preserves the historical behaviour exactly.
 ///
 /// Cloning a `Budget` shares its expiry latch: once any clone observes
@@ -44,9 +44,6 @@ pub struct Budget {
     /// Wall-clock deadline. Stages poll it at round boundaries and stop
     /// early (keeping their best-so-far result) once it passes.
     pub deadline: Option<Instant>,
-    /// Cap on LAC re-weight rounds, applied on top of `LacConfig::
-    /// max_rounds` (the smaller of the two wins).
-    pub max_rounds: Option<usize>,
     /// Owner tag for postmortems (the serve loop sets the request id).
     /// A labelled budget's expiry dump goes to the request-tagged flight
     /// path instead of the shared armed path, so concurrent requests
@@ -56,22 +53,20 @@ pub struct Budget {
 }
 
 impl PartialEq for Budget {
-    /// Budgets compare by their limits; the runtime latch state is not
+    /// Budgets compare by their deadline; the runtime latch state is not
     /// part of the value.
     fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.max_rounds == other.max_rounds
+        self.deadline == other.deadline
     }
 }
 
 impl Eq for Budget {}
 
 impl Budget {
-    /// A budget with an explicit deadline and round cap (either may be
-    /// absent).
-    pub fn new(deadline: Option<Instant>, max_rounds: Option<usize>) -> Self {
+    /// A budget with an explicit deadline (absent means unlimited).
+    pub fn new(deadline: Option<Instant>) -> Self {
         Self {
             deadline,
-            max_rounds,
             label: None,
             state: Arc::default(),
         }
@@ -99,7 +94,7 @@ impl Budget {
 
     /// A deadline `timeout` from now.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self::new(Some(Instant::now() + timeout), None)
+        Self::new(Some(Instant::now() + timeout))
     }
 
     /// Whether the wall-clock deadline has passed.
@@ -191,7 +186,7 @@ mod tests {
     fn expiry_is_sticky_and_shared_between_clones() {
         let _flight = flight_path_lock();
         // A deadline in the past: the first poll latches.
-        let b = Budget::new(Some(Instant::now() - Duration::from_secs(1)), None);
+        let b = Budget::new(Some(Instant::now() - Duration::from_secs(1)));
         let clone = b.clone();
         assert!(b.expired());
         assert!(clone.expired(), "clones share the latch");
@@ -213,10 +208,10 @@ mod tests {
     fn equality_ignores_latch_state() {
         let _flight = flight_path_lock();
         let past = Instant::now() - Duration::from_secs(1);
-        let a = Budget::new(Some(past), Some(3));
-        let b = Budget::new(Some(past), Some(3));
+        let a = Budget::new(Some(past));
+        let b = Budget::new(Some(past));
         assert!(a.expired());
-        assert_eq!(a, b, "latched vs fresh budgets with equal limits");
+        assert_eq!(a, b, "latched vs fresh budgets with equal deadlines");
     }
 
     #[test]
@@ -241,8 +236,8 @@ mod tests {
         assert_eq!(b.clone().label(), Some("req-9"));
         assert_eq!(Budget::unlimited().label(), None);
         let past = Instant::now() - Duration::from_secs(1);
-        let plain = Budget::new(Some(past), Some(3));
-        let tagged = Budget::new(Some(past), Some(3)).labeled("req-9");
+        let plain = Budget::new(Some(past));
+        let tagged = Budget::new(Some(past)).labeled("req-9");
         assert_eq!(plain, tagged, "labels are identity metadata");
     }
 
@@ -275,7 +270,7 @@ mod tests {
     fn min_deadline_picks_earlier() {
         let now = Instant::now();
         let later = now + Duration::from_secs(10);
-        let b = Budget::new(Some(now), None);
+        let b = Budget::new(Some(now));
         assert_eq!(b.min_deadline(Some(later)), Some(now));
         assert_eq!(b.min_deadline(None), Some(now));
         assert_eq!(Budget::unlimited().min_deadline(Some(later)), Some(later));

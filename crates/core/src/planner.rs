@@ -39,22 +39,8 @@ pub struct PlannerConfig {
     pub floorplan: FloorplanConfig,
     /// Global-routing settings.
     pub route: RouteConfig,
-    /// Two-pass timing-driven routing: after a first route and timing
-    /// analysis, nets are re-routed most-critical-first so timing-critical
-    /// connections claim the least congested (and therefore shortest)
-    /// paths — the "time-driven and congestion-aware global router" of
-    /// §4.1. Off by default (the experiments use one congestion-driven
-    /// pass, matching the paper's primary objective ordering).
-    pub timing_driven_route: bool,
     /// Usable fraction of channel/dead-space tiles.
     pub channel_utilization: f64,
-    /// Extra pitch opened between blocks after packing (0.1 = 10 % more
-    /// spacing), allocating explicit channel regions as in Figure 2. The
-    /// experiments use 0 (compact packing; dead space arises only from
-    /// packing mismatch, and repeaters/flip-flops mostly use soft-block
-    /// slack), but planners targeting channel-based architectures can
-    /// raise it.
-    pub channel_spread: f64,
     /// Pre-allocated site area per hard-block cell — the paper's
     /// "repeater and flip-flop sites inserted intentionally" in hard
     /// blocks (Alpert et al., reference \[1\] of the paper).
@@ -79,7 +65,7 @@ pub struct PlannerConfig {
     pub expand: ExpandOptions,
     /// Master seed for partitioning and floorplanning.
     pub seed: u64,
-    /// Wall-clock / round budget for the whole run. Unlimited by default.
+    /// Wall-clock budget for the whole run. Unlimited by default.
     /// The deadline is merged (earliest wins) into the floorplan, route
     /// and LAC stage configs; an expired budget degrades the plan to
     /// best-so-far results instead of aborting.
@@ -106,7 +92,6 @@ impl PlannerConfig {
             }
         };
         nonneg("block_slack", self.block_slack);
-        nonneg("channel_spread", self.channel_spread);
         nonneg("hard_site_area", self.hard_site_area);
         nonneg("pad_ff_per_io", self.pad_ff_per_io);
         nonneg("t_min_tolerance_frac", self.t_min_tolerance_frac);
@@ -156,9 +141,7 @@ impl Default for PlannerConfig {
                 ..Default::default()
             },
             route: RouteConfig::default(),
-            timing_driven_route: false,
             channel_utilization: 0.8,
-            channel_spread: 0.0,
             hard_site_area: 0.0,
             num_hard_blocks: 0,
             pad_ff_per_io: 1.0,
@@ -436,8 +419,7 @@ pub fn try_build_physical_plan(
         ..config.floorplan.clone()
     };
     let fp = try_floorplan(&specs, &block_nets, &fp_config)
-        .map_err(|e| PlanError::new(Stage::Floorplan, PlanErrorKind::Floorplan(e)))?
-        .spread(config.channel_spread);
+        .map_err(|e| PlanError::new(Stage::Floorplan, PlanErrorKind::Floorplan(e)))?;
     debug_assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
     check_deadline(Stage::Floorplan, &mut deadline_hit);
     drop(span_floorplan);
@@ -503,68 +485,26 @@ pub fn try_build_physical_plan(
         deadline: budget.min_deadline(config.route.deadline),
         ..config.route.clone()
     };
-    let mut routing = try_route(grid.nx(), grid.ny(), &net_pins, &route_config)
+    let routing = try_route(grid.nx(), grid.ny(), &net_pins, &route_config)
         .map_err(|e| PlanError::new(Stage::Route, PlanErrorKind::Route(e)))?;
     check_deadline(Stage::Route, &mut deadline_hit);
     drop(span_route);
 
     let io_count = circuit.units_of_kind(UnitKind::Input).count()
         + circuit.units_of_kind(UnitKind::Output).count();
-    let build_expansion = |routing: &Routing| {
-        let _span = lacr_obs::span!("plan.expand", nets = circuit.num_nets());
-        let mut ledger = CapacityLedger::new(&grid);
-        try_expand(
-            circuit,
-            tech,
-            &grid,
-            &mut ledger,
-            &unit_cell,
-            routing,
-            config.pad_ff_per_io * io_count as f64,
-            &config.expand,
-        )
-    };
-    let mut expanded = build_expansion(&routing)?;
-
-    if config.timing_driven_route && !budget.expired() {
-        // Second pass: analyse the first-pass graph at its own unretimed
-        // period, score each net by the worst criticality across its
-        // connections' chains, and re-route most-critical-first.
-        let weights = expanded.graph.weights();
-        if let Ok(period) = expanded.graph.try_clock_period(&weights) {
-            if let Some(crit) = lacr_retime::edge_criticality(&expanded.graph, &weights, period) {
-                let mut conn_idx = 0usize;
-                let mut net_priority = vec![0.0f64; circuit.num_nets()];
-                for (ni, net) in circuit.nets().iter().enumerate() {
-                    for _ in &net.sinks {
-                        let chain = &expanded.connection_chains[conn_idx];
-                        let worst = chain.iter().map(|e| crit[e.index()]).fold(0.0f64, f64::max);
-                        net_priority[ni] = net_priority[ni].max(worst);
-                        conn_idx += 1;
-                    }
-                }
-                let mut order: Vec<usize> = (0..circuit.num_nets()).collect();
-                order.sort_by(|&a, &b| net_priority[b].total_cmp(&net_priority[a]));
-                let permuted: Vec<NetPins> = order.iter().map(|&i| net_pins[i].clone()).collect();
-                let rerouted = try_route(grid.nx(), grid.ny(), &permuted, &route_config)
-                    .map_err(|e| PlanError::new(Stage::Route, PlanErrorKind::Route(e)))?;
-                let mut nets = vec![None; circuit.num_nets()];
-                for (k, &i) in order.iter().enumerate() {
-                    nets[i] = Some(rerouted.nets[k].clone());
-                }
-                routing = Routing {
-                    nets: nets.into_iter().map(|n| n.expect("permutation")).collect(),
-                    ..rerouted
-                };
-                expanded = build_expansion(&routing)?;
-            }
-        }
-    } else if config.timing_driven_route {
-        degradations.push(Degradation::new(
-            Stage::Route,
-            "wall-clock budget expired: timing-driven re-route skipped",
-        ));
-    }
+    let span_expand = lacr_obs::span!("plan.expand", nets = circuit.num_nets());
+    let mut ledger = CapacityLedger::new(&grid);
+    let expanded = try_expand(
+        circuit,
+        tech,
+        &grid,
+        &mut ledger,
+        &unit_cell,
+        &routing,
+        config.pad_ff_per_io * io_count as f64,
+        &config.expand,
+    )?;
+    drop(span_expand);
 
     if routing.overflow > 0 {
         degradations.push(Degradation::new(
@@ -799,9 +739,6 @@ pub fn try_plan_retimings_at(
 
     let lac_config = LacConfig {
         deadline: budget.min_deadline(config.lac.deadline),
-        max_rounds: budget
-            .max_rounds
-            .map_or(config.lac.max_rounds, |m| config.lac.max_rounds.min(m)),
         ..config.lac
     };
     let t2 = Instant::now();
@@ -859,7 +796,7 @@ pub fn try_plan_retimings_at(
 /// Emits the paper's solution-quality metrics for the final LAC result
 /// through the sink API, under the `quality.*` namespace: the per-tile
 /// FF occupancy vs. capacity distributions (Fig. 2's tile view), the
-/// retiming-label magnitude of every relocated flip-flop, the target
+/// retiming-label magnitudes of the relocated flip-flops, the target
 /// period's slack under `T_init`, the residual routing overflow and the
 /// repeater count. Aggregate-only — gated on a collector so default
 /// runs pay nothing for the per-tile loops.
@@ -872,14 +809,15 @@ fn emit_quality_metrics(plan: &PhysicalPlan, caps: &[f64], lac: &LacResult, t_cl
         let occ = lac.occupancy.counts.get(tile).copied().unwrap_or(0);
         lacr_obs::histogram!("quality.tile_occupancy_ff", occ.max(0) as u64);
     }
-    let mut relocated = 0u64;
-    for &r in &lac.outcome.retiming {
-        if r != 0 {
-            relocated += 1;
-            lacr_obs::histogram!("quality.ff_relocation", r.unsigned_abs());
-        }
+    // One record per distinct lag, carrying its repeat count.
+    let mut lags = std::collections::BTreeMap::<u64, u64>::new();
+    for &r in lac.outcome.retiming.iter().filter(|&&r| r != 0) {
+        *lags.entry(r.unsigned_abs()).or_default() += 1;
     }
-    lacr_obs::gauge!("quality.relocated_vertices", relocated);
+    for (&lag, &count) in &lags {
+        lacr_obs::histogram!("quality.ff_relocation", lag, count);
+    }
+    lacr_obs::gauge!("quality.relocated_vertices", lags.values().sum::<u64>());
     lacr_obs::gauge!("quality.t_clk_slack_ps", plan.t_init.saturating_sub(t_clk));
     lacr_obs::gauge!("quality.route_overflow", plan.routing.overflow);
     lacr_obs::gauge!("quality.repeaters", plan.expanded.num_repeaters);
@@ -1113,46 +1051,5 @@ mod hard_block_tests {
             }
         }
         assert!(hard_tiles > 0, "expected hard-block tiles in the grid");
-    }
-}
-
-#[cfg(test)]
-mod timing_driven_tests {
-    use super::*;
-    use lacr_floorplan::anneal::FloorplanConfig;
-    use lacr_netlist::bench89;
-
-    #[test]
-    fn timing_driven_route_stays_consistent() {
-        let c = bench89::generate("s382").unwrap();
-        let base = PlannerConfig {
-            floorplan: FloorplanConfig {
-                moves: 800,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let td = PlannerConfig {
-            timing_driven_route: true,
-            ..base.clone()
-        };
-        let p1 = try_build_physical_plan(&c, &base, &[]).unwrap();
-        let p2 = try_build_physical_plan(&c, &td, &[]).unwrap();
-        // Same circuit, same invariants.
-        assert_eq!(p2.routing.nets.len(), c.num_nets());
-        assert_eq!(
-            p2.expanded.graph.total_flops(),
-            p1.expanded.graph.total_flops()
-        );
-        for (ni, net) in c.nets().iter().enumerate() {
-            for (si, s) in net.sinks.iter().enumerate() {
-                let path = &p2.routing.nets[ni].sink_paths[si];
-                assert_eq!(path[0], p2.unit_cell[net.driver.index()]);
-                assert_eq!(*path.last().unwrap(), p2.unit_cell[s.unit.index()]);
-            }
-        }
-        // And it still plans.
-        let report = try_plan_retimings(&p2, &td).expect("feasible");
-        assert!(report.lac.result.outcome.period <= p2.t_clk);
     }
 }

@@ -137,20 +137,3 @@ fn infeasible_period_stays_a_hard_error() {
         PlanErrorKind::Retime(RetimeError::PeriodInfeasible { target: 1 })
     ));
 }
-
-#[test]
-fn lac_budget_round_cap_is_respected() {
-    let mut config = quick_config();
-    config.technology.ff_area = 1e6; // keep violations alive so LAC loops
-    config.pad_ff_per_io = 0.0;
-    config.lac.max_rounds = 40;
-    config.budget = Budget::new(None, Some(2));
-    let circuit = bench89::generate("s344").unwrap();
-    let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
-    let report = try_plan_retimings(&plan, &config).expect("retiming succeeds");
-    assert!(
-        report.lac.result.n_wr <= 2,
-        "budget round cap must bound N_wr, got {}",
-        report.lac.result.n_wr
-    );
-}

@@ -199,7 +199,6 @@ properties_par! {
         let base = quick_config();
         let config = PlannerConfig {
             channel_utilization: fp.maybe_absurd(base.channel_utilization, 0.4),
-            channel_spread: fp.maybe_absurd(base.channel_spread, 0.4),
             block_slack: fp.maybe_absurd(base.block_slack, 0.4),
             hard_site_area: fp.maybe_absurd(base.hard_site_area, 0.4),
             pad_ff_per_io: fp.maybe_absurd(base.pad_ff_per_io, 0.4),

@@ -20,12 +20,6 @@ pub struct FloorplanConfig {
     pub cooling: f64,
     /// PRNG seed.
     pub seed: u64,
-    /// Independent annealing restarts. Each restart anneals from its own
-    /// seed (restart 0 uses `seed` itself, so `restarts = 1` reproduces
-    /// the single-run layout exactly); the lowest-cost result wins, with
-    /// ties broken toward the lowest restart index. Restarts fan out
-    /// across the deterministic thread pool. Values below 1 behave as 1.
-    pub restarts: usize,
     /// Optional wall-clock deadline. The annealer polls it periodically
     /// and, once expired, stops early and returns the best layout found
     /// so far (never worse than the initial packing).
@@ -40,7 +34,6 @@ impl Default for FloorplanConfig {
             initial_temp_frac: 0.3,
             cooling: 0.95,
             seed: 0x00f1_0011,
-            restarts: 1,
             deadline: None,
         }
     }
@@ -69,68 +62,15 @@ impl Default for FloorplanConfig {
 /// assert!(fp.validate(1e-6).is_empty());
 /// ```
 pub fn floorplan(blocks: &[BlockSpec], nets: &[Vec<usize>], config: &FloorplanConfig) -> Floorplan {
-    let restarts = config.restarts.max(1);
-    if restarts == 1 {
-        return anneal_once(blocks, nets, config, config.seed).2;
-    }
-    // Seed partitioning: restart 0 keeps the configured seed, restarts
-    // 1.. draw from a seeder stream derived from it, so every restart's
-    // trajectory is a pure function of (config.seed, index).
-    let mut seeder = Rng::seed_from_u64(config.seed);
-    let seeds: Vec<u64> = (0..restarts)
-        .map(|i| {
-            if i == 0 {
-                config.seed
-            } else {
-                seeder.next_u64()
-            }
-        })
-        .collect();
-    let results = lacr_par::Region::new("floorplan.restarts")
-        .deadline(config.deadline)
-        .map_indexed(&seeds, |_, &seed| anneal_once(blocks, nets, config, seed));
-    // Each run normalises its cost by its own initial packing, so the
-    // internal costs are not comparable across restarts; re-score every
-    // winner's absolute (area, hpwl) under one common normalisation
-    // (restart 0's) instead. Lowest cost wins; `min_by` keeps the first
-    // of equals, breaking ties toward the lowest restart index.
-    let a_norm = results[0].0.max(1e-9);
-    let h_norm = results[0].1.max(1e-9);
-    let best = results
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            let ca = a.0 / a_norm + config.wirelength_weight * a.1 / h_norm;
-            let cb = b.0 / a_norm + config.wirelength_weight * b.1 / h_norm;
-            ca.partial_cmp(&cb).expect("finite cost")
-        })
-        .map(|(i, _)| i)
-        .expect("restarts >= 1");
-    results.into_iter().nth(best).expect("index in range").2
-}
-
-/// One annealing run from `seed`; returns the best layout found along
-/// with its absolute chip area and half-perimeter wirelength (the inputs
-/// to the cross-restart scoring).
-fn anneal_once(
-    blocks: &[BlockSpec],
-    nets: &[Vec<usize>],
-    config: &FloorplanConfig,
-    seed: u64,
-) -> (f64, f64, Floorplan) {
     let n = blocks.len();
     if n == 0 {
-        return (
-            0.0,
-            0.0,
-            Floorplan {
-                blocks: Vec::new(),
-                chip_w: 0.0,
-                chip_h: 0.0,
-            },
-        );
+        return Floorplan {
+            blocks: Vec::new(),
+            chip_w: 0.0,
+            chip_h: 0.0,
+        };
     }
-    let mut rng = Rng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let mut sp = SequencePair::identity(n);
     sp.s1.shuffle(&mut rng);
     sp.s2.shuffle(&mut rng);
@@ -273,14 +213,14 @@ fn anneal_once(
         }
     }
 
-    let (area, hpwl, pos, w, h) = evaluate(&best.0, &best.1);
+    let (_, _, pos, w, h) = evaluate(&best.0, &best.1);
     let mut chip_w = 0.0f64;
     let mut chip_h = 0.0f64;
     for i in 0..n {
         chip_w = chip_w.max(pos[i].0 + w[i]);
         chip_h = chip_h.max(pos[i].1 + h[i]);
     }
-    let fp = Floorplan {
+    Floorplan {
         blocks: (0..n)
             .map(|i| PlacedBlock {
                 x: pos[i].0,
@@ -292,8 +232,7 @@ fn anneal_once(
             .collect(),
         chip_w,
         chip_h,
-    };
-    (area, hpwl, fp)
+    }
 }
 
 #[cfg(test)]
@@ -399,53 +338,6 @@ mod tests {
         let blocks = specs(6);
         let cfg = FloorplanConfig::default();
         assert_eq!(floorplan(&blocks, &[], &cfg), floorplan(&blocks, &[], &cfg));
-    }
-
-    #[test]
-    fn restarts_deterministic_and_never_worse_than_single_run() {
-        let blocks = specs(8);
-        let single = FloorplanConfig {
-            moves: 2_000,
-            ..Default::default()
-        };
-        let multi = FloorplanConfig {
-            restarts: 4,
-            ..single.clone()
-        };
-        let base = floorplan(&blocks, &[], &single);
-        let best = floorplan(&blocks, &[], &multi);
-        // Restart 0 reuses the base seed, so the winner can only improve
-        // on (or tie) the single-run area.
-        assert!(
-            best.chip_w * best.chip_h <= base.chip_w * base.chip_h * (1.0 + 1e-12),
-            "restarts made the floorplan worse: {} vs {}",
-            best.chip_w * best.chip_h,
-            base.chip_w * base.chip_h
-        );
-        // And the winner is thread-count invariant.
-        for threads in [1, 2, 8] {
-            lacr_par::set_threads(threads);
-            let again = floorplan(&blocks, &[], &multi);
-            lacr_par::set_threads(0);
-            assert_eq!(best, again, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn zero_restarts_behaves_as_one() {
-        let blocks = specs(5);
-        let one = FloorplanConfig {
-            moves: 500,
-            ..Default::default()
-        };
-        let zero = FloorplanConfig {
-            restarts: 0,
-            ..one.clone()
-        };
-        assert_eq!(
-            floorplan(&blocks, &[], &one),
-            floorplan(&blocks, &[], &zero)
-        );
     }
 
     #[test]

@@ -190,40 +190,6 @@ impl Floorplan {
         self.blocks.iter().position(|b| b.contains(x, y))
     }
 
-    /// Returns a copy with every block pushed away from the origin by
-    /// `factor` (e.g. 0.15 = 15 % more pitch), opening channel space
-    /// between blocks while preserving relative order and non-overlap —
-    /// the "channel regions" of the paper's Figure 2, allocated
-    /// explicitly. Block sizes are unchanged; the chip grows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn spread(&self, factor: f64) -> Floorplan {
-        assert!(factor >= 0.0 && factor.is_finite());
-        let scale = 1.0 + factor;
-        let blocks: Vec<PlacedBlock> = self
-            .blocks
-            .iter()
-            .map(|b| PlacedBlock {
-                x: b.x * scale,
-                y: b.y * scale,
-                ..*b
-            })
-            .collect();
-        let mut chip_w: f64 = 0.0;
-        let mut chip_h: f64 = 0.0;
-        for b in &blocks {
-            chip_w = chip_w.max(b.x + b.w);
-            chip_h = chip_h.max(b.y + b.h);
-        }
-        Floorplan {
-            blocks,
-            chip_w: chip_w.max(self.chip_w * scale),
-            chip_h: chip_h.max(self.chip_h * scale),
-        }
-    }
-
     /// Checks the structural invariants: blocks inside the chip and
     /// pairwise non-overlapping (within `eps`). Returns problems.
     pub fn validate(&self, eps: f64) -> Vec<String> {
@@ -325,64 +291,6 @@ mod tests {
             chip_h: 10.0,
         };
         assert!(fp.validate(1e-9).iter().any(|p| p.contains("escapes")));
-    }
-
-    #[test]
-    fn spread_opens_channels_without_overlap() {
-        let fp = Floorplan {
-            blocks: vec![
-                PlacedBlock {
-                    x: 0.0,
-                    y: 0.0,
-                    w: 5.0,
-                    h: 5.0,
-                    hard: false,
-                },
-                PlacedBlock {
-                    x: 5.0,
-                    y: 0.0,
-                    w: 5.0,
-                    h: 5.0,
-                    hard: false,
-                },
-                PlacedBlock {
-                    x: 0.0,
-                    y: 5.0,
-                    w: 10.0,
-                    h: 5.0,
-                    hard: true,
-                },
-            ],
-            chip_w: 10.0,
-            chip_h: 10.0,
-        };
-        let spread = fp.spread(0.2);
-        assert!(
-            spread.validate(1e-9).is_empty(),
-            "{:?}",
-            spread.validate(1e-9)
-        );
-        assert!(spread.utilization() < fp.utilization());
-        // gap appeared between the two bottom blocks
-        assert!(spread.blocks[1].x > spread.blocks[0].x + spread.blocks[0].w);
-        // sizes unchanged
-        assert_eq!(spread.blocks[0].w, 5.0);
-    }
-
-    #[test]
-    fn spread_zero_is_identity() {
-        let fp = Floorplan {
-            blocks: vec![PlacedBlock {
-                x: 1.0,
-                y: 2.0,
-                w: 3.0,
-                h: 4.0,
-                hard: false,
-            }],
-            chip_w: 10.0,
-            chip_h: 10.0,
-        };
-        assert_eq!(fp.spread(0.0), fp);
     }
 
     #[test]

@@ -201,11 +201,6 @@ impl TileGrid {
         cy * self.nx + cx
     }
 
-    /// Grid coordinates of a linear cell index.
-    pub fn cell_coords(&self, cell: usize) -> (usize, usize) {
-        (cell % self.nx, cell / self.nx)
-    }
-
     /// The cell containing point `(x, y)` (clamped to the chip).
     pub fn cell_of_point(&self, x: f64, y: f64) -> usize {
         let cx = ((x / self.tile_size) as isize).clamp(0, self.nx as isize - 1) as usize;
@@ -216,11 +211,6 @@ impl TileGrid {
     /// The tile a cell belongs to.
     pub fn tile_of_cell(&self, cell: usize) -> TileId {
         TileId(self.cell_tile[cell])
-    }
-
-    /// The tile containing point `(x, y)`.
-    pub fn tile_of_point(&self, x: f64, y: f64) -> TileId {
-        self.tile_of_cell(self.cell_of_point(x, y))
     }
 
     /// Kind of a tile.
@@ -288,11 +278,6 @@ impl CapacityLedger {
     /// overflow is what `N_FOA` counts).
     pub fn consume_forced(&mut self, t: TileId, area: f64) {
         self.remaining[t.0] -= area;
-    }
-
-    /// Returns `area` to tile `t`.
-    pub fn refund(&mut self, t: TileId, area: f64) {
-        self.remaining[t.0] += area;
     }
 
     /// Total overdraw across tiles (µm²).
@@ -413,15 +398,13 @@ mod tests {
     }
 
     #[test]
-    fn ledger_consume_and_refund() {
+    fn ledger_consume_and_overdraw() {
         let grid = TileGrid::build(&fp_one_soft(), &[0.0], &TileGridConfig::default());
         let t = grid.soft_tile_of_block(0).unwrap();
         let mut ledger = CapacityLedger::new(&grid);
         assert!(ledger.try_consume(t, 100.0));
         assert!((ledger.remaining(t) - 359_900.0).abs() < 1e-6);
         assert!(!ledger.try_consume(t, 1e9));
-        ledger.refund(t, 100.0);
-        assert!((ledger.remaining(t) - 360_000.0).abs() < 1e-6);
         assert_eq!(ledger.total_overflow(), 0.0);
         ledger.consume_forced(t, 400_000.0);
         assert!(ledger.total_overflow() > 0.0);

@@ -226,11 +226,6 @@ impl Circuit {
         &self.units[id.index()]
     }
 
-    /// Mutable access to a unit.
-    pub fn unit_mut(&mut self, id: UnitId) -> &mut Unit {
-        &mut self.units[id.index()]
-    }
-
     /// The net with the given id.
     pub fn net(&self, id: NetId) -> &Net {
         &self.nets[id.index()]
@@ -255,11 +250,6 @@ impl Circuit {
     /// Ids of all units.
     pub fn unit_ids(&self) -> impl Iterator<Item = UnitId> + '_ {
         (0..self.units.len() as u32).map(UnitId)
-    }
-
-    /// Ids of all nets.
-    pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
-        (0..self.nets.len() as u32).map(NetId)
     }
 
     /// Iterates every flattened driver→sink connection.
@@ -289,11 +279,6 @@ impl Circuit {
             .iter()
             .position(|u| u.name == name)
             .map(|i| UnitId(i as u32))
-    }
-
-    /// Sum of raw unit areas.
-    pub fn total_unit_area(&self) -> f64 {
-        self.units.iter().map(|u| u.area).sum()
     }
 
     /// Structural validation. Returns human-readable problems; an empty

@@ -374,13 +374,14 @@ mod tests {
         Record::Hist {
             name: "flight.test.marker".to_string(),
             value: i,
+            count: 1,
         }
     }
 
     fn marker_values(snap: &[(u64, Record)]) -> Vec<u64> {
         snap.iter()
             .filter_map(|(_, r)| match r {
-                Record::Hist { name, value } if name == "flight.test.marker" => Some(*value),
+                Record::Hist { name, value, .. } if name == "flight.test.marker" => Some(*value),
                 _ => None,
             })
             .collect()

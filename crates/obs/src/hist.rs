@@ -53,9 +53,18 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_for(value)] += 1;
-        self.count += 1;
-        self.sum += u128::from(value);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value`: the histogram `n` calls of
+    /// [`Histogram::record`] leave (none when `n` is 0).
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_for(value)] += n;
+        self.count += n;
+        self.sum += u128::from(value) * u128::from(n);
         self.max = self.max.max(value);
     }
 

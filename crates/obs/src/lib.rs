@@ -283,12 +283,13 @@ pub fn set_gauge(name: &str, value: f64) {
     });
 }
 
-/// Records `value` into the named power-of-two histogram. Prefer
-/// [`histogram!`].
-pub fn record_hist(name: &str, value: u64) {
+/// Records `count` samples of `value` into the named power-of-two
+/// histogram. Prefer [`histogram!`].
+pub fn record_hist(name: &str, value: u64, count: u64) {
     emit(Record::Hist {
         name: name.to_string(),
         value,
+        count,
     });
 }
 
@@ -457,13 +458,17 @@ macro_rules! gauge {
     };
 }
 
-/// Records a sample into a power-of-two histogram:
-/// `histogram!("quality.ff_relocation", lag);`.
+/// Records a sample into a power-of-two histogram,
+/// `histogram!("req.size_us", us);`, or `count` samples of one value in
+/// one record, `histogram!("quality.ff_relocation", lag, count);`.
 #[macro_export]
 macro_rules! histogram {
     ($name:expr, $value:expr) => {
+        $crate::histogram!($name, $value, 1)
+    };
+    ($name:expr, $value:expr, $count:expr) => {
         if $crate::recording() {
-            $crate::record_hist($name, ($value) as u64);
+            $crate::record_hist($name, ($value) as u64, ($count) as u64);
         }
     };
 }

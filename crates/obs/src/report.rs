@@ -81,8 +81,11 @@ impl Report {
             Record::Gauge { name, value } => {
                 self.gauges.insert(name.clone(), *value);
             }
-            Record::Hist { name, value } => {
-                self.hists.entry(name.clone()).or_default().record(*value);
+            Record::Hist { name, value, count } => {
+                self.hists
+                    .entry(name.clone())
+                    .or_default()
+                    .record_n(*value, *count);
             }
             Record::SpanOpen { .. } | Record::Event { .. } => {}
         }
@@ -510,6 +513,24 @@ mod tests {
         // 1.5 µs + 0.5 µs: no sub-microsecond part is lost.
         assert_eq!(r.span("s").map(|s| (s.count, s.incl_ns)), Some((2, 2_000)));
         assert!(matches!(records[3], Record::Counter { total: 5, .. }));
+    }
+
+    #[test]
+    fn a_counted_hist_record_folds_as_that_many_samples() {
+        let hist = |value, count| Record::Hist {
+            name: "h".into(),
+            value,
+            count,
+        };
+        let (mut counted, mut single) = (Report::default(), Report::default());
+        for (value, count) in [(1, 561), (3, 339), (0, 1), (u64::MAX, 2)] {
+            counted.fold(&mut hist(value, count));
+            for _ in 0..count {
+                single.fold(&mut hist(value, 1));
+            }
+        }
+        assert_eq!(counted.hists, single.hists);
+        assert_eq!(counted.hist("h").map(Histogram::count), Some(903));
     }
 
     #[test]

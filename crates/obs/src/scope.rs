@@ -159,7 +159,7 @@ mod tests {
             assert_eq!(current().unwrap().label(), "t1");
             crate::add_counter("scope.t1.inside", 2);
             crate::set_gauge("scope.t1.g", 1.5);
-            crate::record_hist("scope.t1.h", 8);
+            crate::record_hist("scope.t1.h", 8, 1);
         }
         assert!(!active());
         let r = scope.report();

@@ -61,12 +61,14 @@ pub enum Record {
         /// The new value.
         value: f64,
     },
-    /// A histogram sample was recorded.
+    /// Samples of one value were recorded into a histogram.
     Hist {
         /// Histogram name.
         name: String,
         /// The sample.
         value: u64,
+        /// How many samples of `value` (1 for a single sample).
+        count: u64,
     },
     /// A point-in-time structured event.
     Event {
@@ -122,10 +124,17 @@ impl Record {
                     json_escape(name)
                 )
             }
-            Record::Hist { name, value } => format!(
-                "{{\"t\":\"hist\",\"us\":{ts_us},\"name\":\"{}\",\"value\":{value}}}",
-                json_escape(name)
-            ),
+            Record::Hist { name, value, count } => {
+                // A single sample keeps the one-sample line shape.
+                let count = match count {
+                    1 => String::new(),
+                    n => format!(",\"count\":{n}"),
+                };
+                format!(
+                    "{{\"t\":\"hist\",\"us\":{ts_us},\"name\":\"{}\",\"value\":{value}{count}}}",
+                    json_escape(name)
+                )
+            }
             Record::Event { name, attrs } => {
                 let a = attrs_json(attrs);
                 format!(
@@ -215,8 +224,15 @@ impl Sink for StderrSink {
             Record::Gauge { name, value } => {
                 eprintln!("[lacr] {ms:9.3}ms   {name} = {value}");
             }
-            Record::Hist { name, value } => {
+            Record::Hist {
+                name,
+                value,
+                count: 1,
+            } => {
                 eprintln!("[lacr] {ms:9.3}ms   {name} ~ {value}");
+            }
+            Record::Hist { name, value, count } => {
+                eprintln!("[lacr] {ms:9.3}ms   {name} ~ {value} x{count}");
             }
             Record::Event { name, attrs } => {
                 let mut line = format!("[lacr] {ms:9.3}ms   ! {name}");
@@ -407,6 +423,7 @@ mod tests {
             &Record::Hist {
                 name: "h".into(),
                 value: 9,
+                count: 1,
             },
         );
         tee.flush();

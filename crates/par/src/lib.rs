@@ -1,7 +1,7 @@
 //! Deterministic scoped parallelism for the planning pipeline.
 //!
 //! The pipeline's hot kernels (per-source W/D Dijkstras, per-net routing,
-//! annealer restarts, test-case fan-out) are index-parallel: item `i`'s
+//! test-case fan-out) are index-parallel: item `i`'s
 //! result depends only on item `i` and on state frozen before the region
 //! starts. [`Region::map_indexed`] runs such a map across a scoped worker
 //! pool and returns the results **in input order, bit-identical to the
@@ -234,16 +234,6 @@ impl<'a> Region<'a> {
         debug_assert!(indexed.iter().enumerate().all(|(k, &(i, _))| k == i));
         indexed.into_iter().map(|(_, r)| r).collect()
     }
-
-    /// Index-only variant: runs `f(0..n)` and collects in index order.
-    pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let indices: Vec<usize> = (0..n).collect();
-        self.map_indexed(&indices, |_, &i| f(i))
-    }
 }
 
 #[cfg(test)]
@@ -338,12 +328,6 @@ mod tests {
         // And still produces correct results.
         let got = region.map_indexed(&[1u8, 2, 3], |_, &x| x + 1);
         assert_eq!(got, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn run_indexed_matches_map() {
-        let got = with_threads(3, || Region::new("test.run").run_indexed(10, |i| i * 7));
-        assert_eq!(got, (0..10).map(|i| i * 7).collect::<Vec<_>>());
     }
 
     #[test]

@@ -16,11 +16,18 @@
 //!   output driver cannot legally be incremented past a zero-weight host
 //!   edge.
 //!
-//! A host graph's search starts at its **cycle-ratio floor**
+//! Every search probes its floor first: the largest single-vertex delay
+//! `d_max` on a host-free graph (the optimum of every host-free DAG, such
+//! as the pipelined mesh), and on a host graph its **cycle-ratio floor**
 //! `max(d_max, ⌈λ*⌉)`, where λ* is the largest `Σ delay / Σ flip-flops`
-//! over cycles that avoid the host (see `cycle_ratio_floor`), and probes
-//! that floor first. The constraint oracle is **incremental across
-//! probes**: the W/D substrate ([`WdSubstrate`]) is built once for the
+//! over cycles that avoid the host (see `cycle_ratio_floor`). A feasible
+//! floor ends the search; an infeasible one ends at its cycle
+//! certificate, and the binary search goes on above it. The returned
+//! retiming does not depend on the probe order: FEAS from any start at or
+//! below the least feasible retiming ends there.
+//!
+//! The constraint oracle is **incremental across probes**: the W/D
+//! substrate ([`WdSubstrate`]) is built once for the
 //! bracket `[floor, T_init]` (one `retime.wd_build` span per
 //! [`try_min_period_retiming`] call, counted by `retime.probe` /
 //! `retime.wd_cache_hits`), each probe re-emits its constraint set with a
@@ -513,8 +520,8 @@ impl Oracle<'_> {
 /// Binary-searches integer periods between a floor no retiming can beat
 /// and the unretimed period. The floor is the largest single-vertex delay
 /// on host-free graphs; on host graphs it is raised to the host-avoiding
-/// cycle-ratio bound `⌈λ*⌉` when that is larger, and probed first. A
-/// positive `tolerance_ps` stops the search once the bracket
+/// cycle-ratio bound `⌈λ*⌉` when that is larger. Either floor is probed
+/// first. A positive `tolerance_ps` stops the search once the bracket
 /// `[infeasible, feasible]` is narrower than it, returning the feasible
 /// end after one final downward probe at the bracket floor. The result
 /// is at most `tolerance_ps` above the true optimum — and *exact*
@@ -570,9 +577,10 @@ pub fn try_min_period_retiming(
             warm: vec![0; n],
         }
     };
-    if host && lo < hi {
-        // A raised floor is often the optimum (s838, s1269 and s1423 of
-        // Table 1): probe it first.
+    if lo < hi {
+        // The floor is often the optimum: a raised one on s838, s1269 and
+        // s1423 of Table 1, `d_max` on every pipelined mesh. Probe it
+        // first.
         match oracle.probe(lo)? {
             Some(r) => {
                 best = (lo, r);
@@ -592,12 +600,10 @@ pub fn try_min_period_retiming(
         }
     }
     // Final downward probe at the bracket floor. With tolerance 0 the
-    // loop above ends with lo == hi == best.0 except when the floor was
-    // never probed; with a positive tolerance the bracket may stop wide.
-    // Either way the floor is the only candidate that can still beat
-    // `best` exactly — probe it whenever it is strictly better, whatever
-    // the tolerance (a collapsed bracket in particular must not be
-    // skipped just because tolerance_ps > 0).
+    // loop above ends with lo == hi == best.0; with a positive tolerance
+    // the bracket may stop wide, and its floor is the only candidate that
+    // can still beat `best` exactly — probe it whenever it is strictly
+    // better.
     if lo < best.0 {
         if let Some(r) = oracle.probe(lo)? {
             best = (lo, r);
@@ -867,6 +873,49 @@ mod tests {
         let out = try_min_period_retiming(&g, 0).unwrap();
         assert_eq!(out.result.period, 5);
         assert!(out.substrate.is_none());
+    }
+
+    /// The host-free search, which probes its `d_max` floor first, finds
+    /// on random small graphs the least target brute force finds
+    /// feasible, and the retiming a cold FEAS run returns at that target.
+    /// Registered back edges keep the graphs valid; forward edges may be
+    /// combinational, so some floors are the optimum and some are not.
+    #[test]
+    fn host_free_search_matches_brute_force_and_a_cold_feas_run() {
+        let mut rng = Rng::seed_from_u64(2003);
+        let (mut floor_optimal, mut floor_infeasible) = (0, 0);
+        for case in 0..60 {
+            let n = rng.gen_range(2..5usize);
+            let mut g = RetimeGraph::new();
+            let vs: Vec<_> = (0..n)
+                .map(|_| g.add_vertex(VertexKind::Functional, rng.gen_range(1..9u64), 1.0, None))
+                .collect();
+            for _ in 0..rng.gen_range(1..2 * n) {
+                let a = rng.gen_range(0..n);
+                let b = rng.gen_range(0..n);
+                let w = if a < b {
+                    rng.gen_range(0..3i64)
+                } else {
+                    rng.gen_range(1..3i64)
+                };
+                g.add_edge(vs[a], vs[b], w);
+            }
+            let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
+            let d_max = g.vertex_ids().map(|v| g.delay(v)).max().expect("non-empty");
+            let brute = (d_max..=unretimed)
+                .find(|&t| brute_force_feasible(&g, t))
+                .expect("the unretimed period is feasible");
+            let res = try_min_period_retiming(&g, 0).unwrap().result;
+            assert_eq!(res.period, brute, "case {case}: {g:?}");
+            let (cold, _) = feas_loop(&mut Feas::new(&g), brute, vec![0; n]).unwrap();
+            assert_eq!(Some(res.retiming), cold, "case {case}: {g:?}");
+            if brute == d_max {
+                floor_optimal += 1;
+            } else {
+                floor_infeasible += 1;
+            }
+        }
+        assert!(floor_optimal > 0 && floor_infeasible > 0);
     }
 
     /// Reference check on random small graphs: FEAS feasibility must agree

@@ -159,21 +159,9 @@ impl RetimeGraph {
         self.areas[v.index()]
     }
 
-    /// Sets the FF area weight of one vertex (the LAC loop re-weights by
-    /// tile).
-    pub fn set_area(&mut self, v: VertexId, area: f64) {
-        assert!(area > 0.0 && area.is_finite(), "bad area weight {area}");
-        self.areas[v.index()] = area;
-    }
-
     /// Tile of a vertex.
     pub fn tile(&self, v: VertexId) -> Option<usize> {
         self.tiles[v.index()]
-    }
-
-    /// Sets the tile of a vertex.
-    pub fn set_tile(&mut self, v: VertexId, tile: Option<usize>) {
-        self.tiles[v.index()] = tile;
     }
 
     /// All edges, indexable by [`EdgeId::index`].
@@ -484,8 +472,6 @@ mod tests {
         let v = g.add_vertex(VertexKind::Interconnect, 50, 1.0, Some(3));
         assert_eq!(g.kind(v), VertexKind::Interconnect);
         assert_eq!(g.tile(v), Some(3));
-        g.set_tile(v, Some(4));
-        assert_eq!(g.tile(v), Some(4));
     }
 
     #[test]
@@ -495,13 +481,5 @@ mod tests {
         let a = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
         let b = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
         g.add_edge(a, b, -1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_area_weight_panics() {
-        let mut g = RetimeGraph::new();
-        let a = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
-        g.set_area(a, 0.0);
     }
 }

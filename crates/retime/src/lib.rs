@@ -59,5 +59,5 @@ pub use minarea::{
     MinAreaSolver, RetimeError, RetimingOutcome,
 };
 pub use sharing::{shared_min_area_retiming, shared_register_count, SharedRetimingOutcome};
-pub use sta::{analyze_timing, critical_path, edge_criticality, TimingReport};
+pub use sta::{analyze_timing, critical_path, TimingReport};
 pub use verify::{verify_retiming, VerifyError};

@@ -3,9 +3,9 @@
 //! The planner's purpose is "to provide more accurate interconnect delay
 //! information to early design steps" (§1) — this module is that
 //! reporting surface: combinational arrival and required times, per-vertex
-//! and per-edge slacks against a target period, and extraction of the
-//! critical path, all under a given edge-weight assignment (registers cut
-//! the combinational graph exactly where their weights are non-zero).
+//! slacks against a target period, and extraction of the critical path,
+//! all under a given edge-weight assignment (registers cut the
+//! combinational graph exactly where their weights are non-zero).
 
 use crate::graph::{RetimeGraph, VertexId};
 use crate::minarea::RetimeError;
@@ -200,35 +200,6 @@ pub fn critical_path(graph: &RetimeGraph, weights: &[i64]) -> Vec<VertexId> {
     path
 }
 
-/// Per-edge timing criticality in `[0, 1]`: 1 on the critical path, 0 on
-/// the loosest edges. Registered edges have criticality 0 (the register
-/// isolates them). Useful for ordering nets in timing-driven routing.
-///
-/// # Panics
-///
-/// Panics if `weights` mismatches the graph edges.
-pub fn edge_criticality(graph: &RetimeGraph, weights: &[i64], target: u64) -> Option<Vec<f64>> {
-    let report = analyze_timing(graph, weights, target)?;
-    let worst = report.worst_slack().min(0);
-    let span = (target as i64 - worst).max(1) as f64;
-    let crit = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            if weights[i] != 0 {
-                return 0.0;
-            }
-            // Edge slack: required(head) − d(head) − arrival(tail).
-            let s = report.required[e.to.index()]
-                - graph.delay(e.to) as i64
-                - report.arrival[e.from.index()] as i64;
-            (1.0 - (s - worst) as f64 / span).clamp(0.0, 1.0)
-        })
-        .collect();
-    Some(crit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,23 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn criticality_orders_edges() {
-        let mut g = RetimeGraph::new();
-        // Two parallel paths to c: a slow one through b, a fast one direct.
-        let a = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
-        let b = g.add_vertex(VertexKind::Functional, 8, 1.0, None);
-        let c = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
-        let e_slow1 = g.add_edge(a, b, 0);
-        let e_slow2 = g.add_edge(b, c, 0);
-        let e_fast = g.add_edge(a, c, 0);
-        let e_back = g.add_edge(c, a, 1);
-        let crit = edge_criticality(&g, &g.weights(), 12).expect("acyclic");
-        assert!(crit[e_slow1.index()] > crit[e_fast.index()]);
-        assert!(crit[e_slow2.index()] > crit[e_fast.index()]);
-        assert_eq!(crit[e_back.index()], 0.0);
-    }
-
-    #[test]
     fn host_does_not_constrain_required_times() {
         let mut g = RetimeGraph::new();
         let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
@@ -336,7 +290,6 @@ mod tests {
         g.add_edge(a, b, 0);
         g.add_edge(b, a, 0);
         assert!(analyze_timing(&g, &g.weights(), 5).is_none());
-        assert!(edge_criticality(&g, &g.weights(), 5).is_none());
     }
 
     #[test]

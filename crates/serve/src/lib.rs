@@ -750,7 +750,7 @@ fn admit(
         .budget_ms
         .or(session.default_budget_ms)
         .map(|ms| enqueued + Duration::from_millis(ms));
-    let budget = Budget::new(deadline, None).labeled(req.id.as_str());
+    let budget = Budget::new(deadline).labeled(req.id.as_str());
     let id = req.id.clone();
     let job_session = Arc::clone(session);
     let job_out = out.clone();

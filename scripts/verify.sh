@@ -34,6 +34,25 @@ case "${1:-}" in
         ;;
 esac
 
+# Runs the one test whose full path is $2 in package $1. A cargo test
+# filter that matches nothing passes silently, so the step fails unless
+# exactly that test ran (and passed): renaming or deleting a guarded test
+# cannot go unnoticed.
+run_named_test() {
+    local out passed
+    out=$(RUSTFLAGS="${RUSTFLAGS:-} -D warnings" \
+        cargo test --release --offline -p "$1" -- --exact "$2" 2>&1) || {
+        echo "$out" >&2
+        exit 1
+    }
+    grep -E '^test .+ \.\.\. ' <<<"$out" || true
+    passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' <<<"$out")
+    if [[ "$passed" != 1 ]]; then
+        echo "error: cargo test -p $1 -- --exact $2 ran $passed test(s), expected 1" >&2
+        exit 1
+    fi
+}
+
 if [[ "$METRICS" == 1 ]]; then
     echo "==> cargo build --release (warnings are errors)"
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
@@ -378,19 +397,14 @@ if [[ "$DETERMINISM" == 1 ]]; then
     RUSTFLAGS="${RUSTFLAGS:-} -D warnings" \
         cargo test --release --offline -p lacr-core --test determinism
 
-    echo "==> thread-count regressions (router rip-up, annealer restarts)"
-    RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release --offline \
-        -p lacr-route routing_is_byte_identical_across_runs_and_thread_counts
-    RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release --offline \
-        -p lacr-floorplan restarts_deterministic_and_never_worse_than_single_run
+    echo "==> thread-count regression (router rip-up)"
+    run_named_test lacr-route tests::routing_is_byte_identical_across_runs_and_thread_counts
 
     echo "==> adjacency-order invariance (W/D constraint property test)"
-    RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release --offline \
-        -p lacr-retime constraints_invariant_under_adjacency_order
+    run_named_test lacr-retime constraints::tests::constraints_invariant_under_adjacency_order
 
     echo "==> renumbering invariance (warm min-cost-flow solves on degenerate systems)"
-    RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release --offline \
-        -p lacr-mcmf warm_solves_commute_with_renumbering
+    run_named_test lacr-mcmf dual::tests::warm_solves_commute_with_renumbering
 
     echo "==> CLI cross-thread diff: lacr plan s344 at LACR_THREADS=1,2,8"
     mkdir -p target/determinism
