@@ -22,12 +22,12 @@ use lacr_core::expand::ExpandOptions;
 use lacr_core::experiment::check_circuits;
 use lacr_core::lac::{lac_retiming, LacConfig};
 use lacr_core::planner::{
-    plan_constraints, try_build_physical_plan, try_plan_retimings, PhysicalPlan, PlannerConfig,
+    try_build_physical_plan, try_plan_retimings, PhysicalPlan, PlannerConfig,
 };
 use lacr_netlist::Circuit;
 use lacr_retime::{
     generate_period_constraints, shared_min_area_retiming, shared_register_count,
-    weighted_min_area_retiming, PeriodConstraints, RetimeGraph, WdSubstrate,
+    weighted_min_area_retiming, PeriodConstraints, RetimeGraph,
 };
 use std::time::Instant;
 
@@ -62,7 +62,7 @@ const ABLATIONS: &[Ablation] = &[
     Ablation {
         name: "pruning",
         circuits: &["s641", "s953", "s1196"],
-        header: "circuit  |      pairs    emitted  kept% | build t/s remit t/s solve t/s |   N_F",
+        header: "circuit  |      pairs    emitted  kept% | build t/s solve t/s |   N_F",
         rows: pruning,
     },
     Ablation {
@@ -190,44 +190,33 @@ fn subseg_row(name: &str, plan: &PhysicalPlan, config: &PlannerConfig) {
 
 /// A4. The W/D constraint reduction, the paper's main avenue for further
 /// run-time improvement (§5): violating pairs against the constraints
-/// emitted, and one W/D build for the whole `[T_min, T_init]` bracket
-/// against re-emitting a probe's constraints from it (what every
-/// binary-search step after the first costs). Asserts that the re-emitted
-/// set equals one-shot generation at the same target.
+/// emitted, both at `T_clk`, with the time of that one build and of the
+/// min-area solve on its constraints.
 fn pruning(name: &str, _: &Circuit, plan: &PhysicalPlan, _: &PlannerConfig) {
     let graph = &plan.expanded.graph;
     let t0 = Instant::now();
-    let substrate = match WdSubstrate::build(graph, plan.t_min, plan.t_init) {
-        Ok(s) => s,
+    let pc = match generate_period_constraints(graph, plan.t_clk) {
+        Ok(pc) => pc,
         Err(e) => {
             println!("{name:<8} | error: {e}");
             return;
         }
     };
     let build_t = t0.elapsed();
-    let t1 = Instant::now();
-    let pc = substrate.constraints_for(plan.t_clk);
-    let remit_t = t1.elapsed();
-    let fresh = generate_period_constraints(graph, plan.t_clk).expect("no overflow");
-    assert_eq!(
-        pc.constraints, fresh.constraints,
-        "substrate probe diverged from one-shot generation"
-    );
     let kept = if pc.pairs_before_pruning > 0 {
         100.0 * pc.constraints.len() as f64 / pc.pairs_before_pruning as f64
     } else {
         100.0
     };
-    let t2 = Instant::now();
+    let t1 = Instant::now();
     match weighted_min_area_retiming(graph, &pc, &areas(graph)) {
         Ok(out) => println!(
-            "{name:<8} | {:>10} {:>10} {:>6.1} | {:>9.3} {:>9.3} {:>9.3} | {:>5}",
+            "{name:<8} | {:>10} {:>10} {:>6.1} | {:>9.3} {:>9.3} | {:>5}",
             pc.pairs_before_pruning,
             pc.constraints.len(),
             kept,
             build_t.as_secs_f64(),
-            remit_t.as_secs_f64(),
-            t2.elapsed().as_secs_f64(),
+            t1.elapsed().as_secs_f64(),
             out.total_flops,
         ),
         Err(e) => println!("{name:<8} | error: {e}"),
@@ -260,7 +249,8 @@ fn sharing(name: &str, _: &Circuit, plan: &PhysicalPlan, _: &PlannerConfig) {
 }
 
 fn constraints_at_t_clk(plan: &PhysicalPlan) -> PeriodConstraints {
-    plan_constraints(plan, plan.t_clk).expect("path delay accumulation overflowed u64")
+    generate_period_constraints(&plan.expanded.graph, plan.t_clk)
+        .expect("path delay accumulation overflowed u64")
 }
 
 fn areas(graph: &RetimeGraph) -> Vec<f64> {

@@ -15,13 +15,11 @@
 //!    summed `par.tasks` deltas equal the summed region `items` (a
 //!    `par.steal` counter is optional — single-threaded regions never
 //!    emit one);
-//! 6. the retiming substrate contract holds: inside each
-//!    `retime.min_period` span, every substrate probe is served either
-//!    from the cached W/D substrate or by building it — summed
-//!    `retime.probe` deltas equal summed `retime.wd_cache_hits` deltas
-//!    plus the number of `retime.wd_build` child spans. (Host-free
-//!    searches run arrival-time FEAS probes, which touch no substrate;
-//!    both sides are then zero.)
+//! 6. the min-period contract holds: no `retime.wd_build` span opens
+//!    inside a `retime.min_period` span (every probe runs FEAS, on host
+//!    and host-free graphs alike, and the period constraints are built
+//!    once, at the planned target), and every `retime.probe` counter
+//!    fires inside one (a probe belongs to a search);
 //! 7. a `hist` record that carries a `count` (samples of one value
 //!    folded into one record) carries a positive integer there.
 //!
@@ -82,10 +80,6 @@ fn check_stream(text: &str) -> Result<(usize, usize, usize), String> {
     let mut par_regions = 0usize;
     let mut par_items = 0u64;
     let mut par_tasks = 0u64;
-    // One (probes, cache_hits, wd_builds) tracker per open
-    // retime.min_period span; counters and wd_build spans attribute to
-    // the innermost one.
-    let mut min_period_stack: Vec<(u64, u64, u64)> = Vec::new();
     for (ln, line) in text.lines().enumerate() {
         let ln = ln + 1;
         if line.trim().is_empty() {
@@ -137,12 +131,12 @@ fn check_stream(text: &str) -> Result<(usize, usize, usize), String> {
                     par_regions += 1;
                     par_items += items as u64;
                 }
-                if name == "retime.min_period" {
-                    min_period_stack.push((0, 0, 0));
-                } else if name == "retime.wd_build" {
-                    if let Some(t) = min_period_stack.last_mut() {
-                        t.2 += 1;
-                    }
+                if name == "retime.wd_build"
+                    && open_spans.iter().any(|(n, _)| n == "retime.min_period")
+                {
+                    return Err(format!(
+                        "line {ln}: retime.wd_build opened inside retime.min_period"
+                    ));
                 }
                 open_spans.push((name.to_string(), depth as u64));
             }
@@ -158,17 +152,6 @@ fn check_stream(text: &str) -> Result<(usize, usize, usize), String> {
                     return Err(format!(
                         "line {ln}: span_close {name:?} does not match open {open_name:?}"
                     ));
-                }
-                if name == "retime.min_period" {
-                    let (probes, hits, builds) = min_period_stack
-                        .pop()
-                        .ok_or(format!("line {ln}: unbalanced retime.min_period"))?;
-                    if probes != hits + builds {
-                        return Err(format!(
-                            "line {ln}: retime.min_period closed with {probes} substrate \
-                             probe(s) but {hits} cache hit(s) + {builds} wd_build span(s)"
-                        ));
-                    }
                 }
                 spans += 1;
             }
@@ -191,18 +174,12 @@ fn check_stream(text: &str) -> Result<(usize, usize, usize), String> {
                         par_tasks += delta as u64;
                     }
                 }
-                if name == "retime.probe" || name == "retime.wd_cache_hits" {
-                    if let Some(t) = min_period_stack.last_mut() {
-                        let delta = v
-                            .get("delta")
-                            .and_then(Json::as_num)
-                            .ok_or(format!("line {ln}: {name} without numeric delta"))?;
-                        if name == "retime.probe" {
-                            t.0 += delta as u64;
-                        } else {
-                            t.1 += delta as u64;
-                        }
-                    }
+                if name == "retime.probe"
+                    && !open_spans.iter().any(|(n, _)| n == "retime.min_period")
+                {
+                    return Err(format!(
+                        "line {ln}: retime.probe counter outside any retime.min_period span"
+                    ));
                 }
             }
             "hist" => {
@@ -596,42 +573,51 @@ mod tests {
     }
 
     #[test]
-    fn enforces_the_retime_substrate_contract() {
-        // Two probes: the first builds the substrate, the second hits
-        // the cache. A cache hit outside the span (planner reuse) does
-        // not count toward any search.
+    fn enforces_the_min_period_contract() {
+        // Two probes inside the search; the W/D build at the planned
+        // target follows the search.
         let good = "\
+{\"t\":\"span_open\",\"us\":1,\"name\":\"retime.min_period\",\"depth\":0,\"attrs\":{}}
+{\"t\":\"counter\",\"us\":2,\"name\":\"retime.probe\",\"delta\":1,\"total\":1}
+{\"t\":\"counter\",\"us\":3,\"name\":\"retime.probe\",\"delta\":1,\"total\":2}
+{\"t\":\"span_close\",\"us\":4,\"name\":\"retime.min_period\",\"depth\":0,\"incl_us\":3,\"excl_us\":3}
+{\"t\":\"span_open\",\"us\":5,\"name\":\"retime.wd_build\",\"depth\":0,\"attrs\":{}}
+{\"t\":\"span_close\",\"us\":6,\"name\":\"retime.wd_build\",\"depth\":0,\"incl_us\":1,\"excl_us\":1}
+{\"t\":\"summary\",\"schema_version\":1}
+";
+        assert_eq!(check_stream(good).unwrap(), (7, 2, 0));
+
+        // A search that builds W/D breaks the contract.
+        let band = "\
 {\"t\":\"span_open\",\"us\":1,\"name\":\"retime.min_period\",\"depth\":0,\"attrs\":{}}
 {\"t\":\"counter\",\"us\":2,\"name\":\"retime.probe\",\"delta\":1,\"total\":1}
 {\"t\":\"span_open\",\"us\":3,\"name\":\"retime.wd_build\",\"depth\":1,\"attrs\":{}}
 {\"t\":\"span_close\",\"us\":4,\"name\":\"retime.wd_build\",\"depth\":1,\"incl_us\":1,\"excl_us\":1}
-{\"t\":\"counter\",\"us\":5,\"name\":\"retime.probe\",\"delta\":1,\"total\":2}
-{\"t\":\"counter\",\"us\":6,\"name\":\"retime.wd_cache_hits\",\"delta\":1,\"total\":1}
-{\"t\":\"span_close\",\"us\":7,\"name\":\"retime.min_period\",\"depth\":0,\"incl_us\":6,\"excl_us\":5}
-{\"t\":\"counter\",\"us\":8,\"name\":\"retime.wd_cache_hits\",\"delta\":1,\"total\":2}
+{\"t\":\"span_close\",\"us\":5,\"name\":\"retime.min_period\",\"depth\":0,\"incl_us\":4,\"excl_us\":3}
 {\"t\":\"summary\",\"schema_version\":1}
 ";
-        assert_eq!(check_stream(good).unwrap(), (9, 2, 0));
+        let err = check_stream(band).unwrap_err();
+        assert!(
+            err.contains("line 3: retime.wd_build opened inside"),
+            "{err}"
+        );
 
-        // A probe with neither a cache hit nor a build is a contract
-        // violation (the substrate was silently bypassed).
-        let bypassed = "\
-{\"t\":\"span_open\",\"us\":1,\"name\":\"retime.min_period\",\"depth\":0,\"attrs\":{}}
-{\"t\":\"counter\",\"us\":2,\"name\":\"retime.probe\",\"delta\":2,\"total\":2}
-{\"t\":\"counter\",\"us\":3,\"name\":\"retime.wd_cache_hits\",\"delta\":1,\"total\":1}
-{\"t\":\"span_close\",\"us\":4,\"name\":\"retime.min_period\",\"depth\":0,\"incl_us\":3,\"excl_us\":3}
+        // So does a probe outside any search.
+        let stray = "\
+{\"t\":\"counter\",\"us\":1,\"name\":\"retime.probe\",\"delta\":1,\"total\":1}
 {\"t\":\"summary\",\"schema_version\":1}
 ";
-        let err = check_stream(bypassed).unwrap_err();
-        assert!(err.contains("2 substrate probe(s)"), "{err}");
+        assert!(check_stream(stray)
+            .unwrap_err()
+            .contains("outside any retime.min_period"));
 
-        // Host-free searches probe no substrate: both sides zero.
-        let host_free = "\
+        // A search whose floor is the unretimed period probes nothing.
+        let no_probe = "\
 {\"t\":\"span_open\",\"us\":1,\"name\":\"retime.min_period\",\"depth\":0,\"attrs\":{}}
 {\"t\":\"span_close\",\"us\":3,\"name\":\"retime.min_period\",\"depth\":0,\"incl_us\":2,\"excl_us\":2}
 {\"t\":\"summary\",\"schema_version\":1}
 ";
-        assert!(check_stream(host_free).is_ok());
+        assert!(check_stream(no_probe).is_ok());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Stress run on `s5378` (≈2 800 units — the largest ISCAS89 circuit the
-//! paper's generation handles), with large-circuit settings: a 2 %
-//! `T_min` search tolerance and a tighter LAC round budget.
+//! paper's generation handles), with an exact `T_min` search and a
+//! tighter LAC round budget.
 //!
-//! Writes a machine-readable perf record to `BENCH_stress.json` (stage
-//! timings come from the observability report when a sink is installed).
+//! Writes a machine-readable perf record to `BENCH_stress.json`: one
+//! `circuits` entry with stage timings, the circuit's allocator peak and
+//! a `quality` block (`t_min_ns`, `t_clk_ns`, `base_n_foa`, `lac_n_foa`,
+//! `n_wr`), so `bench_compare` gates it like a Table-1 run.
 //!
 //! ```text
 //! cargo run --release -p lacr-bench --bin stress \
@@ -20,7 +22,6 @@ fn main() {
     ObsOptions::install_from_args(&mut args);
     let name = args.first().cloned().unwrap_or_else(|| "s5378".into());
     let config = PlannerConfig {
-        t_min_tolerance_frac: 0.02,
         lac: LacConfig {
             n_max: 3,
             max_rounds: 12,
@@ -36,10 +37,11 @@ fn main() {
         }
     };
     println!(
-        "{name}: {} units, {} flops — planning with 2% T_min tolerance...",
+        "{name}: {} units, {} flops — planning...",
         circuit.num_units(),
         circuit.num_flops()
     );
+    let mem_before = lacr_obs::mem::stats();
     let t0 = Instant::now();
     let plan = try_build_physical_plan(&circuit, &config, &[]).expect("plan builds");
     let plan_s = t0.elapsed().as_secs_f64();
@@ -52,13 +54,17 @@ fn main() {
         plan.expanded.num_repeaters
     );
     println!(
-        "T_init {:.2} ns, T_min ≤ {:.2} ns, T_clk {:.2} ns",
+        "T_init {:.2} ns, T_min {:.2} ns, T_clk {:.2} ns",
         plan.t_init as f64 / 1000.0,
         plan.t_min as f64 / 1000.0,
         plan.t_clk as f64 / 1000.0
     );
+    let mut quality = format!(
+        "\"t_min_ns\":{:.3},\"t_clk_ns\":{:.3}",
+        plan.t_min as f64 / 1000.0,
+        plan.t_clk as f64 / 1000.0
+    );
     let t1 = Instant::now();
-    let mut retime_fields = String::new();
     match try_plan_retimings(&plan, &config) {
         Ok(report) => {
             println!(
@@ -70,26 +76,32 @@ fn main() {
                 report.lac.result.n_f,
                 report.lac.result.n_fn,
             );
-            retime_fields = format!(
+            quality.push_str(&format!(
                 ",\"base_n_foa\":{},\"lac_n_foa\":{},\"n_wr\":{}",
                 report.min_area.result.n_foa, report.lac.result.n_foa, report.lac.result.n_wr
-            );
+            ));
         }
         Err(e) => lacr_obs::diag!("retiming failed: {e}"),
     }
+    let retime_s = t1.elapsed().as_secs_f64();
+    let wall_s = t0.elapsed().as_secs_f64();
     println!("total {:?}", t0.elapsed());
+    let mem = lacr_obs::mem::stats();
+    let entry = format!(
+        "{{\"circuit\":\"{name}\",\"wall_s\":{wall_s:.3},\"plan_s\":{plan_s:.3},\
+         \"retime_s\":{retime_s:.3},\"vertices\":{},\"edges\":{},\
+         \"mem\":{{\"peak_bytes\":{},\"net_bytes\":{},\"allocs\":{}}},\"quality\":{{{quality}}}}}",
+        plan.expanded.graph.num_vertices(),
+        plan.expanded.graph.num_edges(),
+        mem.peak_bytes,
+        mem.live_bytes as i64 - mem_before.live_bytes as i64,
+        mem.allocs - mem_before.allocs,
+    );
     match write_bench_record(
         "stress",
         &[
-            ("circuit", format!("\"{name}\"")),
-            ("wall_s", format!("{:.3}", t0.elapsed().as_secs_f64())),
-            (
-                "stages",
-                format!(
-                    "{{\"plan_s\":{plan_s:.3},\"retime_s\":{:.3}{retime_fields}}}",
-                    t1.elapsed().as_secs_f64()
-                ),
-            ),
+            ("wall_s", format!("{wall_s:.3}")),
+            ("circuits", format!("[{entry}]")),
         ],
     ) {
         Ok(path) => lacr_obs::diag!("perf record written to {path}"),

@@ -715,6 +715,54 @@ mod tests {
         assert_eq!(c.get("allocs"), Some(50.0));
     }
 
+    /// The `stress` record: one circuit whose quality block the hard
+    /// gates read and whose `mem` block the soft gate reads.
+    #[test]
+    fn the_stress_record_is_gated_like_a_run() {
+        let text = r#"{"t":"bench","schema_version":2,"bench":"stress","threads":1,
+            "git_rev":"0123456789ab","wall_s":31.4,
+            "circuits":[{"circuit":"s5378","wall_s":31.4,"plan_s":20.0,"retime_s":11.4,
+                "vertices":53939,"edges":56965,
+                "mem":{"peak_bytes":330000000,"net_bytes":100,"allocs":50},
+                "quality":{"t_min_ns":13.387,"t_clk_ns":16.090,"base_n_foa":736,
+                    "lac_n_foa":457,"n_wr":4}}],
+            "mem":{"live_bytes":1,"peak_bytes":331000000,"allocs":9,"deallocs":8,"peak_rss_bytes":0}}"#;
+        let base = parse_artifact(text).expect("stress record parses");
+        assert_eq!(base.bench, "stress");
+        let c = base.circuit("s5378").expect("one circuit entry");
+        for (metric, value) in [
+            ("t_min_ns", 13.387),
+            ("t_clk_ns", 16.09),
+            ("base_n_foa", 736.0),
+            ("lac_n_foa", 457.0),
+            ("n_wr", 4.0),
+            ("peak_bytes", 330.0e6),
+        ] {
+            assert_eq!(c.get(metric), Some(value), "{metric}");
+        }
+        let no_wall = CompareConfig {
+            check_wall: false,
+            ..Default::default()
+        };
+        assert!(compare(&base, &base, &no_wall).pass());
+        // A worse clock or more violations fail; so does a doubled peak.
+        for (metric, value) in [
+            ("t_clk_ns", 16.1),
+            ("lac_n_foa", 458.0),
+            ("peak_bytes", 660.0e6),
+        ] {
+            let mut worse = base.clone();
+            worse.circuits[0]
+                .metrics
+                .iter_mut()
+                .find(|(m, _)| m == metric)
+                .expect("metric present")
+                .1 = value;
+            let cmp = compare(&base, &worse, &no_wall);
+            assert!(!cmp.pass(), "{metric}: {}", cmp.table());
+        }
+    }
+
     #[test]
     fn declared_subset_runs_skip_missing_circuits() {
         let base = parse_artifact(BASE).unwrap();

@@ -16,8 +16,7 @@ use lacr_floorplan::{try_floorplan, BlockSpec, Floorplan};
 use lacr_netlist::{Circuit, UnitKind};
 use lacr_partition::{partition, PartitionConfig, Partitioning};
 use lacr_retime::{
-    feasible_min_area_fallback, generate_period_constraints, try_min_period_retiming,
-    PeriodConstraints, RetimeError, WdSubstrate,
+    feasible_min_area_fallback, generate_period_constraints, try_min_period_retiming, RetimeError,
 };
 use lacr_route::{try_route, NetPins, RouteConfig, Routing};
 use lacr_timing::Technology;
@@ -54,11 +53,6 @@ pub struct PlannerConfig {
     pub pad_ff_per_io: f64,
     /// `T_clk = T_min + clock_slack_frac · (T_init − T_min)` (§5 uses 0.2).
     pub clock_slack_frac: f64,
-    /// Relative tolerance of the `T_min` binary search (0 = exact). On
-    /// very large interconnect graphs each feasibility probe regenerates
-    /// the W/D constraints, so a 1–2 % tolerance cuts planning time
-    /// noticeably while moving `T_clk` only marginally.
-    pub t_min_tolerance_frac: f64,
     /// LAC loop parameters.
     pub lac: LacConfig,
     /// Interconnect-unit expansion options.
@@ -94,7 +88,6 @@ impl PlannerConfig {
         nonneg("block_slack", self.block_slack);
         nonneg("hard_site_area", self.hard_site_area);
         nonneg("pad_ff_per_io", self.pad_ff_per_io);
-        nonneg("t_min_tolerance_frac", self.t_min_tolerance_frac);
         nonneg(
             "floorplan.wirelength_weight",
             self.floorplan.wirelength_weight,
@@ -146,7 +139,6 @@ impl Default for PlannerConfig {
             num_hard_blocks: 0,
             pad_ff_per_io: 1.0,
             clock_slack_frac: 0.2,
-            t_min_tolerance_frac: 0.0,
             lac: LacConfig::default(),
             // Tile-crossing segmentation: every tile a route passes
             // through is a flip-flop site, which LAC retiming needs to
@@ -183,12 +175,6 @@ pub struct PhysicalPlan {
     pub t_min: u64,
     /// The target period for this planning run (ps).
     pub t_clk: u64,
-    /// The W/D substrate the `T_min` search built, covering every period
-    /// in `[T_min, T_init]`. [`plan_constraints`] and the retiming entry
-    /// points re-emit from it instead of rebuilding the W/D system;
-    /// `None` when the search was skipped (expired budget) or ran on a
-    /// host-free graph.
-    pub wd_substrate: Option<WdSubstrate>,
     /// Quality losses absorbed while building the plan (expired budget,
     /// residual routing overflow, skipped `T_min` search). Empty for a
     /// pristine plan.
@@ -527,7 +513,7 @@ pub fn try_build_physical_plan(
             }
             other => PlanError::new(Stage::Timing, PlanErrorKind::Retime(other)),
         })?;
-    let (t_min, t_clk, wd_substrate) = if budget.expired() {
+    let (t_min, t_clk) = if budget.expired() {
         // No time left for the T_min binary search: plan at the initial
         // period, which any legal retiming (including the identity)
         // satisfies.
@@ -535,17 +521,14 @@ pub fn try_build_physical_plan(
             Stage::Timing,
             "wall-clock budget expired: T_min search skipped, T_clk = T_init",
         ));
-        (t_init, t_init, None)
+        (t_init, t_init)
     } else {
-        let tolerance = (t_init as f64 * config.t_min_tolerance_frac).round() as u64;
-        let mp = try_min_period_retiming(&expanded.graph, tolerance)
-            .map_err(|e| PlanError::new(Stage::Timing, PlanErrorKind::Retime(e)))?;
-        let t_min = mp.result.period;
+        let t_min = try_min_period_retiming(&expanded.graph, 0)
+            .map_err(|e| PlanError::new(Stage::Timing, PlanErrorKind::Retime(e)))?
+            .result
+            .period;
         let t_clk = t_min + ((t_init - t_min) as f64 * config.clock_slack_frac).round() as u64;
-        // T_clk ∈ [T_min, T_init] ⊆ the search bracket, so the substrate
-        // serves the plan's own constraint generation without another
-        // W/D build.
-        (t_min, t_clk, mp.substrate)
+        (t_min, t_clk)
     };
     check_deadline(Stage::Timing, &mut deadline_hit);
     drop(span_timing);
@@ -570,32 +553,8 @@ pub fn try_build_physical_plan(
         t_init,
         t_min,
         t_clk,
-        wd_substrate,
         degradations,
     })
-}
-
-/// The period constraints for one target: re-emitted from the plan's W/D
-/// substrate when the target lies in its bracket (a linear scan — no
-/// Dijkstras), freshly generated otherwise. Both paths produce
-/// bit-identical constraints.
-///
-/// # Errors
-///
-/// [`RetimeError::DelayOverflow`] when path-delay accumulation overflows
-/// `u64` (the plan's own timing pass fails first for any graph built by
-/// [`try_build_physical_plan`]).
-pub fn plan_constraints(
-    plan: &PhysicalPlan,
-    target: u64,
-) -> Result<PeriodConstraints, RetimeError> {
-    match &plan.wd_substrate {
-        Some(sub) if sub.covers(target) => {
-            lacr_obs::counter!("retime.wd_cache_hits", 1);
-            Ok(sub.constraints_for(target))
-        }
-        _ => generate_period_constraints(&plan.expanded.graph, target),
-    }
 }
 
 /// Runs both retimers (min-area baseline and LAC) on a physical plan at
@@ -690,7 +649,7 @@ pub fn try_plan_retimings_at(
         vertices = graph.num_vertices(),
         t_clk = t_clk
     );
-    let pc = plan_constraints(plan, t_clk)
+    let pc = generate_period_constraints(graph, t_clk)
         .map_err(|e| PlanError::new(Stage::MinArea, PlanErrorKind::Retime(e)))?;
     drop(span_constraints);
     let constraint_time = t0.elapsed();

@@ -203,7 +203,6 @@ properties_par! {
             hard_site_area: fp.maybe_absurd(base.hard_site_area, 0.4),
             pad_ff_per_io: fp.maybe_absurd(base.pad_ff_per_io, 0.4),
             clock_slack_frac: fp.maybe_absurd(base.clock_slack_frac, 0.4),
-            t_min_tolerance_frac: fp.maybe_absurd(base.t_min_tolerance_frac, 0.4),
             lac: LacConfig {
                 alpha: fp.maybe_absurd(base.lac.alpha, 0.4),
                 ..base.lac

@@ -2,7 +2,6 @@
 //! programs, checked from the constraint list alone.
 
 use crate::Constraint;
-use std::collections::HashMap;
 
 /// Accepts `r` as an optimal solution of
 /// `min Σ cost[v]·r[v]  s.t.  r[u] − r[v] ≤ bound` (one bound per entry of
@@ -33,6 +32,21 @@ pub fn check_optimal(
     r: &[i64],
     flows: &[(Constraint, i64)],
 ) -> Result<(), String> {
+    check_flows(num_vars, constraints, cost, r, flows.iter().copied())
+}
+
+/// [`check_optimal`] over flow entries as they are produced, so that a
+/// solver certifies itself without collecting its flow. Besides the
+/// inflow per variable it holds 4 bytes a constraint: the constraints'
+/// indices in `(u, v)` order, where each flow entry looks up its parallel
+/// bounds.
+pub(crate) fn check_flows(
+    num_vars: usize,
+    constraints: &[Constraint],
+    cost: &[i64],
+    r: &[i64],
+    flows: impl IntoIterator<Item = (Constraint, i64)>,
+) -> Result<(), String> {
     if cost.len() != num_vars || r.len() != num_vars {
         return Err(format!(
             "{} costs and {} lags for {num_vars} variables",
@@ -43,7 +57,6 @@ pub fn check_optimal(
     // i128 throughout: lags, bounds and flows are arbitrary i64s, and the
     // checker must not wrap where a solver might have.
     let slack = |c: &Constraint| i128::from(c.bound) - (i128::from(r[c.u]) - i128::from(r[c.v]));
-    let mut tightest: HashMap<(usize, usize), i64> = HashMap::with_capacity(constraints.len());
     for c in constraints {
         if c.u >= num_vars || c.v >= num_vars {
             return Err(format!("{c:?} names a variable >= {num_vars}"));
@@ -51,14 +64,22 @@ pub fn check_optimal(
         if slack(c) < 0 {
             return Err(format!("r violates {c:?} by {}", -slack(c)));
         }
-        tightest
-            .entry((c.u, c.v))
-            .and_modify(|b| *b = (*b).min(c.bound))
-            .or_insert(c.bound);
     }
+    let pair = |i: u32| {
+        let c = &constraints[i as usize];
+        (c.u, c.v)
+    };
+    let mut order: Vec<u32> = (0..constraints.len() as u32).collect();
+    order.sort_unstable_by_key(|&i| pair(i));
     let mut inflow = vec![0i128; num_vars];
-    for &(c, f) in flows {
-        if tightest.get(&(c.u, c.v)) != Some(&c.bound) {
+    for (c, f) in flows {
+        let first = order.partition_point(|&i| pair(i) < (c.u, c.v));
+        let tightest = order[first..]
+            .iter()
+            .take_while(|&&i| pair(i) == (c.u, c.v))
+            .map(|&i| constraints[i as usize].bound)
+            .min();
+        if tightest != Some(c.bound) {
             return Err(format!("flow on {c:?}, not a tightest constraint"));
         }
         if f < 0 {

@@ -74,72 +74,29 @@ impl DifferenceConstraints {
     /// values ≤ 0 (standard single-source Bellman–Ford from a virtual
     /// source), shifted so that the minimum value is 0.
     pub fn solve(&self) -> Option<Vec<i64>> {
-        self.run(vec![0i64; self.num_vars]).0.ok()
+        self.run().0.ok()
     }
 
-    /// Like [`Self::solve`], but warm-started from `initial` potentials —
-    /// typically the solution of a *nearby* system (the previous probe of
-    /// a binary search whose constraint set only shifted slightly).
-    ///
-    /// Sound for arbitrary `initial`: relaxation only lowers values and is
-    /// exactly Bellman–Ford from a virtual source with an edge of weight
-    /// `initial[v]` to each `v`, so `n − 1` full rounds still reach the
-    /// fixpoint when the system is feasible, an n-th changing round still
-    /// certifies a negative cycle, and *any* fixpoint satisfies every
-    /// constraint. When `initial` already satisfies most constraints the
-    /// loop exits after one or two rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len() != num_vars()`.
-    pub fn solve_warm(&self, initial: &[i64]) -> Option<Vec<i64>> {
-        self.solve_or_cycle(initial).ok()
-    }
-
-    /// Like [`Self::solve_warm`], but an infeasible system returns the
-    /// negative cycle that proved it: constraints of the system in cycle
-    /// order (each one's `v` is the previous one's `u`, and the first
-    /// one's `v` the last one's `u`), whose bounds sum below zero. The
-    /// list is empty when the path-length backstop proved infeasibility
-    /// before the parent pointers closed a cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len() != num_vars()`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lacr_mcmf::{Constraint, DifferenceConstraints};
-    ///
-    /// let sys = DifferenceConstraints::new(
-    ///     2,
-    ///     [Constraint::new(0, 1, -1), Constraint::new(1, 0, 0)],
-    /// );
-    /// let cycle = sys.solve_or_cycle(&[0, 0]).unwrap_err();
-    /// assert_eq!(cycle.iter().map(|c| c.bound).sum::<i64>(), -1);
-    /// ```
-    pub fn solve_or_cycle(&self, initial: &[i64]) -> Result<Vec<i64>, Vec<Constraint>> {
-        assert_eq!(initial.len(), self.num_vars);
-        self.run(initial.to_vec()).0
-    }
-
-    /// The solver behind every entry point; also returns the number of
+    /// The solver behind [`Self::solve`]: the solution, or the negative
+    /// cycle that proved the system infeasible (constraints of the system
+    /// in cycle order, empty when the path-length backstop proved it
+    /// before the parent pointers closed a cycle), and the number of
     /// relaxations it made.
-    fn run(&self, mut dist: Vec<i64>) -> (Result<Vec<i64>, Vec<Constraint>>, u64) {
+    fn run(&self) -> (Result<Vec<i64>, Vec<Constraint>>, u64) {
         // Constraint r_u − r_v ≤ b becomes edge v → u with weight b; dist
-        // from a virtual source (dist = initial value for each vertex)
-        // yields r = dist.
+        // from a virtual source with a zero edge to each vertex yields
+        // r = dist.
         let n = self.num_vars;
         if n == 0 {
             return (Ok(Vec::new()), 0);
         }
+        let mut dist = vec![0i64; n];
         // Queue-based Bellman–Ford (SPFA). The result is independent of
-        // relaxation order: from a fixed initial vector the relaxation
-        // operator has a unique greatest fixpoint ≤ init (the pointwise
-        // min over walks), and every terminating relaxation sequence ends
-        // there — so this is bit-identical to round-based Bellman–Ford,
-        // just without re-scanning settled constraints.
+        // relaxation order: the relaxation operator has a unique greatest
+        // fixpoint ≤ 0 (the pointwise min over walks), and every
+        // terminating relaxation sequence ends there — so this is
+        // bit-identical to round-based Bellman–Ford, just without
+        // re-scanning settled constraints.
         //
         // CSR adjacency grouped by source `v` of the edge `v → u`.
         let m = self.constraints.len();
@@ -379,49 +336,6 @@ mod tests {
         assert!(r[n - 1] - r[0] >= (n - 1) as i64);
     }
 
-    #[test]
-    fn warm_start_from_previous_solution_is_valid() {
-        let cons = [
-            Constraint::new(0, 1, 3),
-            Constraint::new(1, 2, -2),
-            Constraint::new(2, 0, 1),
-        ];
-        let sys = DifferenceConstraints::new(3, cons);
-        let r = sys.solve().expect("feasible");
-        // Re-solving a tightened system from the previous solution must
-        // still produce a valid assignment of the *new* system.
-        let mut tightened = sys.clone();
-        tightened.push(Constraint::new(0, 2, -1));
-        let w = tightened.solve_warm(&r).expect("still feasible");
-        for c in tightened.constraints() {
-            assert!(w[c.u] - w[c.v] <= c.bound, "violated {c:?}");
-        }
-    }
-
-    #[test]
-    fn warm_start_detects_infeasibility() {
-        let sys =
-            DifferenceConstraints::new(2, [Constraint::new(0, 1, -1), Constraint::new(1, 0, 0)]);
-        assert!(sys.solve_warm(&[5, -7]).is_none());
-    }
-
-    #[test]
-    fn warm_start_from_arbitrary_garbage_matches_cold_feasibility() {
-        // Feasibility must not depend on the starting potentials.
-        let cons = [
-            Constraint::new(0, 1, 2),
-            Constraint::new(1, 2, 0),
-            Constraint::new(2, 0, -2),
-        ];
-        let sys = DifferenceConstraints::new(3, cons);
-        for init in [[0, 0, 0], [100, -100, 3], [i64::MAX / 8, 0, -1]] {
-            let r = sys.solve_warm(&init).expect("feasible from any start");
-            for c in sys.constraints() {
-                assert!(r[c.u] - r[c.v] <= c.bound);
-            }
-        }
-    }
-
     /// Checks that `cycle` is a negative cycle of `sys`'s constraints, in
     /// cycle order.
     fn assert_negative_cycle(sys: &DifferenceConstraints, cycle: &[Constraint]) {
@@ -437,9 +351,9 @@ mod tests {
     /// The queue-based solver must return *exactly* what the classic
     /// round-based Bellman–Ford returns — same feasibility verdict, same
     /// vector — on random systems from both sides of the feasibility
-    /// boundary, cold and warm-started. (The solution is the unique
-    /// greatest fixpoint of the relaxation operator below the initial
-    /// vector, so relaxation order must not matter; this pins it.) The
+    /// boundary. (The solution is the unique greatest fixpoint of the
+    /// relaxation operator below zero, so relaxation order must not
+    /// matter; this pins it.) The
     /// larger cases are where the parent-cycle exit ends a probe before
     /// the path-length witness would: the solver makes the relaxations of
     /// a witness-only run in the same order, so it may stop earlier, never
@@ -527,13 +441,9 @@ mod tests {
                 })
                 .collect();
             let sys = DifferenceConstraints::new(n, cons);
-            let init: Vec<i64> = (0..n).map(|_| (next() % 21) as i64 - 10).collect();
-            let (cold, relaxations) = sys.run(vec![0; n]);
+            let (cold, relaxations) = sys.run();
             assert_eq!(cold.clone().ok(), reference(&sys, vec![0; n]));
-            let warm = sys.solve_or_cycle(&init);
-            assert_eq!(warm.clone().ok(), reference(&sys, init));
-            assert_eq!(cold.is_ok(), warm.is_ok(), "verdict differs by start");
-            for cycle in [&cold, &warm].into_iter().filter_map(|r| r.as_ref().err()) {
+            if let Err(cycle) = &cold {
                 if !cycle.is_empty() {
                     assert_negative_cycle(&sys, cycle);
                 }
@@ -559,7 +469,7 @@ mod tests {
         let mut cons: Vec<Constraint> = (0..n - 1).map(|i| Constraint::new(i + 1, i, 0)).collect();
         cons.push(Constraint::new(0, 1, -1));
         let sys = DifferenceConstraints::new(n, cons);
-        let (verdict, relaxations) = sys.run(vec![0; n]);
+        let (verdict, relaxations) = sys.run();
         assert!(relaxations <= 2 * n as u64, "{relaxations} relaxations");
         let cycle = verdict.expect_err("infeasible");
         assert_negative_cycle(&sys, &cycle);

@@ -280,7 +280,13 @@ impl DualSolver {
             }
         }
         #[cfg(debug_assertions)]
-        if let Err(e) = crate::check_optimal(self.n, &self.constraints, cost, &r, &self.flows()) {
+        if let Err(e) = crate::certificate::check_flows(
+            self.n,
+            &self.constraints,
+            cost,
+            &r,
+            self.flow_entries(),
+        ) {
             panic!("DualSolver solution fails its optimality certificate: {e}");
         }
         Ok(r)
@@ -291,12 +297,16 @@ impl DualSolver {
     /// [`crate::check_optimal`] accepts it with that solve's costs and
     /// lags as the certificate of their optimality.
     pub fn flows(&self) -> Vec<(Constraint, i64)> {
+        self.flow_entries().collect()
+    }
+
+    /// The entries of [`Self::flows`], uncollected.
+    fn flow_entries(&self) -> impl Iterator<Item = (Constraint, i64)> + '_ {
         // Interior arcs come in (forward u → v, reverse v → u) pairs, and
         // the reverse arc's residual capacity is the forward arc's flow.
         self.arcs
             .chunks_exact(2)
             .map(|p| (Constraint::new(p[1].to, p[0].to, p[0].cost), p[1].cap))
-            .collect()
     }
 
     /// Primal–dual min-cost routing of `remaining` units from `s` to `t`.

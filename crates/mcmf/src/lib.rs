@@ -18,9 +18,10 @@
 //! the caller's constraint list and the solver's flow
 //! ([`DualSolver::flows`]); in a debug build every successful solve
 //! passes it before it returns. [`DifferenceConstraints`] solves pure
-//! feasibility (no objective) with Bellman–Ford, as used by min-period
-//! retiming, and returns the negative cycle that proves a system
-//! infeasible.
+//! feasibility (no objective) with Bellman–Ford: the dual solver's
+//! starting potentials, and the W/D reference oracle that tests check
+//! min-period retiming against. An infeasible system ends at the
+//! negative cycle that proves it.
 //!
 //! All quantities are integers (`i64`); callers quantise real-valued data.
 

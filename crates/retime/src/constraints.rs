@@ -18,38 +18,24 @@
 //!
 //! *Pruning* (in the spirit of Maheshwari & Sapatnekar's constraint
 //! reduction, cited in §5) drops `(u, v)` whenever some tight-DAG ancestor
-//! `x` of `v` already violates (`D(u, x) > T`): the emitted constraint
-//! `r(u) − r(x) ≤ W(u, x) − 1` plus the edge constraints along the tight
-//! path `x ⇝ v` (total weight `W(u, v) − W(u, v) + W(u, v) − W(u, x)`)
-//! imply the dropped one. Pruning is exact — the pruned system has the
-//! same solution set as the full one — and is the *only* emission path.
+//! `x ≠ u` of `v` already violates (`D(u, x) > T`; `v` is *covered*): the
+//! emitted constraint `r(u) − r(x) ≤ W(u, x) − 1` plus the edge
+//! constraints along the tight path `x ⇝ v` (total weight
+//! `W(u, v) − W(u, x)`) imply the dropped one. Pruning is exact — the
+//! pruned system has the same solution set as the full one — and is the
+//! *only* emission path.
 //!
-//! # The reusable W/D substrate
+//! A row stops as soon as every reached, unpopped vertex is covered:
+//! everything left is reached only through covered vertices and is
+//! covered too. So a row costs what it reaches before its frontier is
+//! covered, not `Θ(V + E)`. The violating-pair count stays exact through
+//! the reach sizes `Σ_u |R(u)|`, counted once per build (see
+//! `reach_total`).
 //!
-//! `W` and `D` do not depend on the target period; only which pairs
-//! violate does. Define, per source `u`,
-//!
-//! ```text
-//! A(u, v) = max { D(u, x) : x a proper tight-DAG ancestor of v, x ≠ u }
-//! ```
-//!
-//! (0 when there is none). Then `v` survives pruning at target `T`
-//! **exactly** when `D(u, v) > T ≥ A(u, v)` — each candidate has an
-//! emission interval `[A, D)` in target space. [`WdSubstrate`] runs the
-//! per-source computation **once** for a whole bracket `[lo, hi]` of
-//! candidate periods, keeping only candidates whose interval intersects
-//! the bracket (`D > lo` and `A ≤ hi` — a thin band around the emission
-//! frontier, not the `O(|V|²)` violating-pair set), and
-//! [`WdSubstrate::constraints_for`] re-emits the exact pruned constraint
-//! set for any target in the bracket with a linear scan. This is what
-//! makes the min-period binary search build its W/D system once instead
-//! of once per feasibility probe.
-//!
-//! A row stops as soon as no reached, unpopped vertex has `A ≤ hi`:
-//! everything left is covered at every target of the bracket. So a row
-//! costs what it reaches before its frontier is covered, not
-//! `Θ(V + E)`. The violating-pair count stays exact through the reach
-//! sizes `Σ_u |R(u)|`, counted once per build (see `reach_total`).
+//! **One build per target.** The min-period search needs no W/D system
+//! (its probes run FEAS), so a planning run builds the constraints once,
+//! at `T_clk`, and every weighted min-area solve of LAC reuses them (the
+//! paper's §4.2).
 
 use crate::graph::{GraphEdge, RetimeGraph, VertexId};
 use crate::minarea::RetimeError;
@@ -66,194 +52,30 @@ pub struct PeriodConstraints {
     pub target: u64,
     /// Period constraints `r(u) − r(v) ≤ bound` over vertex indices.
     pub constraints: Vec<Constraint>,
-    /// Violating pairs (`D(u, v) > lo`) at the floor of the substrate
-    /// bracket these constraints were emitted from. For a one-shot
-    /// generation the floor *is* the target, so this is exactly the
-    /// violating-pair count before pruning; for a probe inside a wider
-    /// bracket it is an upper bound.
+    /// Violating pairs (`D(u, v) > target`) before pruning.
     pub pairs_before_pruning: usize,
 }
 
-/// One pruning candidate of a substrate row, in 16 bytes: head vertex,
-/// constraint bound `W − 1`, and the emission interval `[A, D)` stored as
-/// offsets from the bracket floor `lo`, clamped to the bracket:
-/// `d = min(D, hi + 1) − lo` and `a = max(A, lo) − lo`.
-///
-/// The clamp loses nothing: emission only asks about targets
-/// `lo ≤ T ≤ hi`, and there `D > T ⟺ min(D, hi + 1) > T` and
-/// `A ≤ T ⟺ max(A, lo) ≤ T`. A stored candidate has `D > lo` and
-/// `A ≤ hi`, so both offsets lie in `[0, hi − lo + 1]`, which
-/// [`WdSubstrate::build`] keeps inside `u32`.
+/// One emitted constraint of a row, in 8 bytes while the rows are
+/// gathered: head vertex and bound `W − 1`.
 #[derive(Debug, Clone, Copy)]
-struct Candidate {
+struct RowConstraint {
     v: u32,
     bound: i32,
-    d: u32,
-    a: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Candidate>() == 16);
-
-/// The target-independent part of the W/D computation for one graph and
-/// one bracket `[lo, hi]` of candidate periods.
-///
-/// Built once (one `retime.wd_build` span, parallel per-source rows);
-/// [`Self::constraints_for`] then emits the exact pruned constraint set of
-/// any target in the bracket — bit-identical, values and order, to a
-/// fresh [`generate_period_constraints`] at that target.
-///
-/// Storage is one exact-size slice per source row, kept as the row search
-/// produced it (no merged copy), at 16 bytes a candidate: head, bound
-/// `W − 1` as `i32`, and the emission interval as two `u32` offsets from
-/// the bracket floor. Bracket width and bounds are checked at build time
-/// so the narrow fields never truncate.
-///
-/// # Examples
-///
-/// ```
-/// use lacr_retime::{generate_period_constraints, RetimeGraph, VertexKind, WdSubstrate};
-///
-/// let mut g = RetimeGraph::new();
-/// let a = g.add_vertex(VertexKind::Functional, 4, 1.0, None);
-/// let b = g.add_vertex(VertexKind::Functional, 4, 1.0, None);
-/// g.add_edge(a, b, 1);
-/// g.add_edge(b, a, 1);
-/// let sub = WdSubstrate::build(&g, 4, 10)?;
-/// for t in 4..=10 {
-///     let probe = sub.constraints_for(t);
-///     let fresh = generate_period_constraints(&g, t)?;
-///     assert_eq!(probe.constraints, fresh.constraints);
-/// }
-/// # Ok::<(), lacr_retime::RetimeError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct WdSubstrate {
-    lo: u64,
-    hi: u64,
-    /// Row `u` holds source `u`'s candidates in ascending head-vertex
-    /// index (the canonical emission order).
-    rows: Vec<Box<[Candidate]>>,
-    /// `#{(u, v) : D(u, v) > lo}` — the violating pairs at the bracket
-    /// floor, counted during the build without storing them.
-    pairs_at_floor: usize,
-}
-
-impl WdSubstrate {
-    /// Runs the per-source W/D computation for every target in
-    /// `[lo, hi]`, under one `retime.wd_build` span.
-    ///
-    /// # Errors
-    ///
-    /// * [`RetimeError::CombinationalCycle`] — a zero-weight cycle avoids
-    ///   the host.
-    /// * [`RetimeError::DelayOverflow`] — a path delay a row accumulates
-    ///   overflows `u64` (adversarially large vertex delays), the bracket
-    ///   is wider than `u32::MAX` ps (`hi − lo + 1 > u32::MAX`), or a
-    ///   stored constraint bound `W − 1` falls outside `i32`. Graphs
-    ///   built from netlists stay far from the last two: their brackets
-    ///   span nanoseconds and their `W` counts flip-flops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn build(graph: &RetimeGraph, lo: u64, hi: u64) -> Result<Self, RetimeError> {
-        assert!(lo <= hi, "bracket [{lo}, {hi}] is empty");
-        if hi - lo >= u64::from(u32::MAX) {
-            return Err(RetimeError::DelayOverflow);
-        }
-        let n = graph.num_vertices();
-        let _span = lacr_obs::span!("retime.wd_build", vertices = n, lo = lo, hi = hi);
-        let shared = Rows::new(graph, lo, hi)?;
-        // Each source's row of the W/D computation is independent of every
-        // other's, so the per-source loop fans out across the deterministic
-        // pool, which returns the rows in source order regardless of
-        // scheduling.
-        let sources: Vec<VertexId> = graph.vertex_ids().collect();
-        let searched = lacr_par::Region::new("retime.wd_sources").map_indexed_with(
-            &sources,
-            || RowSearch::new(n),
-            |search, _, &u| search.run(&shared, u),
-        );
-        // Every reached `v ≠ u` violates at the floor unless its row popped
-        // it with `D ≤ lo`.
-        let mut pairs_at_floor = reach_total(graph) - n;
-        let mut rows = Vec::with_capacity(n);
-        for row in searched {
-            let (low, cands) = row?;
-            pairs_at_floor -= low;
-            rows.push(cands);
-        }
-        let sub = Self {
-            lo,
-            hi,
-            rows,
-            pairs_at_floor,
-        };
-        lacr_obs::counter!("retime.period_pairs", pairs_at_floor);
-        lacr_obs::counter!("retime.wd_candidates", sub.num_candidates());
-        Ok(sub)
-    }
-
-    /// The bracket `[lo, hi]` this substrate covers.
-    pub fn bracket(&self) -> (u64, u64) {
-        (self.lo, self.hi)
-    }
-
-    /// Whether `target` can be served by [`Self::constraints_for`].
-    pub fn covers(&self, target: u64) -> bool {
-        self.lo <= target && target <= self.hi
-    }
-
-    /// Number of vertices of the graph this substrate was built from.
-    pub fn num_vertices(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of candidates retained in the band.
-    pub fn num_candidates(&self) -> usize {
-        self.rows.iter().map(|row| row.len()).sum()
-    }
-
-    /// Emits the pruned period constraints for `target` — bit-identical to
-    /// a fresh generation at that target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is outside the bracket (see [`Self::covers`]).
-    pub fn constraints_for(&self, target: u64) -> PeriodConstraints {
-        assert!(
-            self.covers(target),
-            "target {target} outside substrate bracket [{}, {}]",
-            self.lo,
-            self.hi
-        );
-        // `T − lo` fits `u32`: `build` bounds the bracket width.
-        let t = (target - self.lo) as u32;
-        let mut constraints = Vec::new();
-        for (u, row) in self.rows.iter().enumerate() {
-            for c in row.iter() {
-                // Emission interval: violating (D > T) and not covered by
-                // a violating tight ancestor (A ≤ T), in offsets from `lo`.
-                if c.d > t && c.a <= t {
-                    constraints.push(Constraint::new(u, c.v as usize, i64::from(c.bound)));
-                }
-            }
-        }
-        lacr_obs::counter!("retime.constraints_emitted", constraints.len());
-        PeriodConstraints {
-            target,
-            constraints,
-            pairs_before_pruning: self.pairs_at_floor,
-        }
-    }
-}
-
-/// Generates the clock-period constraints for `target` (a one-shot
-/// substrate covering only `[target, target]`).
+/// Generates the pruned clock-period constraints for `target`, in
+/// source-major order with heads in ascending index (one
+/// `retime.wd_build` span; the per-source rows run in parallel).
 ///
 /// # Errors
 ///
-/// As [`WdSubstrate::build`].
+/// * [`RetimeError::CombinationalCycle`] — a zero-weight cycle avoids
+///   the host.
+/// * [`RetimeError::DelayOverflow`] — a path delay a row accumulates
+///   overflows `u64` (adversarially large vertex delays), or an emitted
+///   bound `W − 1` falls outside `i32`. Graphs built from netlists stay
+///   far from the latter: their `W` counts flip-flops.
 ///
 /// # Examples
 ///
@@ -275,16 +97,50 @@ pub fn generate_period_constraints(
     graph: &RetimeGraph,
     target: u64,
 ) -> Result<PeriodConstraints, RetimeError> {
-    Ok(WdSubstrate::build(graph, target, target)?.constraints_for(target))
+    let n = graph.num_vertices();
+    let _span = lacr_obs::span!("retime.wd_build", vertices = n, target = target);
+    let shared = Rows::new(graph, target)?;
+    // Each source's row of the W/D computation is independent of every
+    // other's, so the per-source loop fans out across the deterministic
+    // pool, which returns the rows in source order regardless of
+    // scheduling.
+    let sources: Vec<VertexId> = graph.vertex_ids().collect();
+    let searched = lacr_par::Region::new("retime.wd_sources").map_indexed_with(
+        &sources,
+        || RowSearch::new(n),
+        |search, _, &u| search.run(&shared, u),
+    );
+    // Every reached `v ≠ u` violates unless its row popped it with
+    // `D ≤ target`.
+    let mut pairs = reach_total(graph) - n;
+    let mut rows = Vec::with_capacity(n);
+    for row in searched {
+        let (low, row) = row?;
+        pairs -= low;
+        rows.push(row);
+    }
+    let mut constraints = Vec::with_capacity(rows.iter().map(|row| row.len()).sum());
+    for (u, row) in rows.into_iter().enumerate() {
+        constraints.extend(
+            row.iter()
+                .map(|c| Constraint::new(u, c.v as usize, i64::from(c.bound))),
+        );
+    }
+    lacr_obs::counter!("retime.period_pairs", pairs);
+    lacr_obs::counter!("retime.constraints_emitted", constraints.len());
+    Ok(PeriodConstraints {
+        target,
+        constraints,
+        pairs_before_pruning: pairs,
+    })
 }
 
-/// What every row of one build shares: the graph, the bracket, and the
-/// tie order ρ — a topological order of the zero-weight subgraph with the
+/// What every row of one build shares: the graph, the target, and the tie
+/// order ρ — a topological order of the zero-weight subgraph with the
 /// host's out-edges removed.
 struct Rows<'g> {
     graph: &'g RetimeGraph,
-    lo: u64,
-    hi: u64,
+    target: u64,
     /// `rank[v]` = ρ(v); `by_rank` is its inverse.
     rank: Vec<u32>,
     by_rank: Vec<u32>,
@@ -297,7 +153,7 @@ impl<'g> Rows<'g> {
     ///
     /// [`RetimeError::CombinationalCycle`] when a zero-weight cycle avoids
     /// the host.
-    fn new(graph: &'g RetimeGraph, lo: u64, hi: u64) -> Result<Self, RetimeError> {
+    fn new(graph: &'g RetimeGraph, target: u64) -> Result<Self, RetimeError> {
         let n = graph.num_vertices();
         let host = graph.host();
         let zero = |e: &GraphEdge| e.weight == 0 && Some(e.from) != host;
@@ -328,8 +184,7 @@ impl<'g> Rows<'g> {
         }
         Ok(Self {
             graph,
-            lo,
-            hi,
+            target,
             rank,
             by_rank,
         })
@@ -343,13 +198,13 @@ impl<'g> Rows<'g> {
 struct RowSearch {
     w: Vec<i64>,
     d: Vec<u64>,
-    a: Vec<u64>,
+    covered: Vec<bool>,
     touched: Vec<u32>,
     /// Keyed by `(W, ρ(v))`.
     heap: BinaryHeap<Reverse<(i64, u32)>>,
-    /// The current row's candidates, reused across rows so that a row
+    /// The current row's constraints, reused across rows so that a row
     /// costs one exact-size allocation when it is copied out.
-    cands: Vec<Candidate>,
+    row: Vec<RowConstraint>,
 }
 
 impl RowSearch {
@@ -357,78 +212,68 @@ impl RowSearch {
         Self {
             w: vec![i64::MAX; n],
             d: vec![0; n],
-            a: vec![0; n],
+            covered: vec![false; n],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
-            cands: Vec::new(),
+            row: Vec::new(),
         }
     }
 
     /// One source's row: a Dijkstra for `W(u, ·)` that folds in `D(u, ·)`
-    /// and the ancestor maximum `A(u, ·)` as it relaxes, returning how
-    /// many popped vertices `v ≠ u` have `D ≤ lo` and the band
-    /// candidates as one exact-size slice, **in ascending head-vertex
-    /// index** (the canonical emission order; `W`, `D` and `A` do not
-    /// depend on adjacency order).
+    /// and coverage as it relaxes, returning how many popped vertices
+    /// `v ≠ u` have `D ≤ T` and the row's constraints as one exact-size
+    /// slice, **in ascending head-vertex index** (the canonical emission
+    /// order; `W`, `D` and coverage do not depend on adjacency order).
     ///
     /// * **Order.** The heap key `(W, ρ(v))` pops every vertex after all
     ///   its tight parents: a positive-weight tight edge raises `W`, a
     ///   zero-weight one raises ρ. (A `(W, index)` key is wrong: vertices
     ///   of equal `W` joined by zero-weight edges are not index-ordered.)
-    ///   So `D` and `A` are final at the pop: a strict `W` improvement
-    ///   resets them to that parent's contribution, an equal `W` takes
-    ///   the max.
+    ///   So `D` and coverage are final at the pop: a strict `W`
+    ///   improvement resets them to that parent's contribution, an equal
+    ///   `W` takes the max of `D` and the or of coverage.
     /// * **Host.** Paths must not pass *through* the host: the
     ///   environment registers primary outputs before they can influence
     ///   primary inputs. The host relays only as the source, and no edge
     ///   into the source is followed.
-    /// * **Stop.** `pending` counts the reached, unpopped vertices with
-    ///   `A ≤ hi`. At 0, every unpopped vertex is reached only through
-    ///   vertices covered at every target of the bracket, so it is
-    ///   covered too (`A` is a running max along tight paths) and holds
-    ///   no candidate. A vertex with `D ≤ lo` has `A ≤ D ≤ hi`, so it is
-    ///   always popped and the count is exact.
-    ///
-    /// `A(u, v) > T` is exactly the classic `covered` condition at target
-    /// `T` (some proper tight ancestor `x ≠ u` of `v` violates
-    /// `D(u, x) > T`): coverage is an OR over ancestor chains, which in
-    /// threshold space is a max over the same chains.
+    /// * **Stop.** `pending` counts the reached, unpopped vertices that
+    ///   are not covered. At 0, every unpopped vertex is reached only
+    ///   through covered vertices, so it is covered too and emits
+    ///   nothing. A vertex with `D ≤ T` is never covered (`D` grows along
+    ///   tight paths), so it is always popped and the count is exact.
     fn run(
         &mut self,
         rows: &Rows<'_>,
         u: VertexId,
-    ) -> Result<(usize, Box<[Candidate]>), RetimeError> {
+    ) -> Result<(usize, Box<[RowConstraint]>), RetimeError> {
         let low = self.search(rows, u);
         for &t in &self.touched {
             self.w[t as usize] = i64::MAX;
         }
         self.touched.clear();
         self.heap.clear();
-        self.cands.sort_unstable_by_key(|c| c.v);
-        let row = Box::from(self.cands.as_slice());
-        self.cands.clear();
+        self.row.sort_unstable_by_key(|c| c.v);
+        let row = Box::from(self.row.as_slice());
+        self.row.clear();
         Ok((low?, row))
     }
 
-    /// The search behind [`Self::run`], filling `cands` and leaving its
+    /// The search behind [`Self::run`], filling `row` and leaving its
     /// scratch to reset.
     fn search(&mut self, rows: &Rows<'_>, u: VertexId) -> Result<usize, RetimeError> {
-        let (graph, lo, hi) = (rows.graph, rows.lo, rows.hi);
-        // Clamp `D` to `hi + 1` without computing it (`hi` may be
-        // `u64::MAX`); `build` keeps the offsets inside `u32`.
-        let span = hi - lo + 1;
+        let (graph, target) = (rows.graph, rows.target);
         let Self {
             w,
             d,
-            a,
+            covered,
             touched,
             heap,
-            cands,
+            row,
         } = self;
         let ui = u.index();
         w[ui] = 0;
         d[ui] = graph.delay(u);
-        a[ui] = 0;
+        covered[ui] = false;
         touched.push(u.0);
         heap.push(Reverse((0, rows.rank[ui])));
         let mut pending = 1usize;
@@ -442,19 +287,17 @@ impl RowSearch {
             if dist > w[vi] {
                 continue; // stale entry
             }
-            let (dv, av) = (d[vi], a[vi]);
-            if av <= hi {
+            let (dv, cv) = (d[vi], covered[vi]);
+            if !cv {
                 pending -= 1;
             }
             if v != u {
-                if dv <= lo {
+                if dv <= target {
                     low += 1;
-                } else if av <= hi {
-                    cands.push(Candidate {
+                } else if !cv {
+                    row.push(RowConstraint {
                         v: v.0,
                         bound: i32::try_from(dist - 1).map_err(|_| RetimeError::DelayOverflow)?,
-                        d: (dv - lo).min(span) as u32,
-                        a: av.saturating_sub(lo) as u32,
                     });
                 }
             }
@@ -464,7 +307,7 @@ impl RowSearch {
             // A violating tight ancestor makes every descendant's
             // constraint redundant (see module docs); the source itself
             // never counts.
-            let threshold = if v == u { av } else { av.max(dv) };
+            let covers = cv || (v != u && dv > target);
             for e in graph.out_edges(v) {
                 let edge = graph.edge(e);
                 let t = edge.to.index();
@@ -480,20 +323,20 @@ impl RowSearch {
                 let dt = dv
                     .checked_add(graph.delay(edge.to))
                     .ok_or(RetimeError::DelayOverflow)?;
-                let was_pending = w[t] != i64::MAX && a[t] <= hi;
+                let was_pending = w[t] != i64::MAX && !covered[t];
                 if nd < w[t] {
                     if w[t] == i64::MAX {
                         touched.push(edge.to.0);
                     }
                     w[t] = nd;
                     d[t] = dt;
-                    a[t] = threshold;
+                    covered[t] = covers;
                     heap.push(Reverse((nd, rows.rank[t])));
                 } else {
                     d[t] = d[t].max(dt);
-                    a[t] = a[t].max(threshold);
+                    covered[t] |= covers;
                 }
-                pending = pending + usize::from(a[t] <= hi) - usize::from(was_pending);
+                pending = pending + usize::from(!covered[t]) - usize::from(was_pending);
             }
         }
         Ok(low)
@@ -711,52 +554,18 @@ mod tests {
     }
 
     #[test]
-    fn substrate_probe_matches_one_shot_generation() {
-        let g = pipeline();
-        let sub = WdSubstrate::build(&g, 4, 12).unwrap();
-        for t in 4..=12u64 {
-            let probe = sub.constraints_for(t);
-            let fresh = generate_period_constraints(&g, t).unwrap();
-            assert_eq!(probe.constraints, fresh.constraints, "target {t}");
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn substrate_rejects_targets_outside_bracket() {
-        let g = pipeline();
-        let sub = WdSubstrate::build(&g, 5, 8).unwrap();
-        let _ = sub.constraints_for(9);
-    }
-
-    #[test]
-    fn one_shot_pairs_count_is_exact() {
-        let g = pipeline();
-        for t in 4..=12u64 {
-            let pc = generate_period_constraints(&g, t).unwrap();
-            // Brute-force the violating-pair count from a substrate wide
-            // enough to keep everything: at the floor the band filter
-            // (`d > lo`) is exactly the violating condition.
-            let sub = WdSubstrate::build(&g, t, t).unwrap();
-            assert_eq!(pc.pairs_before_pruning, sub.pairs_at_floor, "t={t}");
-        }
-    }
-
-    #[test]
     fn delay_overflow_is_a_typed_error() {
         let mut g = RetimeGraph::new();
         let a = g.add_vertex(VertexKind::Functional, u64::MAX - 1, 1.0, None);
         let b = g.add_vertex(VertexKind::Functional, u64::MAX - 1, 1.0, None);
         g.add_edge(a, b, 0);
         g.add_edge(b, a, 1);
-        assert_eq!(
-            generate_period_constraints(&g, 10).unwrap_err(),
-            RetimeError::DelayOverflow
-        );
-        assert_eq!(
-            WdSubstrate::build(&g, 5, 10).unwrap_err(),
-            RetimeError::DelayOverflow
-        );
+        for t in [5, 10] {
+            assert_eq!(
+                generate_period_constraints(&g, t).unwrap_err(),
+                RetimeError::DelayOverflow
+            );
+        }
     }
 
     #[test]
@@ -859,36 +668,6 @@ mod tests {
             lacr_prng::prop_assert_eq!(a.constraints, b.constraints);
             lacr_prng::prop_assert_eq!(a.pairs_before_pruning, b.pairs_before_pruning);
         }
-
-        /// A substrate built for a random bracket serves every target in
-        /// the bracket with constraints bit-identical to a one-shot
-        /// generation — the cache-correctness invariant of the min-period
-        /// binary search.
-        fn substrate_probes_match_one_shot_on_random_graphs(rng) {
-            let n = rng.gen_range(2..8usize);
-            let mut g = RetimeGraph::new();
-            let vs: Vec<VertexId> = (0..n)
-                .map(|_| g.add_vertex(VertexKind::Functional, rng.gen_range(1..=6u64), 1.0, None))
-                .collect();
-            for i in 0..n {
-                g.add_edge(vs[i], vs[(i + 1) % n], rng.gen_range(1..3i64));
-            }
-            for _ in 0..rng.gen_range(0..4usize) {
-                let x = rng.gen_range(0..n);
-                let y = rng.gen_range(0..n);
-                if x != y {
-                    g.add_edge(vs[x], vs[y], rng.gen_range(if x < y {0..3i64} else {1..3i64}));
-                }
-            }
-            let lo = rng.gen_range(1..6u64);
-            let hi = lo + rng.gen_range(0..12u64);
-            let sub = WdSubstrate::build(&g, lo, hi).unwrap();
-            for t in lo..=hi {
-                let probe = sub.constraints_for(t);
-                let fresh = generate_period_constraints(&g, t).unwrap();
-                lacr_prng::prop_assert_eq!(&probe.constraints, &fresh.constraints);
-            }
-        }
     }
 
     /// All-pairs `(W, D)` by Floyd–Warshall over the lexicographic order
@@ -931,11 +710,11 @@ mod tests {
     }
 
     /// The reference constraint list at `target` (source-major, heads in
-    /// index order) and the violating-pair count at `floor`. `(u, v)` is
+    /// index order) and its violating-pair count. `(u, v)` is
     /// covered when some `x ∉ {u, v}` lies on a minimum-weight `u ⇝ v`
     /// path (`W(u,x) + W(x,v) = W(u,v)`) and already violates; as an
     /// intermediate vertex, `x` is never the host.
-    fn reference(g: &RetimeGraph, target: u64, floor: u64) -> (Vec<Constraint>, usize) {
+    fn reference(g: &RetimeGraph, target: u64) -> (Vec<Constraint>, usize) {
         let m = all_pairs_wd(g);
         let n = g.num_vertices();
         let host = g.host().map(VertexId::index);
@@ -944,7 +723,7 @@ mod tests {
         for u in 0..n {
             for v in (0..n).filter(|&v| v != u) {
                 let Some((w, d)) = m[u][v] else { continue };
-                pairs += usize::from(d > floor);
+                pairs += usize::from(d > target);
                 let covered = (0..n)
                     .filter(|&x| x != u && x != v && Some(x) != host)
                     .any(|x| {
@@ -962,9 +741,9 @@ mod tests {
     lacr_prng::properties! {
         cases = 200;
 
-        /// `WdSubstrate` emits, at every target of its bracket, exactly
-        /// the reference's constraints (values and order), and counts
-        /// exactly its violating pairs at the floor.
+        /// [`generate_period_constraints`] emits, at every target of a
+        /// random range, exactly the reference's constraints (values and
+        /// order), and counts exactly its violating pairs.
         fn substrate_matches_the_all_pairs_reference(rng) {
             let n = rng.gen_range(1..13usize);
             let mut g = RetimeGraph::new();
@@ -990,12 +769,11 @@ mod tests {
             }
             let lo = rng.gen_range(0..16u64);
             let hi = if rng.gen_bool(0.5) { lo } else { lo + rng.gen_range(0..24u64) };
-            let sub = WdSubstrate::build(&g, lo, hi).unwrap();
             for t in lo..=hi {
-                let (cons, pairs) = reference(&g, t, lo);
-                let probe = sub.constraints_for(t);
-                lacr_prng::prop_assert_eq!(&probe.constraints, &cons);
-                lacr_prng::prop_assert_eq!(probe.pairs_before_pruning, pairs);
+                let (cons, pairs) = reference(&g, t);
+                let pc = generate_period_constraints(&g, t).unwrap();
+                lacr_prng::prop_assert_eq!(&pc.constraints, &cons);
+                lacr_prng::prop_assert_eq!(pc.pairs_before_pruning, pairs);
             }
         }
     }
@@ -1015,7 +793,7 @@ mod tests {
                 g.add_edge(b, h, 0);
             }
             assert_eq!(
-                WdSubstrate::build(&g, 1, 5).unwrap_err(),
+                generate_period_constraints(&g, 3).unwrap_err(),
                 RetimeError::CombinationalCycle
             );
         }
@@ -1029,7 +807,7 @@ mod tests {
             g.add_edge(a, h, 0);
             g
         };
-        assert!(WdSubstrate::build(&g, 1, 5).is_ok());
+        assert!(generate_period_constraints(&g, 3).is_ok());
     }
 
     #[test]
@@ -1046,117 +824,11 @@ mod tests {
             .all(|c| !(c.u == a.index() && c.v == b.index())));
     }
 
-    /// One source `s` (delay 1) whose band, for the bracket `[10, 20]`,
-    /// holds every clamp boundary: heads at `D = hi`, `D = hi + 1` and
-    /// `D ≫ hi`, and heads behind ancestors with `A < lo`, `A = lo` and
-    /// `A = hi`. Every leaf closes a registered loop back to `s`.
-    fn clamp_boundaries() -> RetimeGraph {
-        let mut g = RetimeGraph::new();
-        let s = g.add_vertex(VertexKind::Functional, 1, 1.0, None);
-        let leaf = |g: &mut RetimeGraph, from: VertexId, delay: u64| {
-            let v = g.add_vertex(VertexKind::Functional, delay, 1.0, None);
-            g.add_edge(from, v, 0);
-            g.add_edge(v, s, 1);
-            v
-        };
-        leaf(&mut g, s, 19); // D = 20 = hi
-        leaf(&mut g, s, 20); // D = 21 = hi + 1
-        leaf(&mut g, s, 99); // D = 100 ≫ hi
-        let x = leaf(&mut g, s, 4); // D = 5
-        leaf(&mut g, x, 10); // D = 15, A = 5 < lo
-        let x = leaf(&mut g, s, 9); // D = 10 = lo
-        leaf(&mut g, x, 5); // D = 15, A = 10 = lo
-        let x = leaf(&mut g, s, 19); // D = 20 = hi
-        leaf(&mut g, x, 3); // D = 23, A = 20 = hi
-        g
-    }
-
     #[test]
-    fn clamped_offsets_emit_exactly_at_every_target_of_the_bracket() {
-        let g = clamp_boundaries();
-        let (lo, hi) = (10, 20);
-        let sub = WdSubstrate::build(&g, lo, hi).unwrap();
-        for t in lo..=hi {
-            let probe = sub.constraints_for(t);
-            let point = WdSubstrate::build(&g, t, t).unwrap().constraints_for(t);
-            assert_eq!(probe.constraints, reference(&g, t, lo).0, "target {t}");
-            assert_eq!(point.constraints, reference(&g, t, t).0, "target {t}");
-            assert_eq!(
-                probe.constraints,
-                generate_period_constraints(&g, t).unwrap().constraints,
-                "target {t}"
-            );
-        }
-        // Source 0's heads switch where the unclamped intervals say:
-        // `A = lo` (7) emits at `lo`, `D = hi` (1, 8) stops at `hi`,
-        // `D = hi + 1` (2) and `D ≫ hi` (3) emit throughout, and `A = hi`
-        // (9) starts at `hi`.
-        let heads = |t| -> Vec<usize> {
-            let pc = sub.constraints_for(t);
-            pc.constraints
-                .iter()
-                .filter(|c| c.u == 0)
-                .map(|c| c.v)
-                .collect()
-        };
-        assert_eq!(heads(lo), [1, 2, 3, 5, 7, 8]);
-        assert_eq!(heads(hi - 1), [1, 2, 3, 8]);
-        assert_eq!(heads(hi), [2, 3, 9]);
-    }
-
-    #[test]
-    fn widest_brackets_and_the_top_of_the_range_emit_exactly() {
-        // The widest bracket `build` accepts: `hi − lo + 1 = u32::MAX`.
-        let g = pipeline();
-        let hi = u64::from(u32::MAX) - 1;
-        let sub = WdSubstrate::build(&g, 0, hi).unwrap();
-        for t in [0, 4, 5, 9, 10, 11, hi] {
-            let fresh = generate_period_constraints(&g, t).unwrap();
-            assert_eq!(sub.constraints_for(t).constraints, fresh.constraints, "{t}");
-        }
-        // A bracket ending at `u64::MAX`: the `hi + 1` clamp must not wrap.
-        let mut g = RetimeGraph::new();
-        let a = g.add_vertex(VertexKind::Functional, u64::MAX - 10, 1.0, None);
-        let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
-        g.add_edge(a, b, 0);
-        g.add_edge(b, a, 1);
-        let lo = u64::MAX - 8;
-        let sub = WdSubstrate::build(&g, lo, u64::MAX).unwrap();
-        assert_eq!(sub.num_candidates(), 2);
-        for t in lo..=u64::MAX {
-            let fresh = generate_period_constraints(&g, t).unwrap();
-            assert_eq!(sub.constraints_for(t).constraints, fresh.constraints, "{t}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_brackets_and_bounds_are_typed_errors() {
+    fn out_of_range_bounds_are_typed_errors() {
         use crate::feas::try_min_period_retiming;
-        // A bracket of `u32::MAX + 1` targets.
-        let g = pipeline();
-        assert_eq!(
-            WdSubstrate::build(&g, 0, u64::from(u32::MAX)).unwrap_err(),
-            RetimeError::DelayOverflow
-        );
-        assert_eq!(
-            WdSubstrate::build(&g, 7, u64::MAX).unwrap_err(),
-            RetimeError::DelayOverflow
-        );
-        // The min-period search brackets `[d_max, T_init] = [2^33, 2^34]`.
-        let mut g = RetimeGraph::new();
-        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
-        g.set_host(h);
-        let a = g.add_vertex(VertexKind::Functional, 1 << 33, 1.0, None);
-        let b = g.add_vertex(VertexKind::Functional, 1 << 33, 1.0, None);
-        g.add_edge(h, a, 1);
-        g.add_edge(a, b, 0);
-        g.add_edge(b, h, 1);
-        assert_eq!(
-            try_min_period_retiming(&g, 0).map(|out| out.result.period),
-            Err(RetimeError::DelayOverflow)
-        );
-        // With `w(b → a) = 2^32`, `W(b, a) − 1` does not fit `i32`; the
-        // search brackets `[5, 10]` and `(b, a)` violates at its floor.
+        // With `w(b → a) = 2^32`, `W(b, a) − 1` does not fit `i32`, and
+        // `(b, a)` violates at 5.
         let back_edge = |flops: i64| {
             let mut g = RetimeGraph::new();
             let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
@@ -1171,46 +843,29 @@ mod tests {
         };
         let g = back_edge(1 << 32);
         assert_eq!(
-            WdSubstrate::build(&g, 5, 10).unwrap_err(),
+            generate_period_constraints(&g, 5).unwrap_err(),
             RetimeError::DelayOverflow
-        );
-        assert_eq!(
-            try_min_period_retiming(&g, 0).map(|out| out.result.period),
-            Err(RetimeError::DelayOverflow)
         );
         // One flip-flop fewer fits: the bound is `i32::MAX` exactly.
         let g = back_edge(1 << 31);
-        let sub = WdSubstrate::build(&g, 5, 10).unwrap();
-        assert!(sub
-            .constraints_for(5)
+        assert!(generate_period_constraints(&g, 5)
+            .unwrap()
             .constraints
             .contains(&Constraint::new(2, 1, i64::from(i32::MAX))));
-    }
-
-    /// The band is stored once, at 16 bytes a candidate: what a build
-    /// leaves allocated is its rows plus a per-vertex row header.
-    #[test]
-    fn substrate_holds_sixteen_bytes_a_candidate() {
-        let net = lacr_prng::synth::ring_of_rings(1024, 2003);
+        // Periods far beyond `u32` picoseconds are no overflow: the search
+        // over `[d_max, T_init] = [2^33, 2^34]` moves the output register
+        // back over `b`.
         let mut g = RetimeGraph::new();
-        let ids: Vec<_> = net
-            .delays_ps
-            .iter()
-            .map(|&d| g.add_vertex(VertexKind::Functional, d, 1.0, None))
-            .collect();
-        for e in &net.edges {
-            g.add_edge(ids[e.from as usize], ids[e.to as usize], i64::from(e.flops));
-        }
-        let hi = g.try_clock_period(&g.weights()).unwrap();
-        let lo = g.vertex_ids().map(|v| g.delay(v)).max().unwrap();
-        let mark = lacr_obs::mem::thread_mark();
-        let sub = WdSubstrate::build(&g, lo, hi).unwrap();
-        let held = mark.delta().net_bytes();
-        let (cands, n) = (sub.num_candidates(), sub.num_vertices());
-        assert!(cands > 16 * n, "{cands} candidates on {n} vertices");
-        assert!(
-            held <= (16 * cands + 64 * n) as i64,
-            "{held} bytes held for {cands} candidates on {n} vertices"
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let a = g.add_vertex(VertexKind::Functional, 1 << 33, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 1 << 33, 1.0, None);
+        g.add_edge(h, a, 1);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, h, 1);
+        assert_eq!(
+            try_min_period_retiming(&g, 0).map(|out| out.result.period),
+            Ok(1 << 33)
         );
     }
 }

@@ -1,46 +1,31 @@
 //! Min-period retiming: binary search over integer candidate periods with
-//! two feasibility oracles.
+//! one feasibility oracle, the Leiserson–Saxe **FEAS** relaxation.
 //!
-//! * Host-free graphs use the Leiserson–Saxe **FEAS** relaxation — fast,
-//!   and sound because every violating vertex can be incremented. An
-//!   infeasible target ends as soon as the increments' predecessor graph
-//!   closes a cycle, a certificate that no retiming meets it (see
-//!   `feas_loop`), instead of after `|V| + 1` passes. Each probe of a
-//!   search starts from the last feasible probe's retiming and reuses one
-//!   arc CSR.
-//! * Graphs with a host vertex use the **constraint oracle**: emit the W/D
-//!   period constraints for the candidate period and solve the
-//!   difference-constraint system with Bellman–Ford. FEAS is unsound
-//!   there: the host must not be incremented (it pins I/O latency and
-//!   does not propagate combinational signals), so a violating primary
-//!   output driver cannot legally be incremented past a zero-weight host
-//!   edge.
+//! Each pass computes arrival times over the zero-weight edges and raises
+//! every vertex whose arrival exceeds the target by one. On a graph with a
+//! host vertex, zero-weight edges into the host carry no arrival, as in
+//! [`RetimeGraph::try_arrival_times`], so raising a primary-output driver
+//! can drive its edge into the host negative; a **legality closure** then
+//! raises the head of each negative edge until none is left. An infeasible
+//! target ends as soon as the raises' predecessor graph closes a cycle, a
+//! certificate that no retiming meets it; a feasible one ends at the least
+//! non-negative retiming that meets it (see `feas_loop` and ALGORITHMS.md
+//! §2). Each probe of a search starts from the last feasible probe's
+//! retiming and reuses one arc CSR.
 //!
-//! Every search probes its floor first: the largest single-vertex delay
-//! `d_max` on a host-free graph (the optimum of every host-free DAG, such
-//! as the pipelined mesh), and on a host graph its **cycle-ratio floor**
-//! `max(d_max, ⌈λ*⌉)`, where λ* is the largest `Σ delay / Σ flip-flops`
-//! over cycles that avoid the host (see `cycle_ratio_floor`). A feasible
-//! floor ends the search; an infeasible one ends at its cycle
-//! certificate, and the binary search goes on above it. The returned
-//! retiming does not depend on the probe order: FEAS from any start at or
-//! below the least feasible retiming ends there.
+//! Every search probes its floor first, the largest single-vertex delay
+//! `d_max` (the optimum of every host-free DAG, such as the pipelined
+//! mesh). A feasible floor ends the search; an infeasible one ends at its
+//! cycle certificate, and the binary search goes on above it. The
+//! returned retiming does not depend on the probe order: FEAS from any
+//! start at or below the least feasible retiming ends there.
 //!
-//! The constraint oracle is **incremental across probes**: the W/D
-//! substrate ([`WdSubstrate`]) is built once for the
-//! bracket `[floor, T_init]` (one `retime.wd_build` span per
-//! [`try_min_period_retiming`] call, counted by `retime.probe` /
-//! `retime.wd_cache_hits`), each probe re-emits its constraint set with a
-//! linear scan, and Bellman–Ford warm-starts from the previous feasible
-//! probe's potentials ([`DifferenceConstraints::solve_warm`]). The
-//! surviving substrate is returned in [`MinPeriodOutcome`] so callers
-//! probing a *derived* period in the same bracket (the planner's `t_clk`)
-//! reuse it too.
+//! No probe builds the W/D system. A caller that needs the period
+//! constraints builds them once, at the target it plans for, with
+//! [`generate_period_constraints`](crate::generate_period_constraints).
 
-use crate::constraints::{edge_constraints, generate_period_constraints, WdSubstrate};
 use crate::graph::{RetimeGraph, VertexId};
 use crate::minarea::RetimeError;
-use lacr_mcmf::{Constraint, DifferenceConstraints};
 
 /// The minimum period found by [`try_min_period_retiming`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,23 +36,11 @@ pub struct MinPeriodResult {
     pub retiming: Vec<i64>,
 }
 
-/// Result of [`try_min_period_retiming`]: the period/retiming pair plus
-/// the W/D substrate the search built, when it built one.
+/// Result of [`try_min_period_retiming`].
 #[derive(Debug, Clone)]
 pub struct MinPeriodOutcome {
     /// The minimum feasible period and a retiming achieving it.
     pub result: MinPeriodResult,
-    /// The W/D substrate covering the search bracket `[floor, unretimed
-    /// period]`, where the floor is the larger of the largest
-    /// single-vertex delay and `⌈λ*⌉`, the host-avoiding cycle-ratio bound
-    /// (both at most the optimum). `None` when no constraint-oracle probe
-    /// ran (host-free graphs, empty graphs, or a bracket that was already
-    /// collapsed). Any target in the bracket — in particular every period
-    /// between the returned optimum and the unretimed period — can be
-    /// served by [`WdSubstrate::constraints_for`] without another W/D
-    /// build; its `pairs_before_pruning` counts the pairs violating at the
-    /// floor.
-    pub substrate: Option<WdSubstrate>,
 }
 
 /// Returns a retiming achieving clock period `≤ target`: `Ok(None)` means
@@ -109,11 +82,7 @@ pub fn try_feasible_retiming(
     if graph.vertex_ids().any(|v| graph.delay(v) > target) {
         return Ok(None);
     }
-    let r = if graph.host().is_some() {
-        constraint_feasible(graph, target)?
-    } else {
-        feas_loop(&mut Feas::new(graph), target, vec![0; n])?.0
-    };
+    let r = feas_loop(&mut Feas::new(graph), target, vec![0; n])?.0;
     if let Some(r) = &r {
         debug_assert!(meets(graph, r, target));
     }
@@ -126,11 +95,11 @@ fn meets(graph: &RetimeGraph, r: &[i64], target: u64) -> bool {
     graph.weights_legal(&w) && graph.try_clock_period(&w).is_ok_and(|p| p <= target)
 }
 
-/// No predecessor yet: the vertex was never incremented.
+/// No predecessor yet: the vertex was never raised.
 const NO_PRED: u32 = u32::MAX;
 
-/// The FEAS oracle (host-free graphs only): the graph's arcs in CSR form
-/// and the pass buffers, built once and reused by every probe of a search.
+/// The FEAS oracle: the graph's arcs in CSR form and the pass buffers,
+/// built once and reused by every probe of a search.
 struct Feas<'g> {
     graph: &'g RetimeGraph,
     /// Out-arcs: arc `k` of `v`, for `k` in `start[v]..start[v + 1]`, has
@@ -141,15 +110,15 @@ struct Feas<'g> {
     base: Vec<i64>,
     w: Vec<i64>,
     /// Pass buffers: arrivals, critical-path origins, zero-weight
-    /// in-degrees, the Kahn queue and the vertices incremented.
+    /// in-degrees, the Kahn queue and the vertices raised.
     arr: Vec<u64>,
     origin: Vec<u32>,
     indeg: Vec<u32>,
     queue: Vec<u32>,
-    bumped: Vec<u32>,
-    /// The certificate: each vertex's `pred` (from its last increment)
-    /// next to its walk stamp, and `lift`. A stamp `≥` the pass's first
-    /// walk marks a vertex this pass already followed.
+    raised: Vec<u32>,
+    /// The certificate: each vertex's `pred` (from its last raise) next
+    /// to its walk stamp, and `lift`. A stamp `≥` the pass's first walk
+    /// marks a vertex this pass already followed.
     pred: Vec<(u32, u32)>,
     lift: Vec<i64>,
     walk: u32,
@@ -157,7 +126,6 @@ struct Feas<'g> {
 
 impl<'g> Feas<'g> {
     fn new(graph: &'g RetimeGraph) -> Self {
-        debug_assert!(graph.host().is_none(), "FEAS is the host-free oracle");
         let n = graph.num_vertices();
         let mut start = Vec::with_capacity(n + 1);
         let (mut head, mut base) = (Vec::new(), Vec::new());
@@ -180,7 +148,7 @@ impl<'g> Feas<'g> {
             origin: vec![0; n],
             indeg: vec![0; n],
             queue: Vec::with_capacity(n),
-            bumped: Vec::new(),
+            raised: Vec::new(),
             pred: vec![(NO_PRED, 0); n],
             lift: vec![0; n],
             walk: 0,
@@ -188,22 +156,32 @@ impl<'g> Feas<'g> {
     }
 }
 
-/// The classic FEAS loop (host-free graphs only) from the retiming `r`,
-/// returning the retiming (or `None`) and how many arrival passes it ran.
+/// The FEAS loop from the non-negative retiming `r`, returning the
+/// retiming (or `None`) and how many arrival passes it ran.
 ///
-/// Each pass computes arrival times over the zero-weight edges and
-/// increments every vertex whose arrival exceeds `target`. An increment of
-/// `v` records `pred(v) = s`, the first vertex of `v`'s critical
-/// zero-weight path `P` (`origin`), and `lift(v) = 1 − w(P)`: every legal
-/// retiming `r'` with period `≤ target` must register `P`, so
-/// `r'(v) − r'(s) ≥ lift(v)`. A cycle of `pred` pointers sums these around
-/// to `0 ≥ Σ lift`, while `Σ lift ≥ 1` (see the debug assertion and
-/// ALGORITHMS.md §2): the target is infeasible. A feasible target never
-/// closes such a cycle. From any legal `r` it ends at the least feasible
-/// retiming `≥ r` within `|V|` passes, so a search may start each probe
-/// from the last feasible probe's retiming and still get the cold start's
-/// retiming (ALGORITHMS.md §2); the `|V| + 1` pass bound stays as the
-/// backstop.
+/// Each pass computes arrival times over the zero-weight edges, except
+/// those into the host, which carry no arrival (as in
+/// [`RetimeGraph::try_arrival_times`]). It raises every vertex whose
+/// arrival exceeds `target` by one. A raise of `v` records `pred(v) = s`,
+/// the first vertex of `v`'s critical zero-weight path `P` (`origin`),
+/// and `lift(v) = 1 − w(P)`: every legal retiming `r'` with period
+/// `≤ target` must register `P`, so `r'(v) − r'(s) ≥ lift(v)`. Raising a
+/// primary-output driver can drive its edge into the host negative, so
+/// the **legality closure** then raises the head of each negative edge
+/// `e = tail → head` to `r(tail) − w(e)`, recording `pred = tail` and
+/// `lift = −w(e)`, until no edge is negative; legality gives
+/// `r'(head) − r'(tail) ≥ −w(e)`. (On a host-free graph no edge goes
+/// negative.)
+///
+/// Every raise is forced by one of these constraints, so no iterate
+/// exceeds the least non-negative feasible retiming, and a pass that
+/// raises nothing returns exactly that retiming; a search may therefore
+/// start each probe from the last feasible probe's retiming and still get
+/// the cold start's. A cycle of `pred` pointers sums the constraints
+/// around to `0 ≥ Σ lift`, while `Σ lift ≥ 1` (see the debug assertion):
+/// the target is infeasible. A feasible target ends within
+/// `Σ (r* − r) + 1` passes, and an infeasible one always closes such a
+/// cycle, so the loop needs no pass bound (proofs in ALGORITHMS.md §2).
 fn feas_loop(
     feas: &mut Feas,
     target: u64,
@@ -219,23 +197,24 @@ fn feas_loop(
         origin,
         indeg,
         queue,
-        bumped,
+        raised,
         pred,
         lift,
         walk,
     } = feas;
     let n = graph.num_vertices();
+    let host = graph.host().map_or(usize::MAX, VertexId::index);
     pred.iter_mut().for_each(|p| p.0 = NO_PRED);
-    // |V| rounds: the classic bound is |V| − 1 increments; one extra round
-    // performs the final check.
-    for pass in 1..=n + 1 {
+    let mut pass = 0;
+    loop {
+        pass += 1;
         indeg.fill(0);
         for v in 0..n {
             for k in start[v]..start[v + 1] {
                 let t = head[k] as usize;
                 w[k] = base[k] + r[t] - r[v];
                 debug_assert!(w[k] >= 0, "FEAS lost legality");
-                if w[k] == 0 {
+                if w[k] == 0 && t != host {
                     indeg[t] += 1;
                 }
             }
@@ -251,10 +230,10 @@ fn feas_loop(
             seen += 1;
             let v = v as usize;
             for k in start[v]..start[v + 1] {
-                if w[k] != 0 {
+                let t = head[k] as usize;
+                if w[k] != 0 || t == host {
                     continue;
                 }
-                let t = head[k] as usize;
                 let cand = arr[v]
                     .checked_add(graph.delay(VertexId(t as u32)))
                     .ok_or(RetimeError::DelayOverflow)?;
@@ -273,30 +252,63 @@ fn feas_loop(
             // can carry a zero-weight cycle.
             return Err(RetimeError::CombinationalCycle);
         }
-        bumped.clear();
+        raised.clear();
         for v in 0..n {
             if arr[v] > target {
                 let s = origin[v] as usize;
                 pred[v].0 = s as u32;
                 // `P` has zero retimed weight: w(P) = r(s) − r(v).
                 lift[v] = 1 - (r[s] - r[v]);
-                bumped.push(v as u32);
+                raised.push(v as u32);
             }
         }
-        if bumped.is_empty() {
+        if raised.is_empty() {
             return Ok((Some(r), pass));
         }
-        for &v in bumped.iter() {
+        for &v in raised.iter() {
             r[v as usize] += 1;
+        }
+        // The legality closure. A zero-weight edge out of a violating
+        // vertex has a violating head unless it enters the host, so the
+        // violation raises can only have driven edges into the host
+        // negative; after that, only the out-arcs of a vertex the closure
+        // raised. `raised` doubles as the work queue.
+        let mut next = raised.len();
+        if host != usize::MAX {
+            let before = r[host];
+            for e in graph.in_edges(VertexId(host as u32)).map(|e| graph.edge(e)) {
+                let tail = e.from.index();
+                if r[host] < r[tail] - e.weight {
+                    r[host] = r[tail] - e.weight;
+                    pred[host].0 = tail as u32;
+                    lift[host] = -e.weight;
+                }
+            }
+            if r[host] > before {
+                raised.push(host as u32);
+            }
+        }
+        while let Some(&x) = raised.get(next) {
+            next += 1;
+            let x = x as usize;
+            for k in start[x]..start[x + 1] {
+                let t = head[k] as usize;
+                if r[t] < r[x] - base[k] {
+                    r[t] = r[x] - base[k];
+                    pred[t].0 = x as u32;
+                    lift[t] = -base[k];
+                    raised.push(t as u32);
+                }
+            }
         }
         // Only the pointers just set can close a new cycle. A walk stops
         // at a vertex an earlier walk of this pass already followed.
-        if *walk > u32::MAX - n as u32 {
+        if u64::from(*walk) + raised.len() as u64 >= u64::from(u32::MAX) {
             pred.iter_mut().for_each(|p| p.1 = 0);
             *walk = 0;
         }
         let pass_start = *walk + 1;
-        for &v in bumped.iter() {
+        for &v in raised.iter() {
             *walk += 1;
             let mut x = v;
             while x != NO_PRED {
@@ -313,14 +325,13 @@ fn feas_loop(
             }
         }
     }
-    Ok((None, n + 1))
 }
 
-/// `Σ lift` around the `pred` cycle through `x`. Along the cycle,
-/// `lift(v) = R(v) − r_t(pred(v))`, where `R` is the current retiming and
-/// `r_t` the one before `v`'s last increment, so the sum telescopes to
-/// `Σ (R(s) − r_t(s)) ≥ 0`; the term whose `s` was incremented last is
-/// at least 1.
+/// `Σ lift` around the `pred` cycle through `x`. Along the cycle, every
+/// raise was tight when set, `lift(v) = R(v) − r_t(pred(v))`, where `R`
+/// is the current retiming and `r_t` the one the raise of `v` read, so
+/// the sum telescopes to `Σ (R(s) − r_t(s)) ≥ 0`; the term of the member
+/// raised last is at least 1.
 fn cycle_lift(pred: &[(u32, u32)], lift: &[i64], x: u32) -> i64 {
     let mut sum = lift[x as usize];
     let mut y = pred[x as usize].0;
@@ -331,208 +342,25 @@ fn cycle_lift(pred: &[(u32, u32)], lift: &[i64], x: u32) -> i64 {
     sum
 }
 
-/// One-shot feasibility via the W/D constraint system (sound for host
-/// graphs).
-fn constraint_feasible(graph: &RetimeGraph, target: u64) -> Result<Option<Vec<i64>>, RetimeError> {
-    let pc = generate_period_constraints(graph, target)?;
-    let mut cons = edge_constraints(graph);
-    cons.extend(pc.constraints.iter().copied());
-    Ok(DifferenceConstraints::new(graph.num_vertices(), cons).solve())
-}
-
-/// The cycle-ratio floor of a host graph's period search,
-/// `max(d_max, ⌈λ*⌉)`, with the negative cycle of the search's last
-/// infeasible probe (empty when no probe failed, or when the solver's
-/// path-length backstop proved it without a cycle).
-///
-/// A cycle `C` that avoids the host keeps its `w(C)` flip-flops under any
-/// retiming, and each of its at most `w(C)` register-free stretches has
-/// delay `≤ T`, so `d(C) ≤ T · w(C)` at every feasible period `T`: the
-/// floor is at most `T_min`. Lawler's binary search finds the least
-/// integer `T` in `[d_max, t_init]` at which no such cycle has
-/// `d(C) > T · w(C)`, i.e. at which the constraints
-/// `r(head) − r(tail) ≤ T · w(e) − d(tail)`, one per edge off the host,
-/// have no negative cycle. `t_init`, the unretimed period, always passes.
-/// Probes warm-start from the last feasible one's potentials and never
-/// bump `retime.probe`.
-///
-/// # Errors
-///
-/// [`RetimeError::DelayOverflow`] when a probe's bound `T · w(e) − d(tail)`
-/// overflows `i64`.
-fn cycle_ratio_floor(
-    graph: &RetimeGraph,
-    d_max: u64,
-    t_init: u64,
-) -> Result<(u64, Vec<Constraint>), RetimeError> {
-    let _span = lacr_obs::span!("retime.cycle_ratio", edges = graph.num_edges());
-    let host = graph.host();
-    let arcs: Vec<_> = graph
-        .edges()
-        .iter()
-        .filter(|e| Some(e.from) != host && Some(e.to) != host)
-        .collect();
-    let bounds_at = |t: u64| -> Option<Vec<Constraint>> {
-        let t = i64::try_from(t).ok()?;
-        arcs.iter()
-            .map(|e| {
-                let bound = t
-                    .checked_mul(e.weight)?
-                    .checked_sub(i64::try_from(graph.delay(e.from)).ok()?)?;
-                Some(Constraint::new(e.to.index(), e.from.index(), bound))
-            })
-            .collect()
-    };
-    let (mut lo, mut hi) = (d_max, t_init);
-    let mut warm = vec![0; graph.num_vertices()];
-    let mut cycle = Vec::new();
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let cons = bounds_at(mid).ok_or(RetimeError::DelayOverflow)?;
-        match DifferenceConstraints::new(warm.len(), cons).solve_or_cycle(&warm) {
-            Ok(r) => {
-                warm = r;
-                hi = mid;
-            }
-            Err(c) => {
-                cycle = c;
-                lo = mid + 1;
-            }
-        }
-    }
-    Ok((lo, cycle))
-}
-
-/// Whether the cycle of floor constraints `cycle` rules out period `t`,
-/// re-derived from the graph alone: each hop `tail → head` takes the
-/// fewest flip-flops of any host-avoiding edge between the two, and the
-/// cycle must have `d(C) > t · w(C)`.
-fn ratio_cycle_rules_out(graph: &RetimeGraph, cycle: &[Constraint], t: u64) -> bool {
-    let host = graph.host();
-    let (mut delay, mut flops) = (0i128, 0i128);
-    for c in cycle {
-        let (tail, head) = (VertexId(c.v as u32), VertexId(c.u as u32));
-        let hop = graph
-            .out_edges(tail)
-            .map(|e| graph.edge(e))
-            .filter(|e| e.to == head && Some(tail) != host && Some(head) != host)
-            .map(|e| e.weight)
-            .min();
-        let Some(w) = hop else {
-            return false;
-        };
-        delay += i128::from(graph.delay(tail));
-        flops += i128::from(w);
-    }
-    delay > i128::from(t) * flops
-}
-
-/// The incremental constraint oracle: one substrate for the search
-/// bracket `[floor, T_init]` (the cycle-ratio floor), warm-started
-/// Bellman–Ford across probes. The substrate's `pairs_before_pruning`
-/// counts the pairs violating at that floor.
-struct SubstrateOracle<'g> {
-    graph: &'g RetimeGraph,
-    band_lo: u64,
-    band_hi: u64,
-    substrate: Option<WdSubstrate>,
-    edge_cons: Vec<Constraint>,
-    /// Potentials of the last feasible probe — the warm start. Probes walk
-    /// a shrinking bracket, so consecutive constraint sets differ by a few
-    /// tightened rows and the previous solution nearly satisfies the next
-    /// system (see [`DifferenceConstraints::solve_warm`] for soundness).
-    prev: Option<Vec<i64>>,
-}
-
-impl<'g> SubstrateOracle<'g> {
-    fn new(graph: &'g RetimeGraph, band_lo: u64, band_hi: u64) -> Self {
-        Self {
-            graph,
-            band_lo,
-            band_hi,
-            substrate: None,
-            edge_cons: edge_constraints(graph),
-            prev: None,
-        }
-    }
-
-    /// Probes feasibility of `target`, building the substrate on first
-    /// use. Counter contract: every probe bumps `retime.probe`; probes
-    /// served from an already-built substrate bump `retime.wd_cache_hits`,
-    /// so within one `retime.min_period` span
-    /// `Σ retime.probe == Σ retime.wd_cache_hits + #(retime.wd_build)`.
-    fn probe(&mut self, target: u64) -> Result<Option<Vec<i64>>, RetimeError> {
-        lacr_obs::counter!("retime.probe", 1);
-        if self.substrate.is_some() {
-            lacr_obs::counter!("retime.wd_cache_hits", 1);
-        } else {
-            self.substrate = Some(WdSubstrate::build(self.graph, self.band_lo, self.band_hi)?);
-        }
-        let pc = self
-            .substrate
-            .as_ref()
-            .expect("substrate built above")
-            .constraints_for(target);
-        let mut cons = self.edge_cons.clone();
-        cons.extend(pc.constraints);
-        let sys = DifferenceConstraints::new(self.graph.num_vertices(), cons);
-        let sol = match &self.prev {
-            Some(p) => sys.solve_warm(p),
-            None => sys.solve(),
-        };
-        if let Some(r) = &sol {
-            debug_assert!(meets(self.graph, r, target));
-            self.prev = Some(r.clone());
-        }
-        Ok(sol)
-    }
-}
-
-/// The feasibility oracle of one search.
-enum Oracle<'g> {
-    /// Host graphs: W/D constraints from one substrate.
-    Constraints(SubstrateOracle<'g>),
-    /// Host-free graphs: FEAS from the last feasible probe's retiming
-    /// (which is at or below the least feasible retiming of every lower
-    /// target, so each probe returns its cold-start retiming).
-    Feas { feas: Feas<'g>, warm: Vec<i64> },
-}
-
-impl Oracle<'_> {
-    fn probe(&mut self, target: u64) -> Result<Option<Vec<i64>>, RetimeError> {
-        match self {
-            Oracle::Constraints(oracle) => oracle.probe(target),
-            Oracle::Feas { feas, warm } => {
-                let r = feas_loop(feas, target, warm.clone())?.0;
-                if let Some(r) = &r {
-                    debug_assert!(meets(feas.graph, r, target));
-                    warm.clone_from(r);
-                }
-                Ok(r)
-            }
-        }
-    }
-}
-
 /// Computes the minimum feasible clock period and a retiming achieving
-/// it, returning the search's W/D substrate for reuse.
+/// it.
 ///
-/// Binary-searches integer periods between a floor no retiming can beat
-/// and the unretimed period. The floor is the largest single-vertex delay
-/// on host-free graphs; on host graphs it is raised to the host-avoiding
-/// cycle-ratio bound `⌈λ*⌉` when that is larger. Either floor is probed
-/// first. A positive `tolerance_ps` stops the search once the bracket
-/// `[infeasible, feasible]` is narrower than it, returning the feasible
-/// end after one final downward probe at the bracket floor. The result
-/// is at most `tolerance_ps` above the true optimum — and *exact*
-/// whenever the floor itself is feasible, whatever the tolerance.
+/// Binary-searches integer periods between the largest single-vertex
+/// delay, which no retiming can beat and which is probed first, and the
+/// unretimed period. Every probe runs FEAS from the last feasible probe's
+/// retiming and bumps `retime.probe`. A positive `tolerance_ps` stops the
+/// search once the bracket `[infeasible, feasible]` is narrower than it,
+/// returning the feasible end after one final downward probe at the
+/// bracket floor. The result is at most `tolerance_ps` above the true
+/// optimum — and *exact* whenever the floor itself is feasible, whatever
+/// the tolerance.
 ///
 /// # Errors
 ///
 /// * [`RetimeError::CombinationalCycle`] — some directed cycle carries no
 ///   flip-flop (the unretimed period is undefined).
 /// * [`RetimeError::DelayOverflow`] — path-delay accumulation overflowed
-///   `u64`, or a cycle-ratio bound `T · w(e) − d` overflowed `i64`.
+///   `u64`.
 pub fn try_min_period_retiming(
     graph: &RetimeGraph,
     tolerance_ps: u64,
@@ -544,7 +372,6 @@ pub fn try_min_period_retiming(
                 period: 0,
                 retiming: Vec::new(),
             },
-            substrate: None,
         });
     }
     let _span = lacr_obs::span!(
@@ -558,30 +385,25 @@ pub fn try_min_period_retiming(
         .map(|v| graph.delay(v))
         .max()
         .unwrap_or(0);
-    let host = graph.host().is_some();
-    let (floor, ratio_cycle) = if host {
-        cycle_ratio_floor(graph, d_max, start)?
-    } else {
-        (d_max, Vec::new())
-    };
-    let (mut lo, mut hi) = (floor, start);
+    let (mut lo, mut hi) = (d_max, start);
+    // `best.1` is the last feasible probe's retiming (the identity at the
+    // unretimed period): at or below the least feasible retiming of every
+    // lower target, so each probe starting there returns its cold-start
+    // retiming.
     let mut best = (hi, vec![0i64; n]);
-    // One oracle serves every probe of the search. On host graphs its
-    // substrate covers [floor, start]: every candidate lies there and the
-    // bracket only shrinks.
-    let mut oracle = if host {
-        Oracle::Constraints(SubstrateOracle::new(graph, floor, start))
-    } else {
-        Oracle::Feas {
-            feas: Feas::new(graph),
-            warm: vec![0; n],
+    let mut feas = Feas::new(graph);
+    let mut probe = |target: u64, warm: &[i64]| -> Result<Option<Vec<i64>>, RetimeError> {
+        lacr_obs::counter!("retime.probe", 1);
+        let r = feas_loop(&mut feas, target, warm.to_vec())?.0;
+        if let Some(r) = &r {
+            debug_assert!(meets(graph, r, target));
         }
+        Ok(r)
     };
     if lo < hi {
-        // The floor is often the optimum: a raised one on s838, s1269 and
-        // s1423 of Table 1, `d_max` on every pipelined mesh. Probe it
-        // first.
-        match oracle.probe(lo)? {
+        // The floor is often the optimum (`d_max` on every pipelined
+        // mesh). Probe it first.
+        match probe(lo, &best.1)? {
             Some(r) => {
                 best = (lo, r);
                 hi = lo;
@@ -591,7 +413,7 @@ pub fn try_min_period_retiming(
     }
     while lo < hi && hi - lo > tolerance_ps {
         let mid = lo + (hi - lo) / 2;
-        match oracle.probe(mid)? {
+        match probe(mid, &best.1)? {
             Some(r) => {
                 best = (mid, r);
                 hi = mid;
@@ -605,37 +427,24 @@ pub fn try_min_period_retiming(
     // can still beat `best` exactly — probe it whenever it is strictly
     // better.
     if lo < best.0 {
-        if let Some(r) = oracle.probe(lo)? {
+        if let Some(r) = probe(lo, &best.1)? {
             best = (lo, r);
         }
     }
-    // A tight raised floor is certified by the graph alone: the cycle
-    // Lawler's search found at `floor − 1` rules that period out.
-    debug_assert!(
-        best.0 != floor
-            || floor == d_max
-            || ratio_cycle.is_empty()
-            || ratio_cycle_rules_out(graph, &ratio_cycle, floor - 1),
-        "cycle {ratio_cycle:?} does not rule out period {}",
-        floor - 1
-    );
-    let substrate = match oracle {
-        Oracle::Constraints(oracle) => oracle.substrate,
-        Oracle::Feas { .. } => None,
-    };
     Ok(MinPeriodOutcome {
         result: MinPeriodResult {
             period: best.0,
             retiming: best.1,
         },
-        substrate,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraints::{edge_constraints, generate_period_constraints};
     use crate::graph::VertexKind;
+    use lacr_mcmf::DifferenceConstraints;
     use lacr_prng::Rng;
 
     fn two_vertex_loop() -> RetimeGraph {
@@ -644,6 +453,54 @@ mod tests {
         let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
         g.add_edge(a, b, 0);
         g.add_edge(b, a, 2);
+        g
+    }
+
+    /// The reference oracle: the W/D period constraints at `t` plus the
+    /// edge constraints, solved by Bellman–Ford.
+    fn wd_feasible(g: &RetimeGraph, t: u64) -> bool {
+        let mut cons = edge_constraints(g);
+        cons.extend(generate_period_constraints(g, t).unwrap().constraints);
+        DifferenceConstraints::new(g.num_vertices(), cons).is_feasible()
+    }
+
+    /// A host graph: `n` functional vertices on a chain, registered back
+    /// chords, random forward chords, and random primary inputs and
+    /// outputs through the host (vertex 0).
+    fn random_host_graph(rng: &mut Rng, n: usize, max_delay: u64) -> RetimeGraph {
+        let mut g = RetimeGraph::new();
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let vs: Vec<_> = (0..n)
+            .map(|_| {
+                g.add_vertex(
+                    VertexKind::Functional,
+                    rng.gen_range(1..max_delay),
+                    1.0,
+                    None,
+                )
+            })
+            .collect();
+        for i in 0..n - 1 {
+            g.add_edge(vs[i], vs[i + 1], rng.gen_range(0..2i64));
+        }
+        for _ in 0..rng.gen_range(0..n + 1) {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                let w = if a < b {
+                    rng.gen_range(0..2i64)
+                } else {
+                    rng.gen_range(1..3i64)
+                };
+                g.add_edge(vs[a], vs[b], w);
+            }
+        }
+        g.add_edge(h, vs[0], rng.gen_range(0..3i64));
+        g.add_edge(vs[n - 1], h, rng.gen_range(0..2i64));
+        for _ in 0..rng.gen_range(0..3usize) {
+            g.add_edge(h, vs[rng.gen_range(0..n)], rng.gen_range(0..3i64));
+            g.add_edge(vs[rng.gen_range(0..n)], h, rng.gen_range(0..2i64));
+        }
         g
     }
 
@@ -711,7 +568,7 @@ mod tests {
     #[test]
     fn pipeline_without_a_host_avoiding_cycle_keeps_the_delay_floor() {
         // host --2--> a --0--> b --0--> host: every cycle runs through the
-        // host, so λ* bounds nothing and the floor is the largest delay.
+        // host, and the optimum is the largest delay.
         let mut g = RetimeGraph::new();
         let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
         g.set_host(h);
@@ -720,7 +577,6 @@ mod tests {
         g.add_edge(h, a, 2);
         g.add_edge(a, b, 0);
         g.add_edge(b, h, 0);
-        assert_eq!(cycle_ratio_floor(&g, 5, 8).unwrap(), (5, Vec::new()));
         assert_eq!(try_min_period_retiming(&g, 0).unwrap().result.period, 5);
     }
 
@@ -728,8 +584,7 @@ mod tests {
     fn combinational_io_path_bounds_period() {
         // host →0→ a →0→ b →0→ host with d(a) + d(b) = 9: no register may
         // be inserted without changing I/O latency, so the min period is 9
-        // even though the registered loop b →2→ a alone would allow 5 (its
-        // cycle ratio 9 / 2, below d(b)): the floor sits under T_min.
+        // even though the registered loop b →2→ a alone would allow 5.
         let mut g = RetimeGraph::new();
         let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
         g.set_host(h);
@@ -739,19 +594,17 @@ mod tests {
         g.add_edge(a, b, 0);
         g.add_edge(b, h, 0);
         g.add_edge(b, a, 2);
-        let (floor, _) = cycle_ratio_floor(&g, 5, 9).unwrap();
-        assert_eq!(floor, 5);
         let res = try_min_period_retiming(&g, 0).unwrap().result;
         assert_eq!(res.period, 9);
         assert!(try_feasible_retiming(&g, 8).unwrap().is_none());
     }
 
     #[test]
-    fn tight_cycle_ratio_floor_is_the_optimum_and_certified() {
+    fn tight_cycle_ratio_is_the_optimum_and_its_probe_below_is_certified() {
         // host →1→ a, a →0→ b →0→ c →1→ d →1→ a, d →1→ host, every delay
         // 3: the loop carries two flip-flops over delay 12, so no period
         // below 6 exists, and 6 splits it evenly. The unretimed period is
-        // 9 (a → b → c), and the search needs one probe, at the floor.
+        // 9 (a → b → c).
         let mut g = RetimeGraph::new();
         let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
         g.set_host(h);
@@ -763,19 +616,16 @@ mod tests {
             g.add_edge(vs[i], vs[(i + 1) % 4], w);
         }
         g.add_edge(vs[3], h, 1);
-        let (floor, cycle) = cycle_ratio_floor(&g, 3, 9).unwrap();
-        assert_eq!(floor, 6);
-        assert!(ratio_cycle_rules_out(&g, &cycle, 5));
-        assert!(!ratio_cycle_rules_out(&g, &cycle, 6));
-        let out = try_min_period_retiming(&g, 0).unwrap();
-        assert_eq!(out.result.period, 6);
-        assert_eq!(out.substrate.expect("probed").bracket(), (6, 9));
+        assert_eq!(try_min_period_retiming(&g, 0).unwrap().result.period, 6);
+        let (r, passes) = feas_loop(&mut Feas::new(&g), 5, vec![0; 5]).unwrap();
+        assert!(r.is_none());
+        assert!(passes <= 8, "{passes} passes at T_min − 1");
     }
 
     #[test]
-    fn cycle_ratio_bound_overflow_is_a_typed_error() {
-        // The loop a ⇄ b carries i64::MAX / 2 flip-flops: T · w(e)
-        // overflows i64 at every probe above 2.
+    fn huge_flip_flop_counts_are_no_overflow() {
+        // The loop a ⇄ b carries i64::MAX / 2 flip-flops. Moving the
+        // output register back over b cuts a → b, so 5 is the optimum.
         let mut g = RetimeGraph::new();
         let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
         g.set_host(h);
@@ -787,8 +637,64 @@ mod tests {
         g.add_edge(b, h, 0);
         assert_eq!(
             try_min_period_retiming(&g, 0).map(|out| out.result.period),
-            Err(RetimeError::DelayOverflow)
+            Ok(5)
         );
+    }
+
+    #[test]
+    fn the_closure_raises_the_host_and_the_inputs_behind_it() {
+        // host →1→ a →0→ b →0→ host: at 5, raising b drives b → host
+        // negative, so the closure raises the host, and then a behind
+        // the host's registered input edge stays legal. Each raise is
+        // forced, so the result is the least feasible retiming.
+        let mut g = RetimeGraph::new();
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let a = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        g.add_edge(h, a, 1);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, h, 0);
+        let r = try_feasible_retiming(&g, 5)
+            .unwrap()
+            .expect("5 is feasible");
+        assert_eq!(r, [1, 0, 1]);
+        assert_eq!(g.retimed_weights(&r), [0, 1, 0]);
+        // With no input register, the closure chases the raise round
+        // the I/O loop, and the certificate ends the probe.
+        let mut g = RetimeGraph::new();
+        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
+        g.set_host(h);
+        let a = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        g.add_edge(h, a, 0);
+        g.add_edge(a, b, 0);
+        g.add_edge(b, h, 0);
+        assert_eq!(try_feasible_retiming(&g, 9).unwrap(), None);
+        assert!(try_feasible_retiming(&g, 10).unwrap().is_some());
+    }
+
+    /// `retime.probe` counts every probe of either graph kind, and no
+    /// search builds W/D.
+    #[test]
+    fn every_probe_is_counted_and_no_search_builds_wd() {
+        // The host graph of `combinational_io_path_bounds_period` probes
+        // 5, 7 and 8, all infeasible; the host-free loop's floor is its
+        // optimum.
+        let mut io = RetimeGraph::new();
+        let h = io.add_vertex(VertexKind::Host, 0, 1.0, None);
+        io.set_host(h);
+        let a = io.add_vertex(VertexKind::Functional, 4, 1.0, None);
+        let b = io.add_vertex(VertexKind::Functional, 5, 1.0, None);
+        io.add_edge(h, a, 0);
+        io.add_edge(a, b, 0);
+        io.add_edge(b, h, 0);
+        io.add_edge(b, a, 2);
+        for (g, probes) in [(io, 3), (two_vertex_loop(), 1)] {
+            let (_, _, report) = lacr_obs::run_captured(|| try_min_period_retiming(&g, 0).unwrap());
+            assert_eq!(report.counter("retime.probe"), Some(probes));
+            assert!(report.span("retime.wd_build").is_none());
+        }
     }
 
     #[test]
@@ -823,10 +729,10 @@ mod tests {
         assert_eq!(res.period, 7);
     }
 
-    /// Regression (issue 6 satellite): with a positive tolerance and the
-    /// optimum sitting exactly at the bracket floor, the search used to
-    /// return the last feasible *midpoint* instead of probing the floor —
-    /// the final downward probe was gated on `tolerance_ps == 0`.
+    /// Regression: with a positive tolerance and the optimum sitting
+    /// exactly at the bracket floor, the search used to return the last
+    /// feasible *midpoint* instead of probing the floor — the final
+    /// downward probe was gated on `tolerance_ps == 0`.
     #[test]
     fn positive_tolerance_still_probes_the_bracket_floor() {
         // two_vertex_loop: unretimed period 10, max single delay 5, and 5
@@ -839,40 +745,6 @@ mod tests {
             let w = g.retimed_weights(&res.retiming);
             assert_eq!(g.try_clock_period(&w), Ok(5), "tolerance {tol}");
         }
-    }
-
-    /// The substrate returned by the checked entry point covers the whole
-    /// search bracket on host graphs, and matches one-shot generation.
-    #[test]
-    fn outcome_substrate_covers_bracket_and_matches_one_shot() {
-        let mut g = RetimeGraph::new();
-        let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
-        g.set_host(h);
-        let a = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
-        let b = g.add_vertex(VertexKind::Functional, 5, 1.0, None);
-        g.add_edge(h, a, 2);
-        g.add_edge(a, b, 0);
-        g.add_edge(b, h, 0);
-        let out = try_min_period_retiming(&g, 0).unwrap();
-        assert_eq!(out.result.period, 5);
-        let sub = out.substrate.expect("host search builds a substrate");
-        let (lo, hi) = sub.bracket();
-        // No cycle avoids the host, so the floor is the largest delay.
-        assert_eq!((lo, hi), (5, 10), "bracket [floor, unretimed]");
-        for t in lo..=hi {
-            let probe = sub.constraints_for(t);
-            let fresh = generate_period_constraints(&g, t).unwrap();
-            assert_eq!(probe.constraints, fresh.constraints, "t={t}");
-        }
-    }
-
-    /// Host-free graphs take the FEAS path and return no substrate.
-    #[test]
-    fn host_free_search_returns_no_substrate() {
-        let g = two_vertex_loop();
-        let out = try_min_period_retiming(&g, 0).unwrap();
-        assert_eq!(out.result.period, 5);
-        assert!(out.substrate.is_none());
     }
 
     /// The host-free search, which probes its `d_max` floor first, finds
@@ -947,41 +819,35 @@ mod tests {
         }
     }
 
-    /// The two oracles agree on random *host* graphs (the constraint
-    /// oracle versus brute force).
+    /// FEAS, with its host stop and legality closure, agrees with brute
+    /// force on random host graphs with random primary inputs, outputs and
+    /// chords.
     #[test]
     fn constraint_oracle_agrees_with_brute_force_on_host_graphs() {
         let mut rng = Rng::seed_from_u64(99);
-        for case in 0..30 {
+        let (mut feasible, mut infeasible) = (0, 0);
+        for case in 0..60 {
             let n = rng.gen_range(2..4usize);
-            let mut g = RetimeGraph::new();
-            let h = g.add_vertex(VertexKind::Host, 0, 1.0, None);
-            g.set_host(h);
-            let vs: Vec<_> = (0..n)
-                .map(|_| g.add_vertex(VertexKind::Functional, rng.gen_range(1..5), 1.0, None))
-                .collect();
-            g.add_edge(h, vs[0], rng.gen_range(0..3));
-            for i in 0..n - 1 {
-                g.add_edge(vs[i], vs[i + 1], rng.gen_range(0..2));
-            }
-            g.add_edge(vs[n - 1], h, rng.gen_range(0..2));
+            let g = random_host_graph(&mut rng, n, 5);
             let unretimed = g.try_clock_period(&g.weights()).expect("valid");
             for t in 1..=unretimed {
                 let feas = try_feasible_retiming(&g, t).unwrap().is_some();
                 let brute = brute_force_feasible(&g, t);
                 assert_eq!(feas, brute, "case {case}: target {t}, graph {g:?}");
+                feasible += usize::from(feas);
+                infeasible += usize::from(!feas);
             }
         }
+        assert!(feasible > 0 && infeasible > 0);
     }
 
     lacr_prng::properties! {
         cases = 40;
 
-        /// The incremental substrate-backed search (warm starts, cached
-        /// W/D) must find the same minimum period as a slow reference
+        /// The search finds the same minimum period as a slow reference
         /// oracle that re-derives feasibility from scratch — linear scan
-        /// over every candidate period with a cold one-shot constraint
-        /// system per candidate. Replayable via `LACR_PROP_REPLAY`.
+        /// over every candidate period with a cold W/D constraint system
+        /// per candidate. Replayable via `LACR_PROP_REPLAY`.
         fn min_period_matches_slow_reference_oracle(rng) {
             let n = rng.gen_range(2..16usize);
             let mut g = RetimeGraph::new();
@@ -1010,22 +876,39 @@ mod tests {
             let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
             let d_max = g.vertex_ids().map(|v| g.delay(v)).max().unwrap();
             let slow = (d_max..=unretimed)
-                .find(|&t| {
-                    let pc = generate_period_constraints(&g, t).unwrap();
-                    let mut cons = edge_constraints(&g);
-                    cons.extend(pc.constraints.iter().copied());
-                    DifferenceConstraints::new(g.num_vertices(), cons).is_feasible()
-                })
+                .find(|&t| wd_feasible(&g, t))
                 .expect("unretimed period is always feasible");
             lacr_prng::prop_assert_eq!(fast, slow);
-            // The cycle-ratio floor never overshoots, and a raised one
-            // carries a cycle that rules out the period below it.
-            let (floor, cycle) = cycle_ratio_floor(&g, d_max, unretimed).unwrap();
-            lacr_prng::prop_assert!(floor <= slow, "floor {floor} > T_min {slow}");
-            lacr_prng::prop_assert!(
-                floor == d_max || ratio_cycle_rules_out(&g, &cycle, floor - 1),
-                "floor {floor}: cycle {cycle:?}"
-            );
+        }
+    }
+
+    lacr_prng::properties! {
+        cases = 64;
+
+        /// On random host graphs (2–23 vertices, random primary inputs and
+        /// outputs, chords) FEAS gives the W/D oracle's verdict at every
+        /// target from `d_max` to the unretimed period, and every
+        /// retiming it returns is legal and meets the target.
+        fn feas_matches_the_wd_oracle_on_host_graphs(rng) {
+            let n = rng.gen_range(2..24usize);
+            let g = random_host_graph(rng, n, 9);
+            let unretimed = g.try_clock_period(&g.weights()).expect("valid circuit");
+            let d_max = g.vertex_ids().map(|v| g.delay(v)).max().unwrap();
+            for t in d_max..=unretimed {
+                let feas = try_feasible_retiming(&g, t).unwrap();
+                let oracle = wd_feasible(&g, t);
+                lacr_prng::prop_assert!(
+                    feas.is_some() == oracle,
+                    "target {t}: FEAS {}, W/D {oracle}",
+                    feas.is_some()
+                );
+                if let Some(r) = feas {
+                    let w = g.retimed_weights(&r);
+                    lacr_prng::prop_assert!(g.weights_legal(&w), "target {t}: illegal");
+                    let period = g.try_clock_period(&w).unwrap();
+                    lacr_prng::prop_assert!(period <= t, "target {t}: period {period}");
+                }
+            }
         }
     }
 
@@ -1066,12 +949,11 @@ mod tests {
                 if let Some(r) = &feas {
                     warm.clone_from(r);
                 }
-                let oracle = constraint_feasible(&g, t).unwrap();
+                let oracle = wd_feasible(&g, t);
                 lacr_prng::prop_assert!(
-                    feas.is_some() == oracle.is_some(),
-                    "target {t}: FEAS {}, oracle {}",
-                    feas.is_some(),
-                    oracle.is_some()
+                    feas.is_some() == oracle,
+                    "target {t}: FEAS {}, oracle {oracle}",
+                    feas.is_some()
                 );
                 if let Some(r) = feas {
                     let weights = g.retimed_weights(&r);
@@ -1089,8 +971,8 @@ mod tests {
     }
 
     /// An infeasible probe just below `T_min` on a 4,096-cell ring of
-    /// rings ends at its predecessor-cycle certificate, not after the
-    /// `|V| + 1` passes of the classic bound.
+    /// rings ends at its predecessor-cycle certificate within a few dozen
+    /// passes.
     #[test]
     fn infeasible_ring_probe_ends_at_the_certificate() {
         let net = lacr_prng::synth::ring_of_rings(4096, 2003);

@@ -9,12 +9,11 @@
 //!   zero-logic vertices, §3.2);
 //! * [`try_min_period_retiming`] / [`try_feasible_retiming`] —
 //!   Leiserson–Saxe FEAS with binary search, producing the paper's `T_min`
-//!   (on host graphs, W/D constraints searched up from the host-avoiding
-//!   cycle-ratio floor);
-//! * [`generate_period_constraints`] / [`WdSubstrate`] — the W/D
-//!   computation with Maheshwari–Sapatnekar-style constraint pruning,
-//!   generated **once** per search bracket and re-emitted per target with
-//!   a linear scan;
+//!   (on host graphs with a legality closure, so every probe ends at a
+//!   retiming or a certificate);
+//! * [`generate_period_constraints`] — the W/D computation with
+//!   Maheshwari–Sapatnekar-style constraint pruning, built **once** per
+//!   target period;
 //! * [`min_area_retiming`] / [`weighted_min_area_retiming`] — the LP dual /
 //!   min-cost-flow solve (§3.1, §4.2).
 //!
@@ -49,9 +48,7 @@ mod sharing;
 mod sta;
 mod verify;
 
-pub use constraints::{
-    edge_constraints, generate_period_constraints, PeriodConstraints, WdSubstrate,
-};
+pub use constraints::{edge_constraints, generate_period_constraints, PeriodConstraints};
 pub use feas::{try_feasible_retiming, try_min_period_retiming, MinPeriodOutcome, MinPeriodResult};
 pub use graph::{EdgeId, GraphEdge, RetimeGraph, VertexId, VertexKind};
 pub use minarea::{

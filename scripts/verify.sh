@@ -153,7 +153,7 @@ if [[ "$REGRESS" == 1 ]]; then
     target/release/bench_compare BENCH_scale.json target/regress/BENCH_scale.json \
         --no-wall --subset --json target/regress/compare_scale.json
 
-    echo "==> ablations pruning s344 s641 (asserts re-emitted = one-shot constraints), sharing s344"
+    echo "==> ablations pruning s344 s641 s1423 (pairs and constraints at T_clk), sharing s344"
     # A header plus one row per circuit, and no row that reports an error.
     check_ablation() {
         local lines
@@ -164,10 +164,19 @@ if [[ "$REGRESS" == 1 ]]; then
             exit 1
         fi
     }
-    target/release/ablations pruning --quiet s344 s641 >target/regress/ablations_pruning.txt
-    check_ablation target/regress/ablations_pruning.txt 2
+    target/release/ablations pruning --quiet s344 s641 s1423 >target/regress/ablations_pruning.txt
+    check_ablation target/regress/ablations_pruning.txt 3
     target/release/ablations sharing --quiet s344 >target/regress/ablations_sharing.txt
     check_ablation target/regress/ablations_sharing.txt 1
+
+    echo "==> stress s5378 (exact T_min search, single thread) vs committed baseline"
+    # Quality is gated exactly; the allocator peak by the soft memory gate.
+    LACR_THREADS=1 LACR_RECORD_DIR=target/regress target/release/stress --quiet \
+        --metrics-out target/regress/stress.jsonl >target/regress/stress.txt
+    target/release/check_metrics target/regress/stress.jsonl
+    target/release/check_metrics --bench target/regress/BENCH_stress.json
+    target/release/bench_compare BENCH_stress.json target/regress/BENCH_stress.json \
+        --no-wall --json target/regress/compare_stress.json
 
     echo "==> negative control: a synthetic quality regression must fail the gate"
     status=0
