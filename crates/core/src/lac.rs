@@ -240,8 +240,7 @@ struct ConstraintIndex {
 }
 
 impl ConstraintIndex {
-    fn new(n: usize, constraints: &[Constraint]) -> Self {
-        let cons = constraints.iter();
+    fn new(n: usize, cons: impl Iterator<Item = Constraint> + Clone) -> Self {
         Self {
             by_u: Csr::new(n, cons.clone().map(|c| (c.u, (c.v as u32, c.bound)))),
             by_v: Csr::new(n, cons.map(|c| (c.v, (c.u as u32, c.bound)))),
@@ -319,7 +318,11 @@ struct LegalizeIndex {
 }
 
 impl LegalizeIndex {
-    fn new(graph: &RetimeGraph, constraints: &[Constraint], caps_ff: &[f64]) -> Self {
+    fn new(
+        graph: &RetimeGraph,
+        constraints: impl Iterator<Item = Constraint> + Clone,
+        caps_ff: &[f64],
+    ) -> Self {
         let n = graph.num_vertices();
         let edges = graph.edges();
         let mut only_in = vec![None; n];
@@ -383,16 +386,21 @@ impl LegalizeIndex {
         chain_tiles.dedup();
 
         let cons = ConstraintIndex::new(n, constraints);
-        // Each interior unit is the head of exactly one edge, its chain's.
-        let mut readers: Vec<(usize, u32)> = Vec::new();
-        for (e, edge) in edges.iter().enumerate() {
-            let x = edge.to.index();
-            if only_out[x].is_some() {
-                let c = chain_of[e];
-                readers.push((x, c));
-                let partners = cons.by_u.row(x).iter().chain(cons.by_v.row(x));
-                readers.extend(partners.map(|&(y, _)| (y as usize, c)));
-            }
+        // Each interior unit is the head of exactly one edge, its chain's,
+        // which reads the unit and the unit's constraint partners.
+        let interior = edges
+            .iter()
+            .enumerate()
+            .map(|(e, edge)| (e, edge.to.index()));
+        let interior = interior.filter(|&(_, x)| only_out[x].is_some());
+        let degree = |x: usize| cons.by_u.row(x).len() + cons.by_v.row(x).len();
+        let len = interior.clone().map(|(_, x)| 1 + degree(x)).sum();
+        let mut readers: Vec<(u32, u32)> = Vec::with_capacity(len);
+        for (e, x) in interior {
+            let c = chain_of[e];
+            readers.push((x as u32, c));
+            let partners = cons.by_u.row(x).iter().chain(cons.by_v.row(x));
+            readers.extend(partners.map(|&(y, _)| (y, c)));
         }
         readers.sort_unstable();
         readers.dedup();
@@ -416,7 +424,7 @@ impl LegalizeIndex {
             chain_tiles: Csr::new(chain_ends.len(), chain_tiles.iter().copied()),
             chain_of,
             chain_ends,
-            readers: Csr::new(n, readers.iter().copied()),
+            readers: Csr::new(n, readers.iter().map(|&(x, c)| (x as usize, c))),
             in_minus_out,
             keys,
         }
@@ -1417,9 +1425,11 @@ pub fn lac_retiming(
     // The full constraint system (edge legality + clock period), indexed
     // per vertex so the legaliser can validate single-vertex moves in
     // O(deg).
-    let mut all_cons = edge_constraints(graph);
-    all_cons.extend(period_constraints.constraints.iter().copied());
-    let legalize_index = LegalizeIndex::new(graph, &all_cons, caps_ff);
+    let legalize_index = {
+        let edge_cons = edge_constraints(graph);
+        let cons = edge_cons.iter().chain(&period_constraints.constraints);
+        LegalizeIndex::new(graph, cons.copied(), caps_ff)
+    };
     let mut legalizer = Legalizer::new(graph, &legalize_index);
     let mut tile_weight = vec![1.0f64; num_tiles];
     let mut best: Option<LacResult> = None;
@@ -1777,7 +1787,7 @@ mod tests {
     #[test]
     fn a_slide_blocked_by_a_full_tile_is_retried_once_that_tile_has_room() {
         let (g, [_, c_i2, i2_d]) = two_chains();
-        let ix = LegalizeIndex::new(&g, &edge_constraints(&g), &[0.0, 1.0, 5.0]);
+        let ix = LegalizeIndex::new(&g, edge_constraints(&g).into_iter(), &[0.0, 1.0, 5.0]);
         let mut lg = Legalizer::new(&g, &ix);
         lg.start(&[0; 7], &g.weights());
         lg.slide_pass();
@@ -1803,7 +1813,7 @@ mod tests {
         // moves down.
         let mut cons = edge_constraints(&g);
         cons.push(Constraint::new(P, I1, 0));
-        let ix = LegalizeIndex::new(&g, &cons, &[0.0, 5.0, 5.0]);
+        let ix = LegalizeIndex::new(&g, cons.iter().copied(), &[0.0, 5.0, 5.0]);
         let mut lg = Legalizer::new(&g, &ix);
         lg.start(&[0; 7], &g.weights());
         lg.slide_pass();
@@ -1843,7 +1853,7 @@ mod tests {
                 let (u, v) = (vertex(&mut rng).index(), vertex(&mut rng).index());
                 cons.push(Constraint::new(u, v, r[u] - r[v] + rng.gen_range(0..2i64)));
             }
-            let ix = LegalizeIndex::new(&g, &cons, &[1.0, 1.0]);
+            let ix = LegalizeIndex::new(&g, cons.iter().copied(), &[1.0, 1.0]);
             let mut lg = Legalizer::new(&g, &ix);
             lg.start(&r, &weights);
             let mut candidates: Vec<(usize, bool)> = (0..rng.gen_range(1..=150))
@@ -2001,7 +2011,7 @@ mod tests {
         for case in 0..300u64 {
             let mut rng = Rng::seed_from_u64(0x0051_1de5 ^ case);
             let c = random_case(&mut rng);
-            let ix = LegalizeIndex::new(&c.g, &c.cons, &c.caps);
+            let ix = LegalizeIndex::new(&c.g, c.cons.iter().copied(), &c.caps);
             let (mut probe, mut journal) = (Legalizer::new(&c.g, &ix), Legalizer::new(&c.g, &ix));
             probe.start(&c.r, &c.weights);
             journal.start(&c.r, &c.weights);
@@ -2103,7 +2113,7 @@ mod tests {
         for case in 0..200u64 {
             let mut rng = Rng::seed_from_u64(0x00b1_75e7 ^ case);
             let c = random_case(&mut rng);
-            let ix = LegalizeIndex::new(&c.g, &c.cons, &c.caps);
+            let ix = LegalizeIndex::new(&c.g, c.cons.iter().copied(), &c.caps);
             let mut lg = Legalizer::new(&c.g, &ix);
             lg.start(&c.r, &c.weights);
             let mut saved = vec![lg.snapshot()];

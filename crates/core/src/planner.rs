@@ -34,7 +34,8 @@ pub struct PlannerConfig {
     /// original netlist without any physical information", so this slack
     /// is all the room relocated flip-flops initially have.
     pub block_slack: f64,
-    /// Floorplanner settings (seed is overridden by [`Self::seed`]).
+    /// Floorplanner settings; the annealer's seed derives from
+    /// [`Self::seed`].
     pub floorplan: FloorplanConfig,
     /// Global-routing settings.
     pub route: RouteConfig,
@@ -400,11 +401,10 @@ pub fn try_build_physical_plan(
         .collect();
 
     let fp_config = FloorplanConfig {
-        seed: config.seed ^ 0xf00d,
         deadline: budget.min_deadline(config.floorplan.deadline),
         ..config.floorplan.clone()
     };
-    let fp = try_floorplan(&specs, &block_nets, &fp_config)
+    let fp = try_floorplan(&specs, &block_nets, &fp_config, config.seed ^ 0xf00d)
         .map_err(|e| PlanError::new(Stage::Floorplan, PlanErrorKind::Floorplan(e)))?;
     debug_assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
     check_deadline(Stage::Floorplan, &mut deadline_hit);

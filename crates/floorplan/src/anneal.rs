@@ -18,8 +18,6 @@ pub struct FloorplanConfig {
     pub initial_temp_frac: f64,
     /// Multiplicative cooling applied every `moves / 100` steps.
     pub cooling: f64,
-    /// PRNG seed.
-    pub seed: u64,
     /// Optional wall-clock deadline. The annealer polls it periodically
     /// and, once expired, stops early and returns the best layout found
     /// so far (never worse than the initial packing).
@@ -33,7 +31,6 @@ impl Default for FloorplanConfig {
             wirelength_weight: 0.3,
             initial_temp_frac: 0.3,
             cooling: 0.95,
-            seed: 0x00f1_0011,
             deadline: None,
         }
     }
@@ -46,7 +43,8 @@ impl Default for FloorplanConfig {
 
 /// Computes a floorplan for `blocks`. `nets` lists, per net, the indices
 /// of the blocks it touches (used for the half-perimeter wirelength term);
-/// nets touching fewer than two distinct blocks are ignored.
+/// nets touching fewer than two distinct blocks are ignored. `seed` seeds
+/// the annealer's PRNG.
 ///
 /// The annealer explores sequence-pair swaps and soft-block aspect
 /// changes, minimising `chip_area + λ · HPWL` (both normalised by their
@@ -58,10 +56,16 @@ impl Default for FloorplanConfig {
 /// use lacr_floorplan::{anneal::{floorplan, FloorplanConfig}, BlockSpec};
 ///
 /// let blocks: Vec<BlockSpec> = (0..6).map(|i| BlockSpec::soft(100.0 + i as f64)).collect();
-/// let fp = floorplan(&blocks, &[vec![0, 5], vec![1, 2, 3]], &FloorplanConfig::default());
+/// let nets = [vec![0, 5], vec![1, 2, 3]];
+/// let fp = floorplan(&blocks, &nets, &FloorplanConfig::default(), 0x00f1_0011);
 /// assert!(fp.validate(1e-6).is_empty());
 /// ```
-pub fn floorplan(blocks: &[BlockSpec], nets: &[Vec<usize>], config: &FloorplanConfig) -> Floorplan {
+pub fn floorplan(
+    blocks: &[BlockSpec],
+    nets: &[Vec<usize>],
+    config: &FloorplanConfig,
+    seed: u64,
+) -> Floorplan {
     let n = blocks.len();
     if n == 0 {
         return Floorplan {
@@ -70,7 +74,7 @@ pub fn floorplan(blocks: &[BlockSpec], nets: &[Vec<usize>], config: &FloorplanCo
             chip_h: 0.0,
         };
     }
-    let mut rng = Rng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut sp = SequencePair::identity(n);
     sp.s1.shuffle(&mut rng);
     sp.s2.shuffle(&mut rng);
@@ -239,6 +243,9 @@ pub fn floorplan(blocks: &[BlockSpec], nets: &[Vec<usize>], config: &FloorplanCo
 mod tests {
     use super::*;
 
+    /// The seed the planner's tests have always floorplanned with.
+    const SEED: u64 = 0x00f1_0011;
+
     fn specs(k: usize) -> Vec<BlockSpec> {
         (0..k)
             .map(|i| BlockSpec::soft(80.0 + 10.0 * i as f64))
@@ -247,7 +254,7 @@ mod tests {
 
     #[test]
     fn result_is_valid_floorplan() {
-        let fp = floorplan(&specs(9), &[], &FloorplanConfig::default());
+        let fp = floorplan(&specs(9), &[], &FloorplanConfig::default(), SEED);
         assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
         assert_eq!(fp.blocks.len(), 9);
     }
@@ -262,8 +269,9 @@ mod tests {
                 moves: 0,
                 ..Default::default()
             },
+            SEED,
         );
-        let tuned = floorplan(&blocks, &[], &FloorplanConfig::default());
+        let tuned = floorplan(&blocks, &[], &FloorplanConfig::default(), SEED);
         assert!(
             tuned.chip_w * tuned.chip_h <= quick.chip_w * quick.chip_h * 1.001,
             "SA made packing worse: {} vs {}",
@@ -274,7 +282,7 @@ mod tests {
 
     #[test]
     fn utilization_is_reasonable_for_soft_blocks() {
-        let fp = floorplan(&specs(10), &[], &FloorplanConfig::default());
+        let fp = floorplan(&specs(10), &[], &FloorplanConfig::default(), SEED);
         assert!(
             fp.utilization() > 0.6,
             "utilization only {}",
@@ -295,6 +303,7 @@ mod tests {
                 wirelength_weight: 3.0,
                 ..Default::default()
             },
+            SEED,
         );
         let d07 = {
             let (ax, ay) = fp.blocks[0].center();
@@ -325,7 +334,7 @@ mod tests {
             BlockSpec::soft(200.0),
             BlockSpec::soft(150.0),
         ];
-        let fp = floorplan(&blocks, &[], &FloorplanConfig::default());
+        let fp = floorplan(&blocks, &[], &FloorplanConfig::default(), SEED);
         let hb = &fp.blocks[0];
         assert!(hb.hard);
         let dims_ok = ((hb.w - 30.0).abs() < 1e-9 && (hb.h - 10.0).abs() < 1e-9)
@@ -337,19 +346,27 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let blocks = specs(6);
         let cfg = FloorplanConfig::default();
-        assert_eq!(floorplan(&blocks, &[], &cfg), floorplan(&blocks, &[], &cfg));
+        assert_eq!(
+            floorplan(&blocks, &[], &cfg, SEED),
+            floorplan(&blocks, &[], &cfg, SEED)
+        );
     }
 
     #[test]
     fn empty_input() {
-        let fp = floorplan(&[], &[], &FloorplanConfig::default());
+        let fp = floorplan(&[], &[], &FloorplanConfig::default(), SEED);
         assert!(fp.blocks.is_empty());
         assert_eq!(fp.chip_w, 0.0);
     }
 
     #[test]
     fn single_block() {
-        let fp = floorplan(&[BlockSpec::soft(100.0)], &[], &FloorplanConfig::default());
+        let fp = floorplan(
+            &[BlockSpec::soft(100.0)],
+            &[],
+            &FloorplanConfig::default(),
+            SEED,
+        );
         assert_eq!(fp.blocks.len(), 1);
         assert!(fp.utilization() > 0.99);
     }

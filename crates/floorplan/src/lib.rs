@@ -22,7 +22,7 @@
 //!     BlockSpec::soft(300.0),
 //!     BlockSpec::hard(20.0, 10.0),
 //! ];
-//! let fp = floorplan(&blocks, &[], &FloorplanConfig::default());
+//! let fp = floorplan(&blocks, &[], &FloorplanConfig::default(), 0x00f1_0011);
 //! assert_eq!(fp.blocks.len(), 3);
 //! assert!(fp.utilization() > 0.3);
 //! ```
@@ -84,9 +84,10 @@ pub fn try_floorplan(
     blocks: &[BlockSpec],
     nets: &[Vec<usize>],
     config: &anneal::FloorplanConfig,
+    seed: u64,
 ) -> Result<Floorplan, FloorplanError> {
     validate_specs(blocks)?;
-    Ok(anneal::floorplan(blocks, nets, config))
+    Ok(anneal::floorplan(blocks, nets, config, seed))
 }
 
 /// Input description of one circuit block.
@@ -324,9 +325,10 @@ mod tests {
             moves: 50,
             ..Default::default()
         };
-        assert!(try_floorplan(&[bad], &[], &cfg).is_err());
+        assert!(try_floorplan(&[bad], &[], &cfg, 0x00f1_0011).is_err());
         let good = [BlockSpec::soft(100.0), BlockSpec::soft(60.0)];
-        assert_eq!(try_floorplan(&good, &[], &cfg).unwrap().blocks.len(), 2);
+        let fp = try_floorplan(&good, &[], &cfg, 0x00f1_0011).unwrap();
+        assert_eq!(fp.blocks.len(), 2);
     }
 
     #[test]
@@ -338,7 +340,7 @@ mod tests {
             ..Default::default()
         };
         // The annealer must bail out early yet produce a legal floorplan.
-        let fp = anneal::floorplan(&specs, &[], &cfg);
+        let fp = anneal::floorplan(&specs, &[], &cfg, 0x00f1_0011);
         assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
     }
 }

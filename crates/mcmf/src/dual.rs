@@ -9,23 +9,21 @@
 //! remains reduced-cost optimal, and each new solve only has to route the
 //! *difference* between the old and new imbalances. After the first round
 //! this is typically a tiny fraction of a from-scratch solve.
+//!
+//! That network is LAC's working set, so it is stored flat: arc pairs as
+//! a struct of arrays and one CSR adjacency, 40 bytes a merged constraint,
+//! with room set aside once for the source and sink arcs every solve adds.
 
 use crate::difference::DifferenceConstraints;
 use crate::{Constraint, DualError};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-
-#[derive(Debug, Clone)]
-struct Arc {
-    to: usize,
-    cap: i64,
-    cost: i64,
-    rev: usize,
-}
 
 /// An incremental solver for
 /// `min Σ cost[v]·r[v]  s.t.  r[u] − r[v] ≤ bound` with a fixed constraint
 /// set and varying costs.
+///
+/// It holds 40 bytes a merged constraint and 76 a variable, the room for
+/// every solve's source and sink arcs included; a solve allocates only
+/// its routing buffers and the returned lags.
 ///
 /// # Examples
 ///
@@ -47,10 +45,24 @@ struct Arc {
 #[derive(Debug, Clone)]
 pub struct DualSolver {
     n: usize,
-    /// Residual arcs: interior (constraint) arcs only persist; s/t arcs
-    /// are appended per solve and truncated afterwards.
-    arcs: Vec<Arc>,
-    adj: Vec<Vec<usize>>,
+    /// Residual arcs in (forward, reverse) pairs, so arc `a`'s reverse is
+    /// `a ^ 1`: `head[a]` is its head and `cap[a]` its residual capacity.
+    /// Pair `k` below the merged-constraint count `m` is merged constraint
+    /// `k`; a solve appends its s/t pairs after them, into room `new`
+    /// reserved, and truncates them when it ends.
+    head: Vec<u32>,
+    cap: Vec<i64>,
+    /// One cost per pair, its forward arc's; the reverse arc costs the
+    /// negation. The `m` constraint bounds are followed by `n` zeros, the
+    /// costs of the s/t pairs a solve may add.
+    cost: Vec<i64>,
+    /// Node `u`'s arcs, in the order they were added, are
+    /// `adj[start[u]..end[u]]`. A variable's row ends in one spare slot
+    /// for the one s/t arc a solve may give it; the rows of `s` and `t`
+    /// have `n` slots each.
+    adj: Vec<u32>,
+    start: Vec<u32>,
+    end: Vec<u32>,
     pi: Vec<i64>,
     /// Imbalance satisfied by the current interior flow.
     cur: Vec<i64>,
@@ -78,6 +90,11 @@ impl DualSolver {
     ///
     /// [`DualError::Infeasible`] when the constraints have no solution;
     /// [`DualError::VariableOutOfRange`] for a bad index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the nodes, arcs or adjacency slots of the network
+    /// overflow a `u32` index.
     pub fn new(num_vars: usize, constraints: &[Constraint]) -> Result<Self, DualError> {
         for c in constraints {
             if c.u >= num_vars {
@@ -87,69 +104,75 @@ impl DualSolver {
                 return Err(DualError::VariableOutOfRange(c.v));
             }
         }
-        let feas = DifferenceConstraints::new(num_vars, constraints.iter().copied());
-        let potentials = feas.solve().ok_or(DualError::Infeasible)?;
-
-        // BTreeMap, not HashMap: the residual arcs are laid out in map
-        // iteration order, and tie-breaks during path search follow
-        // adjacency order — a hash-seeded layout would leak into which of
-        // several optimal duals is returned, run to run.
-        let mut merged: BTreeMap<(usize, usize), i64> = BTreeMap::new();
-        for c in constraints {
-            if c.u == c.v {
-                continue; // non-negative self-bound, vacuous
-            }
-            merged
-                .entry((c.u, c.v))
-                .and_modify(|b| *b = (*b).min(c.bound))
-                .or_insert(c.bound);
-        }
+        let potentials = DifferenceConstraints::new(num_vars, constraints.iter().copied())
+            .solve()
+            .ok_or(DualError::Infeasible)?;
 
         // Nodes 0..n are variables; n = super source, n+1 = super sink.
         let nn = num_vars + 2;
-        let mut arcs = Vec::with_capacity(2 * merged.len());
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nn];
-        for (&(u, v), &b) in &merged {
-            let fwd = arcs.len();
-            arcs.push(Arc {
-                to: v,
-                cap: INF_CAP,
-                cost: b,
-                rev: fwd + 1,
-            });
-            arcs.push(Arc {
-                to: u,
-                cap: 0,
-                cost: -b,
-                rev: fwd,
-            });
-            adj[u].push(fwd);
-            adj[v].push(fwd + 1);
-        }
-        // `route` indexes arcs, the s/t arcs of a solve included, as u32.
         assert!(
-            u32::try_from(arcs.len() + 2 * nn).is_ok(),
-            "{} merged constraints overflow the u32 arc index",
-            merged.len()
+            u32::try_from(nn).is_ok(),
+            "{num_vars} variables overflow the u32 node index"
         );
+        // Merge parallel constraints: sorting puts each `(u, v)`'s tightest
+        // bound first, and the dedup keeps it. The network is laid out in
+        // `(u, v)` order, and tie-breaks during path search follow that
+        // layout, so it must not depend on the caller's constraint order.
+        let mut merged = Vec::with_capacity(constraints.len());
+        merged.extend(
+            constraints
+                .iter()
+                .filter(|c| c.u != c.v) // non-negative self-bound, vacuous
+                .map(|c| (c.u as u32, c.v as u32, c.bound)),
+        );
+        merged.sort_unstable();
+        merged.dedup_by_key(|&mut (u, v, _)| (u, v));
+        let m = merged.len();
+        // Arcs (`2m + 2n`) and adjacency slots (`2m + 3n`) are u32 indices.
+        assert!(
+            u32::try_from(2 * m + 3 * nn).is_ok(),
+            "{m} merged constraints overflow the u32 arc index"
+        );
+
+        // Row sizes: each variable's degree plus its spare slot, then `n`
+        // slots each for s and t; `start` is their prefix sum.
+        let mut start = vec![0u32; nn + 1];
+        for &(u, v, _) in &merged {
+            start[u as usize + 1] += 1;
+            start[v as usize + 1] += 1;
+        }
+        let spare = std::iter::repeat_n(1, num_vars);
+        for (x, slots) in spare.chain([num_vars as u32; 2]).enumerate() {
+            start[x + 1] += start[x] + slots;
+        }
         // Initial potentials: the Bellman–Ford solution of the constraint
         // system gives distances `r` with `r_u − r_v ≤ b` for every arc,
         // i.e. `b + (−r_u) − (−r_v) ≥ 0`: π = −r is dual-feasible.
-        let mut pi: Vec<i64> = potentials.iter().map(|&r| -r).collect();
-        pi.push(0); // s, fixed up per solve
-        pi.push(0); // t, fixed up per solve
-        Ok(Self {
+        let mut pi = Vec::with_capacity(nn);
+        pi.extend(potentials.iter().map(|&r| -r));
+        pi.extend([0, 0]); // s and t, fixed up per solve
+        let mut solver = Self {
             n: num_vars,
+            head: Vec::with_capacity(2 * (m + num_vars)),
+            cap: Vec::with_capacity(2 * (m + num_vars)),
+            cost: Vec::with_capacity(m + num_vars),
+            adj: vec![0; start[nn] as usize],
+            end: start[..nn].to_vec(),
+            start,
             pi0: pi.clone(),
-            arcs,
-            adj,
             pi,
             cur: vec![0; num_vars],
             #[cfg(debug_assertions)]
             constraints: constraints.to_vec(),
             #[cfg(test)]
             global_relabels: 0,
-        })
+        };
+        for &(u, v, b) in &merged {
+            solver.push_pair(u as usize, v as usize, INF_CAP);
+            solver.cost.push(b);
+        }
+        solver.cost.resize(m + num_vars, 0);
+        Ok(solver)
     }
 
     /// Number of variables.
@@ -182,55 +205,21 @@ impl DualSolver {
         let t = self.n + 1;
 
         // Deltas to route on top of the existing interior flow.
-        let interior_arcs = self.arcs.len();
-        let mut touched: Vec<(usize, usize)> = Vec::new(); // (node, old adj len)
+        let interior_arcs = self.head.len();
         let mut supply = 0i128;
         let mut pi_s = i64::MIN;
         let mut pi_t = i64::MAX;
-        touched.push((s, self.adj[s].len()));
-        touched.push((t, self.adj[t].len()));
-        for (v, (&c, &cur)) in cost.iter().zip(&self.cur).enumerate() {
+        for (v, &c) in cost.iter().enumerate() {
             // `cost` and `cur` both sum to zero, so the negative deltas
             // total the positive ones: once that total fits an i64, so
             // does every delta, and the capacity casts below are exact.
-            let d = i128::from(c) - i128::from(cur);
-            if d == 0 {
-                continue;
-            }
-            touched.push((v, self.adj[v].len()));
-            let fwd = self.arcs.len();
+            let d = i128::from(c) - i128::from(self.cur[v]);
             if d < 0 {
                 // v must shed inflow: s → v supplies the delta.
-                self.arcs.push(Arc {
-                    to: v,
-                    cap: -d as i64,
-                    cost: 0,
-                    rev: fwd + 1,
-                });
-                self.arcs.push(Arc {
-                    to: s,
-                    cap: 0,
-                    cost: 0,
-                    rev: fwd,
-                });
-                self.adj[s].push(fwd);
-                self.adj[v].push(fwd + 1);
+                self.push_pair(s, v, -d as i64);
                 pi_s = pi_s.max(self.pi[v]);
-            } else {
-                self.arcs.push(Arc {
-                    to: t,
-                    cap: d as i64,
-                    cost: 0,
-                    rev: fwd + 1,
-                });
-                self.arcs.push(Arc {
-                    to: v,
-                    cap: 0,
-                    cost: 0,
-                    rev: fwd,
-                });
-                self.adj[v].push(fwd);
-                self.adj[t].push(fwd + 1);
+            } else if d > 0 {
+                self.push_pair(v, t, d as i64);
                 pi_t = pi_t.min(self.pi[v]);
                 supply += d;
             }
@@ -248,24 +237,26 @@ impl DualSolver {
             Ok(remaining) => self.route(s, t, remaining),
             Err(_) => Err(DualError::Overflow),
         };
-        // Truncate the temporary s/t arcs whatever happened.
-        for &(v, len) in &touched {
-            self.adj[v].truncate(len);
+        // Drop the s/t arcs whatever happened; their room stays reserved.
+        self.head.truncate(interior_arcs);
+        self.cap.truncate(interior_arcs);
+        for (end, &next) in self.end[..self.n].iter_mut().zip(&self.start[1..]) {
+            *end = next - 1;
         }
-        self.arcs.truncate(interior_arcs);
+        self.end[s] = self.start[s];
+        self.end[t] = self.start[t];
         // A full constraint arc leaves the residual network, so the
         // potentials no longer bound `r_u − r_v` by its `b`, and a failed
         // routing may be this artefact rather than unboundedness.
-        if self.arcs.iter().step_by(2).any(|a| a.cap == 0) {
+        if self.cap.iter().step_by(2).any(|&c| c == 0) {
             result = Err(DualError::Overflow);
         }
         if result.is_err() {
             // A partial routing left flow inconsistent with `cur`; empty
             // every interior arc pair and restore the initial potentials,
             // as freshly built, so later solves stay correct.
-            for pair in self.arcs.chunks_exact_mut(2) {
-                pair[0].cap = INF_CAP;
-                pair[1].cap = 0;
+            for pair in self.cap.chunks_exact_mut(2) {
+                pair.copy_from_slice(&[INF_CAP, 0]);
             }
             self.pi.clone_from(&self.pi0);
             self.cur.iter_mut().for_each(|c| *c = 0);
@@ -302,11 +293,46 @@ impl DualSolver {
 
     /// The entries of [`Self::flows`], uncollected.
     fn flow_entries(&self) -> impl Iterator<Item = (Constraint, i64)> + '_ {
-        // Interior arcs come in (forward u → v, reverse v → u) pairs, and
-        // the reverse arc's residual capacity is the forward arc's flow.
-        self.arcs
-            .chunks_exact(2)
-            .map(|p| (Constraint::new(p[1].to, p[0].to, p[0].cost), p[1].cap))
+        // Between solves the arcs are the constraint pairs alone, and the
+        // reverse arc's residual capacity is the forward arc's flow.
+        let pairs = self.head.chunks_exact(2).zip(self.cap.chunks_exact(2));
+        pairs
+            .zip(&self.cost)
+            .map(|((h, c), &b)| (Constraint::new(h[1] as usize, h[0] as usize, b), c[1]))
+    }
+
+    /// Appends the arc pair `from → to`, with residual capacity `cap` and
+    /// an empty reverse, and enters each arc in its tail's row. The pair's
+    /// cost is `cost[k]` for the `k`-th pair: a merged constraint's bound,
+    /// or one of the zeros reserved for the s/t arcs of a solve.
+    fn push_pair(&mut self, from: usize, to: usize, cap: i64) {
+        let fwd = self.head.len() as u32;
+        self.head.extend([to as u32, from as u32]);
+        self.cap.extend([cap, 0]);
+        for (x, a) in [(from, fwd), (to, fwd + 1)] {
+            debug_assert!(self.end[x] < self.start[x + 1], "row {x} is full");
+            self.adj[self.end[x] as usize] = a;
+            self.end[x] += 1;
+        }
+    }
+
+    /// Node `u`'s arcs, in the order they were added.
+    fn row(&self, u: usize) -> &[u32] {
+        &self.adj[self.start[u] as usize..self.end[u] as usize]
+    }
+
+    /// Arc `a`'s cost plus the potential of its tail `u`, minus that of
+    /// its head.
+    fn reduced_cost(&self, u: usize, a: u32) -> i64 {
+        let a = a as usize;
+        let pair_cost = self.cost[a >> 1];
+        let cost = if a & 1 == 0 { pair_cost } else { -pair_cost };
+        cost + self.pi[u] - self.pi[self.head[a] as usize]
+    }
+
+    /// The tail of arc `a`: the head of its reverse.
+    fn tail(&self, a: u32) -> usize {
+        self.head[a as usize ^ 1] as usize
     }
 
     /// Primal–dual min-cost routing of `remaining` units from `s` to `t`.
@@ -321,10 +347,10 @@ impl DualSolver {
     /// returned `r` and the number of phases are those of every exact
     /// maximum-flow routine.
     fn route(&mut self, s: usize, t: usize, mut remaining: i64) -> Result<(), DualError> {
-        let nn = self.adj.len();
+        let nn = self.n + 2;
         let mut w = Buffers {
             dist: vec![i64::MAX; nn],
-            heap: BinaryHeap::new(),
+            heap: NodeHeap::new(nn),
             first: vec![0; nn + 1],
             admissible: Vec::new(),
             cur: vec![0; nn],
@@ -357,32 +383,31 @@ impl DualSolver {
 
     /// Runs Dijkstra over reduced costs from `s`, raises each potential by
     /// `min(dist, dist_t)` and lists the arcs that the new potentials make
-    /// admissible. Returns `None` when `t` is unreachable.
+    /// admissible. Returns `None` when `t` is unreachable. Which of several
+    /// equally near nodes the queue settles first cannot change the
+    /// potentials (ALGORITHMS.md §4).
     fn reprice(&mut self, s: usize, t: usize, w: &mut Buffers) -> Option<()> {
-        w.dist.iter_mut().for_each(|d| *d = i64::MAX);
+        w.dist.fill(i64::MAX);
         w.dist[s] = 0;
         w.heap.clear();
-        w.heap.push(Reverse((0, s)));
+        w.heap.push_or_decrease(s, &w.dist);
         let mut dist_t = None;
-        while let Some(Reverse((d, u))) = w.heap.pop() {
-            if d > w.dist[u] {
-                continue;
-            }
+        while let Some(u) = w.heap.pop(&w.dist) {
+            let d = w.dist[u];
             if u == t {
                 dist_t = Some(d);
                 break;
             }
-            for &ai in &self.adj[u] {
-                let a = &self.arcs[ai];
-                if a.cap <= 0 {
+            for &a in self.row(u) {
+                if self.cap[a as usize] <= 0 {
                     continue;
                 }
-                let rc = a.cost + self.pi[u] - self.pi[a.to];
+                let rc = self.reduced_cost(u, a);
                 debug_assert!(rc >= 0, "negative reduced cost {rc}");
-                let nd = d + rc;
-                if nd < w.dist[a.to] {
-                    w.dist[a.to] = nd;
-                    w.heap.push(Reverse((nd, a.to)));
+                let (v, nd) = (self.head[a as usize] as usize, d + rc);
+                if nd < w.dist[v] {
+                    w.dist[v] = nd;
+                    w.heap.push_or_decrease(v, &w.dist);
                 }
             }
         }
@@ -394,17 +419,17 @@ impl DualSolver {
         // changes capacities, never reduced costs: the phase needs only
         // the arcs of zero reduced cost, whatever their capacity. An arc
         // and its reverse have opposite reduced costs, so the list holds
-        // the reverse of every arc it holds. (`new` checked that arc
-        // indices fit a u32.)
+        // the reverse of every arc it holds.
         w.admissible.clear();
-        for (u, arcs) in self.adj.iter().enumerate() {
+        for u in 0..self.end.len() {
             w.first[u] = w.admissible.len() as u32;
-            w.admissible.extend(arcs.iter().filter_map(|&ai| {
-                let a = &self.arcs[ai];
-                (a.cost + self.pi[u] - self.pi[a.to] == 0).then_some(ai as u32)
-            }));
+            let zero = self
+                .row(u)
+                .iter()
+                .filter(|&&a| self.reduced_cost(u, a) == 0);
+            w.admissible.extend(zero);
         }
-        w.first[self.adj.len()] = w.admissible.len() as u32;
+        w.first[self.end.len()] = w.admissible.len() as u32;
         Some(())
     }
 
@@ -419,7 +444,7 @@ impl DualSolver {
     /// around the 2-cycles that every arc carrying flow forms. Returns
     /// the number of augmentations.
     fn max_flow(&mut self, s: usize, t: usize, remaining: &mut i64, w: &mut Buffers) -> u64 {
-        let nn = self.adj.len();
+        let nn = self.end.len();
         let unreachable = nn as u32;
         self.global_relabel(t, w);
         let mut augmentations = 0;
@@ -430,12 +455,10 @@ impl DualSolver {
                 let bottleneck = w
                     .path
                     .iter()
-                    .fold(*remaining, |b, &ai| b.min(self.arcs[ai as usize].cap));
-                for &ai in &w.path {
-                    let ai = ai as usize;
-                    self.arcs[ai].cap -= bottleneck;
-                    let rev = self.arcs[ai].rev;
-                    self.arcs[rev].cap += bottleneck;
+                    .fold(*remaining, |b, &a| b.min(self.cap[a as usize]));
+                for &a in &w.path {
+                    self.cap[a as usize] -= bottleneck;
+                    self.cap[a as usize ^ 1] += bottleneck;
                 }
                 *remaining -= bottleneck;
                 augmentations += 1;
@@ -443,14 +466,10 @@ impl DualSolver {
                 // saturated: every cursor on the path still points at its
                 // path arc. No arc saturates only when `remaining` was the
                 // bottleneck, and the phase is done.
-                let Some(k) = w
-                    .path
-                    .iter()
-                    .position(|&ai| self.arcs[ai as usize].cap == 0)
-                else {
+                let Some(k) = w.path.iter().position(|&a| self.cap[a as usize] == 0) else {
                     break;
                 };
-                v = self.arcs[self.arcs[w.path[k] as usize].rev].to;
+                v = self.tail(w.path[k]);
                 w.path.truncate(k);
                 continue;
             }
@@ -459,17 +478,16 @@ impl DualSolver {
             let closer = w.label[v] - 1;
             let end = w.first[v + 1];
             while w.cur[v] < end {
-                let ai = w.admissible[w.cur[v] as usize];
-                let a = &self.arcs[ai as usize];
-                if a.cap > 0 && w.label[a.to] == closer {
+                let a = w.admissible[w.cur[v] as usize] as usize;
+                if self.cap[a] > 0 && w.label[self.head[a] as usize] == closer {
                     break;
                 }
                 w.cur[v] += 1;
             }
             if w.cur[v] < end {
-                let ai = w.admissible[w.cur[v] as usize];
-                w.path.push(ai);
-                v = self.arcs[ai as usize].to;
+                let a = w.admissible[w.cur[v] as usize];
+                w.path.push(a);
+                v = self.head[a as usize] as usize;
                 continue;
             }
             // Dead end: raise the label to one past the nearest
@@ -477,9 +495,9 @@ impl DualSolver {
             let arcs = &w.admissible[w.first[v] as usize..end as usize];
             w.label[v] = arcs
                 .iter()
-                .map(|&ai| &self.arcs[ai as usize])
-                .filter(|a| a.cap > 0)
-                .map(|a| w.label[a.to] + 1)
+                .map(|&a| a as usize)
+                .filter(|&a| self.cap[a] > 0)
+                .map(|a| w.label[self.head[a] as usize] + 1)
                 .fold(unreachable, u32::min);
             w.cur[v] = w.first[v];
             relabels += 1;
@@ -488,8 +506,8 @@ impl DualSolver {
                 self.global_relabel(t, w);
                 w.path.clear();
                 v = s;
-            } else if let Some(ai) = w.path.pop() {
-                v = self.arcs[self.arcs[ai as usize].rev].to;
+            } else if let Some(a) = w.path.pop() {
+                v = self.tail(a);
             }
         }
         augmentations
@@ -501,8 +519,8 @@ impl DualSolver {
     /// reverse of every admissible arc into `u`, and tests that reverse
     /// arc's capacity.
     fn global_relabel(&mut self, t: usize, w: &mut Buffers) {
-        let unreachable = self.adj.len() as u32;
-        w.label.iter_mut().for_each(|l| *l = unreachable);
+        let unreachable = self.end.len() as u32;
+        w.label.fill(unreachable);
         w.label[t] = 0;
         w.queue.clear();
         w.queue.push(t as u32);
@@ -511,15 +529,15 @@ impl DualSolver {
             head += 1;
             let u = u as usize;
             let next = w.label[u] + 1;
-            for &ai in &w.admissible[w.first[u] as usize..w.first[u + 1] as usize] {
-                let a = &self.arcs[ai as usize];
-                if w.label[a.to] == unreachable && self.arcs[a.rev].cap > 0 {
-                    w.label[a.to] = next;
-                    w.queue.push(a.to as u32);
+            for &a in &w.admissible[w.first[u] as usize..w.first[u + 1] as usize] {
+                let (a, x) = (a as usize, self.head[a as usize]);
+                if w.label[x as usize] == unreachable && self.cap[a ^ 1] > 0 {
+                    w.label[x as usize] = next;
+                    w.queue.push(x);
                 }
             }
         }
-        w.cur.copy_from_slice(&w.first[..self.adj.len()]);
+        w.cur.copy_from_slice(&w.first[..self.end.len()]);
         #[cfg(test)]
         {
             self.global_relabels += 1;
@@ -531,7 +549,7 @@ impl DualSolver {
 /// are u32, which keeps the working set small.
 struct Buffers {
     dist: Vec<i64>,
-    heap: BinaryHeap<Reverse<(i64, usize)>>,
+    heap: NodeHeap,
     /// Arcs of zero reduced cost at the last repricing, node `v`'s in
     /// adjacency order at `admissible[first[v]..first[v + 1]]`.
     first: Vec<u32>,
@@ -543,6 +561,100 @@ struct Buffers {
     label: Vec<u32>,
     queue: Vec<u32>,
     path: Vec<u32>,
+}
+
+/// The slot of a node that is not in a [`NodeHeap`].
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// A binary min-heap of nodes keyed by their `dist`, with one entry per
+/// node: lowering a queued node's key moves its entry up (decrease-key)
+/// instead of queuing it again.
+struct NodeHeap {
+    nodes: Vec<u32>,
+    /// Each node's index in `nodes`, or [`NOT_QUEUED`].
+    slot: Vec<u32>,
+}
+
+impl NodeHeap {
+    fn new(nn: usize) -> Self {
+        Self {
+            nodes: Vec::with_capacity(nn),
+            slot: vec![NOT_QUEUED; nn],
+        }
+    }
+
+    fn clear(&mut self) {
+        for &v in &self.nodes {
+            self.slot[v as usize] = NOT_QUEUED;
+        }
+        self.nodes.clear();
+    }
+
+    /// Queues `v`, or moves its entry up after `dist[v]` fell.
+    fn push_or_decrease(&mut self, v: usize, dist: &[i64]) {
+        let i = match self.slot[v] {
+            NOT_QUEUED => {
+                self.nodes.push(v as u32);
+                self.nodes.len() - 1
+            }
+            i => i as usize,
+        };
+        self.sift_up(i, dist);
+    }
+
+    /// Removes and returns a node of least `dist`.
+    fn pop(&mut self, dist: &[i64]) -> Option<usize> {
+        let top = *self.nodes.first()?;
+        self.slot[top as usize] = NOT_QUEUED;
+        let last = self.nodes.pop().expect("the heap holds `top`");
+        if !self.nodes.is_empty() {
+            self.nodes[0] = last;
+            self.sift_down(0, dist);
+        }
+        Some(top as usize)
+    }
+
+    /// Moves the entry at index `i` up past every parent with a larger
+    /// key.
+    fn sift_up(&mut self, mut i: usize, dist: &[i64]) {
+        let v = self.nodes[i];
+        while i > 0 {
+            let parent = self.nodes[(i - 1) / 2];
+            if dist[parent as usize] <= dist[v as usize] {
+                break;
+            }
+            self.place(i, parent);
+            i = (i - 1) / 2;
+        }
+        self.place(i, v);
+    }
+
+    /// Moves the entry at index `i` down past every child with a smaller
+    /// key.
+    fn sift_down(&mut self, mut i: usize, dist: &[i64]) {
+        let v = self.nodes[i];
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= self.nodes.len() {
+                break;
+            }
+            let key = |j: usize| dist[self.nodes[j] as usize];
+            if c + 1 < self.nodes.len() && key(c + 1) < key(c) {
+                c += 1;
+            }
+            if key(c) >= dist[v as usize] {
+                break;
+            }
+            self.place(i, self.nodes[c]);
+            i = c;
+        }
+        self.place(i, v);
+    }
+
+    fn place(&mut self, i: usize, v: u32) {
+        self.nodes[i] = v;
+        self.slot[v as usize] = i as u32;
+    }
 }
 
 #[cfg(test)]
@@ -914,5 +1026,51 @@ pub(crate) mod tests {
             Err(DualError::Overflow)
         );
         certified(&mut solver, &cons, &[-1, -1, 1, 1]).unwrap();
+    }
+
+    /// The network holds 40 bytes a merged constraint and at most 96 a
+    /// variable, the room for every solve's s/t arcs included: after
+    /// `new` and three warm solves in which every variable's delta is
+    /// nonzero, so that every spare slot fills. A debug build also holds
+    /// the certificate's copy of the constraint list.
+    #[test]
+    fn the_network_holds_forty_bytes_a_merged_constraint() {
+        let mut rng = Rng::seed_from_u64(43);
+        let n = 16_000;
+        let cons = degenerate_system(&mut rng, n);
+        let mut pairs: Vec<(usize, usize)> = cons
+            .iter()
+            .filter(|c| c.u != c.v)
+            .map(|c| (c.u, c.v))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let merged = pairs.len();
+        assert!(merged >= 50_000, "{merged} merged constraints");
+        // Alternating signs sum to zero, and each solve's costs differ
+        // from the last ones at every variable.
+        let costs: Vec<Vec<i64>> = (1..=3)
+            .map(|k| (0..n).map(|v| if v % 2 == 0 { k } else { -k }).collect())
+            .collect();
+
+        let mark = lacr_obs::mem::thread_mark();
+        let mut solver = DualSolver::new(n, &cons).expect("p is feasible");
+        for cost in &costs {
+            solver.solve(cost).expect("a ring is bounded");
+        }
+        let held = mark.delta().net_bytes();
+        drop(solver);
+
+        let certificate = if cfg!(debug_assertions) {
+            24 * cons.len()
+        } else {
+            0
+        };
+        let bound = 40 * merged + 96 * n + certificate;
+        assert!(
+            held <= bound as i64,
+            "{held} B held for {merged} merged constraints ({:.1} B each) and {n} variables",
+            (held - (96 * n + certificate) as i64) as f64 / merged as f64
+        );
     }
 }

@@ -194,6 +194,7 @@ fn floorplanner_handles_extreme_aspect_blocks() {
             moves: 2_000,
             ..Default::default()
         },
+        0x00f1_0011,
     );
     assert!(fp.validate(1e-6).is_empty(), "{:?}", fp.validate(1e-6));
 }
